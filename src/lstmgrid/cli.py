@@ -152,6 +152,13 @@ def build_run_config(args):
 
     faults = doc.get("faults") or {}
     dropped = tuple(faults.get("drop_links") or ())
+    if dropped:
+        plan = mapper.plan_grid(spec, tile, reload=mode == "reload",
+                                chip_select=mode == "chip-select")
+        labels = {link.label for link in plan.links}
+        unknown = [str(label) for label in dropped if label not in labels]
+        _require(not unknown, "faults.drop_links names links the plan does "
+                 "not have: %s" % ", ".join(unknown))
     return RunConfig(params, features, spec, tile, mode, op, consts, cm,
                      dropped, doc.get("sweep") or {})
 
@@ -239,16 +246,10 @@ def cmd_run(args):
     cfg = build_run_config(args)
     plan = mapper.plan_grid(cfg.spec, cfg.tile, reload=cfg.reload,
                             chip_select=cfg.chip_select)
-    if cfg.reload:
-        if cfg.dropped_links:
-            raise ConfigError("fault injection applies to stacked runs")
-        outputs, trace = systolic_sim.run_reload(plan, cfg.params,
-                                                 cfg.features,
-                                                 cycle_model=cfg.cycle_model)
-    else:
-        outputs, trace = systolic_sim.simulate(
-            plan, cfg.params, cfg.features, cycle_model=cfg.cycle_model,
-            dropped_links=cfg.dropped_links)
+    execute = systolic_sim.run_reload if cfg.reload else systolic_sim.simulate
+    outputs, trace = execute(plan, cfg.params, cfg.features,
+                             cycle_model=cfg.cycle_model,
+                             dropped_links=cfg.dropped_links)
 
     blocks, fc_blocks = _plan_blocks(plan)
     oracle = lstm_ref.network_infer(

@@ -109,9 +109,6 @@ class GridPlan:
     def grid(self, layer):
         return self.layer_grids[layer]
 
-    def dies_of_layer(self, layer):
-        return [d for d in self.dies if d.layer == layer]
-
     def masters_of_layer(self, layer):
         return [d for d in self.dies if d.layer == layer
                 and d.role == "master"]
@@ -298,58 +295,6 @@ def pin_budget(plan, time_multiplexed=False, interpretation="grid_side"):
     total = 2 + 3 + 6 * n_inp + 6 * n_out
     return PinBudget(2, 3, 6, n_inp, n_out,
                      total_min=total, total_time_multiplexed=17)
-
-
-def reload_schedule(spec, tile, n_steps=1):
-    """Host-side pass list for single-grid execution.
-
-    One pass per (time step, layer).  Every pass re-loads that layer's
-    parameters; every pass except the very first first restores the
-    layer's own h/c tiles from the host; every pass ends by spilling them
-    back.  A single-layer network needs no re-loading at all and runs as
-    one pass, states resident.
-    """
-    n_layers = len(spec.layers)
-    if n_layers == 1:
-        n_in, n_hid = spec.layers[0]
-        grid = plan_layer_grid(0, n_in, n_hid, tile, spec.n_out)
-        return [{
-            "pass": 0, "step": None, "layer": 0,
-            "param_bytes": _grid_param_bytes(grid),
-            "state_load_bytes": 0,
-            "feature_bytes": n_in * n_steps,
-            "state_store_bytes": 0,
-            "output_bytes": spec.output_width * n_steps,
-        }]
-    passes = []
-    for t in range(n_steps):
-        for ell, (n_in, n_hid) in enumerate(spec.layers):
-            n_out = spec.n_out if ell == n_layers - 1 else None
-            grid = plan_layer_grid(ell, n_in, n_hid, tile, n_out)
-            idx = t * n_layers + ell
-            passes.append({
-                "pass": idx, "step": t, "layer": ell,
-                "param_bytes": _grid_param_bytes(grid),
-                "state_load_bytes": 0 if idx == 0 else 2 * n_hid,
-                "feature_bytes": n_in,
-                "state_store_bytes": 2 * n_hid,
-                "output_bytes": (spec.output_width
-                                 if ell == n_layers - 1 else 0),
-            })
-    return passes
-
-
-def _grid_param_bytes(grid):
-    total = 0
-    for i in range(grid.n):
-        for j in range(grid.n):
-            master = j == grid.n - 1
-            total += memory_footprint(
-                grid.ni_tile, grid.nh_tile,
-                fc_out=grid.n_out if master and grid.n_out else None,
-                fc_bias=master and i == grid.n - 1 and grid.n_out is not None,
-                master=master)
-    return total
 
 
 def plan_to_dict(plan):

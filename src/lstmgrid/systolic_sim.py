@@ -1,13 +1,21 @@
 """Grid execution: phase-accurate timing, 4-bit links, bit-exact values.
 
-The timing side lives in `build_*_schedule`: pure functions from a plan to
-an ordered list of PhaseRecords with cycle spans and planned link traffic.
-The value side (`GridSim`) walks those records and performs the actual
-distributed arithmetic — per-die partial MACs, saturating reduction
-chains, master-side activation and element-wise updates, hidden-state
-distribution, optional output projection — counting real beat-level
-toggles on every link.  The analytic energy model consumes the very same
-records, so simulated and extrapolated cycle counts agree by construction.
+The timing side lives in `build_*_schedule` and `build_state_record`: pure
+functions from a plan to an ordered list of PhaseRecords with cycle spans
+and planned link traffic.  The value side (`GridSim`) walks those records
+and performs the actual distributed arithmetic — per-die partial MACs,
+saturating reduction chains, master-side activation and element-wise
+updates, hidden-state distribution, optional output projection — counting
+real beat-level toggles on every link.  The analytic energy model consumes
+the very same records, so simulated and extrapolated cycle counts agree by
+construction.
+
+One record walker executes every load mode.  Stacked and chip-select runs
+load parameters once and then walk one step schedule per inference step;
+reload runs (`run_reload`) walk one pass per (step, layer), in which the
+parameter re-load, the state restore (`state_load`) and the state spill
+(`state_store`) are ordinary records whose traffic passes the same link
+checks as every other transfer.
 
 Value semantics never depend on the schedule's overlap decisions: the
 accumulation order is pinned (input slice, recurrent slice, block fold
@@ -170,15 +178,6 @@ def _word_beats(word_bits):
     return word_bits // LINK_BITS
 
 
-def param_word_count(plan, die):
-    """Bytes (= words) a die receives at configuration time."""
-    grid = plan.grid(die.layer)
-    return (4 * grid.nh_tile * (grid.ni_tile + grid.nh_tile)
-            + (7 * grid.nh_tile if die.role == "master" else 0)
-            + ((grid.n_out or 0) * grid.nh_tile if die.fc_cols else 0)
-            + ((grid.n_out or 0) if die.fc_root else 0))
-
-
 def build_load_schedule(plan, start=0, layers=None):
     """Configuration phase: every die's parameters over its p stream.
 
@@ -192,7 +191,7 @@ def build_load_schedule(plan, start=0, layers=None):
         if layers is not None and grid.layer not in layers:
             continue
         dies = [plan.die(d) for d in _die_ids(grid)]
-        beats = {d.die_id: int(param_word_count(plan, d))
+        beats = {d.die_id: d.footprint_bytes
                  * _word_beats(plan.tile.word_bits) for d in dies}
         if plan.chip_select:
             for d in dies:
@@ -302,47 +301,47 @@ def _schedule_fc(plan, grid, cm, cursor, records, step, include_writeback):
 
 
 def build_step_schedule(plan, cm=CycleModel(), start=0, step=None,
-                        include_fc=True, include_writeback=True):
-    """One inference step across all (stacked) layer grids.
+                        include_fc=True, include_writeback=True, layers=None):
+    """One inference step across the (stacked) layer grids in `layers`
+    (default: all of them).
 
-    Layer 0 streams its features before computing.  Deeper grids run
-    their recurrent MAC loops as soon as the upstream element-wise phase
-    ends (their own previous hidden state is resident), overlapping the
-    upstream hidden-state distribution and the feature stream; their input
-    MAC loops start once both finish.  Overlap shortens the schedule only
-    — computed values are identical either way.
+    The first scheduled grid streams its features from the host before
+    computing.  Deeper grids run their recurrent MAC loops as soon as the
+    upstream element-wise phase ends (their own previous hidden state is
+    resident), overlapping the upstream hidden-state distribution and the
+    feature stream; their input MAC loops start once both finish.  Overlap
+    shortens the schedule only — computed values are identical either way.
     """
     records = []
     e_prev = None
     dist_cycles_prev = 0
     for grid in plan.layer_grids:
+        if layers is not None and grid.layer not in layers:
+            continue
         n, nh, ni = grid.n, grid.nh_tile, grid.ni_tile
         h_loop = cm.h_loop(plan, grid)
         all_dies = _die_ids(grid)
         if e_prev is None:
-            feat_events = [
-                LinkEvent("L0.feat.col%d" % j, "p", HOST,
-                          _die_ids(grid, cols=[j]), ni, 8)
-                for j in range(n)]
-            records.append(PhaseRecord("feature_stream", grid.layer, start,
-                                       start + 2 * ni, all_dies, feat_events,
-                                       step=step))
-            cursor = _schedule_gate_phases(plan, grid, cm, start + 2 * ni,
-                                           ni + h_loop, records, step)
+            feat_start = start
         else:
             up = plan.layer_grids[grid.layer - 1]
             records.append(PhaseRecord("recurrent_compute", grid.layer,
                                        e_prev, e_prev + 4 * h_loop, all_dies,
                                        [], step=step))
             feat_start = e_prev + dist_cycles_prev
-            feat_events = [
-                LinkEvent("L%d.feat.col%d" % (grid.layer, j), "p",
-                          (up.layer, min(j, up.n - 1), up.n - 1),
-                          _die_ids(grid, cols=[j]), ni, 8)
-                for j in range(n)]
-            records.append(PhaseRecord("feature_stream", grid.layer,
-                                       feat_start, feat_start + 2 * ni,
-                                       all_dies, feat_events, step=step))
+        feat_events = [
+            LinkEvent("L%d.feat.col%d" % (grid.layer, j), "p",
+                      HOST if e_prev is None
+                      else (up.layer, min(j, up.n - 1), up.n - 1),
+                      _die_ids(grid, cols=[j]), ni, 8)
+            for j in range(n)]
+        records.append(PhaseRecord("feature_stream", grid.layer, feat_start,
+                                   feat_start + 2 * ni, all_dies, feat_events,
+                                   step=step))
+        if e_prev is None:
+            cursor = _schedule_gate_phases(plan, grid, cm, start + 2 * ni,
+                                           ni + h_loop, records, step)
+        else:
             x_start = max(e_prev + 4 * h_loop, feat_start + 2 * ni)
             cursor = _schedule_gate_phases(plan, grid, cm, x_start, ni,
                                            records, step)
@@ -366,20 +365,50 @@ def build_step_schedule(plan, cm=CycleModel(), start=0, step=None,
     return records, cursor
 
 
+def build_state_record(grid, kind, cursor, step):
+    """Spill (`state_store`) or restore (`state_load`) one layer's h/c tiles.
+
+    Restoring sends each hidden tile down its column's feature stream (all
+    dies in column j consume recurrent slice j), then each cell tile to its
+    master over the parameter stream; spilling runs master write-outs, h
+    tile then c tile per master.
+    """
+    n, nh = grid.n, grid.nh_tile
+    masters = _die_ids(grid, cols=[n - 1])
+    if kind == "state_load":
+        events = [LinkEvent("L%d.feat.col%d" % (grid.layer, j), "p", HOST,
+                            _die_ids(grid, cols=[j]), nh, 8)
+                  for j in range(n)]
+        events += [LinkEvent("L%d.load.%d.%d" % die, "p", HOST, (die,), nh, 8)
+                   for die in masters]
+        dies = _die_ids(grid)
+    else:
+        events = [LinkEvent("L%d.spill.%d" % (grid.layer, i), "out", die,
+                            (HOST,), nh, 8)
+                  for i, die in enumerate(masters) for _ in "hc"]
+        dies = masters
+    return PhaseRecord(kind, grid.layer, cursor, cursor + 4 * nh, dies,
+                       events, step=step)
+
+
 # --- toggle counting -------------------------------------------------------------
 
 def beat_stream(words, word_bits):
-    """Little-endian 4-bit beats of each word, one flat array per burst."""
-    words = np.asarray(words, dtype=np.int64)
-    n_beats = word_bits // LINK_BITS
-    u = words & ((1 << word_bits) - 1)
-    beats = np.empty(words.size * n_beats, dtype=np.int64)
-    for b in range(n_beats):
-        beats[b::n_beats] = (u >> (4 * b)) & 0xF
-    return beats
+    """Little-endian 4-bit beats of each word, one flat uint8 array per
+    burst: the low nibble, then the high nibble of each little-endian byte
+    of the word's two's-complement code."""
+    if word_bits % 8:
+        raise ValueError("words must be whole bytes, not %d bits"
+                         % (word_bits,))
+    data = np.ascontiguousarray(words, dtype="<i8").view(np.uint8)
+    data = data.reshape(-1, 8)[:, :word_bits // 8]
+    beats = np.empty(data.shape + (2,), np.uint8)
+    np.bitwise_and(data, 0xF, out=beats[..., 0])
+    np.right_shift(data, 4, out=beats[..., 1])
+    return beats.reshape(-1)
 
 
-_POPCOUNT4 = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
+_POPCOUNT4 = np.array([bin(v).count("1") for v in range(16)], dtype=np.uint8)
 
 
 def count_toggles(words, word_bits, idle=0):
@@ -387,8 +416,11 @@ def count_toggles(words, word_bits, idle=0):
     beats = beat_stream(words, word_bits)
     if beats.size == 0:
         return 0
-    prev = np.concatenate(([idle], beats[:-1]))
-    return int(_POPCOUNT4[beats ^ prev].sum())
+    flips = np.empty_like(beats)
+    flips[0] = beats[0] ^ idle
+    np.bitwise_xor(beats[1:], beats[:-1], out=flips[1:])
+    np.take(_POPCOUNT4, flips, out=flips)
+    return int(flips.sum(dtype=np.int64))
 
 
 # --- value execution --------------------------------------------------------------
@@ -555,6 +587,9 @@ class GridSim:
             self.fc = _FcEngine(plan.layer_grids[-1], params.fc, self.luts)
         self.dropped = set(dropped_links)
         self.loaded = False
+        # h and c of each layer as last spilled to the host (reload mode)
+        self.host_state = [np.zeros((2, g.nh_padded), np.int64)
+                           for g in plan.layer_grids]
 
     # -- link layer --
 
@@ -574,8 +609,7 @@ class GridSim:
 
     def _param_words(self, die):
         eng = self.engines[die.layer]
-        grid = self.plan.grid(die.layer)
-        rows, i = eng.rows(die.row), die.row
+        rows = eng.rows(die.row)
         xs = slice(die.x_cols[0], die.x_cols[1])
         hs = slice(die.h_cols[0], die.h_cols[1])
         chunks = [eng.w_x[g, rows, xs].ravel() for g in range(4)]
@@ -592,46 +626,61 @@ class GridSim:
     def load_parameters(self, start=0):
         records, _ = build_load_schedule(self.plan, start)
         for rec in records:
-            for ev in rec.events:
-                die = self.plan.die(ev.receivers[0])
-                self._transfer(ev, self._param_words(die))
+            self._exec_record(rec, None)
         self.loaded = True
         return records
 
     def _exec_record(self, rec, x_t):
         eng = self.engines[rec.layer]
+        n = eng.grid.n
         kind = rec.kind
-        if kind == "feature_stream":
+        if kind == "param_load":
+            for ev in rec.events:
+                die = self.plan.die(ev.receivers[0])
+                self._transfer(ev, self._param_words(die))
+        elif kind == "state_load":
+            eng.h[:], eng.c[:] = self.host_state[rec.layer]
+            tiles = [eng.h[eng.rows(j)] for j in range(n)]
+            tiles += [eng.c[eng.rows(i)] for i in range(n)]
+            for ev, words in zip(rec.events, tiles):
+                self._transfer(ev, words)
+        elif kind == "state_store":
+            spill = np.zeros_like(self.host_state[rec.layer])
+            real = slice(0, eng.grid.n_hidden)
+            spill[0, real], spill[1, real] = eng.h[real], eng.c[real]
+            self.host_state[rec.layer] = spill
+            tiles = [vec[eng.rows(i)] for i in range(n) for vec in spill]
+            for ev, words in zip(rec.events, tiles):
+                self._transfer(ev, words)
+        elif kind == "feature_stream":
             if rec.layer == 0:
                 eng.set_features(x_t)
             else:
                 up = self.engines[rec.layer - 1]
                 eng.set_features(up.h[:eng.grid.n_inputs])
-            for ev in rec.events:
-                j = int(ev.label.rsplit("col", 1)[1])
+            for j, ev in enumerate(rec.events):
                 xs = slice(j * eng.grid.ni_tile, (j + 1) * eng.grid.ni_tile)
                 self._transfer(ev, eng.x[xs])
         elif kind == "recurrent_compute":
             pass  # timing only: MACs are evaluated in pinned order below
         elif kind == "gate_compute":
-            for i in range(eng.grid.n):
-                for j in range(eng.grid.n):
+            for i in range(n):
+                for j in range(n):
                     eng.gate_partial(rec.gate, i, j)
         elif kind == "gate_reduce":
-            for ev, i in zip(rec.events, range(eng.grid.n)):
+            for i, ev in enumerate(rec.events):
                 self._transfer(ev, eng.reduce_hop(rec.gate, i, rec.hop))
         elif kind == "gate_activate":
             eng.finish_gate(rec.gate)
         elif kind == "elementwise":
             eng.elementwise()
-            if eng.grid.n == 1:
+            if n == 1:
                 eng.commit_hidden()  # no distribution phase on a 1x1 grid
         elif kind == "hidden_chain":
             # tile n-1 codes travel up the master column unchanged
-            self._transfer(rec.events[0], eng.hidden_tile(eng.grid.n - 1))
+            self._transfer(rec.events[0], eng.hidden_tile(n - 1))
         elif kind == "hidden_bcast":
-            for ev in rec.events:
-                i = int(ev.label.rsplit(".", 1)[1])
+            for i, ev in enumerate(rec.events):
                 self._transfer(ev, eng.hidden_tile(i))
             eng.commit_hidden()
         elif kind == "fc_compute":
@@ -644,10 +693,27 @@ class GridSim:
             if self.fc is not None:
                 self._transfer(rec.events[0], self.fc.y)
             else:
-                for ev, i in zip(rec.events, range(eng.grid.n)):
+                for i, ev in enumerate(rec.events):
                     self._transfer(ev, eng.hidden_tile(i))
         else:
             raise AssertionError("unhandled phase kind %r" % (kind,))
+
+    def _output(self):
+        if self.fc is not None:
+            return self.fc.y.copy()
+        return self.engines[-1].output_codes().copy()
+
+    def _result(self, records, end, spans, outputs):
+        trace = PhaseTrace(records, end, len(spans), spans,
+                           meta={"n_dies": self.plan.total_dies,
+                                 "reload": self.plan.reload,
+                                 "chip_select": self.plan.chip_select})
+        width = (self.fc.n_out if self.fc is not None
+                 else self.plan.layer_grids[-1].n_hidden)
+        out = np.zeros((len(outputs), width), np.int64)
+        for t, o in enumerate(outputs):
+            out[t] = o
+        return out, trace
 
     def step(self, x_t, start=0, step_index=None):
         """One inference step; returns (output codes, records)."""
@@ -659,35 +725,56 @@ class GridSim:
         x_t = np.asarray(x_t, dtype=np.int64)
         for rec in records:
             self._exec_record(rec, x_t)
-        if self.fc is not None:
-            out = self.fc.y.copy()
-        else:
-            out = self.engines[-1].output_codes().copy()
-        return out, records, end
+        return self._output(), records, end
 
     def run_sequence(self, features):
+        """Load every grid once, then run the steps over the resident
+        parameters and states."""
         features = np.asarray(features, dtype=np.int64)
         records = self.load_parameters()
         cursor = 0  # configuration time is traced separately from inference
         spans, outputs = [], []
-        step_records = []
         for t in range(features.shape[0]):
             out, recs, end = self.step(features[t], cursor, t)
             outputs.append(out)
-            step_records.extend(recs)
+            records.extend(recs)
             spans.append((cursor, end))
             cursor = end
-        trace = PhaseTrace(records + step_records, cursor,
-                           features.shape[0], spans,
-                           meta={"n_dies": self.plan.total_dies,
-                                 "reload": False,
-                                 "chip_select": self.plan.chip_select})
-        width = (self.fc.n_out if self.fc is not None
-                 else self.plan.layer_grids[-1].n_hidden)
-        out = np.zeros((features.shape[0], width), np.int64)
-        for t, o in enumerate(outputs):
-            out[t] = o
-        return out, trace
+        return self._result(records, cursor, spans, outputs)
+
+    def run_passes(self, features):
+        """One pass per (step, layer), step-major.  Every pass re-loads the
+        layer's parameters, restores its h/c tiles from the host (except
+        the very first pass), computes one step of that layer alone and
+        spills its h/c tiles back to the host."""
+        features = np.asarray(features, dtype=np.int64)
+        has_fc = self.fc is not None
+        records, spans, outputs = [], [], []
+        cursor = 0
+        for t in range(features.shape[0]):
+            step_start = cursor
+            for grid in self.plan.layer_grids:
+                recs, cursor = build_load_schedule(self.plan, cursor,
+                                                   layers=[grid.layer])
+                for rec in recs:
+                    rec.step = t
+                if t or grid.layer:
+                    recs.append(build_state_record(grid, "state_load",
+                                                   cursor, t))
+                    cursor = recs[-1].end
+                step_recs, cursor = build_step_schedule(
+                    self.plan, self.cm, cursor, t, include_fc=has_fc,
+                    include_writeback=has_fc, layers=[grid.layer])
+                recs += step_recs
+                recs.append(build_state_record(grid, "state_store", cursor,
+                                               t))
+                cursor = recs[-1].end
+                for rec in recs:
+                    self._exec_record(rec, features[t])
+                records += recs
+            outputs.append(self._output())
+            spans.append((step_start, cursor))
+        return self._result(records, cursor, spans, outputs)
 
 
 def simulate(plan, params, features, luts=None, cycle_model=CycleModel(),
@@ -697,10 +784,8 @@ def simulate(plan, params, features, luts=None, cycle_model=CycleModel(),
     return sim.run_sequence(features)
 
 
-# --- reload-mode execution ---------------------------------------------------------
-
-
-def run_reload(plan, params, features, luts=None, cycle_model=CycleModel()):
+def run_reload(plan, params, features, luts=None, cycle_model=CycleModel(),
+               dropped_links=()):
     """Single-grid execution, re-loading parameters layer by layer.
 
     States spill to the host between passes; outputs are bit-identical to
@@ -710,186 +795,8 @@ def run_reload(plan, params, features, luts=None, cycle_model=CycleModel()):
     """
     if not plan.reload:
         raise ValueError("plan was not built for reload mode")
-    features = np.asarray(features, dtype=np.int64)
-    luts = luts or lstm_ref.default_luts(params.layers[0].formats)
-    n_layers = len(plan.layer_grids)
-    if n_layers == 1:
+    sim = GridSim(plan, params, luts, cycle_model, dropped_links)
+    if len(plan.layer_grids) == 1:
         # nothing to re-load: parameters stay resident, states on-die
-        out, trace = simulate(plan, params, features, luts, cycle_model)
-        trace.meta["reload"] = True
-        return out, trace
-    spec_layers = [(g.n_inputs, g.n_hidden) for g in plan.layer_grids]
-    host_h = [np.zeros(nh, np.int64) for _, nh in spec_layers]
-    host_c = [np.zeros(nh, np.int64) for _, nh in spec_layers]
-    records, spans, outputs = [], [], []
-    cursor = 0
-    first_pass = True
-    for t in range(features.shape[0]):
-        step_start = cursor
-        feed = features[t]
-        for ell in range(n_layers):
-            grid = plan.layer_grids[ell]
-            eng = _LayerEngine(plan, grid, params.layers[ell], luts)
-            fc = None
-            if ell == n_layers - 1 and params.fc is not None:
-                fc = _FcEngine(grid, params.fc, luts)
-            load_recs, cursor = build_load_schedule(plan, cursor,
-                                                    layers=[ell])
-            for rec in load_recs:
-                rec.step = t
-                for ev in rec.events:
-                    die = plan.die(ev.receivers[0])
-                    ev.toggles = count_toggles(
-                        _reload_param_words(eng, fc, plan, die), 8)
-            records.extend(load_recs)
-            if not first_pass:
-                rec = _state_move(plan, grid, "state_load", cursor,
-                                  host_h[ell], host_c[ell], t)
-                eng.h[:grid.n_hidden] = host_h[ell]
-                eng.c[:grid.n_hidden] = host_c[ell]
-                records.append(rec)
-                cursor = rec.end
-            first_pass = False
-            step_recs, end = build_step_schedule(
-                _single_layer_view(plan, ell), cycle_model, cursor, t,
-                include_fc=fc is not None, include_writeback=fc is not None)
-            sim = _PassExecutor(plan, eng, fc)
-            for rec in step_recs:
-                sim.exec_record(rec, feed)
-            records.extend(step_recs)
-            cursor = end
-            host_h[ell] = eng.output_codes().copy()
-            host_c[ell] = eng.c[:grid.n_hidden].copy()
-            rec = _state_move(plan, grid, "state_store", cursor,
-                              host_h[ell], host_c[ell], t)
-            records.append(rec)
-            cursor = rec.end
-            feed = host_h[ell]
-        outputs.append(fc.y.copy() if fc is not None else feed.copy())
-        spans.append((step_start, cursor))
-    trace = PhaseTrace(records, cursor, features.shape[0], spans,
-                       meta={"n_dies": plan.total_dies, "reload": True,
-                             "chip_select": plan.chip_select})
-    width = outputs[0].shape[0] if outputs else plan.spec.output_width
-    out = np.zeros((features.shape[0], width), np.int64)
-    for t, o in enumerate(outputs):
-        out[t] = o
-    return out, trace
-
-
-def _reload_param_words(eng, fc, plan, die):
-    rows = eng.rows(die.row)
-    xs = slice(die.x_cols[0], die.x_cols[1])
-    hs = slice(die.h_cols[0], die.h_cols[1])
-    chunks = [eng.w_x[g, rows, xs].ravel() for g in range(4)]
-    chunks += [eng.w_h[g, rows, hs].ravel() for g in range(4)]
-    if die.role == "master":
-        chunks += [eng.peep[p, rows] for p in range(3)]
-        chunks += [eng.bias[g, rows] for g in range(4)]
-        if die.fc_cols is not None and fc is not None:
-            chunks.append(fc.w_y[:, rows].ravel())
-            if die.fc_root:
-                chunks.append(fc.b_y)
-    return np.concatenate(chunks)
-
-
-def _state_move(plan, grid, kind, cursor, h, c, step):
-    """Spill or restore one layer's h/c tiles.
-
-    Restoring sends each hidden tile down its column's feature stream (all
-    dies in column j consume recurrent slice j) and each cell tile to its
-    master over the parameter stream; spilling runs master write-outs.
-    """
-    n, nh = grid.n, grid.nh_tile
-
-    def tile(vec, i):
-        out = np.zeros(nh, np.int64)
-        lo = i * nh
-        take = max(0, min(nh, grid.n_hidden - lo))
-        out[:take] = vec[lo:lo + take]
-        return out
-
-    events = []
-    if kind == "state_load":
-        for j in range(n):
-            ev = LinkEvent("L%d.feat.col%d" % (grid.layer, j), "p", HOST,
-                           _die_ids(grid, cols=[j]), nh, 8)
-            ev.toggles = count_toggles(tile(h, j), 8)
-            events.append(ev)
-        for i in range(n):
-            die = (grid.layer, i, n - 1)
-            ev = LinkEvent("L%d.load.%d.%d" % die, "p", HOST, (die,), nh, 8)
-            ev.toggles = count_toggles(tile(c, i), 8)
-            events.append(ev)
-        dies = _die_ids(grid)
-    else:
-        for i in range(n):
-            die = (grid.layer, i, n - 1)
-            label = "L%d.spill.%d" % (grid.layer, i)
-            for vec in (h, c):
-                ev = LinkEvent(label, "out", die, (HOST,), nh, 8)
-                ev.toggles = count_toggles(tile(vec, i), 8)
-                events.append(ev)
-        dies = _die_ids(grid, cols=[n - 1])
-    return PhaseRecord(kind, grid.layer, cursor, cursor + 4 * nh, dies,
-                       events, step=step)
-
-
-class _PassExecutor:
-    """Record walker for one reload pass (single layer, maybe with FC)."""
-
-    def __init__(self, plan, engine, fc):
-        self.plan = plan
-        self.eng = engine
-        self.fc = fc
-
-    def exec_record(self, rec, x_t):
-        eng = self.eng
-        kind = rec.kind
-        if kind == "feature_stream":
-            eng.set_features(x_t)
-            for ev in rec.events:
-                j = int(ev.label.rsplit("col", 1)[1])
-                xs = slice(j * eng.grid.ni_tile, (j + 1) * eng.grid.ni_tile)
-                ev.toggles = count_toggles(eng.x[xs], 8)
-        elif kind == "gate_compute":
-            for i in range(eng.grid.n):
-                for j in range(eng.grid.n):
-                    eng.gate_partial(rec.gate, i, j)
-        elif kind == "gate_reduce":
-            for ev, i in zip(rec.events, range(eng.grid.n)):
-                ev.toggles = count_toggles(eng.reduce_hop(rec.gate, i,
-                                                          rec.hop), 16)
-        elif kind == "gate_activate":
-            eng.finish_gate(rec.gate)
-        elif kind == "elementwise":
-            eng.elementwise()
-            if eng.grid.n == 1:
-                eng.commit_hidden()
-        elif kind == "hidden_chain":
-            rec.events[0].toggles = count_toggles(
-                eng.hidden_tile(eng.grid.n - 1), 8)
-        elif kind == "hidden_bcast":
-            for ev in rec.events:
-                i = int(ev.label.rsplit(".", 1)[1])
-                ev.toggles = count_toggles(eng.hidden_tile(i), 8)
-            eng.commit_hidden()
-        elif kind == "fc_compute":
-            self.fc.compute(eng)
-        elif kind == "fc_reduce":
-            rec.events[0].toggles = count_toggles(self.fc.reduce_hop(rec.hop),
-                                                  16)
-        elif kind == "fc_activate":
-            self.fc.activate()
-        elif kind == "writeback":
-            rec.events[0].toggles = count_toggles(self.fc.y, 8)
-        else:
-            raise AssertionError("unhandled phase kind %r" % (kind,))
-
-
-def _single_layer_view(plan, ell):
-    """A shallow plan exposing only layer `ell` as a host-fed grid."""
-    import copy
-    view = copy.copy(plan)
-    view.layer_grids = [plan.layer_grids[ell]]
-    return view
+        return sim.run_sequence(features)
+    return sim.run_passes(features)

@@ -2,11 +2,15 @@
 
 Everything in here is pure Python (ints and Fractions, scalar loops, no
 numpy) so the fast vectorized package code can be checked against an
-independent code path.  Deliberately dumb; do not optimize.
+independent code path.  Deliberately dumb; do not optimize.  The one
+exception is the int64 toggle counter at the end, the previous package
+implementation, kept as the reference for the byte-wide one.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 I8_MIN, I8_MAX = -128, 127
 I16_MIN, I16_MAX = -32768, 32767
@@ -261,3 +265,26 @@ def toggle_count(words, width_bits, idle=0):
             total += bin(prev ^ beat).count("1")
             prev = beat
     return total
+
+
+def beat_stream_int64(words, word_bits):
+    """Little-endian 4-bit beats of each word, one flat int64 array."""
+    words = np.asarray(words, dtype=np.int64)
+    n_beats = word_bits // 4
+    u = words & ((1 << word_bits) - 1)
+    beats = np.empty(words.size * n_beats, dtype=np.int64)
+    for b in range(n_beats):
+        beats[b::n_beats] = (u >> (4 * b)) & 0xF
+    return beats
+
+
+_POPCOUNT4 = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
+
+
+def count_toggles_int64(words, word_bits, idle=0):
+    """Bit flips on a 4-bit bus carrying `words` back to back from idle."""
+    beats = beat_stream_int64(words, word_bits)
+    if beats.size == 0:
+        return 0
+    prev = np.concatenate(([idle], beats[:-1]))
+    return int(_POPCOUNT4[beats ^ prev].sum())

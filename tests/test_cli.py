@@ -118,6 +118,30 @@ def test_run_fault_injection_exit_code(tmp_path, capsys):
     assert "L0.reduce.0.0" in capsys.readouterr().err
 
 
+def test_run_reload_fault_injection_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path / "f.yaml",
+                       network={"layers": [[96, 96], [96, 96]], "seed": 2},
+                       features={"n_steps": 2, "seed": 3},
+                       faults={"drop_links": ["L1.feat.col0"]})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--reload"])
+    assert rc == 3
+    assert "L1.feat.col0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--reload"]])
+def test_run_rejects_unknown_fault_label(tmp_path, capsys, flags):
+    # a 1x1 grid has no reduction links
+    cfg = write_config(tmp_path / "f.yaml",
+                       network={"layers": [[96, 96]], "seed": 2},
+                       features={"n_steps": 1, "seed": 3},
+                       faults={"drop_links": ["L0.reduce.0.0"]})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]
+                  + flags)
+    assert rc == 1
+    assert "L0.reduce.0.0" in capsys.readouterr().err
+
+
 def test_run_oracle_mismatch_exit_code(small_config, tmp_path, capsys,
                                        monkeypatch):
     real = systolic_sim.simulate

@@ -5,7 +5,7 @@ import pytest
 from lstmgrid.lstm_ref import NetworkSpec
 from lstmgrid.mapper import (HOST, CapacityError, LinkPlan, TileSpec,
                              memory_footprint, pin_budget, plan_grid,
-                             plan_layer_grid, plan_to_dict, reload_schedule)
+                             plan_layer_grid, plan_to_dict)
 
 TILE = TileSpec()
 
@@ -218,36 +218,6 @@ def test_pin_budget_alternative_interpretation():
     budget = pin_budget(plan, interpretation="all_dies")
     assert budget.n_inp_layer == budget.n_out_layer == 4
     assert budget.total_min == 2 + 3 + 24 + 24
-
-
-# --- reload schedule --------------------------------------------------------------
-
-def test_single_layer_runs_as_one_resident_pass():
-    passes = reload_schedule(spec_for([(96, 96)]), TILE, n_steps=10)
-    assert len(passes) == 1
-    p = passes[0]
-    assert p["param_bytes"] == 74_400
-    assert p["state_load_bytes"] == 0 and p["state_store_bytes"] == 0
-    assert p["feature_bytes"] == 96 * 10
-    assert p["output_bytes"] == 96 * 10
-
-
-def test_two_layer_reload_reloads_every_pass():
-    passes = reload_schedule(spec_for([(96, 96), (96, 96)]), TILE, n_steps=2)
-    assert len(passes) == 4
-    assert all(p["param_bytes"] == 74_400 for p in passes)
-    # every pass but the very first restores h and c (2 bytes per unit)
-    assert passes[0]["state_load_bytes"] == 0
-    assert all(p["state_load_bytes"] == 2 * 96 for p in passes[1:])
-    assert all(p["state_store_bytes"] == 2 * 96 for p in passes)
-    # only last-layer passes emit network output
-    assert [p["output_bytes"] for p in passes] == [0, 96, 0, 96]
-
-
-def test_reload_pass_order_is_step_major():
-    passes = reload_schedule(spec_for([(96, 96), (96, 96)]), TILE, n_steps=2)
-    assert [(p["step"], p["layer"]) for p in passes] \
-        == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # --- serialization ----------------------------------------------------------------

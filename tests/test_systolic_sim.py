@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles as O
 from lstmgrid import lstm_ref as LR
 from lstmgrid.mapper import TileSpec, plan_grid
 from lstmgrid.systolic_sim import (CycleModel, DeadlockError, GridSim,
                                    beat_stream, build_load_schedule,
                                    build_step_schedule, count_toggles,
-                                   param_word_count, run_reload, simulate)
+                                   run_reload, simulate)
 
 TILE = TileSpec()
 
@@ -61,6 +62,21 @@ def test_count_toggles_across_words():
     # 0x0F then 0x0F: 0 -> F (4), F -> 0 (4), 0 -> F (4), F -> 0 (4)
     assert count_toggles([0x0F, 0x0F], 8) == 16
     assert count_toggles([0x0F, 0xFF], 8) == 12
+
+
+def test_byte_wide_toggle_counting_matches_the_int64_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        word_bits = int(rng.choice([8, 16]))
+        n = int(rng.integers(0, 40))
+        # negative codes and values beyond the word width wrap alike
+        words = rng.integers(-(1 << 20), 1 << 20, size=n)
+        idle = int(rng.integers(0, 16))
+        assert beat_stream(words, word_bits).tolist() \
+            == O.beat_stream_int64(words, word_bits).tolist()
+        expect = O.count_toggles_int64(words, word_bits, idle)
+        assert count_toggles(words, word_bits, idle) == expect
+        assert O.toggle_count(words, word_bits, idle) == expect
 
 
 # --- bit-exact execution ----------------------------------------------------------
@@ -190,7 +206,7 @@ def test_parameter_load_beats():
     spec = LR.NetworkSpec([(96, 96)], None)
     plan = plan_grid(spec, TILE)
     die = plan.die((0, 0, 0))
-    assert param_word_count(plan, die) == 74_400 == die.footprint_bytes
+    assert die.footprint_bytes == 74_400
     records, end = build_load_schedule(plan)
     assert end == 2 * 74_400 == 148_800  # two bus beats per byte
     assert sum(ev.bits for r in records for ev in r.events) == 74_400 * 8
@@ -200,7 +216,6 @@ def test_param_words_match_footprint_on_every_die():
     plan, params, feats = make_case(41, [(123, 192)], n_out=62)
     sim = GridSim(plan, params)
     for die in plan.dies:
-        assert param_word_count(plan, die) == die.footprint_bytes
         assert sim._param_words(die).size == die.footprint_bytes
 
 
@@ -252,18 +267,55 @@ def test_every_simulated_event_measures_toggles():
 
 
 def test_reload_trace_reloads_params_every_pass_and_restores_state():
-    stacked, params, feats = make_case(61, [(96, 96), (96, 96)], n_steps=2)
-    plan = plan_grid(stacked.spec, TILE, reload=True)
+    def passes(trace, kind):
+        return [(r.step, r.layer) for r in trace.records if r.kind == kind]
+
+    plan, params, feats = make_case(61, [(96, 96), (96, 96)], n_out=10,
+                                    n_steps=2, reload=True)
     _, trace = run_reload(plan, params, feats)
-    loads = [r for r in trace.records if r.kind == "param_load"]
-    assert len(loads) == 4  # one per (step, layer) pass
-    restores = [r for r in trace.records if r.kind == "state_load"]
-    spills = [r for r in trace.records if r.kind == "state_store"]
-    assert len(restores) == 3  # every pass but the very first
-    assert len(spills) == 4
+    # one pass per (step, layer), step-major, each re-loading its layer
+    assert passes(trace, "param_load") == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [sum(ev.words for ev in r.events) for r in trace.records
+            if r.kind == "param_load"] == [74_400, 74_400 + 10 * 96 + 10] * 2
+    # every pass but the very first restores its layer's state
+    assert passes(trace, "state_load") == [(0, 1), (1, 0), (1, 1)]
+    assert len(passes(trace, "state_store")) == 4
     # h + c round trip: 2 x 96 bytes each way per pass
-    assert all(sum(ev.bits for ev in r.events) == 2 * 96 * 8
-               for r in restores + spills)
+    assert all(sum(ev.words for ev in r.events) == 2 * 96
+               for r in trace.records if r.kind in ("state_load",
+                                                    "state_store"))
+    # only last-layer passes write network output
+    assert passes(trace, "writeback") == [(0, 1), (1, 1)]
+
+    # a single-layer network runs as one resident pass: one parameter
+    # load, features and outputs every step, no state round trips
+    plan, params, feats = make_case(62, [(96, 96)], n_steps=10, reload=True)
+    _, trace = run_reload(plan, params, feats)
+    assert passes(trace, "param_load") == [(None, 0)]
+    assert passes(trace, "state_load") == passes(trace, "state_store") == []
+    totals = trace.link_totals()
+    assert totals["L0.load.0.0"]["words"] == 74_400
+    assert totals["L0.feat.col0"]["words"] == 96 * 10
+    assert totals["L0.writeback.0"]["words"] == 96 * 10
+
+
+@pytest.mark.parametrize("layers,mode", [
+    ([(96, 96), (96, 192)], "stacked"),
+    ([(96, 96), (96, 192)], "chip_select"),
+    ([(96, 96), (96, 192)], "reload"),
+    ([(96, 96), (96, 192), (192, 192)], "reload"),
+])
+def test_every_traced_event_uses_a_planned_link(layers, mode):
+    plan, params, feats = make_case(
+        63, layers, n_out=10, n_steps=2, reload=mode == "reload",
+        chip_select=mode == "chip_select")
+    drive = run_reload if mode == "reload" else simulate
+    _, trace = drive(plan, params, feats)
+    labels = {link.label for link in plan.links}
+    for rec in trace.records:
+        for ev in rec.events:
+            assert ev.label in labels
+            assert plan.has_link(ev.kind, ev.src, ev.receivers), ev.label
 
 
 # --- stall accounting -------------------------------------------------------------
