@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from lstmgrid import lstm_ref as LR
 from lstmgrid.lstm_ref import NetworkSpec
 from lstmgrid.mapper import (HOST, CapacityError, LinkPlan, TileSpec,
                              memory_footprint, pin_budget, plan_grid,
                              plan_layer_grid, plan_to_dict)
+from lstmgrid.systolic_sim import run_reload
 
 TILE = TileSpec()
 
@@ -218,6 +220,65 @@ def test_pin_budget_alternative_interpretation():
     budget = pin_budget(plan, interpretation="all_dies")
     assert budget.n_inp_layer == budget.n_out_layer == 4
     assert budget.total_min == 2 + 3 + 24 + 24
+
+
+# --- reload schedule --------------------------------------------------------------
+
+def reload_passes(seed, layer_sizes, n_steps, n_out=None):
+    """Per-pass external bytes of a reload run, read off its trace."""
+    params = LR.random_network_params(seed, layer_sizes, n_out=n_out)
+    plan = plan_grid(LR.derive_spec(params), TILE, reload=True)
+    feats = LR.random_features(seed + 1, n_steps=n_steps,
+                               n_features=layer_sizes[0][0])
+    _, trace = run_reload(plan, params, feats)
+    passes = []
+    for rec in trace.records:
+        if rec.kind == "param_load":
+            passes.append({"step": rec.step, "layer": rec.layer,
+                           "param_bytes": 0, "state_load_bytes": 0,
+                           "state_store_bytes": 0, "feature_bytes": 0,
+                           "output_bytes": 0})
+        key = {"param_load": "param_bytes",
+               "state_load": "state_load_bytes",
+               "state_store": "state_store_bytes",
+               "feature_stream": "feature_bytes",
+               "writeback": "output_bytes"}.get(rec.kind)
+        if key is not None:
+            passes[-1][key] += sum(ev.bits for ev in rec.events) // 8
+    return passes
+
+
+def test_single_layer_runs_as_one_resident_pass():
+    passes = reload_passes(71, [(96, 96)], n_steps=10)
+    assert len(passes) == 1
+    p = passes[0]
+    assert p["param_bytes"] == 74_400
+    assert p["state_load_bytes"] == 0 and p["state_store_bytes"] == 0
+    assert p["feature_bytes"] == 96 * 10
+    assert p["output_bytes"] == 96 * 10
+
+
+def test_two_layer_reload_reloads_every_pass():
+    passes = reload_passes(72, [(96, 96), (96, 96)], n_steps=2)
+    assert len(passes) == 4
+    assert all(p["param_bytes"] == 74_400 for p in passes)
+    # every pass but the very first restores h and c (2 bytes per unit)
+    assert passes[0]["state_load_bytes"] == 0
+    assert all(p["state_load_bytes"] == 2 * 96 for p in passes[1:])
+    assert all(p["state_store_bytes"] == 2 * 96 for p in passes)
+    # without a projection the spilled h of the last layer is the output
+    assert all(p["output_bytes"] == 0 for p in passes)
+    # with one, only last-layer passes load it and write network output
+    passes = reload_passes(72, [(96, 96), (96, 96)], n_steps=2, n_out=10)
+    assert [p["param_bytes"] for p in passes] \
+        == [74_400, 74_400 + 10 * 96 + 10] * 2
+    assert [p["output_bytes"] for p in passes] == [0, 10, 0, 10]
+
+
+def test_reload_pass_order_is_step_major():
+    passes = reload_passes(73, [(96, 96), (96, 96)], n_steps=2)
+    assert [(p["step"], p["layer"]) for p in passes] \
+        == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # --- serialization ----------------------------------------------------------------
