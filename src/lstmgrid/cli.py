@@ -104,14 +104,19 @@ def build_run_config(args):
 
     op_doc = dict(doc.get("operating_point") or {})
     if "frequency_hz" in op_doc:
-        op_doc["frequency"] = op_doc.pop("frequency_hz")
-    if getattr(args, "freq", None):
+        try:  # YAML floats like 1.0e7 (no exponent sign) arrive as strings
+            op_doc["frequency"] = float(op_doc.pop("frequency_hz"))
+        except (TypeError, ValueError):
+            raise ConfigError("operating_point.frequency_hz must be a number")
+    if getattr(args, "freq", None) is not None:
         op_doc["frequency"] = args.freq
     op = _build_dataclass(OperatingPoint, op_doc, "operating point")
+    _require(op.frequency > 0, "the clock frequency must be positive")
 
     mode = doc.get("mode", "stacked")
-    _require(mode in ("stacked", "reload", "chip-select"),
-             "mode must be stacked, reload, or chip-select")
+    _require(mode in ("stacked", "reload", "chip-select", "chip_select"),
+             "mode must be stacked, reload, or chip_select")
+    mode = mode.replace("_", "-")
     if getattr(args, "reload", False):
         mode = "reload"
     if getattr(args, "chip_select", False):
@@ -179,16 +184,8 @@ def _csv(rows):
 
 
 def _plan_blocks(plan):
-    per_layer = []
-    for grid in plan.layer_grids:
-        per_layer.append([
-            (slice(j * grid.ni_tile, (j + 1) * grid.ni_tile),
-             slice(j * grid.nh_tile, (j + 1) * grid.nh_tile))
-            for j in range(grid.n)])
-    last = plan.layer_grids[-1]
-    fc_blocks = [slice(j * last.nh_tile, (j + 1) * last.nh_tile)
-                 for j in range(last.n)]
-    return per_layer, fc_blocks
+    per_layer = [grid.col_blocks() for grid in plan.layer_grids]
+    return per_layer, [h for _, h in per_layer[-1]]
 
 
 # --- subcommands -----------------------------------------------------------------

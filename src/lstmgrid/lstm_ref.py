@@ -24,8 +24,8 @@ import os
 import numpy as np
 
 from . import actlut
-from .qformat import (QFormat, mac_run, quantize, requantize, sat16,
-                      sat_add16, shift_round)
+from .qformat import (QFormat, check_int8, mac_run, quantize, requantize,
+                      sat16, sat_add16, shift_round)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,30 +225,85 @@ def fc_step_float(params, h):
 
 # --- fixed-point golden model -------------------------------------------------
 
-def _blocked_dot(w_x, w_h, x, h, blocks):
-    """Saturating dot product split into column blocks.
+class BlockStack:
+    """Gate matrices laid out as float32 column-block stacks: the resident
+    operand of the factored `mac_run`.
 
-    Per block: per-MAC 16-bit saturation over the input slice then the
-    recurrent slice, ascending index.  Block partials are then folded left
-    to right with saturating adds (the reduction-chain order).
+    `mats` lists per gate the int8 code matrices whose columns one operand
+    concatenates: (W_x, W_h) for a cell, (W_y,) for the projection.
+    `rows` and `widths` zero-pad them to a padded layout (default: their
+    own size).  `col_blocks` lists per block one slice per matrix.  The
+    chains of block b read the selected columns matrix after matrix,
+    ascending; blocks narrower than the widest are padded at the end with
+    zero terms, which leave a saturating chain unchanged.  `w` is shaped
+    (gates, blocks, rows, K) and `w_abs` holds |w|.
     """
-    acc = None
-    for x_slice, h_slice in blocks:
-        prods = np.concatenate(
-            [w_x[:, x_slice] * x[x_slice], w_h[:, h_slice] * h[h_slice]],
-            axis=1)
-        partial, _ = mac_run(prods)
-        acc = partial if acc is None else sat_add16(acc, partial)
+
+    def __init__(self, mats, col_blocks, rows=None, widths=None):
+        rows = mats[0][0].shape[0] if rows is None else rows
+        widths = widths or [m.shape[1] for m in mats[0]]
+        offsets = np.cumsum([0] + list(widths))
+        cols = [np.concatenate([off + np.arange(*sl.indices(width))
+                                for sl, off, width in zip(block, offsets,
+                                                          widths)])
+                for block in col_blocks]
+        # padding terms read the zero column appended to the operand
+        self.index = np.full((len(cols), max(map(len, cols))), offsets[-1])
+        for b, c in enumerate(cols):
+            self.index[b, :len(c)] = c
+        self.w = np.empty((len(mats), len(cols), rows, self.index.shape[1]),
+                          np.float32)
+        cat = np.zeros((rows, offsets[-1] + 1), np.float32)
+        for g, gate_mats in enumerate(mats):
+            for m, off in zip(gate_mats, offsets):
+                cat[:m.shape[0], off:off + m.shape[1]] = m
+            for b, idx in enumerate(self.index):
+                self.w[g, b] = cat[:, idx]
+        self.w_abs = np.abs(self.w)
+
+    def operand(self, *vectors):
+        """Per block, the codes its terms multiply: (blocks, K)."""
+        return np.concatenate(vectors + (np.zeros(1, np.int64),))[self.index]
+
+
+def cell_stack(params, col_blocks=None):
+    """The four gates' (W_x, W_h) column blocks of one layer."""
+    if col_blocks is None:
+        col_blocks = [(slice(0, params.n_inputs), slice(0, params.n_hidden))]
+    return BlockStack(list(zip(params.input_weights(),
+                               params.recurrent_weights())), col_blocks)
+
+
+def fc_stack(params, col_blocks=None):
+    """The projection's W_y column blocks (`col_blocks` slices h)."""
+    if col_blocks is None:
+        col_blocks = [slice(0, params.n_hidden)]
+    return BlockStack([(params.W_y,)], [(sl,) for sl in col_blocks])
+
+
+def _blocked_dot(stack, *vectors):
+    """Saturating dot products split into column blocks: (gates, rows).
+
+    Per block: per-MAC 16-bit saturation over the block's terms in order.
+    Block partials are then folded left to right with saturating adds
+    (the reduction-chain order).
+    """
+    partials, _ = mac_run(stack.w, stack.operand(*vectors),
+                          abs_weights=stack.w_abs)
+    acc = partials[:, 0]
+    for b in range(1, partials.shape[1]):
+        acc = sat_add16(acc, partials[:, b])
     return acc
 
 
-def cell_step_fixed(params, state, x, luts, col_blocks=None):
+def cell_step_fixed(params, state, x, luts, col_blocks=None, stack=None):
     """One bit-exact step on int8 codes.
 
     `col_blocks` optionally lists (x_slice, h_slice) pairs; the default is
     one flat block covering everything.  Splitting changes results only
     when an intermediate sum saturates, which is exactly why the grid
-    simulator must run with the block structure of its plan.
+    simulator must run with the block structure of its plan.  `stack`
+    passes `cell_stack(params, col_blocks)` prepared once for many steps.
     """
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
@@ -259,24 +314,26 @@ def cell_step_fixed(params, state, x, luts, col_blocks=None):
     n_i, n_h = params.n_inputs, params.n_hidden
     if x.shape != (n_i,) or state.h.shape != (n_h,):
         raise ValueError("dimension mismatch")
-    if col_blocks is None:
-        col_blocks = [(slice(0, n_i), slice(0, n_h))]
+    if stack is None:
+        stack = cell_stack(params, col_blocks)
     h, c = state.h, state.c
     acc_frac = fmts.acc_frac_bits
     bias_shift = fmts.state.frac_bits
     gate_frac = fmts.gate.frac_bits
     sig, tanh = luts["sigmoid"], luts["tanh"]
 
-    def gate(w_x, w_h, peep_times_c, b):
-        acc = _blocked_dot(w_x, w_h, x, h, col_blocks)
+    dots = _blocked_dot(stack, x, h)
+
+    def gate(g, peep_times_c, b):
+        acc = dots[g]
         if peep_times_c is not None:
             acc = sat_add16(acc, peep_times_c)
         acc = sat_add16(acc, b.astype(np.int64) << bias_shift)
         return requantize(acc, acc_frac, fmts.state)
 
-    g_i = sig.lookup(gate(params.W_xi, params.W_hi, params.w_ci * c, params.b_i))
-    g_f = sig.lookup(gate(params.W_xf, params.W_hf, params.w_cf * c, params.b_f))
-    g_u = tanh.lookup(gate(params.W_xc, params.W_hc, None, params.b_c))
+    g_i = sig.lookup(gate(0, params.w_ci * c, params.b_i))
+    g_f = sig.lookup(gate(1, params.w_cf * c, params.b_f))
+    g_u = tanh.lookup(gate(2, None, params.b_c))
 
     # align the 14-bit i*u product to the 12-bit scale of f*c, accumulate,
     # then store the cell state back at 8 bits
@@ -284,27 +341,24 @@ def cell_step_fixed(params, state, x, luts, col_blocks=None):
     c_acc = sat16(g_f * c + p_iu)
     c_new = requantize(c_acc, gate_frac + fmts.state.frac_bits, fmts.state)
 
-    g_o = sig.lookup(gate(params.W_xo, params.W_ho, params.w_co * c_new,
-                          params.b_o))
+    g_o = sig.lookup(gate(3, params.w_co * c_new, params.b_o))
     h_new = requantize(sat16(g_o * tanh.lookup(c_new)), 2 * gate_frac,
                        fmts.state)
     return LstmState(np.asarray(h_new, np.int64), np.asarray(c_new, np.int64))
 
 
-def fc_step_fixed(params, h, luts, col_blocks=None):
-    """Fixed-point projection: blocked MAC, bias, requantize, sigmoid."""
+def fc_step_fixed(params, h, luts, col_blocks=None, stack=None):
+    """Fixed-point projection: blocked MAC, bias, requantize, sigmoid.
+    `stack` passes `fc_stack(params, col_blocks)` prepared once."""
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
     fmts = params.formats
     if h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
-    if col_blocks is None:
-        col_blocks = [slice(0, params.n_hidden)]
-    acc = None
-    for h_slice in col_blocks:
-        partial, _ = mac_run(params.W_y[:, h_slice] * h[h_slice])
-        acc = partial if acc is None else sat_add16(acc, partial)
-    acc = sat_add16(acc, params.b_y.astype(np.int64) << fmts.state.frac_bits)
+    if stack is None:
+        stack = fc_stack(params, col_blocks)
+    acc = sat_add16(_blocked_dot(stack, h)[0],
+                    params.b_y.astype(np.int64) << fmts.state.frac_bits)
     return luts["sigmoid"].lookup(requantize(acc, fmts.acc_frac_bits,
                                              fmts.state))
 
@@ -321,10 +375,14 @@ def network_infer(spec, params, features, mode="fixed", luts=None,
                   col_blocks_per_layer=None, fc_col_blocks=None):
     """Run T steps through the layer stack and optional projection.
 
-    `features` is a T x n_features matrix (codes in fixed mode, reals in
-    float mode); states start at zero and persist across steps.  Returns a
-    T x output_width matrix.
+    `features` is a T x n_features matrix (int8 codes in fixed mode, reals
+    in float mode); states start at zero and persist across steps.
+    Returns a T x output_width matrix.  In fixed mode every parameter and
+    feature code must be int8 (ValueError otherwise); each layer's weight
+    stacks are prepared once per call.
     """
+    if mode not in ("float", "fixed"):
+        raise ValueError("mode must be 'float' or 'fixed'")
     features = np.asarray(features)
     if features.ndim != 2 or features.shape[1] != spec.n_features:
         raise ValueError("feature matrix must be T x %d" % spec.n_features)
@@ -333,25 +391,33 @@ def network_infer(spec, params, features, mode="fixed", luts=None,
     if (spec.n_out is None) != (params.fc is None):
         raise ValueError("projection presence mismatch")
     fixed = mode == "fixed"
-    if fixed and luts is None:
-        luts = default_luts(spec.formats)
+    stacks = [None] * spec.n_layers
+    fc_weights = None
+    if fixed:
+        check_codes(params, features)
+        if luts is None:
+            luts = default_luts(spec.formats)
+        stacks = [cell_stack(p, col_blocks_per_layer[li]
+                             if col_blocks_per_layer else None)
+                  for li, p in enumerate(params.layers)]
+        if params.fc is not None:
+            fc_weights = fc_stack(params.fc, fc_col_blocks)
     states = [LstmState.zeros(n_h, fixed) for _, n_h in spec.layers]
     out = np.zeros((features.shape[0], spec.output_width),
                    dtype=np.int64 if fixed else np.float64)
     for t in range(features.shape[0]):
         feed = features[t]
         for li in range(spec.n_layers):
-            blocks = (col_blocks_per_layer[li]
-                      if col_blocks_per_layer else None)
             if fixed:
                 states[li] = cell_step_fixed(params.layers[li], states[li],
-                                             feed, luts, blocks)
+                                             feed, luts, stack=stacks[li])
             else:
                 states[li] = cell_step_float(params.layers[li], states[li],
                                              feed)
             feed = states[li].h
         if params.fc is not None:
-            feed = fc_step(params.fc, feed, mode, luts, fc_col_blocks)
+            feed = (fc_step_fixed(params.fc, feed, luts, stack=fc_weights)
+                    if fixed else fc_step_float(params.fc, feed))
         out[t] = feed
     return out
 
@@ -430,6 +496,19 @@ _LAYER_TENSORS = [f.name for f in dataclasses.fields(LstmLayerParams)
                   if f.name != "formats"]
 
 
+def check_codes(params, features=None):
+    """Raise ValueError unless every weight, peephole, bias and feature
+    code is an int8 code (the domain the exact MAC kernel is proven on)."""
+    for li, layer in enumerate(params.layers):
+        for name in _LAYER_TENSORS:
+            check_int8(getattr(layer, name), "layer %d %s" % (li, name))
+    if params.fc is not None:
+        check_int8(params.fc.W_y, "fc W_y")
+        check_int8(params.fc.b_y, "fc b_y")
+    if features is not None:
+        check_int8(features, "feature")
+
+
 def _role_of(name):
     if name.startswith("w_c"):
         return "peephole"
@@ -450,8 +529,7 @@ def write_container(manifest_path, tensors, meta=None):
     for name, role, array, fmt in tensors:
         array = np.asarray(array)
         if fmt is not None:
-            if np.any(array < -128) or np.any(array > 127):
-                raise ValueError("codes out of int8 range in %s" % name)
+            check_int8(array, name)
             raw = array.astype("<i1").tobytes()
             dtype = "int8"
         else:

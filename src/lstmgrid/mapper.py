@@ -93,6 +93,13 @@ class LayerGrid:
     def ni_padded(self):
         return self.n * self.ni_tile
 
+    def col_blocks(self):
+        """Per die column j, its (input slice, recurrent slice) of the
+        padded operands: the column blocking of every MAC chain."""
+        return [(slice(j * self.ni_tile, (j + 1) * self.ni_tile),
+                 slice(j * self.nh_tile, (j + 1) * self.nh_tile))
+                for j in range(self.n)]
+
 
 @dataclasses.dataclass
 class GridPlan:
@@ -108,10 +115,6 @@ class GridPlan:
 
     def grid(self, layer):
         return self.layer_grids[layer]
-
-    def masters_of_layer(self, layer):
-        return [d for d in self.dies if d.layer == layer
-                and d.role == "master"]
 
     def die(self, die_id):
         return self._by_id[die_id]

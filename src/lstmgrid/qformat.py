@@ -7,6 +7,15 @@ this package pins its accumulation order explicitly and the helpers here
 are written to be reproducible to the bit on any platform.
 
 Rounding convention at every width reduction: round half away from zero.
+
+Every MAC chain of the package runs through `mac_run`, which is exact in
+three tiers.  Fast: for int8 codes, a chain whose bound sum(|w| * |v|) is
+at most 32767 cannot leave int16 at any prefix, in any summation order, so
+it equals the plain sum; every partial sum of such a chain is an integer
+below 2**24, so a float32 matmul gives it exactly.  Middle: chains whose
+bound is larger take the exact wide-integer prefix-sum check.  Scan: chains
+that really clip run a saturating scan one term at a time, vectorized
+across all of those chains.
 """
 
 import numpy as np
@@ -125,7 +134,10 @@ def sat16(values):
     """Clamp to the signed 16-bit range (scalar int or ndarray)."""
     if np.ndim(values) == 0:
         return min(max(int(values), INT16_MIN), INT16_MAX)
-    return np.clip(np.asarray(values, dtype=np.int64), INT16_MIN, INT16_MAX)
+    # minimum/maximum: np.clip's per-call bound checks cost more than the
+    # clamp itself on the short vectors of a die tile
+    return np.minimum(np.maximum(np.asarray(values, dtype=np.int64),
+                                 INT16_MIN), INT16_MAX)
 
 
 def mac(acc, a, b):
@@ -177,7 +189,7 @@ def requantize(value, value_frac_bits, target):
     rounded = shift_round(value, shift)
     if np.ndim(value) == 0:
         return min(max(int(rounded), INT8_MIN), INT8_MAX)
-    return np.clip(rounded, INT8_MIN, INT8_MAX)
+    return np.minimum(np.maximum(rounded, INT8_MIN), INT8_MAX)
 
 
 def requantize_acc(acc, target):
@@ -185,46 +197,95 @@ def requantize_acc(acc, target):
     return Q8(requantize(acc.value, acc.frac_bits, target), target)
 
 
-def mac_run(products, init=0):
-    """Sequential saturating accumulation of `products` along the last axis.
+def mac_run(weights, vector=None, init=0, abs_weights=None):
+    """Sequential saturating accumulation, one chain per row.
 
-    Equivalent to repeated `mac` starting from `init`: every intermediate
-    sum is clamped to int16 before the next term is added, which makes the
-    result depend on term order.  Returns (acc, saturated) as int64 / bool
-    arrays over the leading axes.
+    Each chain is equivalent to repeated `mac` starting from `init`: every
+    intermediate sum is clamped to int16 before the next term is added,
+    which makes the result depend on term order.  Returns (acc, saturated)
+    as int64 / bool arrays with one entry per chain.
 
-    Fast path: if no running prefix ever leaves the int16 range the chain
-    equals the plain wide-integer sum, so a vectorized cumsum is exact and
-    only rows that actually clip fall back to the explicit loop.
+    Factored form (`vector` given): `weights` holds int8 codes shaped
+    (..., R, K) and `vector` int8 codes shaped (..., K), broadcast over the
+    leading axes; chain (..., r) adds weights[..., r, k] * vector[..., k]
+    for k ascending.  Resident weights should be passed as float32 with
+    `abs_weights` = |weights| beside them.  Product form (`vector` None):
+    `weights` already holds the int64 terms, shaped (..., K).
+
+    Tiers (see the module docstring): the fast tier takes W.v and the
+    bound |W|.|v| from two float32 matmuls and keeps the chains whose bound
+    plus |init| is at most 32767.  A float32 sum of non-negative integers
+    never rounds below min(true sum, 2**24), so a bound above 32767 is
+    never read as one below it.  The other chains, and every chain of the
+    product form, take the middle and scan tiers (`_chain`).
     """
-    p = np.asarray(products, dtype=np.int64)
-    if p.ndim == 0:
-        p = p.reshape(1, 1)
-    lead = p.shape[:-1]
-    k = p.shape[-1]
-    acc = np.full(lead, int(init), dtype=np.int64)
-    saturated = np.zeros(lead, dtype=bool)
-    if k == 0:
-        return acc, saturated
-    prefixes = np.cumsum(p, axis=-1) + int(init)
-    ok = np.all((prefixes >= INT16_MIN) & (prefixes <= INT16_MAX), axis=-1)
-    acc = np.where(ok, prefixes[..., -1], 0)
-    if not np.all(ok):
-        flat_p = p.reshape(-1, k)
-        flat_acc = acc.reshape(-1)
-        flat_sat = saturated.reshape(-1)
-        for idx in np.flatnonzero(~ok.reshape(-1)):
-            a = int(init)
-            hit = False
-            for term in flat_p[idx]:
-                raw = a + int(term)
-                a = min(max(raw, INT16_MIN), INT16_MAX)
-                hit = hit or a != raw
-            flat_acc[idx] = a
-            flat_sat[idx] = hit
-        acc = flat_acc.reshape(lead)
-        saturated = flat_sat.reshape(lead)
+    init = int(init)
+    if vector is None:
+        products = np.asarray(weights, dtype=np.int64)
+        return _chain(products.reshape(1, 1) if products.ndim == 0
+                      else products, init)
+    w = np.asarray(weights, dtype=np.float32)
+    v = np.asarray(vector, dtype=np.float32)
+    if abs_weights is None:
+        abs_weights = np.abs(w)
+    acc = np.matmul(w, v[..., None])[..., 0]
+    bound = np.matmul(abs_weights, np.abs(v)[..., None])[..., 0]
+    acc = acc.astype(np.int64) + init
+    saturated = np.zeros(acc.shape, dtype=bool)
+    slow = np.nonzero(bound > INT16_MAX - abs(init))
+    if slow[0].size:
+        k = w.shape[-1:]
+        w_rows = np.broadcast_to(w, acc.shape + k)[slow]
+        v_rows = np.broadcast_to(v, acc.shape[:-1] + k)[slow[:-1]]
+        products = w_rows.astype(np.int64) * v_rows.astype(np.int64)
+        acc[slow], saturated[slow] = _chain(products, init)
     return acc, saturated
+
+
+def _chain(products, init):
+    """Middle and scan tiers over int64 terms shaped (..., K).
+
+    A chain saturates exactly when some plain prefix sum leaves int16: up
+    to the first such prefix the chain equals the prefix sums, and there
+    it clips.
+    """
+    lead = products.shape[:-1]
+    if products.shape[-1] == 0:
+        return np.full(lead, init, dtype=np.int64), np.zeros(lead, bool)
+    prefixes = np.cumsum(products, axis=-1)
+    prefixes += init
+    out = (prefixes < INT16_MIN) | (prefixes > INT16_MAX)
+    saturated = np.asarray(out.any(axis=-1))
+    acc = prefixes[..., -1].copy()
+    if saturated.any():
+        acc[saturated] = _saturating_scan(products[saturated],
+                                          prefixes[saturated],
+                                          out[saturated], init)
+    return acc, saturated
+
+
+def _saturating_scan(products, prefixes, out, init):
+    """Exact values of chains (B, K) that clip, one term per iteration,
+    vectorized across the chains.  Up to the first term where any of them
+    leaves int16 every chain equals its prefix sum, so the scan starts
+    there."""
+    first = int(out.argmax(axis=1).min())
+    acc = (prefixes[:, first - 1].copy() if first
+           else np.full(len(products), init, dtype=np.int64))
+    lo, hi = np.int64(INT16_MIN), np.int64(INT16_MAX)
+    for term in np.ascontiguousarray(products[:, first:].T):
+        np.add(acc, term, out=acc)
+        np.minimum(acc, hi, out=acc)
+        np.maximum(acc, lo, out=acc)
+    return acc
+
+
+def check_int8(codes, what):
+    """Raise ValueError unless every entry of `codes` is an int8 code."""
+    codes = np.asarray(codes)
+    if codes.size and (codes.min() < INT8_MIN or codes.max() > INT8_MAX):
+        raise ValueError("%s codes outside the int8 range [%d, %d]"
+                         % (what, INT8_MIN, INT8_MAX))
 
 
 def sat_add16(a, b):

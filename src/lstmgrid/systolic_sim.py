@@ -28,7 +28,8 @@ import numpy as np
 
 from . import lstm_ref
 from .mapper import HOST
-from .qformat import mac_run, requantize, sat16, sat_add16, shift_round
+from .qformat import (check_int8, mac_run, requantize, sat16, sat_add16,
+                      shift_round)
 
 LINK_BITS = 4
 
@@ -51,13 +52,15 @@ class CycleModel:
     c_fixed: int = 12
     hidden_loop_mode: str = "fixed_capacity"
 
+    def __post_init__(self):
+        if self.hidden_loop_mode not in ("fixed_capacity", "truncate"):
+            raise ValueError("unknown hidden_loop_mode %r"
+                             % (self.hidden_loop_mode,))
+
     def h_loop(self, plan, grid):
         if self.hidden_loop_mode == "truncate":
             return grid.nh_tile
-        if self.hidden_loop_mode == "fixed_capacity":
-            return max(grid.nh_tile, plan.tile.nh_capacity)
-        raise ValueError("unknown hidden_loop_mode %r"
-                         % (self.hidden_loop_mode,))
+        return max(grid.nh_tile, plan.tile.nh_capacity)
 
 
 @dataclasses.dataclass
@@ -429,7 +432,12 @@ GATES = ("in", "forget", "update", "out")
 
 
 class _LayerEngine:
-    """Distributed state and arithmetic for one layer grid."""
+    """Distributed state and arithmetic for one layer grid.
+
+    Each gate's weights stay resident as column-block stacks, block j
+    holding die column j's input slice then recurrent slice
+    (`lstm_ref.BlockStack`: w is (gate, j, nh_padded, ni_tile + nh_tile)).
+    """
 
     def __init__(self, plan, grid, params, luts):
         self.plan = plan
@@ -437,14 +445,11 @@ class _LayerEngine:
         self.luts = luts
         self.formats = params.formats
         nhp, nip = grid.nh_padded, grid.ni_padded
-        self.w_x = np.zeros((4, nhp, nip), np.int64)
-        self.w_h = np.zeros((4, nhp, nhp), np.int64)
+        self.stack = lstm_ref.BlockStack(
+            list(zip(params.input_weights(), params.recurrent_weights())),
+            grid.col_blocks(), rows=nhp, widths=(nip, nhp))
         self.peep = np.zeros((3, nhp), np.int64)
         self.bias = np.zeros((4, nhp), np.int64)
-        for g, (wx, wh) in enumerate(zip(params.input_weights(),
-                                         params.recurrent_weights())):
-            self.w_x[g, :grid.n_hidden, :grid.n_inputs] = wx
-            self.w_h[g, :grid.n_hidden, :grid.n_hidden] = wh
         for p, vec in enumerate((params.w_ci, params.w_cf, params.w_co)):
             self.peep[p, :grid.n_hidden] = vec
         for g, vec in enumerate(params.biases()):
@@ -452,8 +457,9 @@ class _LayerEngine:
         self.h = np.zeros(nhp, np.int64)
         self.c = np.zeros(nhp, np.int64)
         self.x = np.zeros(nip, np.int64)
-        # per-die running partial per gate, plus master-side gate codes
-        self.partials = {}
+        # running partial per (gate, die column j, padded row), plus
+        # master-side gate codes
+        self.partials = np.zeros((4, grid.n, nhp), np.int64)
         self.gate_codes = np.zeros((4, nhp), np.int64)
         self.acc = np.zeros((4, nhp), np.int64)
 
@@ -464,22 +470,24 @@ class _LayerEngine:
         self.x[:] = 0
         self.x[:len(x)] = x
 
-    def gate_partial(self, gate, i, j):
-        rows = self.rows(i)
-        xs = slice(j * self.grid.ni_tile, (j + 1) * self.grid.ni_tile)
-        hs = slice(j * self.grid.nh_tile, (j + 1) * self.grid.nh_tile)
-        prods = np.concatenate([self.w_x[gate, rows, xs] * self.x[xs],
-                                self.w_h[gate, rows, hs] * self.h[hs]],
-                               axis=1)
-        acc, _ = mac_run(prods)
-        self.partials[(gate, i, j)] = acc
-        return acc
+    def gate_round(self, gate):
+        """Every die's partial MAC of one gate: one kernel call."""
+        self.partials[gate], _ = mac_run(
+            self.stack.w[gate], self.stack.operand(self.x, self.h),
+            abs_weights=self.stack.w_abs[gate])
+
+    def param_codes(self, gate, die):
+        """Die's input-slice then recurrent-slice weight codes of a gate."""
+        block = self.stack.w[gate, die.col, self.rows(die.row)]
+        ni = self.grid.ni_tile
+        return block[:, :ni].ravel(), block[:, ni:].ravel()
 
     def reduce_hop(self, gate, i, hop):
         # die `hop` folds the incoming chain value into its own partial
-        incoming = self.partials[(gate, i, hop - 1)]
-        own = self.partials[(gate, i, hop)]
-        self.partials[(gate, i, hop)] = sat_add16(incoming, own)
+        rows = self.rows(i)
+        incoming = self.partials[gate, hop - 1, rows]
+        own = self.partials[gate, hop, rows]
+        self.partials[gate, hop, rows] = sat_add16(incoming, own)
         return incoming  # the transferred words
 
     def finish_gate(self, gate):
@@ -488,7 +496,7 @@ class _LayerEngine:
         fmts = self.formats
         for i in range(self.grid.n):
             rows = self.rows(i)
-            acc = self.partials[(gate, i, self.grid.n - 1)]
+            acc = self.partials[gate, self.grid.n - 1, rows]
             if gate == 0:
                 acc = sat_add16(acc, self.peep[0, rows] * self.c[rows])
             elif gate == 1:
@@ -537,23 +545,28 @@ class _LayerEngine:
 
 
 class _FcEngine:
-    """Projection slices on the master column of the last grid."""
+    """Projection slices on the master column of the last grid: master i
+    holds W_y's columns of hidden tile i as block i of a resident stack."""
 
     def __init__(self, grid, fc_params, luts):
         self.grid = grid
         self.luts = luts
         self.formats = fc_params.formats
         self.n_out = fc_params.n_out
-        self.w_y = np.zeros((self.n_out, grid.nh_padded), np.int64)
-        self.w_y[:, :grid.n_hidden] = fc_params.W_y
+        self.stack = lstm_ref.BlockStack(
+            [(fc_params.W_y,)], [(h,) for _, h in grid.col_blocks()],
+            widths=(grid.nh_padded,))
         self.b_y = fc_params.b_y.astype(np.int64)
-        self.partials = {}
+        self.partials = None  # (master row i, n_out) after `compute`
+
+    def param_codes(self, i):
+        return self.stack.w[0, i].ravel()
 
     def compute(self, engine):
-        for i in range(self.grid.n):
-            rows = engine.rows(i)
-            acc, _ = mac_run(self.w_y[:, rows] * engine.hidden_tile(i))
-            self.partials[i] = acc
+        """Every master's projection partial: one kernel call."""
+        self.partials, _ = mac_run(
+            self.stack.w[0], self.stack.operand(engine.h_tiles),
+            abs_weights=self.stack.w_abs[0])
 
     def reduce_hop(self, hop):
         incoming = self.partials[hop - 1]
@@ -576,6 +589,7 @@ class GridSim:
                  dropped_links=()):
         if len(params.layers) != len(plan.layer_grids):
             raise ValueError("parameter/plan layer count mismatch")
+        lstm_ref.check_codes(params)
         self.plan = plan
         self.cm = cycle_model
         self.luts = luts or lstm_ref.default_luts(params.layers[0].formats)
@@ -610,18 +624,16 @@ class GridSim:
     def _param_words(self, die):
         eng = self.engines[die.layer]
         rows = eng.rows(die.row)
-        xs = slice(die.x_cols[0], die.x_cols[1])
-        hs = slice(die.h_cols[0], die.h_cols[1])
-        chunks = [eng.w_x[g, rows, xs].ravel() for g in range(4)]
-        chunks += [eng.w_h[g, rows, hs].ravel() for g in range(4)]
+        x_codes, h_codes = zip(*(eng.param_codes(g, die) for g in range(4)))
+        chunks = list(x_codes) + list(h_codes)
         if die.role == "master":
             chunks += [eng.peep[p, rows] for p in range(3)]
             chunks += [eng.bias[g, rows] for g in range(4)]
             if die.fc_cols is not None and self.fc is not None:
-                chunks.append(self.fc.w_y[:, rows].ravel())
+                chunks.append(self.fc.param_codes(die.row))
                 if die.fc_root:
                     chunks.append(self.fc.b_y)
-        return np.concatenate(chunks)
+        return np.concatenate(chunks).astype(np.int64)
 
     def load_parameters(self, start=0):
         records, _ = build_load_schedule(self.plan, start)
@@ -664,9 +676,7 @@ class GridSim:
         elif kind == "recurrent_compute":
             pass  # timing only: MACs are evaluated in pinned order below
         elif kind == "gate_compute":
-            for i in range(n):
-                for j in range(n):
-                    eng.gate_partial(rec.gate, i, j)
+            eng.gate_round(rec.gate)
         elif kind == "gate_reduce":
             for i, ev in enumerate(rec.events):
                 self._transfer(ev, eng.reduce_hop(rec.gate, i, rec.hop))
@@ -731,6 +741,7 @@ class GridSim:
         """Load every grid once, then run the steps over the resident
         parameters and states."""
         features = np.asarray(features, dtype=np.int64)
+        check_int8(features, "feature")
         records = self.load_parameters()
         cursor = 0  # configuration time is traced separately from inference
         spans, outputs = [], []
@@ -748,6 +759,7 @@ class GridSim:
         the very first pass), computes one step of that layer alone and
         spills its h/c tiles back to the host."""
         features = np.asarray(features, dtype=np.int64)
+        check_int8(features, "feature")
         has_fc = self.fc is not None
         records, spans, outputs = [], [], []
         cursor = 0

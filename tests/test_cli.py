@@ -1,10 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
 
 from lstmgrid import cli, lstm_ref, systolic_sim
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(path, **doc):
@@ -300,3 +303,70 @@ def test_config_without_network(tmp_path, capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
+
+
+# --- config boundary --------------------------------------------------------------
+
+def readme_example_config():
+    """The example configuration block of README.md, verbatim."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("Example configuration:")
+    start = text.index("```yaml\n", start) + len("```yaml\n")
+    return text[start:text.index("```", start)]
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    cfg = tmp_path / "readme.yaml"
+    cfg.write_text(readme_example_config(), encoding="utf-8")
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+    assert "BIT-EXACT: yes" in capsys.readouterr().out
+
+
+def test_mode_chip_select_spelling_is_accepted(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.yaml",
+                       network={"layers": [[96, 96]], "seed": 5},
+                       features={"n_steps": 1, "seed": 6},
+                       mode="chip_select")
+    rc = cli.main(["plan", "--config", cfg])
+    assert rc == 0, capsys.readouterr().err
+    assert capsys.readouterr().out.startswith("mode: chip-select\n")
+
+
+def test_frequency_with_unsigned_exponent_is_a_number(tmp_path, capsys):
+    # PyYAML reads 1.0e7 (no exponent sign) as the string "1.0e7"
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("schema_version: 1\n"
+                   "network: {layers: [[96, 96]], seed: 5}\n"
+                   "features: {n_steps: 1, seed: 6}\n"
+                   "operating_point:\n  frequency_hz: 2.0e7\n",
+                   encoding="utf-8")
+    assert isinstance(yaml.safe_load(cfg.read_text())["operating_point"]
+                      ["frequency_hz"], str)
+    args = cli.build_parser().parse_args(["run", "--config", str(cfg)])
+    assert cli.build_run_config(args).op.frequency == 2.0e7
+
+
+@pytest.mark.parametrize("doc,needle", [
+    ({"cycle_model": {"hidden_loop_mode": "bogus"}}, "hidden_loop_mode"),
+    ({"operating_point": {"frequency_hz": 0}}, "frequency"),
+    ({"operating_point": {"frequency_hz": "fast"}}, "frequency"),
+])
+def test_bad_run_settings_fail_at_config_load(tmp_path, capsys, doc, needle):
+    cfg = write_config(tmp_path / "c.yaml",
+                       network={"layers": [[96, 96]], "seed": 5},
+                       features={"n_steps": 1, "seed": 6}, **doc)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+def test_zero_frequency_flag_is_rejected(small_config, tmp_path, capsys):
+    rc = cli.main(["run", "--config", small_config,
+                   "--out", str(tmp_path / "o"), "--freq", "0"])
+    assert rc == 1
+    assert "frequency" in capsys.readouterr().err

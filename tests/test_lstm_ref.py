@@ -280,6 +280,8 @@ def test_network_shape_errors():
     spec = lr.derive_spec(params)
     with pytest.raises(ValueError):
         lr.network_infer(spec, params, np.zeros((2, 5), np.int64))
+    with pytest.raises(ValueError, match="mode"):
+        lr.network_infer(spec, params, np.zeros((2, 3), np.int64), "int")
     with pytest.raises(ValueError):
         lr.NetworkSpec([(3, 4), (5, 4)])
     with pytest.raises(ValueError):

@@ -118,7 +118,8 @@ def test_masters_sit_on_the_rightmost_column():
     plan = plan_grid(spec_for([(288, 288)]), TILE)
     for die in plan.dies:
         assert (die.role == "master") == (die.col == 2)
-    assert len(plan.masters_of_layer(0)) == 3
+    assert len([d for d in plan.dies
+                if d.layer == 0 and d.role == "master"]) == 3
 
 
 def test_hidden_row_tiles_partition_the_padded_range():
@@ -134,7 +135,8 @@ def test_hidden_row_tiles_partition_the_padded_range():
 
 def test_projection_slices_cover_the_master_column():
     plan = plan_grid(spec_for([(192, 192)], n_out=62), TILE)
-    masters = plan.masters_of_layer(0)
+    masters = [d for d in plan.dies
+               if d.layer == 0 and d.role == "master"]
     assert all(m.fc_cols == m.hidden_rows for m in masters)
     roots = [m for m in masters if m.fc_root]
     assert [r.die_id for r in roots] == [(0, 1, 1)]

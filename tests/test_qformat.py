@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lstmgrid import qformat as qf
 
@@ -181,3 +182,122 @@ def test_saturation_never_wraps():
 def test_requantize_acc_wraps_scalar():
     q = qf.requantize_acc(qf.Acc16(17, 10), Q25)
     assert q.code == 1 and q.format == Q25
+
+
+# --- factored mac_run: W (..., R, K) against v (..., K) ---------------------------
+
+int8s = st.integers(min_value=qf.INT8_MIN, max_value=qf.INT8_MAX)
+
+
+def chain_oracle(w, v, init=0):
+    """Scalar chains of every row of w (B, R, K) against v (B, K)."""
+    acc = np.zeros(w.shape[:-1], np.int64)
+    sat = np.zeros(w.shape[:-1], bool)
+    for idx in np.ndindex(*w.shape[:-1]):
+        acc[idx], sat[idx] = O.mac_chain(zip(w[idx].tolist(),
+                                             v[idx[0]].tolist()), init=init)
+    return acc, sat
+
+
+def assert_factored_exact(w, v, init=0):
+    w, v = np.asarray(w, np.int64), np.asarray(v, np.int64)
+    want = chain_oracle(w, v, init)
+    for got in (qf.mac_run(w, v, init=init),
+                qf.mac_run(w.astype(np.float32), v, init=init,
+                           abs_weights=np.abs(w).astype(np.float32)),
+                qf.mac_run(w * v[:, None, :], init=init)):
+        assert got[0].dtype == np.int64 and got[0].shape == w.shape[:-1]
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_factored_mac_run_matches_product_form_and_chain_oracle(data):
+    b = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, 40))
+    # extreme codes often enough that rows clip, come back, and clip again
+    code = st.one_of(int8s, st.sampled_from([-128, -127, 126, 127]))
+    w = data.draw(hnp.arrays(np.int64, (b, r, k), elements=code))
+    v = data.draw(hnp.arrays(np.int64, (b, k), elements=code))
+    init = data.draw(st.sampled_from([0, 0, 1000, -32768, 32767]))
+    assert_factored_exact(w, v, init)
+
+
+def _tier_rows(monkeypatch):
+    """Rows handed to the wide-integer tiers by each mac_run call."""
+    seen = []
+    real = qf._chain
+
+    def spy(products, init):
+        seen.append(products.copy())
+        return real(products, init)
+
+    monkeypatch.setattr(qf, "_chain", spy)
+    return seen
+
+
+def test_bound_32767_stays_in_the_fast_tier(monkeypatch):
+    seen = _tier_rows(monkeypatch)
+    # |W|.|v| = 2 * 127 * 127 + 127 * 4 + 1 = 32767 exactly, no clipping
+    w = [[[127, 127, 127, 1]]]
+    v = [[127, 127, 4, 1]]
+    assert_factored_exact(w, v)
+    acc, sat = qf.mac_run(np.array(w), np.array(v))
+    assert acc.tolist() == [[32767]] and not sat.any()
+    # only the product-form check reached the wide tiers
+    assert [s.shape for s in seen] == [(1, 1, 4)]
+
+
+def test_bound_32768_leaves_the_fast_tier(monkeypatch):
+    seen = _tier_rows(monkeypatch)
+    w = np.array([[[127, -127, 127, 2],     # bound 32768, never clips
+                   [127, 127, 127, 2],      # bound 32768, clips at the end
+                   [127, 127, 127, 1]]])    # bound 32767
+    v = np.array([[127, 127, 4, 1]])
+    acc, sat = qf.mac_run(w, v)
+    assert acc.tolist() == [[510, 32767, 32767]]
+    assert sat.tolist() == [[False, True, False]]
+    assert [s.tolist() for s in seen] == [[[16129, -16129, 508, 2],
+                                           [16129, 16129, 508, 2]]]
+    assert_factored_exact(w, v)
+
+
+def test_rows_that_clip_high_and_come_back():
+    w = np.array([[[127, 127, 127, -128, -128, 5],
+                   [-128, -128, -128, 127, 127, 5],
+                   [127, 127, 127, 127, -128, -128]]])
+    v = np.array([[127, 127, 127, 127, 127, -3]])
+    acc, sat = qf.mac_run(w, v)
+    assert sat.tolist() == [[True, True, True]]
+    # back in range after the rail: the chain differs from the plain sum
+    assert acc.tolist() == [[32767 - 2 * 16256 - 15, -32768 + 2 * 16129 - 15,
+                             32767 - 16256 + 384]]
+    assert_factored_exact(w, v)
+
+
+def test_long_chain_past_float32_integer_range():
+    # every term 127 * -128: the float32 bound (32.5e6) exceeds 2**24
+    w = np.full((1, 2, 2000), 127)
+    w[0, 1, 1000:] = -127  # second row climbs back from the low rail
+    v = np.full((1, 2000), -128)
+    acc, sat = qf.mac_run(w, v)
+    assert acc.tolist() == [[-32768, 32767]]
+    assert sat.tolist() == [[True, True]]
+    assert_factored_exact(w, v)
+
+
+def test_zero_rows_and_empty_chains():
+    w = np.zeros((2, 3, 5), np.int64)
+    w[1, 2] = 127
+    v = np.full((2, 5), -128)
+    acc, sat = qf.mac_run(w, v)
+    assert acc.tolist() == [[0, 0, 0], [0, 0, -32768]]
+    assert sat.tolist() == [[False] * 3, [False, False, True]]
+    assert_factored_exact(w, v)
+    for init in (0, -7):
+        acc, sat = qf.mac_run(np.zeros((2, 3, 0)), np.zeros((2, 0)),
+                              init=init)
+        assert acc.tolist() == [[init] * 3] * 2 and not sat.any()
+    assert_factored_exact(np.zeros((1, 0, 4)), np.zeros((1, 4)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as O
 from lstmgrid import lstm_ref as LR
@@ -409,3 +410,116 @@ def test_link_totals_aggregate_over_steps():
     _, trace = simulate(plan, params, feats)
     feat = trace.link_totals()["L0.feat.col0"]
     assert feat["bits"] == 4 * 8 * 96
+
+
+# --- whole-pipeline properties ----------------------------------------------------
+
+TINY = TileSpec(nh_capacity=4)
+
+
+def planned_bits(plan, n_steps):
+    """Link bits a run of `n_steps` must move, from the plan's grid shapes
+    and die footprints alone."""
+    grids = plan.layer_grids
+    load = {g.layer: 8 * sum(d.footprint_bytes for d in plan.dies
+                             if d.layer == g.layer) for g in grids}
+
+    def step_bits(g, writeback):
+        n, nh = g.n, g.nh_tile
+        bits = 8 * n * g.ni_tile  # feature stream, one slice per column
+        bits += 16 * 4 * (n - 1) * n * nh  # four gates' reduction chains
+        bits += 8 * 2 * (n - 1) * nh  # hidden chain and broadcast
+        if g.n_out is not None:
+            bits += 16 * (n - 1) * g.n_out + 8 * g.n_out
+        elif writeback:
+            bits += 8 * n * nh
+        return bits
+
+    if not plan.reload or len(grids) == 1:
+        return sum(load.values()) + n_steps * sum(
+            step_bits(g, g.layer == len(grids) - 1) for g in grids)
+    # one pass per (step, layer): re-load, restore (not on the very first
+    # pass), compute, spill; h and c tiles each way
+    passes = [g for _ in range(n_steps) for g in grids]
+    state = [16 * g.n * g.nh_tile for g in passes]
+    return (sum(load[g.layer] + step_bits(g, False) for g in passes)
+            + sum(state) + sum(state[1:]))
+
+
+@st.composite
+def pipeline_cases(draw):
+    # wide feature vectors on narrow grids give long chains, and weight
+    # scales of 2 and above make one gate round mix chains that stay in
+    # int16 with chains that clip
+    n_layers = draw(st.integers(1, 3))
+    widths = [draw(st.integers(1, 24))] + draw(st.lists(
+        st.integers(1, 12), min_size=n_layers, max_size=n_layers))
+    return dict(layers=list(zip(widths[:-1], widths[1:])),
+                n_out=draw(st.one_of(st.none(), st.integers(1, 4))),
+                mode=draw(st.sampled_from(("stacked", "reload",
+                                           "chip_select"))),
+                scale=draw(st.sampled_from((0.5, 1.0, 2.0, 4.0))),
+                f_scale=draw(st.sampled_from((1.0, 4.0))),
+                n_steps=draw(st.integers(1, 3)),
+                seed=draw(st.integers(0, 2 ** 16)))
+
+
+@given(case=pipeline_cases())
+@example(case=dict(layers=[(24, 10), (10, 10), (10, 6)], n_out=None,
+                   mode="stacked", scale=4.0, f_scale=4.0, n_steps=3,
+                   seed=0))  # 9 of its 36 gate rounds mix the tiers
+@settings(max_examples=40, deadline=None)
+def test_any_network_and_mode_is_bit_exact_and_moves_the_planned_bits(case):
+    params = LR.random_network_params(case["seed"], case["layers"],
+                                      n_out=case["n_out"],
+                                      scale=case["scale"])
+    feats = LR.random_features(case["seed"] + 1, case["n_steps"],
+                               case["layers"][0][0], scale=case["f_scale"])
+    reload = case["mode"] == "reload"
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=reload,
+                     chip_select=case["mode"] == "chip_select")
+    out, trace = (run_reload if reload else simulate)(plan, params, feats)
+    assert np.array_equal(out, reference(plan, params, feats))
+    moved = sum(t["bits"] for t in trace.link_totals().values())
+    assert moved == planned_bits(plan, case["n_steps"])
+
+
+# --- int8 domain at the library boundary ------------------------------------------
+
+def _out_of_range(target, value):
+    plan, params, feats = make_case(109, [(6, 8), (8, 8)], n_out=3,
+                                    n_steps=2)
+    plan = plan_grid(plan.spec, TINY, reload=True)
+    if target == "feature":
+        feats[1, 2] = value
+    elif target == "weight":
+        params.layers[1].W_hf[3, 4] = value
+    elif target == "peephole":
+        params.layers[0].w_co[5] = value
+    elif target == "bias":
+        params.layers[1].b_c[0] = value
+    else:
+        params.fc.W_y[2, 7] = value
+    return plan, params, feats
+
+
+@pytest.mark.parametrize("value", [300, -500, 128, -129])
+@pytest.mark.parametrize("target", ["feature", "weight", "peephole", "bias",
+                                    "projection"])
+@pytest.mark.parametrize("drive", ["simulate", "run_reload", "network_infer"])
+def test_codes_outside_int8_are_rejected(drive, target, value):
+    plan, params, feats = _out_of_range(target, value)
+    with pytest.raises(ValueError, match="int8"):
+        if drive == "network_infer":
+            LR.network_infer(plan.spec, params, feats)
+        elif drive == "run_reload":
+            run_reload(plan, params, feats)
+        else:
+            simulate(plan_grid(plan.spec, TINY), params, feats)
+
+
+def test_int8_extremes_are_accepted():
+    plan, params, feats = _out_of_range("feature", -128)
+    feats[0, :2] = 127
+    out, _ = run_reload(plan, params, feats)
+    assert np.array_equal(out, reference(plan, params, feats))
