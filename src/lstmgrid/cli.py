@@ -16,6 +16,7 @@ output diverged from the oracle, or a dropped link deadlocked the run).
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -73,6 +74,13 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _frequency(value, what="the clock frequency"):
+    """`value` in Hz if it is positive and finite, else a config error."""
+    _require(math.isfinite(value) and value > 0,
+             "%s must be positive and finite, not %r" % (what, value))
+    return value
+
+
 def load_config_doc(path):
     if path is None:
         return {}
@@ -111,7 +119,7 @@ def build_run_config(args):
     if getattr(args, "freq", None) is not None:
         op_doc["frequency"] = args.freq
     op = _build_dataclass(OperatingPoint, op_doc, "operating point")
-    _require(op.frequency > 0, "the clock frequency must be positive")
+    _frequency(op.frequency)
 
     mode = doc.get("mode", "stacked")
     _require(mode in ("stacked", "reload", "chip-select", "chip_select"),
@@ -275,7 +283,8 @@ def cmd_run(args):
 
 
 def cmd_table4(args):
-    op = OperatingPoint(frequency=args.freq or 10e6)
+    op = OperatingPoint(frequency=10e6 if args.freq is None
+                        else _frequency(args.freq))
     rows = perf_energy.table_rows(op=op)
     header = ["layers", "n_hidden", "grid", "dies",
               "time_us", "ref_time_us", "time_delta_pct",
@@ -319,7 +328,7 @@ def _sweep_rows(cfg):
         rows = [["frequency_hz", "gops", "link_bw_mb_s",
                  "time_per_inference_us"]]
         for f in values:
-            op = OperatingPoint(frequency=float(f))
+            op = OperatingPoint(frequency=_frequency(f, "a sweep frequency"))
             rep = perf_energy.extrapolate(cfg.spec, cfg.tile, op, cfg.consts,
                                           cfg.cycle_model)
             rows.append(["%g" % f,

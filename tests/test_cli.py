@@ -370,3 +370,43 @@ def test_zero_frequency_flag_is_rejected(small_config, tmp_path, capsys):
                    "--out", str(tmp_path / "o"), "--freq", "0"])
     assert rc == 1
     assert "frequency" in capsys.readouterr().err
+
+
+def assert_bad_frequency(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "frequency" in err
+
+
+@pytest.mark.parametrize("freq", ["0", "inf", "nan", "-1e6"])
+def test_table4_rejects_bad_frequency(capsys, freq):
+    # "--freq=" form: argparse takes a bare "-1e6" for an option
+    assert_bad_frequency(cli.main(["table4", "--freq=" + freq]), capsys)
+
+
+@pytest.mark.parametrize("freq", ["inf", "nan", "-1e6"])
+def test_run_rejects_bad_frequency_flag(small_config, tmp_path, capsys,
+                                        freq):
+    rc = cli.main(["run", "--config", small_config,
+                   "--out", str(tmp_path / "o"), "--freq=" + freq])
+    assert_bad_frequency(rc, capsys)
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("value", [-1, 0, "inf", "nan"])
+def test_frequency_sweep_rejects_bad_values(tmp_path, capsys, value):
+    cfg = write_config(tmp_path / "s.yaml",
+                       network={"layers": [[96, 96]], "seed": 3},
+                       sweep={"axis": "frequency", "values": [1e7, value]})
+    assert_bad_frequency(cli.main(["sweep", "--config", cfg]), capsys)
+
+
+def test_table4_frequency_flag_scales_times(capsys):
+    assert cli.main(["table4", "--format", "csv", "--freq", "2e7"]) == 0
+    fast = capsys.readouterr().out.splitlines()
+    assert cli.main(["table4", "--format", "csv"]) == 0
+    slow = capsys.readouterr().out.splitlines()
+    t_fast = float(fast[1].split(",")[4])
+    t_slow = float(slow[1].split(",")[4])
+    assert t_fast == pytest.approx(t_slow / 2, rel=1e-3)

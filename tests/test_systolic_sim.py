@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,9 +8,8 @@ import oracles as O
 from lstmgrid import lstm_ref as LR
 from lstmgrid.mapper import TileSpec, plan_grid
 from lstmgrid.systolic_sim import (CycleModel, DeadlockError, GridSim,
-                                   beat_stream, build_load_schedule,
-                                   build_step_schedule, count_toggles,
-                                   run_reload, simulate)
+                                   build_load_schedule, build_step_schedule,
+                                   count_toggles, run_reload, simulate)
 
 TILE = TileSpec()
 
@@ -43,13 +44,22 @@ def make_case(seed, layer_sizes, n_out=None, scale=1.0, n_steps=3,
 # --- beat-level toggle counting ---------------------------------------------------
 
 def test_beat_stream_is_little_endian():
-    assert beat_stream([0x21], 8).tolist() == [0x1, 0x2]
-    assert beat_stream([0x4321], 16).tolist() == [0x1, 0x2, 0x3, 0x4]
+    # from idle 1: beats 1, 2 flip 0 + 2 bits; high nibble first (2, 1)
+    # would flip 2 + 2
+    assert count_toggles([0x21], 8, idle=1) == 2
+    # beats 1, 2, 3, 4 flip 0 + 2 + 1 + 3; big-endian (4, 3, 2, 1) gives 8,
+    # big-endian bytes 8 and high nibbles first 9
+    assert count_toggles([0x4321], 16, idle=1) == 6
 
 
 def test_beat_stream_wraps_negative_words():
-    # -1 as a 16-bit word is 0xFFFF
-    assert beat_stream([-1], 16).tolist() == [0xF, 0xF, 0xF, 0xF]
+    # -1 and -2 as 16-bit words are 0xFFFF and 0xFFFE: beats F F F F E F F F
+    # flip 3 (from idle 1) + 1 + 1
+    assert count_toggles([-1, -2], 16, idle=1) == 5
+    # -1 as an 8-bit word is 0xFF; a clamp to 0 would flip 1
+    assert count_toggles([-1], 8, idle=1) == 3
+    # bits beyond the word width are dropped: 0x1F0 moves as 0xF0
+    assert count_toggles([0x1F0], 8, idle=1) == 5
 
 
 def test_count_toggles_from_idle():
@@ -73,11 +83,28 @@ def test_byte_wide_toggle_counting_matches_the_int64_reference():
         # negative codes and values beyond the word width wrap alike
         words = rng.integers(-(1 << 20), 1 << 20, size=n)
         idle = int(rng.integers(0, 16))
-        assert beat_stream(words, word_bits).tolist() \
-            == O.beat_stream_int64(words, word_bits).tolist()
         expect = O.count_toggles_int64(words, word_bits, idle)
         assert count_toggles(words, word_bits, idle) == expect
         assert O.toggle_count(words, word_bits, idle) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_bits=st.sampled_from([8, 16]),
+       words=st.lists(st.integers(-(1 << 20), 1 << 20), max_size=40),
+       idle=st.integers(0, 15))
+def test_packed_toggle_counting_matches_the_references(word_bits, words,
+                                                       idle):
+    # 0-40 words reach every tail of 0-7 bytes short of a packed 64-bit
+    # integer (the seeded test above draws every length 0-39 many times)
+    expect = O.count_toggles_int64(words, word_bits, idle)
+    assert count_toggles(words, word_bits, idle) == expect
+    assert O.toggle_count(words, word_bits, idle) == expect
+
+
+@pytest.mark.parametrize("word_bits", [4, 12, 24, 32])
+def test_count_toggles_rejects_other_widths(word_bits):
+    with pytest.raises(ValueError):
+        count_toggles([1, 2], word_bits)
 
 
 # --- bit-exact execution ----------------------------------------------------------
@@ -298,6 +325,43 @@ def test_reload_trace_reloads_params_every_pass_and_restores_state():
     assert totals["L0.load.0.0"]["words"] == 74_400
     assert totals["L0.feat.col0"]["words"] == 96 * 10
     assert totals["L0.writeback.0"]["words"] == 96 * 10
+
+
+def test_reload_param_loads_carry_each_die_burst_toggles_on_every_pass():
+    plan, params, feats = make_case(64, [(96, 96), (96, 192), (192, 192)],
+                                    n_out=10, n_steps=3, reload=True)
+    _, trace = run_reload(plan, params, feats)
+    fresh = GridSim(plan, params)
+    loads = collections.Counter()
+    for rec in trace.records:
+        if rec.kind != "param_load":
+            continue
+        for ev in rec.events:
+            words = fresh._param_words(plan.die(ev.receivers[0]))
+            assert ev.toggles == count_toggles(words, 8) \
+                == O.count_toggles_int64(words, 8)
+            loads[ev.receivers[0]] += 1
+    # every die of all three layers is re-loaded on every step
+    assert loads == {d.die_id: 3 for d in plan.dies}
+
+
+def test_every_reload_transfer_consults_the_plan(monkeypatch):
+    plan, params, feats = make_case(65, [(96, 96), (96, 192)], n_out=10,
+                                    n_steps=3, reload=True)
+    calls = []
+    has_link = plan.has_link
+
+    def spy(kind, src, receivers):
+        calls.append((kind, src, receivers))
+        return has_link(kind, src, receivers)
+
+    monkeypatch.setattr(plan, "has_link", spy)
+    _, trace = run_reload(plan, params, feats)
+    # one link check per event, parameter re-loads on later passes included
+    assert calls == [(ev.kind, ev.src, ev.receivers)
+                     for rec in trace.records for ev in rec.events]
+    assert sum(len(rec.events) for rec in trace.records
+               if rec.kind == "param_load") == 3 * len(plan.dies)
 
 
 @pytest.mark.parametrize("layers,mode", [
