@@ -134,18 +134,20 @@ def build_run_config(args):
     seed = getattr(args, "seed", None)
     if "container" in net:
         try:
-            _, params = lstm_ref.load_network(net["container"])
+            spec, params = lstm_ref.load_network(net["container"])
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError("cannot load network container: %s" % exc)
     else:
         layers = net.get("layers")
         _require(layers, "config needs network.layers or network.container")
-        layers = [tuple(int(v) for v in pair) for pair in layers]
-        params = lstm_ref.random_network_params(
-            seed if seed is not None else int(net.get("seed", 0)),
-            layers, n_out=net.get("n_out"),
-            scale=float(net.get("scale", 0.5)))
-    spec = lstm_ref.derive_spec(params)
+        try:
+            params = lstm_ref.random_network_params(
+                seed if seed is not None else int(net.get("seed", 0)),
+                [tuple(int(v) for v in pair) for pair in layers],
+                n_out=net.get("n_out"), scale=float(net.get("scale", 0.5)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad network settings: %s" % exc)
+        spec = lstm_ref.derive_spec(params)
 
     feat = doc.get("features") or {}
     if "container" in feat:
@@ -154,11 +156,15 @@ def build_run_config(args):
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError("cannot load feature container: %s" % exc)
     else:
-        features = lstm_ref.random_features(
-            seed + 1 if seed is not None else int(feat.get("seed", 1)),
-            n_steps=int(feat.get("n_steps", 1)),
-            n_features=spec.n_features,
-            scale=float(feat.get("scale", 1.0)))
+        try:
+            n_steps = int(feat.get("n_steps", 1))
+            _require(n_steps >= 0, "features.n_steps must not be negative")
+            features = lstm_ref.random_features(
+                seed + 1 if seed is not None else int(feat.get("seed", 1)),
+                n_steps=n_steps, n_features=spec.n_features,
+                scale=float(feat.get("scale", 1.0)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad features settings: %s" % exc)
     _require(features.shape[1] == spec.n_features,
              "features are %d wide, network expects %d"
              % (features.shape[1], spec.n_features))
@@ -341,6 +347,7 @@ def _sweep_rows(cfg):
         rows = [["n", "n_hidden", "dies", "time_per_inference_us",
                  "e_total_uj", "io_pct"]]
         for n in values:
+            _require(n >= 1, "sweep grid sizes must be positive, not %d" % n)
             width = int(n) * cfg.tile.nh_capacity
             spec = lstm_ref.NetworkSpec([(width, width)], None)
             rep = perf_energy.extrapolate(spec, cfg.tile, cfg.op, cfg.consts,
@@ -367,8 +374,10 @@ def cmd_sweep(args):
     cfg = build_run_config(args)
     try:
         rows = _sweep_rows(cfg)
-    except (CapacityError, ValueError) as exc:
-        raise type(exc)("sweep point failed: %s" % exc)
+    except CapacityError as exc:
+        raise CapacityError("sweep point failed: %s" % exc)
+    except ValueError as exc:  # e.g. an out-of-range frac_bits value
+        raise ConfigError("sweep point failed: %s" % exc)
     text = _csv(rows)
     sys.stdout.write(text)
     if args.out:

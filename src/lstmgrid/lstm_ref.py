@@ -42,8 +42,6 @@ class FormatSet:
 
 DEFAULT_FORMATS = FormatSet()
 
-GATE_NAMES = ("in", "forget", "update", "out")
-
 
 @dataclasses.dataclass
 class LstmLayerParams:
@@ -154,6 +152,13 @@ class NetworkSpec:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("need at least one layer")
+        for k, (n_i, n_h) in enumerate(self.layers):
+            if n_i < 1 or n_h < 1:
+                raise ValueError("layer %d needs at least one input and one "
+                                 "hidden unit, not %d x %d" % (k, n_i, n_h))
+        if self.n_out is not None and self.n_out < 1:
+            raise ValueError("n_out must be at least 1, not %r"
+                             % (self.n_out,))
         for k in range(1, len(self.layers)):
             if self.layers[k][0] != self.layers[k - 1][1]:
                 raise ValueError(
@@ -296,6 +301,47 @@ def _blocked_dot(stack, *vectors):
     return acc
 
 
+def check_luts(luts, formats):
+    """Raise ValueError unless the activation tables read state codes and
+    write gate codes of `formats` (the cell's fixed-point contract)."""
+    if any(lut.in_format != formats.state or lut.out_format != formats.gate
+           for lut in (luts["sigmoid"], luts["tanh"])):
+        raise ValueError("LUT formats do not match parameter formats")
+
+
+def cell_tail(dots, c, peep, bias, fmts, luts):
+    """The cell arithmetic after the gate reduction, unit by unit: the
+    oracle's cell step and the grid's master dies both end in it.
+
+    `dots` holds the four gates' reduced 16-bit accumulators (gates,
+    units), `peep` the (w_ci, w_cf, w_co) peephole codes and `bias` the
+    four gate biases.  The output gate's peephole reads the new cell
+    state.  Returns (h_new, c_new) as int64 codes.
+    """
+    sf, gf = fmts.state.frac_bits, fmts.gate.frac_bits
+    sig, tanh = luts["sigmoid"], luts["tanh"]
+
+    def gate(g, lut, peep_times_c=None):
+        acc = dots[g]
+        if peep_times_c is not None:
+            acc = sat_add16(acc, peep_times_c)
+        acc = sat_add16(acc, np.asarray(bias[g], np.int64) << sf)
+        return lut.lookup(requantize(acc, fmts.acc_frac_bits, fmts.state))
+
+    g_i = gate(0, sig, peep[0] * c)
+    g_f = gate(1, sig, peep[1] * c)
+    g_u = gate(2, tanh)
+
+    # align the 14-bit i*u product to the 12-bit scale of f*c, accumulate,
+    # then store the cell state back at 8 bits
+    p_iu = sat16(shift_round(g_i * g_u, gf - sf))
+    c_new = requantize(sat16(g_f * c + p_iu), gf + sf, fmts.state)
+
+    g_o = gate(3, sig, peep[2] * c_new)
+    h_new = requantize(sat16(g_o * tanh.lookup(c_new)), 2 * gf, fmts.state)
+    return np.asarray(h_new, np.int64), np.asarray(c_new, np.int64)
+
+
 def cell_step_fixed(params, state, x, luts, col_blocks=None, stack=None):
     """One bit-exact step on int8 codes.
 
@@ -307,44 +353,15 @@ def cell_step_fixed(params, state, x, luts, col_blocks=None, stack=None):
     """
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
-    fmts = params.formats
-    if luts["sigmoid"].in_format != fmts.state or \
-            luts["tanh"].out_format != fmts.gate:
-        raise ValueError("LUT formats do not match parameter formats")
-    n_i, n_h = params.n_inputs, params.n_hidden
-    if x.shape != (n_i,) or state.h.shape != (n_h,):
+    check_luts(luts, params.formats)
+    if x.shape != (params.n_inputs,) or state.h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
     if stack is None:
         stack = cell_stack(params, col_blocks)
-    h, c = state.h, state.c
-    acc_frac = fmts.acc_frac_bits
-    bias_shift = fmts.state.frac_bits
-    gate_frac = fmts.gate.frac_bits
-    sig, tanh = luts["sigmoid"], luts["tanh"]
-
-    dots = _blocked_dot(stack, x, h)
-
-    def gate(g, peep_times_c, b):
-        acc = dots[g]
-        if peep_times_c is not None:
-            acc = sat_add16(acc, peep_times_c)
-        acc = sat_add16(acc, b.astype(np.int64) << bias_shift)
-        return requantize(acc, acc_frac, fmts.state)
-
-    g_i = sig.lookup(gate(0, params.w_ci * c, params.b_i))
-    g_f = sig.lookup(gate(1, params.w_cf * c, params.b_f))
-    g_u = tanh.lookup(gate(2, None, params.b_c))
-
-    # align the 14-bit i*u product to the 12-bit scale of f*c, accumulate,
-    # then store the cell state back at 8 bits
-    p_iu = sat16(shift_round(g_i * g_u, gate_frac - fmts.state.frac_bits))
-    c_acc = sat16(g_f * c + p_iu)
-    c_new = requantize(c_acc, gate_frac + fmts.state.frac_bits, fmts.state)
-
-    g_o = sig.lookup(gate(3, params.w_co * c_new, params.b_o))
-    h_new = requantize(sat16(g_o * tanh.lookup(c_new)), 2 * gate_frac,
-                       fmts.state)
-    return LstmState(np.asarray(h_new, np.int64), np.asarray(c_new, np.int64))
+    h_new, c_new = cell_tail(_blocked_dot(stack, x, state.h), state.c,
+                             (params.w_ci, params.w_cf, params.w_co),
+                             params.biases(), params.formats, luts)
+    return LstmState(h_new, c_new)
 
 
 def fc_step_fixed(params, h, luts, col_blocks=None, stack=None):
@@ -461,7 +478,9 @@ def quantize_features(values, formats=DEFAULT_FORMATS):
 
 def random_network_params(seed, layer_sizes, n_out=None, scale=0.5,
                           peephole=True, formats=DEFAULT_FORMATS):
-    """Seeded random float network quantized onto the 8-bit grid."""
+    """Seeded random float network quantized onto the 8-bit grid.  Shapes
+    that no `NetworkSpec` admits raise ValueError before any draw."""
+    NetworkSpec(list(layer_sizes), n_out)
     rng = np.random.default_rng(seed)
 
     def mat(rows, cols):

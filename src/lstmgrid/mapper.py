@@ -138,13 +138,13 @@ class PinBudget:
     total_time_multiplexed: int
 
 
-def memory_footprint(n_i_tile, n_h_tile, peephole=True, fc_out=None,
-                     fc_bias=False, master=True):
+def memory_footprint(n_i_tile, n_h_tile, fc_out=None, fc_bias=False,
+                     master=True):
     """Parameter bytes a die must hold, one byte per parameter.
 
     Four gate matrices over both the input and recurrent slices; masters
     additionally keep the post-reduction vectors — three peephole
-    diagonals (when the cell uses them), four biases, and on the last
+    diagonals (all zero for a vanilla cell), four biases, and on the last
     layer the projection slice (fc_out rows by n_h_tile columns; the
     reduction-root die also keeps the projection bias).
     """
@@ -153,9 +153,7 @@ def memory_footprint(n_i_tile, n_h_tile, peephole=True, fc_out=None,
     total = 4 * n_h_tile * (n_i_tile + n_h_tile)
     if not master:
         return total
-    if peephole:
-        total += 3 * n_h_tile
-    total += 4 * n_h_tile
+    total += (3 + 4) * n_h_tile
     if fc_out:
         total += fc_out * n_h_tile
         if fc_bias:

@@ -6,9 +6,13 @@ and planned link traffic.  The value side (`GridSim`) walks those records
 and performs the actual distributed arithmetic — per-die partial MACs,
 saturating reduction chains, master-side activation and element-wise
 updates, hidden-state distribution, optional output projection — counting
-real beat-level toggles on every link.  The analytic energy model consumes
-the very same records, so simulated and extrapolated cycle counts agree by
-construction.
+real beat-level toggles on every link.  The analytic energy model
+consumes the very same records, so simulated and extrapolated cycle
+counts agree by construction.
+
+Master-side activation and the element-wise update are one call to
+`lstm_ref.cell_tail`, the oracle's own cell arithmetic after reduction,
+in the `elementwise` phase; `gate_activate` records carry timing only.
 
 One record walker executes every load mode.  Stacked and chip-select runs
 load parameters once and then walk one step schedule per inference step;
@@ -28,8 +32,7 @@ import numpy as np
 
 from . import lstm_ref
 from .mapper import HOST
-from .qformat import (check_int8, mac_run, requantize, sat16, sat_add16,
-                      shift_round)
+from .qformat import check_int8, mac_run, requantize, sat_add16
 
 LINK_BITS = 4
 
@@ -430,9 +433,6 @@ def count_toggles(words, word_bits, idle=0):
 
 # --- value execution --------------------------------------------------------------
 
-GATES = ("in", "forget", "update", "out")
-
-
 class _LayerEngine:
     """Distributed state and arithmetic for one layer grid.
 
@@ -442,6 +442,7 @@ class _LayerEngine:
     """
 
     def __init__(self, plan, grid, params, luts):
+        lstm_ref.check_luts(luts, params.formats)
         self.plan = plan
         self.grid = grid
         self.luts = luts
@@ -459,11 +460,8 @@ class _LayerEngine:
         self.h = np.zeros(nhp, np.int64)
         self.c = np.zeros(nhp, np.int64)
         self.x = np.zeros(nip, np.int64)
-        # running partial per (gate, die column j, padded row), plus
-        # master-side gate codes
+        # running partial per (gate, die column j, padded row)
         self.partials = np.zeros((4, grid.n, nhp), np.int64)
-        self.gate_codes = np.zeros((4, nhp), np.int64)
-        self.acc = np.zeros((4, nhp), np.int64)
 
     def rows(self, i):
         return slice(i * self.grid.nh_tile, (i + 1) * self.grid.nh_tile)
@@ -492,49 +490,15 @@ class _LayerEngine:
         self.partials[gate, hop, rows] = sat_add16(incoming, own)
         return incoming  # the transferred words
 
-    def finish_gate(self, gate):
-        """Master-side peephole + bias + requantize + LUT for gates that
-        do not read the new cell state (everything except the output)."""
-        fmts = self.formats
-        for i in range(self.grid.n):
-            rows = self.rows(i)
-            acc = self.partials[gate, self.grid.n - 1, rows]
-            if gate == 0:
-                acc = sat_add16(acc, self.peep[0, rows] * self.c[rows])
-            elif gate == 1:
-                acc = sat_add16(acc, self.peep[1, rows] * self.c[rows])
-            self.acc[gate, rows] = acc
-            if gate == 3:
-                continue  # deferred: output peephole needs the new c
-            acc = sat_add16(acc, self.bias[gate, rows]
-                            << fmts.state.frac_bits)
-            pre = requantize(acc, fmts.acc_frac_bits, fmts.state)
-            lut = self.luts["tanh"] if gate == 2 else self.luts["sigmoid"]
-            self.gate_codes[gate, rows] = lut.lookup(pre)
-
     def elementwise(self):
-        fmts = self.formats
-        gf, sf = fmts.gate.frac_bits, fmts.state.frac_bits
-        tanh, sig = self.luts["tanh"], self.luts["sigmoid"]
-        h_new = np.zeros_like(self.h)
-        for i in range(self.grid.n):
-            rows = self.rows(i)
-            g_i, g_f = self.gate_codes[0, rows], self.gate_codes[1, rows]
-            g_u = self.gate_codes[2, rows]
-            p_iu = sat16(shift_round(g_i * g_u, gf - sf))
-            c_acc = sat16(g_f * self.c[rows] + p_iu)
-            c_new = requantize(c_acc, gf + sf, fmts.state)
-            acc_o = sat_add16(self.acc[3, rows], self.peep[2, rows] * c_new)
-            acc_o = sat_add16(acc_o, self.bias[3, rows] << sf)
-            g_o = sig.lookup(requantize(acc_o, fmts.acc_frac_bits,
-                                        fmts.state))
-            self.gate_codes[3, rows] = g_o
-            self.c[rows] = c_new
-            h_new[rows] = requantize(sat16(g_o * tanh.lookup(c_new)),
-                                     2 * gf, fmts.state)
+        """Every master's peepholes, biases, activations and state update
+        (`lstm_ref.cell_tail`) over the gates' reduced partials in the
+        last die column.  Padded rows stay zero: their weights, peepholes
+        and biases are zero."""
         # master row i now owns h tile i; distribution fills self.h
-        self.h_tiles = h_new
-        return h_new
+        self.h_tiles, self.c[:] = lstm_ref.cell_tail(
+            self.partials[:, self.grid.n - 1], self.c, self.peep, self.bias,
+            self.formats, self.luts)
 
     def hidden_tile(self, i):
         return self.h_tiles[self.rows(i)]
@@ -692,15 +656,16 @@ class GridSim:
             for j, ev in enumerate(rec.events):
                 xs = slice(j * eng.grid.ni_tile, (j + 1) * eng.grid.ni_tile)
                 self._transfer(ev, eng.x[xs])
-        elif kind == "recurrent_compute":
-            pass  # timing only: MACs are evaluated in pinned order below
+        elif kind in ("recurrent_compute", "gate_activate"):
+            # timing only: MACs are evaluated in pinned order by
+            # gate_compute, and the activations by elementwise from the
+            # reduced partials every gate leaves in place
+            pass
         elif kind == "gate_compute":
             eng.gate_round(rec.gate)
         elif kind == "gate_reduce":
             for i, ev in enumerate(rec.events):
                 self._transfer(ev, eng.reduce_hop(rec.gate, i, rec.hop))
-        elif kind == "gate_activate":
-            eng.finish_gate(rec.gate)
         elif kind == "elementwise":
             eng.elementwise()
             if n == 1:

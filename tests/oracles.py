@@ -132,6 +132,32 @@ def _gate_acc(w_x_row, w_h_row, x, h, blocks):
     return acc
 
 
+def cell_tail(acc, c, peep, bias, sig, tanh):
+    """One unit's arithmetic after the gate reduction.  `acc` holds its four
+    reduced gate accumulators, `peep` its three peephole codes and `bias`
+    its four bias codes.  Returns (h_new, c_new, (in, forget, update, out)
+    gate codes)."""
+
+    def finish(a, b_code, lut):
+        a = sat_add(a, int(b_code) << STATE_FRAC)
+        pre = requant(a, ACC_FRAC, STATE_FRAC)
+        return lut_apply(lut, pre)
+
+    g_in = finish(sat_add(acc[0], peep[0] * c), bias[0], sig)
+    g_forget = finish(sat_add(acc[1], peep[1] * c), bias[1], sig)
+    g_update = finish(acc[2], bias[2], tanh)
+
+    # i*u is at 14 frac bits; align to the 12-bit scale of f*c
+    p_iu = sat16(shift_round(g_in * g_update, GATE_FRAC - STATE_FRAC))
+    c_new = sat8(shift_round(sat16(g_forget * c + p_iu), GATE_FRAC))
+
+    # output peephole sees new cell
+    g_out = finish(sat_add(acc[3], peep[2] * c_new), bias[3], sig)
+    t = lut_apply(tanh, c_new)
+    h_new = sat8(shift_round(g_out * t, GATE_FRAC + GATE_FRAC - STATE_FRAC))
+    return h_new, c_new, (g_in, g_forget, g_update, g_out)
+
+
 def cell_step(params, x, h, c, blocks=None):
     """One fixed-point cell step.  Returns (h_new, c_new, gates) where gates
     is a dict of the four Q0.7 gate code lists for cross-checking."""
@@ -139,44 +165,18 @@ def cell_step(params, x, h, c, blocks=None):
     if blocks is None:
         blocks = [(slice(0, len(x)), slice(0, n_h))]
     w_x, w_h, peep, bias = params["w_x"], params["w_h"], params["peep"], params["bias"]
-    sig = params["sigmoid_lut"]
-    tanh = params["tanh_lut"]
 
-    def finish(acc, b_code, lut):
-        acc = sat_add(acc, int(b_code) << STATE_FRAC)
-        pre = requant(acc, ACC_FRAC, STATE_FRAC)
-        return lut_apply(lut, pre)
-
-    g_in, g_forget, g_update = [], [], []
+    h_new, c_new = [], []
+    gates = {"in": [], "forget": [], "update": [], "out": []}
     for r in range(n_h):
-        a = _gate_acc(w_x[0][r], w_h[0][r], x, h, blocks)
-        a = sat_add(a, peep[0][r] * c[r])
-        g_in.append(finish(a, bias[0][r], sig))
-
-        a = _gate_acc(w_x[1][r], w_h[1][r], x, h, blocks)
-        a = sat_add(a, peep[1][r] * c[r])
-        g_forget.append(finish(a, bias[1][r], sig))
-
-        a = _gate_acc(w_x[2][r], w_h[2][r], x, h, blocks)
-        g_update.append(finish(a, bias[2][r], tanh))
-
-    c_new = []
-    for r in range(n_h):
-        # i*u is at 14 frac bits; align to the 12-bit scale of f*c
-        p_iu = sat16(shift_round(g_in[r] * g_update[r], GATE_FRAC - STATE_FRAC))
-        acc = sat16(g_forget[r] * c[r] + p_iu)
-        c_new.append(sat8(shift_round(acc, GATE_FRAC)))
-
-    g_out, h_new = [], []
-    for r in range(n_h):
-        a = _gate_acc(w_x[3][r], w_h[3][r], x, h, blocks)
-        a = sat_add(a, peep[2][r] * c_new[r])  # output peephole sees new cell
-        o = finish(a, bias[3][r], sig)
-        g_out.append(o)
-        t = lut_apply(tanh, c_new[r])
-        h_new.append(sat8(shift_round(o * t, GATE_FRAC + GATE_FRAC - STATE_FRAC)))
-
-    gates = {"in": g_in, "forget": g_forget, "update": g_update, "out": g_out}
+        acc = [_gate_acc(w_x[g][r], w_h[g][r], x, h, blocks) for g in range(4)]
+        h_r, c_r, codes = cell_tail(acc, c[r], [p[r] for p in peep],
+                                    [b[r] for b in bias],
+                                    params["sigmoid_lut"], params["tanh_lut"])
+        h_new.append(h_r)
+        c_new.append(c_r)
+        for name, code in zip(gates, codes):
+            gates[name].append(code)
     return h_new, c_new, gates
 
 

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from lstmgrid import cli, lstm_ref, systolic_sim
+from lstmgrid.qformat import QFormat
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -268,6 +269,19 @@ def test_run_from_containers(tmp_path, capsys):
     assert "BIT-EXACT: yes" in capsys.readouterr().out
 
 
+def test_run_from_container_with_other_formats(tmp_path, capsys):
+    fmts = lstm_ref.FormatSet(weight=QFormat(4), state=QFormat(4))
+    params = lstm_ref.random_network_params(43, [(8, 8)], formats=fmts)
+    net_path = tmp_path / "net.json"
+    lstm_ref.save_network(str(net_path), params, formats=fmts)
+    cfg = write_config(tmp_path / "c.yaml",
+                       network={"container": str(net_path)},
+                       features={"n_steps": 2})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+    assert "BIT-EXACT: yes" in capsys.readouterr().out
+
+
 # --- usage and config errors --------------------------------------------------------
 
 def test_unknown_command_is_usage_error(capsys):
@@ -372,17 +386,18 @@ def test_zero_frequency_flag_is_rejected(small_config, tmp_path, capsys):
     assert "frequency" in capsys.readouterr().err
 
 
-def assert_bad_frequency(rc, capsys):
+def assert_config_error(rc, capsys, needle):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "frequency" in err
+    assert needle in err
 
 
 @pytest.mark.parametrize("freq", ["0", "inf", "nan", "-1e6"])
 def test_table4_rejects_bad_frequency(capsys, freq):
     # "--freq=" form: argparse takes a bare "-1e6" for an option
-    assert_bad_frequency(cli.main(["table4", "--freq=" + freq]), capsys)
+    assert_config_error(cli.main(["table4", "--freq=" + freq]), capsys,
+                        "frequency")
 
 
 @pytest.mark.parametrize("freq", ["inf", "nan", "-1e6"])
@@ -390,7 +405,7 @@ def test_run_rejects_bad_frequency_flag(small_config, tmp_path, capsys,
                                         freq):
     rc = cli.main(["run", "--config", small_config,
                    "--out", str(tmp_path / "o"), "--freq=" + freq])
-    assert_bad_frequency(rc, capsys)
+    assert_config_error(rc, capsys, "frequency")
     assert not (tmp_path / "o").exists()  # nothing ran
 
 
@@ -399,7 +414,32 @@ def test_frequency_sweep_rejects_bad_values(tmp_path, capsys, value):
     cfg = write_config(tmp_path / "s.yaml",
                        network={"layers": [[96, 96]], "seed": 3},
                        sweep={"axis": "frequency", "values": [1e7, value]})
-    assert_bad_frequency(cli.main(["sweep", "--config", cfg]), capsys)
+    assert_config_error(cli.main(["sweep", "--config", cfg]), capsys,
+                        "frequency")
+
+
+@pytest.mark.parametrize("axis,value", [("frac_bits", 9), ("grid", 0)])
+def test_sweep_rejects_bad_points(tmp_path, capsys, axis, value):
+    cfg = write_config(tmp_path / "s.yaml",
+                       network={"layers": [[96, 96]], "seed": 3},
+                       sweep={"axis": axis, "values": [value]})
+    assert_config_error(cli.main(["sweep", "--config", cfg]), capsys, axis)
+
+
+@pytest.mark.parametrize("command", ["run", "plan"])
+@pytest.mark.parametrize("network,features,needle", [
+    ({"layers": [[4, 8], [9, 8]]}, {}, "layer 1 expects 9 inputs"),
+    ({"layers": [[4, 0]]}, {}, "hidden unit"),
+    ({"layers": [[4, 8]], "n_out": 0}, {}, "n_out"),
+    ({"layers": [[4, 8]]}, {"n_steps": -1}, "n_steps"),
+], ids=["layer_mismatch", "zero_hidden", "zero_n_out", "negative_steps"])
+def test_bad_network_shapes_fail_at_config_load(tmp_path, capsys, command,
+                                                network, features, needle):
+    cfg = write_config(tmp_path / "c.yaml", network=network,
+                       features=features)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, needle)
+    assert not (tmp_path / "o").exists()  # nothing ran
 
 
 def test_table4_frequency_flag_scales_times(capsys):

@@ -124,6 +124,24 @@ def test_fixed_random_vs_scalar_oracle(seed, n_i, n_h):
     assert got.c.tolist() == want_c
 
 
+INT16 = st.one_of(st.sampled_from([-32768, -32767, 32767]),
+                  st.integers(-32768, 32767))
+INT8 = st.integers(-128, 127)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.tuples(*[INT16] * 4), INT8,
+                          st.tuples(*[INT8] * 3), st.tuples(*[INT8] * 4)),
+                min_size=1, max_size=8))
+def test_cell_tail_matches_scalar_oracle_tail(units):
+    # reduced accumulators anywhere in int16, which MAC chains rarely reach
+    dots, c, peep, bias = (np.array(v, np.int64).T for v in zip(*units))
+    h_new, c_new = lr.cell_tail(dots, c, peep, bias, FMT, LUTS)
+    want = [O.cell_tail(*u, OTAB["sigmoid_lut"], OTAB["tanh_lut"])[:2]
+            for u in units]
+    assert list(zip(h_new.tolist(), c_new.tolist())) == want
+
+
 @pytest.mark.parametrize("splits", [2, 3])
 def test_fixed_blocked_matches_blocked_oracle(splits, seed=11):
     n_i = n_h = 6
@@ -286,6 +304,11 @@ def test_network_shape_errors():
         lr.NetworkSpec([(3, 4), (5, 4)])
     with pytest.raises(ValueError):
         lr.NetworkSpec([])
+    for layers, n_out in (([(3, 0)], None), ([(0, 4)], None), ([(3, 4)], 0)):
+        with pytest.raises(ValueError):
+            lr.NetworkSpec(layers, n_out)
+        with pytest.raises(ValueError):
+            lr.random_network_params(1, layers, n_out)
 
 
 # --- quantization ----------------------------------------------------------------

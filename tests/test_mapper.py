@@ -72,10 +72,6 @@ def test_footprint_slave_die():
     assert memory_footprint(96, 96, master=False) == 4 * 96 * 192 == 73_728
 
 
-def test_footprint_vanilla_master_skips_peephole_bytes():
-    assert memory_footprint(96, 96, peephole=False) == 73_728 + 4 * 96
-
-
 def test_footprint_projection_terms():
     base = memory_footprint(96, 96)
     assert memory_footprint(96, 96, fc_out=62) == base + 62 * 96

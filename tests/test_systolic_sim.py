@@ -6,7 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles as O
 from lstmgrid import lstm_ref as LR
+from lstmgrid.actlut import build_lut
 from lstmgrid.mapper import TileSpec, plan_grid
+from lstmgrid.qformat import QFormat
 from lstmgrid.systolic_sim import (CycleModel, DeadlockError, GridSim,
                                    build_load_schedule, build_step_schedule,
                                    count_toggles, run_reload, simulate)
@@ -580,6 +582,23 @@ def test_codes_outside_int8_are_rejected(drive, target, value):
             run_reload(plan, params, feats)
         else:
             simulate(plan_grid(plan.spec, TINY), params, feats)
+
+
+@pytest.mark.parametrize("lut_formats", [((4, 7), (5, 7)), ((5, 7), (5, 6))])
+@pytest.mark.parametrize("drive", ["simulate", "run_reload", "network_infer"])
+def test_luts_of_other_formats_are_rejected(drive, lut_formats):
+    (sig_in, sig_out), (tanh_in, tanh_out) = lut_formats
+    luts = {"sigmoid": build_lut("sigmoid", QFormat(sig_in), QFormat(sig_out)),
+            "tanh": build_lut("tanh", QFormat(tanh_in), QFormat(tanh_out))}
+    plan, params, feats = make_case(113, [(6, 8), (8, 8)], n_steps=2)
+    with pytest.raises(ValueError, match="LUT formats"):
+        if drive == "network_infer":
+            LR.network_infer(plan.spec, params, feats, luts=luts)
+        elif drive == "run_reload":
+            run_reload(plan_grid(plan.spec, TINY, reload=True), params,
+                       feats, luts=luts)
+        else:
+            simulate(plan_grid(plan.spec, TINY), params, feats, luts=luts)
 
 
 def test_int8_extremes_are_accepted():
