@@ -5,11 +5,9 @@ two's-complement byte reinterpreted as an index 0..255, exactly as a
 hardware LUT would address its ROM.
 """
 
-import math
-
 import numpy as np
 
-from .qformat import QFormat, quantize, dequantize
+from .qformat import quantize, dequantize
 
 
 def _sigmoid(x):
@@ -57,16 +55,6 @@ def build_lut(kind, in_format, out_format):
     table = np.zeros(256, dtype=np.int64)
     table[signed & 0xFF] = out_codes
     return Lut256(kind, in_format, out_format, table)
-
-
-def apply(lut, code, in_format=None):
-    """Look up one code (or an array), checking the declared input format."""
-    if in_format is not None and in_format != lut.in_format:
-        raise ValueError("input format %r does not match LUT input format %r"
-                         % (in_format, lut.in_format))
-    if np.ndim(code) == 0:
-        return lut[int(code)]
-    return lut.lookup(code)
 
 
 def lut_error_stats(lut, samples):

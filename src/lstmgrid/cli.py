@@ -81,6 +81,13 @@ def _frequency(value, what="the clock frequency"):
     return value
 
 
+def _whole(value, what):
+    """`value` if it is an integer (a bool is not), else a config error."""
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             "%s must be an integer, not %r" % (what, value))
+    return value
+
+
 def load_config_doc(path):
     if path is None:
         return {}
@@ -141,10 +148,15 @@ def build_run_config(args):
         layers = net.get("layers")
         _require(layers, "config needs network.layers or network.container")
         try:
+            sizes = [tuple(_whole(v, "a network.layers width") for v in pair)
+                     for pair in layers]
+            n_out = net.get("n_out")
+            if n_out is not None:
+                _whole(n_out, "network.n_out")
             params = lstm_ref.random_network_params(
-                seed if seed is not None else int(net.get("seed", 0)),
-                [tuple(int(v) for v in pair) for pair in layers],
-                n_out=net.get("n_out"), scale=float(net.get("scale", 0.5)))
+                seed if seed is not None
+                else _whole(net.get("seed", 0), "network.seed"), sizes,
+                n_out=n_out, scale=float(net.get("scale", 0.5)))
         except (TypeError, ValueError) as exc:
             raise ConfigError("bad network settings: %s" % exc)
         spec = lstm_ref.derive_spec(params)
@@ -157,10 +169,11 @@ def build_run_config(args):
             raise ConfigError("cannot load feature container: %s" % exc)
     else:
         try:
-            n_steps = int(feat.get("n_steps", 1))
+            n_steps = _whole(feat.get("n_steps", 1), "features.n_steps")
             _require(n_steps >= 0, "features.n_steps must not be negative")
             features = lstm_ref.random_features(
-                seed + 1 if seed is not None else int(feat.get("seed", 1)),
+                seed + 1 if seed is not None
+                else _whole(feat.get("seed", 1), "features.seed"),
                 n_steps=n_steps, n_features=spec.n_features,
                 scale=float(feat.get("scale", 1.0)))
         except (TypeError, ValueError) as exc:
@@ -220,8 +233,7 @@ def cmd_plan(args):
     lines.append("largest footprint: %d / %d bytes (die %s)"
                  % (worst.footprint_bytes, cfg.tile.sram_bytes,
                     "L%d.%d.%d" % worst.die_id))
-    pins = 17 if args.time_multiplexed else budget.total_min
-    lines.append("pins: %d" % pins)
+    lines.append("pins: %d" % budget.total_min)
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:

@@ -3,11 +3,11 @@
 The fixed-point path is the golden model the grid simulator must reproduce
 bit for bit.  Saturating accumulation is order-sensitive, so the evaluation
 order is pinned: input-loop ascending, recurrent-loop ascending, peephole,
-bias — optionally split into column blocks (`col_blocks`) whose partial
+bias — optionally split into column blocks (`BlockStack`) whose partial
 sums are folded left to right exactly like a reduction chain of dies.
 
 Cells are peephole LSTMs (three extra diagonal weights); all-zero peephole
-vectors degrade the cell to the vanilla form.  Gate order throughout the
+vectors reduce the cell to one without peepholes.  Gate order throughout the
 package: input, forget, update (cell candidate), output.  The update gate
 has no peephole; the output gate's peephole reads the *new* cell state as
 stored in 8 bits.
@@ -87,11 +87,6 @@ class LstmLayerParams:
     @property
     def quantized(self):
         return self.formats is not None
-
-    @property
-    def vanilla(self):
-        return (not np.any(self.w_ci) and not np.any(self.w_cf)
-                and not np.any(self.w_co))
 
     def input_weights(self):
         return (self.W_xi, self.W_xf, self.W_xc, self.W_xo)
@@ -342,14 +337,14 @@ def cell_tail(dots, c, peep, bias, fmts, luts):
     return np.asarray(h_new, np.int64), np.asarray(c_new, np.int64)
 
 
-def cell_step_fixed(params, state, x, luts, col_blocks=None, stack=None):
+def cell_step_fixed(params, state, x, luts, stack=None):
     """One bit-exact step on int8 codes.
 
-    `col_blocks` optionally lists (x_slice, h_slice) pairs; the default is
-    one flat block covering everything.  Splitting changes results only
-    when an intermediate sum saturates, which is exactly why the grid
-    simulator must run with the block structure of its plan.  `stack`
-    passes `cell_stack(params, col_blocks)` prepared once for many steps.
+    `stack` is the layer's `cell_stack(params, col_blocks)`, prepared once
+    for many steps; the default is one flat block covering everything.
+    Splitting changes results only when an intermediate sum saturates,
+    which is exactly why the grid simulator must run with the block
+    structure of its plan.
     """
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
@@ -357,35 +352,28 @@ def cell_step_fixed(params, state, x, luts, col_blocks=None, stack=None):
     if x.shape != (params.n_inputs,) or state.h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
     if stack is None:
-        stack = cell_stack(params, col_blocks)
+        stack = cell_stack(params)
     h_new, c_new = cell_tail(_blocked_dot(stack, x, state.h), state.c,
                              (params.w_ci, params.w_cf, params.w_co),
                              params.biases(), params.formats, luts)
     return LstmState(h_new, c_new)
 
 
-def fc_step_fixed(params, h, luts, col_blocks=None, stack=None):
+def fc_step_fixed(params, h, luts, stack=None):
     """Fixed-point projection: blocked MAC, bias, requantize, sigmoid.
-    `stack` passes `fc_stack(params, col_blocks)` prepared once."""
+    `stack` passes `fc_stack(params, col_blocks)` prepared once; the
+    default is one flat block."""
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
     fmts = params.formats
     if h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
     if stack is None:
-        stack = fc_stack(params, col_blocks)
+        stack = fc_stack(params)
     acc = sat_add16(_blocked_dot(stack, h)[0],
                     params.b_y.astype(np.int64) << fmts.state.frac_bits)
     return luts["sigmoid"].lookup(requantize(acc, fmts.acc_frac_bits,
                                              fmts.state))
-
-
-def fc_step(params, h, mode, luts=None, col_blocks=None):
-    if mode == "float":
-        return fc_step_float(params, h)
-    if mode == "fixed":
-        return fc_step_fixed(params, h, luts, col_blocks)
-    raise ValueError("mode must be 'float' or 'fixed'")
 
 
 def network_infer(spec, params, features, mode="fixed", luts=None,
@@ -477,7 +465,7 @@ def quantize_features(values, formats=DEFAULT_FORMATS):
 # --- deterministic random instances (tests, CLI demos) -------------------------
 
 def random_network_params(seed, layer_sizes, n_out=None, scale=0.5,
-                          peephole=True, formats=DEFAULT_FORMATS):
+                          formats=DEFAULT_FORMATS):
     """Seeded random float network quantized onto the 8-bit grid.  Shapes
     that no `NetworkSpec` admits raise ValueError before any draw."""
     NetworkSpec(list(layer_sizes), n_out)
@@ -486,16 +474,15 @@ def random_network_params(seed, layer_sizes, n_out=None, scale=0.5,
     def mat(rows, cols):
         return rng.uniform(-scale, scale, size=(rows, cols))
 
-    def vec(n, on=True):
-        return rng.uniform(-scale, scale, size=n) if on else np.zeros(n)
+    def vec(n):
+        return rng.uniform(-scale, scale, size=n)
 
     layers = []
     for n_i, n_h in layer_sizes:
         layers.append(LstmLayerParams(
             mat(n_h, n_i), mat(n_h, n_h), mat(n_h, n_i), mat(n_h, n_h),
             mat(n_h, n_i), mat(n_h, n_h), mat(n_h, n_i), mat(n_h, n_h),
-            vec(n_h, peephole), vec(n_h, peephole), vec(n_h, peephole),
-            vec(n_h), vec(n_h), vec(n_h), vec(n_h)))
+            *(vec(n_h) for _ in range(7))))
     fc = None
     if n_out is not None:
         fc = FcParams(mat(n_out, layer_sizes[-1][1]), vec(n_out))

@@ -29,15 +29,10 @@ class TileSpec:
     """Per-die resources."""
     nh_capacity: int = 96
     sram_bytes: int = 84 * 1024
-    sram_banks: int = 12
-    link_data_bits: int = 4
-    word_bits: int = 8
 
     def __post_init__(self):
         if self.nh_capacity <= 0:
             raise ValueError("nh_capacity must be positive")
-        if self.word_bits % self.link_data_bits:
-            raise ValueError("link width must divide the word width")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,7 +130,6 @@ class PinBudget:
     n_inp_layer: int
     n_out_layer: int
     total_min: int
-    total_time_multiplexed: int
 
 
 def memory_footprint(n_i_tile, n_h_tile, fc_out=None, fc_bias=False,
@@ -144,7 +138,7 @@ def memory_footprint(n_i_tile, n_h_tile, fc_out=None, fc_bias=False,
 
     Four gate matrices over both the input and recurrent slices; masters
     additionally keep the post-reduction vectors — three peephole
-    diagonals (all zero for a vanilla cell), four biases, and on the last
+    diagonals (stored even when all zero), four biases, and on the last
     layer the projection slice (fc_out rows by n_h_tile columns; the
     reduction-root die also keeps the projection bias).
     """
@@ -294,8 +288,7 @@ def pin_budget(plan, time_multiplexed=False, interpretation="grid_side"):
     if time_multiplexed:
         n_inp = n_out = 1
     total = 2 + 3 + 6 * n_inp + 6 * n_out
-    return PinBudget(2, 3, 6, n_inp, n_out,
-                     total_min=total, total_time_multiplexed=17)
+    return PinBudget(2, 3, 6, n_inp, n_out, total_min=total)
 
 
 def plan_to_dict(plan):

@@ -202,13 +202,6 @@ def link_bandwidth(op):
     return op.frequency / 2.0
 
 
-def scale_core_power(power_w, f_old, f_new, v_old, v_new):
-    """First-order dynamic scaling of a measured core power figure."""
-    if min(f_old, v_old) <= 0:
-        raise ValueError("reference point must be positive")
-    return power_w * (f_new / f_old) * (v_new / v_old) ** 2
-
-
 # --- published extrapolation table ---------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)

@@ -34,27 +34,16 @@ class QFormat:
     fractional bits).
     """
 
-    __slots__ = ("total_bits", "frac_bits")
+    __slots__ = ("frac_bits",)
 
-    def __init__(self, frac_bits, total_bits=8):
-        if total_bits != 8:
-            raise ValueError("only 8-bit storage formats are supported")
+    def __init__(self, frac_bits):
         if not 0 <= int(frac_bits) <= 7:
             raise ValueError("frac_bits must be in [0, 7], got %r" % (frac_bits,))
-        self.total_bits = 8
         self.frac_bits = int(frac_bits)
 
     @property
     def lsb(self):
         return 2.0 ** -self.frac_bits
-
-    @property
-    def min_value(self):
-        return INT8_MIN * self.lsb
-
-    @property
-    def max_value(self):
-        return INT8_MAX * self.lsb
 
     def __eq__(self, other):
         return isinstance(other, QFormat) and other.frac_bits == self.frac_bits
@@ -64,44 +53,6 @@ class QFormat:
 
     def __repr__(self):
         return "Q%d.%d" % (7 - self.frac_bits, self.frac_bits)
-
-
-class Q8:
-    """A single 8-bit code together with its format (scalar convenience)."""
-
-    __slots__ = ("code", "format")
-
-    def __init__(self, code, fmt):
-        code = int(code)
-        if not INT8_MIN <= code <= INT8_MAX:
-            raise ValueError("code %d outside int8 range" % code)
-        self.code = code
-        self.format = fmt
-
-    @property
-    def value(self):
-        return self.code * self.format.lsb
-
-    def __repr__(self):
-        return "Q8(%d, %r)" % (self.code, self.format)
-
-
-class Acc16:
-    """16-bit saturating accumulator value at a known fractional scale."""
-
-    __slots__ = ("value", "frac_bits", "saturated")
-
-    def __init__(self, value=0, frac_bits=0, saturated=False):
-        value = int(value)
-        if not INT16_MIN <= value <= INT16_MAX:
-            raise ValueError("accumulator %d outside int16 range" % value)
-        self.value = value
-        self.frac_bits = int(frac_bits)
-        self.saturated = bool(saturated)
-
-    def __repr__(self):
-        return "Acc16(%d, frac=%d%s)" % (
-            self.value, self.frac_bits, ", saturated" if self.saturated else "")
 
 
 def round_half_away(x):
@@ -140,22 +91,6 @@ def sat16(values):
                                  INT16_MIN), INT16_MAX)
 
 
-def mac(acc, a, b):
-    """One multiply-accumulate: acc' = sat16(acc + a.code * b.code).
-
-    The product is implicitly at a.frac_bits + b.frac_bits fractional bits;
-    an accumulator created by a fresh chain carries that scale.  Saturation
-    clamps (never wraps) and is recorded on the returned accumulator.
-    """
-    prod_frac = a.format.frac_bits + b.format.frac_bits
-    if acc.value != 0 and acc.frac_bits != prod_frac:
-        raise ValueError("accumulator scale %d does not match product scale %d"
-                         % (acc.frac_bits, prod_frac))
-    raw = acc.value + a.code * b.code
-    clamped = sat16(raw)
-    return Acc16(clamped, prod_frac, acc.saturated or clamped != raw)
-
-
 def shift_round(values, shift):
     """Arithmetic right shift by `shift` with round-half-away-from-zero.
 
@@ -192,18 +127,14 @@ def requantize(value, value_frac_bits, target):
     return np.minimum(np.maximum(rounded, INT8_MIN), INT8_MAX)
 
 
-def requantize_acc(acc, target):
-    """Acc16 -> Q8 in the target format (scalar wrapper around requantize)."""
-    return Q8(requantize(acc.value, acc.frac_bits, target), target)
-
-
 def mac_run(weights, vector=None, init=0, abs_weights=None):
     """Sequential saturating accumulation, one chain per row.
 
-    Each chain is equivalent to repeated `mac` starting from `init`: every
-    intermediate sum is clamped to int16 before the next term is added,
-    which makes the result depend on term order.  Returns (acc, saturated)
-    as int64 / bool arrays with one entry per chain.
+    Each chain is equivalent to a scalar saturating MAC (`tests/oracles.mac`)
+    applied term by term from `init`: every intermediate sum is clamped to
+    int16 before the next term is added, which makes the result depend on
+    term order.  Returns (acc, saturated) as int64 / bool arrays with one
+    entry per chain.
 
     Factored form (`vector` given): `weights` holds int8 codes shaped
     (..., R, K) and `vector` int8 codes shaped (..., K), broadcast over the

@@ -129,15 +129,15 @@ class PhaseTrace:
                 agg["toggles"] += ev.toggles if ev.toggles is not None else 0
         return totals
 
-    def die_activity(self, inference_only=True):
+    def die_activity(self):
         """Per-die active/stall cycle split over the inference span.
 
         Configuration records (step None) lie on a separate timeline and
-        are excluded by default so active + stall == total_cycles holds.
+        are excluded so active + stall == total_cycles holds.
         """
         active = {}
         for rec in self.records:
-            if inference_only and rec.step is None:
+            if rec.step is None:
                 continue
             for die in rec.dies:
                 active[die] = active.get(die, 0) + rec.duration
@@ -180,41 +180,30 @@ def _die_ids(grid, rows=None, cols=None):
     return tuple((grid.layer, i, j) for i in rows for j in cols)
 
 
-def _word_beats(word_bits):
-    return word_bits // LINK_BITS
-
-
 def build_load_schedule(plan, start=0, layers=None):
     """Configuration phase: every die's parameters over its p stream.
 
-    Streams run in parallel (duration = the largest die's beat count)
-    unless the plan uses chip-select sharing, which serializes all dies of
-    a grid onto one stream (same total beats, n^2 segments back to back).
+    A die's burst is its footprint in 8-bit words, 8 // LINK_BITS beats
+    each.  Streams run in parallel (duration = the largest die's beat
+    count) unless the plan uses chip-select sharing, which serializes all
+    dies of a grid onto one stream (same total beats, n^2 segments back to
+    back).
     """
     records = []
     cursor = start
     for grid in plan.layer_grids:
         if layers is not None and grid.layer not in layers:
             continue
-        dies = [plan.die(d) for d in _die_ids(grid)]
-        beats = {d.die_id: d.footprint_bytes
-                 * _word_beats(plan.tile.word_bits) for d in dies}
-        if plan.chip_select:
-            for d in dies:
-                ev = LinkEvent("L%d.load.%d.%d" % d.die_id, "p", HOST,
-                               (d.die_id,), beats[d.die_id] // 2, 8)
-                records.append(PhaseRecord(
-                    "param_load", grid.layer, cursor,
-                    cursor + beats[d.die_id], (d.die_id,), [ev]))
-                cursor = records[-1].end
-        else:
-            events = [LinkEvent("L%d.load.%d.%d" % d.die_id, "p", HOST,
-                                (d.die_id,), beats[d.die_id] // 2, 8)
-                      for d in dies]
+        events = [LinkEvent("L%d.load.%d.%d" % die, "p", HOST, (die,),
+                            plan.die(die).footprint_bytes, 8)
+                  for die in _die_ids(grid)]
+        groups = [[ev] for ev in events] if plan.chip_select else [events]
+        for group in groups:
+            beats = max(ev.words for ev in group) * (8 // LINK_BITS)
             records.append(PhaseRecord(
-                "param_load", grid.layer, cursor,
-                cursor + max(beats.values()), tuple(beats), events))
-            cursor = records[-1].end
+                "param_load", grid.layer, cursor, cursor + beats,
+                tuple(ev.receivers[0] for ev in group), group))
+            cursor += beats
     return records, cursor
 
 

@@ -233,12 +233,15 @@ def test_11_fixed_point_vs_wide_integer_oracle():
     a = rng.integers(-128, 128, n)
     b = rng.integers(-128, 128, n)
     q25 = QFormat(5)
-    mac_ok = True
+    want = [oracles.mac(int(acc[k]), int(a[k]), int(b[k])) for k in range(n)]
+    # product form: each case is the chain [acc, a*b] from 0, which clips
+    # exactly when the single MAC does; all chains in one call
+    got, sat = QF.mac_run(np.stack([acc, a * b], axis=1))
+    mac_ok = list(zip(got.tolist(), sat.tolist())) == want
+    # factored form: one call per case, reaching the fast and scan tiers
     for k in range(n):
-        got = QF.mac(QF.Acc16(int(acc[k]), 10), QF.Q8(int(a[k]), q25),
-                     QF.Q8(int(b[k]), q25))
-        mac_ok &= ((got.value, got.saturated)
-                   == oracles.mac(int(acc[k]), int(a[k]), int(b[k])))
+        got, sat = QF.mac_run([[a[k]]], [b[k]], init=acc[k])
+        mac_ok &= (int(got[0]), bool(sat[0])) == want[k]
     shift = rng.integers(0, 9, n)
     rq_ok = all(
         QF.requantize(int(acc[k]), 5 + int(shift[k]), q25)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lstmgrid import actlut
+from lstmgrid.lstm_ref import DEFAULT_FORMATS, check_luts
 from lstmgrid.qformat import QFormat, quantize, dequantize
 
 import oracles as O
@@ -40,7 +41,8 @@ def test_exhaustive_exactness_definition():
     for kind, lut in (("tanh", TANH), ("sigmoid", SIG)):
         for code in range(-128, 128):
             want = quantize(fn[kind](dequantize(code, Q25)), Q07)
-            assert actlut.apply(lut, code) == want
+            assert lut[code] == want
+            assert lut.lookup([code]).tolist() == [want]
 
 
 def test_frozen_spot_codes():
@@ -103,16 +105,21 @@ def test_triangle_error_bound():
 def test_apply_matches_oracle_after_quantize(x):
     code = quantize(x, Q25)
     table = O.lut_table("tanh", 5, 7)
-    assert actlut.apply(TANH, code, in_format=Q25) == O.lut_apply(table, code)
+    assert TANH[code] == O.lut_apply(table, code)
+    assert TANH.lookup(np.array([code])).tolist() == [TANH[code]]
 
 
 def test_apply_vectorized_and_format_check():
     arr = np.arange(-128, 128)
-    out = actlut.apply(TANH, arr)
+    out = TANH.lookup(arr)
     assert out.shape == (256,)
     assert out[0] == TANH[-128]
+    # the cell accepts only tables that read state codes (Q2.5)
+    check_luts({"sigmoid": SIG, "tanh": TANH}, DEFAULT_FORMATS)
     with pytest.raises(ValueError):
-        actlut.apply(TANH, 0, in_format=Q07)
+        check_luts({"sigmoid": SIG,
+                    "tanh": actlut.build_lut("tanh", Q07, Q07)},
+                   DEFAULT_FORMATS)
 
 
 def test_bad_inputs_rejected():

@@ -1,7 +1,6 @@
 import json
 import os
 
-import numpy as np
 import pytest
 import yaml
 
@@ -310,6 +309,19 @@ def test_bad_tile_settings(tmp_path, capsys):
     assert cli.main(["plan", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("tile", [{"word_bits": 16}, {"link_data_bits": 8},
+                                  {"sram_banks": 0}],
+                         ids=["word_bits", "link_data_bits", "sram_banks"])
+def test_unmodelled_tile_keys_are_rejected(tmp_path, capsys, tile):
+    # 8-bit words, 4-bit links and the SRAM banking are fixed by the model
+    cfg = write_config(tmp_path / "c.yaml",
+                       network={"layers": [[96, 96]], "seed": 5},
+                       features={"n_steps": 1, "seed": 6}, tile=tile)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "bad tile settings")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
 def test_config_without_network(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.yaml")
     assert cli.main(["plan", "--config", cfg]) == 1
@@ -432,7 +444,18 @@ def test_sweep_rejects_bad_points(tmp_path, capsys, axis, value):
     ({"layers": [[4, 0]]}, {}, "hidden unit"),
     ({"layers": [[4, 8]], "n_out": 0}, {}, "n_out"),
     ({"layers": [[4, 8]]}, {"n_steps": -1}, "n_steps"),
-], ids=["layer_mismatch", "zero_hidden", "zero_n_out", "negative_steps"])
+    ({"layers": [[4, 8.7]]}, {"n_steps": 2}, "network.layers"),
+    ({"layers": [[4.0, 8]]}, {}, "network.layers"),
+    ({"layers": [[4, True]]}, {}, "network.layers"),
+    ({"layers": [[4, 8]], "n_out": True}, {}, "network.n_out"),
+    ({"layers": [[4, 8]]}, {"n_steps": 2.5}, "features.n_steps"),
+    ({"layers": [[4, 8]], "seed": 1.9}, {}, "network.seed"),
+    ({"layers": [[4, 8]], "seed": "7"}, {}, "network.seed"),
+    ({"layers": [[4, 8]]}, {"seed": 1.5}, "features.seed"),
+], ids=["layer_mismatch", "zero_hidden", "zero_n_out", "negative_steps",
+        "fractional_width", "float_width", "bool_width", "bool_n_out",
+        "fractional_steps", "fractional_seed", "string_seed",
+        "fractional_feature_seed"])
 def test_bad_network_shapes_fail_at_config_load(tmp_path, capsys, command,
                                                 network, features, needle):
     cfg = write_config(tmp_path / "c.yaml", network=network,

@@ -153,7 +153,8 @@ def test_fixed_blocked_matches_blocked_oracle(splits, seed=11):
     cuts = np.linspace(0, n_i, splits + 1, dtype=int)
     blocks = [(slice(cuts[k], cuts[k + 1]), slice(cuts[k], cuts[k + 1]))
               for k in range(splits)]
-    got = lr.cell_step_fixed(p, lr.LstmState(h, c), x, LUTS, col_blocks=blocks)
+    got = lr.cell_step_fixed(p, lr.LstmState(h, c), x, LUTS,
+                             stack=lr.cell_stack(p, blocks))
     want_h, want_c, _ = O.cell_step(to_oracle(p), x.tolist(), h.tolist(),
                                     c.tolist(), blocks)
     assert got.h.tolist() == want_h
@@ -169,9 +170,9 @@ def test_blocked_partials_are_not_associative():
     x = np.full(6, 127, np.int64)
     s0 = lr.LstmState.zeros(1)
     flat = lr.cell_step_fixed(p, s0, x, LUTS)
-    split = lr.cell_step_fixed(p, s0, x, LUTS,
-                               col_blocks=[(slice(0, 3), slice(0, 1)),
-                                           (slice(3, 6), slice(1, 1))])
+    split = lr.cell_step_fixed(
+        p, s0, x, LUTS, stack=lr.cell_stack(p, [(slice(0, 3), slice(0, 1)),
+                                                (slice(3, 6), slice(1, 1))]))
     assert flat.h.tolist() != split.h.tolist()
     acc_flat, _ = O.mac_chain([(127, 127)] * 3 + [(-127, 127)] * 3)
     assert acc_flat == -15620  # rails at +32767 on the way
@@ -184,7 +185,6 @@ def test_vanilla_degeneration():
     p = random_fixed(21, 5, 5)
     for v in (p.w_ci, p.w_cf, p.w_co):
         v[:] = 0
-    assert p.vanilla
     rng = np.random.default_rng(22)
     x = rng.integers(-64, 65, 5).astype(np.int64)
     h = rng.integers(-64, 65, 5).astype(np.int64)
@@ -232,30 +232,30 @@ def test_float_fixed_agreement_bound():
 
 def test_fc_trivial():
     fc_f = lr.FcParams(np.zeros((3, 4)), np.zeros(3))
-    assert np.allclose(lr.fc_step(fc_f, np.zeros(4), "float"), 0.5)
+    assert np.allclose(lr.fc_step_float(fc_f, np.zeros(4)), 0.5)
     fc_q = lr.FcParams(np.zeros((3, 4), np.int64), np.zeros(3, np.int64),
                        formats=FMT)
-    got = lr.fc_step(fc_q, np.zeros(4, np.int64), "fixed", LUTS)
+    got = lr.fc_step_fixed(fc_q, np.zeros(4, np.int64), LUTS)
     assert got.tolist() == [64, 64, 64]  # sigmoid LUT at 0
     with pytest.raises(ValueError):
-        lr.fc_step(fc_q, np.zeros(4, np.int64), "int")
+        lr.fc_step_fixed(fc_f, np.zeros(4), LUTS)  # float parameters
 
 
 def test_fc_scalar_and_random_vs_oracle():
     fc = lr.FcParams(np.array([[32]], np.int64), np.array([32], np.int64),
                      formats=FMT)
-    got = lr.fc_step(fc, np.array([32], np.int64), "fixed", LUTS)
+    got = lr.fc_step_fixed(fc, np.array([32], np.int64), LUTS)
     assert got.tolist() == [O.lut_apply(OTAB["sigmoid_lut"], 64)]
     rng = np.random.default_rng(9)
     w = rng.integers(-127, 128, (5, 7)).astype(np.int64)
     b = rng.integers(-127, 128, 5).astype(np.int64)
     h = rng.integers(-128, 128, 7).astype(np.int64)
     fc = lr.FcParams(w, b, formats=FMT)
-    got = lr.fc_step(fc, h, "fixed", LUTS)
+    got = lr.fc_step_fixed(fc, h, LUTS)
     want = O.fc_step(w.tolist(), b.tolist(), h.tolist(), OTAB["sigmoid_lut"])
     assert got.tolist() == want
     blocks = [slice(0, 3), slice(3, 7)]
-    got_b = lr.fc_step(fc, h, "fixed", LUTS, col_blocks=blocks)
+    got_b = lr.fc_step_fixed(fc, h, LUTS, stack=lr.fc_stack(fc, blocks))
     want_b = O.fc_step(w.tolist(), b.tolist(), h.tolist(),
                        OTAB["sigmoid_lut"], blocks)
     assert got_b.tolist() == want_b

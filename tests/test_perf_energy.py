@@ -51,16 +51,6 @@ def test_energy_constants_validation():
         PE.EnergyConstants(e_drive_pj_per_bit=-0.1)
 
 
-def test_scale_core_power_relations():
-    p = 7.87e-3
-    assert PE.scale_core_power(p, 10e6, 20e6, 1.2, 1.2) \
-        == pytest.approx(2 * p)
-    assert PE.scale_core_power(p, 10e6, 10e6, 1.2, 0.6) \
-        == pytest.approx(p / 4)
-    with pytest.raises(ValueError):
-        PE.scale_core_power(p, 0.0, 10e6, 1.2, 1.2)
-
-
 # --- report on traces -------------------------------------------------------------
 
 def test_empty_trace_reports_zero_energy():
