@@ -269,10 +269,9 @@ def cmd_run(args):
     cfg = build_run_config(args)
     plan = mapper.plan_grid(cfg.spec, cfg.tile, reload=cfg.reload,
                             chip_select=cfg.chip_select)
-    execute = systolic_sim.run_reload if cfg.reload else systolic_sim.simulate
-    outputs, trace = execute(plan, cfg.params, cfg.features,
-                             cycle_model=cfg.cycle_model,
-                             dropped_links=cfg.dropped_links)
+    outputs, trace = systolic_sim.simulate(plan, cfg.params, cfg.features,
+                                           cycle_model=cfg.cycle_model,
+                                           dropped_links=cfg.dropped_links)
 
     blocks, fc_blocks = _plan_blocks(plan)
     oracle = lstm_ref.network_infer(

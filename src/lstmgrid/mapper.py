@@ -31,8 +31,11 @@ class TileSpec:
     sram_bytes: int = 84 * 1024
 
     def __post_init__(self):
-        if self.nh_capacity <= 0:
-            raise ValueError("nh_capacity must be positive")
+        for name in ("nh_capacity", "sram_bytes"):
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:  # no bool, float, str
+                raise ValueError("%s must be a positive integer, not %r"
+                                 % (name, value))
 
 
 @dataclasses.dataclass(frozen=True)

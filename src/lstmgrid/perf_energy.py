@@ -29,8 +29,6 @@ _PJ = 1e-12
 class OperatingPoint:
     """Clock and supply corner.  The demonstrator point is the default."""
     frequency: float = 10e6
-    v_core: float = 1.2
-    v_pad: float = 2.5
 
     def __post_init__(self):
         if self.frequency < 0:
@@ -182,9 +180,8 @@ def extrapolate(spec, tile=None, op=OperatingPoint(),
     """
     plan = plan_grid(spec, tile or TileSpec(), reload=reload)
     records, end = build_step_schedule(plan, cycle_model, start=0, step=0,
-                                       include_fc=False,
-                                       include_writeback=False)
-    trace = PhaseTrace(records, end, 1, [(0, end)],
+                                       readout=False)
+    trace = PhaseTrace(records, end, 1,
                        meta={"n_dies": plan.total_dies, "reload": False,
                              "chip_select": plan.chip_select})
     return report(trace, op, consts)

@@ -14,12 +14,11 @@ Master-side activation and the element-wise update are one call to
 `lstm_ref.cell_tail`, the oracle's own cell arithmetic after reduction,
 in the `elementwise` phase; `gate_activate` records carry timing only.
 
-One record walker executes every load mode.  Stacked and chip-select runs
-load parameters once and then walk one step schedule per inference step;
-reload runs (`run_reload`) walk one pass per (step, layer), in which the
-parameter re-load, the state restore (`state_load`) and the state spill
-(`state_store`) are ordinary records whose traffic passes the same link
-checks as every other transfer.
+One record walker executes every load mode: `GridSim.run` walks the
+records `build_run_schedule` builds before any value is computed.  In
+multi-layer reload runs, the per-pass parameter re-load, state restore
+(`state_load`) and state spill (`state_store`) are ordinary records whose
+traffic passes the same link checks as every other transfer.
 
 Value semantics never depend on the schedule's overlap decisions: the
 accumulation order is pinned (input slice, recurrent slice, block fold
@@ -56,6 +55,11 @@ class CycleModel:
     hidden_loop_mode: str = "fixed_capacity"
 
     def __post_init__(self):
+        for name in ("c_gate", "c_fixed"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:  # no bool, float, str
+                raise ValueError("%s must be a non-negative integer, not %r"
+                                 % (name, value))
         if self.hidden_loop_mode not in ("fixed_capacity", "truncate"):
             raise ValueError("unknown hidden_loop_mode %r"
                              % (self.hidden_loop_mode,))
@@ -112,7 +116,6 @@ class PhaseTrace:
     records: list
     total_cycles: int
     n_steps: int
-    step_spans: list  # (start, end) per inference step
     meta: dict
 
     def link_totals(self):
@@ -174,13 +177,12 @@ class PhaseTrace:
 # --- schedule construction ------------------------------------------------------
 
 
-def _die_ids(grid, rows=None, cols=None):
-    rows = range(grid.n) if rows is None else rows
+def _die_ids(grid, cols=None):
     cols = range(grid.n) if cols is None else cols
-    return tuple((grid.layer, i, j) for i in rows for j in cols)
+    return tuple((grid.layer, i, j) for i in range(grid.n) for j in cols)
 
 
-def build_load_schedule(plan, start=0, layers=None):
+def build_load_schedule(plan, start=0, layers=None, step=None):
     """Configuration phase: every die's parameters over its p stream.
 
     A die's burst is its footprint in 8-bit words, 8 // LINK_BITS beats
@@ -202,12 +204,12 @@ def build_load_schedule(plan, start=0, layers=None):
             beats = max(ev.words for ev in group) * (8 // LINK_BITS)
             records.append(PhaseRecord(
                 "param_load", grid.layer, cursor, cursor + beats,
-                tuple(ev.receivers[0] for ev in group), group))
+                tuple(ev.receivers[0] for ev in group), group, step=step))
             cursor += beats
     return records, cursor
 
 
-def _schedule_gate_phases(plan, grid, cm, cursor, x_cycles, records, step):
+def _schedule_gate_phases(grid, cm, cursor, x_cycles, records, step):
     """The four gate rounds (compute, reduction chain, activation) plus
     the element-wise phase.  Returns the element-wise end cycle."""
     n, nh = grid.n, grid.nh_tile
@@ -237,7 +239,7 @@ def _schedule_gate_phases(plan, grid, cm, cursor, x_cycles, records, step):
     return cursor + cm.c_fixed
 
 
-def _schedule_distribution(plan, grid, cm, cursor, records, step):
+def _schedule_distribution(grid, cursor, records, step):
     """Hidden-state distribution: chain up the master column, then the
     masters broadcast their own tiles to their namesake columns."""
     n, nh = grid.n, grid.nh_tile
@@ -267,7 +269,7 @@ def _schedule_distribution(plan, grid, cm, cursor, records, step):
     return cursor + hop_cycles
 
 
-def _schedule_fc(plan, grid, cm, cursor, records, step, include_writeback):
+def _schedule_fc(grid, cm, cursor, records, step):
     n, n_out = grid.n, grid.n_out
     masters = _die_ids(grid, cols=[n - 1])
     records.append(PhaseRecord("fc_compute", grid.layer, cursor,
@@ -286,19 +288,21 @@ def _schedule_fc(plan, grid, cm, cursor, records, step, include_writeback):
     records.append(PhaseRecord("fc_activate", grid.layer, cursor,
                                cursor + cm.c_gate, (root,), [], step=step))
     cursor += cm.c_gate
-    if include_writeback:
-        records.append(PhaseRecord(
-            "writeback", grid.layer, cursor, cursor + 2 * n_out, (root,),
-            [LinkEvent("L%d.writeback" % grid.layer, "out", root, (HOST,),
-                       n_out, 8)], step=step))
-        cursor += 2 * n_out
-    return cursor
+    records.append(PhaseRecord(
+        "writeback", grid.layer, cursor, cursor + 2 * n_out, (root,),
+        [LinkEvent("L%d.writeback" % grid.layer, "out", root, (HOST,),
+                   n_out, 8)], step=step))
+    return cursor + 2 * n_out
 
 
 def build_step_schedule(plan, cm=CycleModel(), start=0, step=None,
-                        include_fc=True, include_writeback=True, layers=None):
+                        readout=True, layers=None):
     """One inference step across the (stacked) layer grids in `layers`
     (default: all of them).
+
+    With `readout`, the network's last grid ends in its output: the
+    projection and the write-back of y when the plan has one, else the
+    write-back of its hidden tiles.
 
     The first scheduled grid streams its features from the host before
     computing.  Deeper grids run their recurrent MAC loops as soon as the
@@ -334,21 +338,21 @@ def build_step_schedule(plan, cm=CycleModel(), start=0, step=None,
                                    feat_start + 2 * ni, all_dies, feat_events,
                                    step=step))
         if e_prev is None:
-            cursor = _schedule_gate_phases(plan, grid, cm, start + 2 * ni,
+            cursor = _schedule_gate_phases(grid, cm, start + 2 * ni,
                                            ni + h_loop, records, step)
         else:
             x_start = max(e_prev + 4 * h_loop, feat_start + 2 * ni)
-            cursor = _schedule_gate_phases(plan, grid, cm, x_start, ni,
-                                           records, step)
+            cursor = _schedule_gate_phases(grid, cm, x_start, ni, records,
+                                           step)
         e_prev = cursor
         dist_start = cursor
-        cursor = _schedule_distribution(plan, grid, cm, cursor, records, step)
+        cursor = _schedule_distribution(grid, cursor, records, step)
         dist_cycles_prev = cursor - dist_start
-        if grid.n_out is not None and include_fc:
-            cursor = _schedule_fc(plan, grid, cm, cursor, records, step,
-                                  include_writeback)
-        elif grid.layer == len(plan.layer_grids) - 1 and include_writeback \
-                and grid.n_out is None:
+        if not readout or grid.layer != len(plan.layer_grids) - 1:
+            continue
+        if grid.n_out is not None:
+            cursor = _schedule_fc(grid, cm, cursor, records, step)
+        else:
             masters = _die_ids(grid, cols=[n - 1])
             events = [LinkEvent("L%d.writeback.%d" % (grid.layer, i), "out",
                                 (grid.layer, i, n - 1), (HOST,), nh, 8)
@@ -384,6 +388,43 @@ def build_state_record(grid, kind, cursor, step):
         dies = masters
     return PhaseRecord(kind, grid.layer, cursor, cursor + 4 * nh, dies,
                        events, step=step)
+
+
+def build_run_schedule(plan, cm, n_steps):
+    """Every record of an `n_steps` run, built before any value exists:
+    (configuration records, one record list per step, end cycle).
+
+    Resident parameters (stacked, chip-select, one-layer reload) load once
+    on a timeline of their own (step None).  A multi-layer reload plan runs
+    one pass per (step, layer), step-major: parameter re-load, state
+    restore (not on the very first pass), one step of that layer alone,
+    state spill.  The spilled h of the last layer is already the output.
+    """
+    steps, cursor = [], 0
+    if not plan.reload or len(plan.layer_grids) == 1:
+        config, _ = build_load_schedule(plan)
+        for t in range(n_steps):
+            records, cursor = build_step_schedule(plan, cm, cursor, t)
+            steps.append(records)
+        return config, steps, cursor
+    for t in range(n_steps):
+        records = []
+        for grid in plan.layer_grids:
+            loads, cursor = build_load_schedule(plan, cursor, [grid.layer], t)
+            records += loads
+            if t or grid.layer:
+                records.append(build_state_record(grid, "state_load",
+                                                  cursor, t))
+                cursor = records[-1].end
+            recs, cursor = build_step_schedule(
+                plan, cm, cursor, t, readout=grid.n_out is not None,
+                layers=[grid.layer])
+            records += recs
+            records.append(build_state_record(grid, "state_store", cursor,
+                                              t))
+            cursor = records[-1].end
+        steps.append(records)
+    return [], steps, cursor
 
 
 # --- toggle counting -------------------------------------------------------------
@@ -430,9 +471,8 @@ class _LayerEngine:
     (`lstm_ref.BlockStack`: w is (gate, j, nh_padded, ni_tile + nh_tile)).
     """
 
-    def __init__(self, plan, grid, params, luts):
+    def __init__(self, grid, params, luts):
         lstm_ref.check_luts(luts, params.formats)
-        self.plan = plan
         self.grid = grid
         self.luts = luts
         self.formats = params.formats
@@ -471,13 +511,12 @@ class _LayerEngine:
         ni = self.grid.ni_tile
         return block[:, :ni].ravel(), block[:, ni:].ravel()
 
-    def reduce_hop(self, gate, i, hop):
-        # die `hop` folds the incoming chain value into its own partial
-        rows = self.rows(i)
-        incoming = self.partials[gate, hop - 1, rows]
-        own = self.partials[gate, hop, rows]
-        self.partials[gate, hop, rows] = sat_add16(incoming, own)
-        return incoming  # the transferred words
+    def reduce_hop(self, gate, hop):
+        """Die column `hop` folds the arriving partials into its own, all
+        row tiles at once; returns the arriving partials."""
+        incoming, own = self.partials[gate, hop - 1], self.partials[gate, hop]
+        own[:] = sat_add16(incoming, own)
+        return incoming
 
     def elementwise(self):
         """Every master's peepholes, biases, activations and state update
@@ -507,7 +546,6 @@ class _FcEngine:
         self.grid = grid
         self.luts = luts
         self.formats = fc_params.formats
-        self.n_out = fc_params.n_out
         self.stack = lstm_ref.BlockStack(
             [(fc_params.W_y,)], [(h,) for _, h in grid.col_blocks()],
             widths=(grid.nh_padded,))
@@ -534,28 +572,30 @@ class _FcEngine:
                         self.b_y << fmts.state.frac_bits)
         self.y = self.luts["sigmoid"].lookup(
             requantize(acc, fmts.acc_frac_bits, fmts.state))
-        return self.y
 
 
 class GridSim:
-    """Executes a schedule over real parameter/feature codes."""
+    """Executes a plan's run schedule over real parameter/feature codes."""
 
     def __init__(self, plan, params, luts=None, cycle_model=CycleModel(),
                  dropped_links=()):
-        if len(params.layers) != len(plan.layer_grids):
-            raise ValueError("parameter/plan layer count mismatch")
+        # (layer shapes, projection width) of the parameters and the plan
+        got = ([(p.n_inputs, p.n_hidden) for p in params.layers],
+               params.fc.n_out if params.fc is not None else None)
+        want = ([tuple(layer) for layer in plan.spec.layers], plan.spec.n_out)
+        if got != want:
+            raise ValueError("parameters %s do not fit the plan's %s"
+                             % (got, want))
         lstm_ref.check_codes(params)
         self.plan = plan
         self.cm = cycle_model
         self.luts = luts or lstm_ref.default_luts(params.layers[0].formats)
-        self.params = params
-        self.engines = [_LayerEngine(plan, g, p, self.luts)
+        self.engines = [_LayerEngine(g, p, self.luts)
                         for g, p in zip(plan.layer_grids, params.layers)]
         self.fc = None
         if params.fc is not None:
             self.fc = _FcEngine(plan.layer_grids[-1], params.fc, self.luts)
         self.dropped = set(dropped_links)
-        self.loaded = False
         # h and c of each layer as last spilled to the host (reload mode)
         self.host_state = [np.zeros((2, g.nh_padded), np.int64)
                            for g in plan.layer_grids]
@@ -602,18 +642,11 @@ class GridSim:
         if die.role == "master":
             chunks += [eng.peep[p, rows] for p in range(3)]
             chunks += [eng.bias[g, rows] for g in range(4)]
-            if die.fc_cols is not None and self.fc is not None:
+            if die.fc_cols is not None:
                 chunks.append(self.fc.param_codes(die.row))
                 if die.fc_root:
                     chunks.append(self.fc.b_y)
         return np.concatenate(chunks).astype(np.int64)
-
-    def load_parameters(self, start=0):
-        records, _ = build_load_schedule(self.plan, start)
-        for rec in records:
-            self._exec_record(rec, None)
-        self.loaded = True
-        return records
 
     def _exec_record(self, rec, x_t):
         eng = self.engines[rec.layer]
@@ -653,8 +686,9 @@ class GridSim:
         elif kind == "gate_compute":
             eng.gate_round(rec.gate)
         elif kind == "gate_reduce":
+            incoming = eng.reduce_hop(rec.gate, rec.hop)
             for i, ev in enumerate(rec.events):
-                self._transfer(ev, eng.reduce_hop(rec.gate, i, rec.hop))
+                self._transfer(ev, incoming[eng.rows(i)])
         elif kind == "elementwise":
             eng.elementwise()
             if n == 1:
@@ -681,92 +715,39 @@ class GridSim:
         else:
             raise AssertionError("unhandled phase kind %r" % (kind,))
 
-    def _output(self):
-        if self.fc is not None:
-            return self.fc.y.copy()
-        return self.engines[-1].output_codes().copy()
-
-    def _result(self, records, end, spans, outputs):
-        trace = PhaseTrace(records, end, len(spans), spans,
-                           meta={"n_dies": self.plan.total_dies,
+    def run(self, features):
+        """Walk the plan's run schedule over `features` (T x n_features
+        int8 codes); returns (T x output width codes, PhaseTrace)."""
+        features = np.asarray(features, dtype=np.int64)
+        n_features = self.plan.spec.n_features
+        if features.ndim != 2 or features.shape[1] != n_features:
+            raise ValueError("features must be T x %d, not %s"
+                             % (n_features, features.shape))
+        check_int8(features, "feature")
+        config, steps, end = build_run_schedule(self.plan, self.cm,
+                                                len(features))
+        for rec in config:
+            self._exec_record(rec, None)
+        outputs = np.zeros((len(features), self.plan.spec.output_width),
+                           np.int64)
+        for t, records in enumerate(steps):
+            for rec in records:
+                self._exec_record(rec, features[t])
+            outputs[t] = (self.fc.y if self.fc is not None
+                          else self.engines[-1].output_codes())
+        return outputs, PhaseTrace(
+            config + [rec for recs in steps for rec in recs], end,
+            len(features), meta={"n_dies": self.plan.total_dies,
                                  "reload": self.plan.reload,
                                  "chip_select": self.plan.chip_select})
-        width = (self.fc.n_out if self.fc is not None
-                 else self.plan.layer_grids[-1].n_hidden)
-        out = np.zeros((len(outputs), width), np.int64)
-        for t, o in enumerate(outputs):
-            out[t] = o
-        return out, trace
-
-    def step(self, x_t, start=0, step_index=None):
-        """One inference step; returns (output codes, records)."""
-        if not self.loaded:
-            raise RuntimeError("parameters not loaded")
-        records, end = build_step_schedule(
-            self.plan, self.cm, start, step_index,
-            include_fc=self.fc is not None)
-        x_t = np.asarray(x_t, dtype=np.int64)
-        for rec in records:
-            self._exec_record(rec, x_t)
-        return self._output(), records, end
-
-    def run_sequence(self, features):
-        """Load every grid once, then run the steps over the resident
-        parameters and states."""
-        features = np.asarray(features, dtype=np.int64)
-        check_int8(features, "feature")
-        records = self.load_parameters()
-        cursor = 0  # configuration time is traced separately from inference
-        spans, outputs = [], []
-        for t in range(features.shape[0]):
-            out, recs, end = self.step(features[t], cursor, t)
-            outputs.append(out)
-            records.extend(recs)
-            spans.append((cursor, end))
-            cursor = end
-        return self._result(records, cursor, spans, outputs)
-
-    def run_passes(self, features):
-        """One pass per (step, layer), step-major.  Every pass re-loads the
-        layer's parameters, restores its h/c tiles from the host (except
-        the very first pass), computes one step of that layer alone and
-        spills its h/c tiles back to the host."""
-        features = np.asarray(features, dtype=np.int64)
-        check_int8(features, "feature")
-        has_fc = self.fc is not None
-        records, spans, outputs = [], [], []
-        cursor = 0
-        for t in range(features.shape[0]):
-            step_start = cursor
-            for grid in self.plan.layer_grids:
-                recs, cursor = build_load_schedule(self.plan, cursor,
-                                                   layers=[grid.layer])
-                for rec in recs:
-                    rec.step = t
-                if t or grid.layer:
-                    recs.append(build_state_record(grid, "state_load",
-                                                   cursor, t))
-                    cursor = recs[-1].end
-                step_recs, cursor = build_step_schedule(
-                    self.plan, self.cm, cursor, t, include_fc=has_fc,
-                    include_writeback=has_fc, layers=[grid.layer])
-                recs += step_recs
-                recs.append(build_state_record(grid, "state_store", cursor,
-                                               t))
-                cursor = recs[-1].end
-                for rec in recs:
-                    self._exec_record(rec, features[t])
-                records += recs
-            outputs.append(self._output())
-            spans.append((step_start, cursor))
-        return self._result(records, cursor, spans, outputs)
 
 
 def simulate(plan, params, features, luts=None, cycle_model=CycleModel(),
              dropped_links=()):
-    """Plan + params + features -> (outputs, PhaseTrace)."""
+    """Plan + params + features -> (outputs, PhaseTrace), in the load mode
+    the plan was built for."""
     sim = GridSim(plan, params, luts, cycle_model, dropped_links)
-    return sim.run_sequence(features)
+    return sim.run(features)
 
 
 def run_reload(plan, params, features, luts=None, cycle_model=CycleModel(),
@@ -780,8 +761,4 @@ def run_reload(plan, params, features, luts=None, cycle_model=CycleModel(),
     """
     if not plan.reload:
         raise ValueError("plan was not built for reload mode")
-    sim = GridSim(plan, params, luts, cycle_model, dropped_links)
-    if len(plan.layer_grids) == 1:
-        # nothing to re-load: parameters stay resident, states on-die
-        return sim.run_sequence(features)
-    return sim.run_passes(features)
+    return simulate(plan, params, features, luts, cycle_model, dropped_links)

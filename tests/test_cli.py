@@ -378,6 +378,15 @@ def test_frequency_with_unsigned_exponent_is_a_number(tmp_path, capsys):
     ({"cycle_model": {"hidden_loop_mode": "bogus"}}, "hidden_loop_mode"),
     ({"operating_point": {"frequency_hz": 0}}, "frequency"),
     ({"operating_point": {"frequency_hz": "fast"}}, "frequency"),
+    ({"tile": {"nh_capacity": 7.5}}, "bad tile settings"),
+    ({"tile": {"nh_capacity": True}}, "bad tile settings"),
+    # PyYAML reads 1.5e5 (no exponent sign) as the string "1.5e5"
+    ({"tile": {"sram_bytes": "1.5e5"}}, "bad tile settings"),
+    ({"tile": {"sram_bytes": -5}}, "bad tile settings"),
+    ({"cycle_model": {"c_gate": -100}}, "bad cycle model settings"),
+    ({"cycle_model": {"c_fixed": 2.5}}, "bad cycle model settings"),
+    # energy is priced from constants calibrated at 1.2 V core, 2.5 V pads
+    ({"operating_point": {"v_core": 0.9}}, "bad operating point settings"),
 ])
 def test_bad_run_settings_fail_at_config_load(tmp_path, capsys, doc, needle):
     cfg = write_config(tmp_path / "c.yaml",

@@ -7,7 +7,7 @@ from lstmgrid import perf_energy as PE
 from lstmgrid.mapper import TileSpec, plan_grid
 from lstmgrid.systolic_sim import PhaseTrace, run_reload, simulate
 
-OP = PE.OperatingPoint()  # 10 MHz, 1.2 V core, 2.5 V pads
+OP = PE.OperatingPoint()  # 10 MHz
 
 
 def demo_trace(seed=7, n_steps=10):
@@ -54,8 +54,8 @@ def test_energy_constants_validation():
 # --- report on traces -------------------------------------------------------------
 
 def test_empty_trace_reports_zero_energy():
-    trace = PhaseTrace([], 0, 0, [], meta={"n_dies": 4, "reload": False,
-                                           "chip_select": False})
+    trace = PhaseTrace([], 0, 0, meta={"n_dies": 4, "reload": False,
+                                       "chip_select": False})
     rep = PE.report(trace, OP)
     assert rep.total_energy_j == 0.0
     assert rep.io_fraction_pct == 0.0

@@ -10,8 +10,9 @@ from lstmgrid.actlut import build_lut
 from lstmgrid.mapper import TileSpec, plan_grid
 from lstmgrid.qformat import QFormat
 from lstmgrid.systolic_sim import (CycleModel, DeadlockError, GridSim,
-                                   build_load_schedule, build_step_schedule,
-                                   count_toggles, run_reload, simulate)
+                                   build_load_schedule, build_run_schedule,
+                                   build_step_schedule, count_toggles,
+                                   run_reload, simulate)
 
 TILE = TileSpec()
 
@@ -175,8 +176,7 @@ STEP_CYCLES = {96: 1012, 192: 2952, 288: 4698, 384: 6444, 480: 8190}
 def test_steady_state_step_cycles(width, cycles):
     spec = LR.NetworkSpec([(width, width)], None)
     plan = plan_grid(spec, TILE)
-    _, end = build_step_schedule(plan, CycleModel(), include_fc=False,
-                                 include_writeback=False)
+    _, end = build_step_schedule(plan, CycleModel(), readout=False)
     assert end == cycles
 
 
@@ -184,12 +184,10 @@ def test_small_layer_keeps_the_full_unit_loop():
     # 56 mapped units still sweep all 96 physical units per gate
     spec = LR.NetworkSpec([(56, 56)], None)
     plan = plan_grid(spec, TILE)
-    _, end = build_step_schedule(plan, CycleModel(), include_fc=False,
-                                 include_writeback=False)
+    _, end = build_step_schedule(plan, CycleModel(), readout=False)
     assert end == 2 * 56 + 4 * (56 + 96) + 4 * 10 + 12 == 772
     _, trunc = build_step_schedule(plan, CycleModel(
-        hidden_loop_mode="truncate"), include_fc=False,
-        include_writeback=False)
+        hidden_loop_mode="truncate"), readout=False)
     assert trunc == 2 * 56 + 4 * (56 + 56) + 4 * 10 + 12 == 612
 
 
@@ -207,19 +205,16 @@ def test_pipelined_stack_cycles():
                            ([480, 480, 480], 23802)]:
         spec = LR.NetworkSpec([(w, w) for w in widths], None)
         plan = plan_grid(spec, TILE)
-        _, end = build_step_schedule(plan, CycleModel(), include_fc=False,
-                                     include_writeback=False)
+        _, end = build_step_schedule(plan, CycleModel(), readout=False)
         assert end == expect, widths
 
 
 def test_schedule_is_identical_for_reload_plans():
     spec = LR.NetworkSpec([(96, 96)], None)
     t_stacked = build_step_schedule(plan_grid(spec, TILE), CycleModel(),
-                                    include_fc=False,
-                                    include_writeback=False)[1]
+                                    readout=False)[1]
     t_reload = build_step_schedule(plan_grid(spec, TILE, reload=True),
-                                   CycleModel(), include_fc=False,
-                                   include_writeback=False)[1]
+                                   CycleModel(), readout=False)[1]
     assert t_stacked == t_reload
 
 
@@ -385,6 +380,48 @@ def test_every_traced_event_uses_a_planned_link(layers, mode):
             assert plan.has_link(ev.kind, ev.src, ev.receivers), ev.label
 
 
+# --- one run schedule for every load mode -----------------------------------------
+
+@pytest.mark.parametrize("layers,n_out", [
+    ([(12, 8), (8, 8)], 3),
+    ([(6, 8), (8, 4), (4, 8)], None),
+])
+def test_simulate_runs_multi_layer_reload_plans_like_run_reload(layers,
+                                                                n_out):
+    plan, params, feats = make_case(66, layers, n_out=n_out, n_steps=2)
+    plan = plan_grid(plan.spec, TINY, reload=True)
+    out, trace = simulate(plan, params, feats)
+    out_r, trace_r = run_reload(plan, params, feats)
+    assert np.array_equal(out, out_r)
+    assert np.array_equal(out, reference(plan, params, feats))
+    assert trace.records == trace_r.records
+    assert trace.total_cycles == trace_r.total_cycles
+
+
+def _timing(rec):
+    return (rec.kind, rec.layer, rec.start, rec.end, rec.step, rec.gate,
+            rec.hop, [(ev.label, ev.words) for ev in rec.events])
+
+
+@pytest.mark.parametrize("layers,mode", [
+    ([(6, 8), (8, 8)], "stacked"),
+    ([(6, 8), (8, 8)], "chip_select"),
+    ([(6, 8)], "reload"),
+    ([(6, 8), (8, 8)], "reload"),
+])
+def test_run_schedule_is_built_before_any_value(layers, mode):
+    plan, params, feats = make_case(68, layers, n_out=3, n_steps=3)
+    plan = plan_grid(plan.spec, TINY, reload=mode == "reload",
+                     chip_select=mode == "chip_select")
+    config, steps, end = build_run_schedule(plan, CycleModel(), len(feats))
+    assert all(rec.step is None for rec in config)
+    assert [{rec.step for rec in recs} for recs in steps] == [{0}, {1}, {2}]
+    _, trace = simulate(plan, params, feats)
+    assert [_timing(rec) for rec in config + sum(steps, [])] \
+        == [_timing(rec) for rec in trace.records]
+    assert end == trace.total_cycles
+
+
 # --- stall accounting -------------------------------------------------------------
 
 def test_active_plus_stall_covers_the_span():
@@ -414,7 +451,7 @@ def test_dropped_feature_link_deadlocks():
     plan, params, feats = make_case(73, [(192, 192)], n_steps=1)
     sim = GridSim(plan, params, dropped_links={"L0.feat.col0"})
     with pytest.raises(DeadlockError):
-        sim.run_sequence(feats)
+        sim.run(feats)
 
 
 def test_dropped_reduction_link_deadlocks():
@@ -432,14 +469,7 @@ def test_unplanned_transfer_deadlocks():
     sim.plan._link_keys = {k for k in sim.plan._link_keys
                            if k[0] != "h"}
     with pytest.raises(DeadlockError):
-        sim.run_sequence(feats)
-
-
-def test_step_requires_loaded_parameters():
-    plan, params, feats = make_case(89, [(96, 96)], n_steps=1)
-    sim = GridSim(plan, params)
-    with pytest.raises(RuntimeError):
-        sim.step(feats[0])
+        sim.run(feats)
 
 
 def test_layer_count_mismatch_is_rejected():
@@ -453,6 +483,45 @@ def test_reload_driver_requires_a_reload_plan():
     plan, params, feats = make_case(101, [(96, 96), (96, 96)], n_steps=1)
     with pytest.raises(ValueError):
         run_reload(plan, params, feats)
+
+
+def _mismatched_input(case):
+    """A 2-layer network with a projection, its plan's spec and its
+    features; unless `case` is None, one of them is changed so that they
+    no longer fit."""
+    spec = LR.NetworkSpec([(8, 8), (8, 8)], 3)
+    params = LR.random_network_params(127, [(8, 8), (8, 8)], n_out=3)
+    feats = LR.random_features(128, 2, 8)
+    if case == "plan_projects_params_do_not":
+        params = LR.random_network_params(127, [(8, 8), (8, 8)])
+    elif case == "params_project_plan_does_not":
+        spec = LR.NetworkSpec([(8, 8), (8, 8)], None)
+    elif case == "narrow_params":
+        params = LR.random_network_params(127, [(5, 8), (8, 8)], n_out=3)
+    elif case == "narrow_features":
+        feats = feats[:, :5]
+    elif case == "one_dim_features":
+        feats = feats[0]
+    return spec, params, feats
+
+
+@pytest.mark.parametrize("case", [
+    "plan_projects_params_do_not", "params_project_plan_does_not",
+    "narrow_params", "narrow_features", "one_dim_features"])
+@pytest.mark.parametrize("drive", ["simulate", "run_reload"])
+def test_inputs_that_do_not_fit_the_plan_are_rejected(drive, case):
+    spec, params, feats = _mismatched_input(case)
+    plan = plan_grid(spec, TINY, reload=drive == "run_reload")
+    with pytest.raises(ValueError, match="plan|features must be"):
+        (run_reload if drive == "run_reload" else simulate)(plan, params,
+                                                            feats)
+
+
+def test_hand_built_spec_may_list_its_layers():
+    _, params, feats = _mismatched_input(None)
+    plan = plan_grid(LR.NetworkSpec([[8, 8], [8, 8]], 3), TINY)
+    out, _ = simulate(plan, params, feats)
+    assert np.array_equal(out, reference(plan, params, feats))
 
 
 # --- trace export -----------------------------------------------------------------
