@@ -25,7 +25,7 @@ import numpy as np
 
 from . import actlut
 from .qformat import (QFormat, check_int8, mac_run, quantize, requantize,
-                      sat16, sat_add16, shift_round)
+                      row_sq_norms, sat16, sat_add16, shift_round)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,30 +236,36 @@ class BlockStack:
     chains of block b read the selected columns matrix after matrix,
     ascending; blocks narrower than the widest are padded at the end with
     zero terms, which leave a saturating chain unchanged.  `w` is shaped
-    (gates, blocks, rows, K) and `w_abs` holds |w|.
+    (gates, blocks, rows, K) and `w_sq` (gates, blocks, rows) holds each
+    chain's exact sum of squared codes, the certificate's weight norm.
     """
 
     def __init__(self, mats, col_blocks, rows=None, widths=None):
         rows = mats[0][0].shape[0] if rows is None else rows
         widths = widths or [m.shape[1] for m in mats[0]]
         offsets = np.cumsum([0] + list(widths))
-        cols = [np.concatenate([off + np.arange(*sl.indices(width))
-                                for sl, off, width in zip(block, offsets,
-                                                          widths)])
-                for block in col_blocks]
-        # padding terms read the zero column appended to the operand
+        # per block, per matrix: the selected columns as a range
+        ranges = [[range(*sl.indices(width)) for sl, width in zip(block,
+                                                                 widths)]
+                  for block in col_blocks]
+        cols = [np.concatenate([off + np.arange(r.start, r.stop, r.step)
+                                for r, off in zip(block, offsets)])
+                for block in ranges]
+        # padding terms read the zero entry appended to the operand
         self.index = np.full((len(cols), max(map(len, cols))), offsets[-1])
         for b, c in enumerate(cols):
             self.index[b, :len(c)] = c
-        self.w = np.empty((len(mats), len(cols), rows, self.index.shape[1]),
+        self.w = np.zeros((len(mats), len(cols), rows, self.index.shape[1]),
                           np.float32)
-        cat = np.zeros((rows, offsets[-1] + 1), np.float32)
         for g, gate_mats in enumerate(mats):
-            for m, off in zip(gate_mats, offsets):
-                cat[:m.shape[0], off:off + m.shape[1]] = m
-            for b, idx in enumerate(self.index):
-                self.w[g, b] = cat[:, idx]
-        self.w_abs = np.abs(self.w)
+            for b, block in enumerate(ranges):
+                pos = 0
+                for m, r in zip(gate_mats, block):
+                    # columns past the matrix's own width are zero padding
+                    part = m[:, r.start:min(r.stop, m.shape[1]):r.step]
+                    self.w[g, b, :m.shape[0], pos:pos + part.shape[1]] = part
+                    pos += len(r)
+        self.w_sq = row_sq_norms(self.w)
 
     def operand(self, *vectors):
         """Per block, the codes its terms multiply: (blocks, K)."""
@@ -289,7 +295,7 @@ def _blocked_dot(stack, *vectors):
     (the reduction-chain order).
     """
     partials, _ = mac_run(stack.w, stack.operand(*vectors),
-                          abs_weights=stack.w_abs)
+                          sq_norms=stack.w_sq)
     acc = partials[:, 0]
     for b in range(1, partials.shape[1]):
         acc = sat_add16(acc, partials[:, b])

@@ -9,13 +9,17 @@ are written to be reproducible to the bit on any platform.
 Rounding convention at every width reduction: round half away from zero.
 
 Every MAC chain of the package runs through `mac_run`, which is exact in
-three tiers.  Fast: for int8 codes, a chain whose bound sum(|w| * |v|) is
-at most 32767 cannot leave int16 at any prefix, in any summation order, so
-it equals the plain sum; every partial sum of such a chain is an integer
-below 2**24, so a float32 matmul gives it exactly.  Middle: chains whose
-bound is larger take the exact wide-integer prefix-sum check.  Scan: chains
-that really clip run a saturating scan one term at a time, vectorized
-across all of those chains.
+four tiers.  Certificate: by Cauchy-Schwarz, no partial sum over any
+subset of a chain's terms exceeds ||w|| * ||v|| in magnitude, so a chain
+with ||w||**2 * ||v||**2 <= (32767 - |init|)**2, decided exactly from the
+resident squared row norms, cannot leave int16 at any prefix, in any
+summation order.  It equals the plain sum, every partial sum is an
+integer below 2**24, and one float32 matmul W.v gives it exactly.  Bound:
+the chains that fail the certificate get the bound sum(|w| * |v|), and
+those whose bound plus |init| is at most 32767 keep the plain sum on the
+same argument.  Middle: chains whose bound is larger take the exact
+wide-integer prefix-sum check.  Scan: chains that really clip run a
+saturating scan one term at a time, vectorized across all of those chains.
 """
 
 import numpy as np
@@ -127,7 +131,7 @@ def requantize(value, value_frac_bits, target):
     return np.minimum(np.maximum(rounded, INT8_MIN), INT8_MAX)
 
 
-def mac_run(weights, vector=None, init=0, abs_weights=None):
+def mac_run(weights, vector=None, init=0, sq_norms=None):
     """Sequential saturating accumulation, one chain per row.
 
     Each chain is equivalent to a scalar saturating MAC (`tests/oracles.mac`)
@@ -140,15 +144,17 @@ def mac_run(weights, vector=None, init=0, abs_weights=None):
     (..., R, K) and `vector` int8 codes shaped (..., K), broadcast over the
     leading axes; chain (..., r) adds weights[..., r, k] * vector[..., k]
     for k ascending.  Resident weights should be passed as float32 with
-    `abs_weights` = |weights| beside them.  Product form (`vector` None):
-    `weights` already holds the int64 terms, shaped (..., K).
+    `sq_norms` = the int64 sums of their squared codes per row, shaped
+    (..., R), beside them.  Product form (`vector` None): `weights`
+    already holds the int64 terms, shaped (..., K).
 
-    Tiers (see the module docstring): the fast tier takes W.v and the
-    bound |W|.|v| from two float32 matmuls and keeps the chains whose bound
-    plus |init| is at most 32767.  A float32 sum of non-negative integers
-    never rounds below min(true sum, 2**24), so a bound above 32767 is
-    never read as one below it.  The other chains, and every chain of the
-    product form, take the middle and scan tiers (`_chain`).
+    Tiers (see the module docstring): one float32 matmul gives W.v for
+    every chain, and the chains that pass the certificate keep it.  Only
+    when some chain fails it does a second matmul give the bound |W|.|v|;
+    a float32 sum of non-negative integers never rounds below min(true
+    sum, 2**24), so a bound above 32767 is never read as one below it.
+    Failed chains whose bound plus |init| is above 32767, and every chain
+    of the product form, take the middle and scan tiers (`_chain`).
     """
     init = int(init)
     if vector is None:
@@ -157,20 +163,53 @@ def mac_run(weights, vector=None, init=0, abs_weights=None):
                       else products, init)
     w = np.asarray(weights, dtype=np.float32)
     v = np.asarray(vector, dtype=np.float32)
-    if abs_weights is None:
-        abs_weights = np.abs(w)
-    acc = np.matmul(w, v[..., None])[..., 0]
-    bound = np.matmul(abs_weights, np.abs(v)[..., None])[..., 0]
-    acc = acc.astype(np.int64) + init
+    if sq_norms is None:
+        sq_norms = row_sq_norms(w)
+    acc = np.matmul(w, v[..., None])[..., 0].astype(np.int64)
+    if init:
+        acc += init
     saturated = np.zeros(acc.shape, dtype=bool)
-    slow = np.nonzero(bound > INT16_MAX - abs(init))
-    if slow[0].size:
-        k = w.shape[-1:]
-        w_rows = np.broadcast_to(w, acc.shape + k)[slow]
-        v_rows = np.broadcast_to(v, acc.shape[:-1] + k)[slow[:-1]]
-        products = w_rows.astype(np.int64) * v_rows.astype(np.int64)
-        acc[slow], saturated[slow] = _chain(products, init)
+    room = INT16_MAX - abs(init)
+    passed = certified(sq_norms, (v * v).sum(axis=-1, dtype=np.float64),
+                       room)
+    if not passed.all():
+        bound = np.matmul(np.abs(w), np.abs(v)[..., None])[..., 0]
+        slow = np.nonzero(~passed & (bound > room))
+        if slow[0].size:
+            k = w.shape[-1:]
+            w_rows = np.broadcast_to(w, acc.shape + k)[slow]
+            v_rows = np.broadcast_to(v, acc.shape[:-1] + k)[slow[:-1]]
+            products = w_rows.astype(np.int64) * v_rows.astype(np.int64)
+            acc[slow], saturated[slow] = _chain(products, init)
     return acc, saturated
+
+
+def row_sq_norms(codes):
+    """Exact sums of squared int8 codes along the last axis, as int64.
+
+    Float32 sums of integers are exact up to 2**24, so the codes are
+    summed in chunks of 1024 terms (1024 * 128**2 == 2**24).
+    """
+    codes = np.asarray(codes, dtype=np.float32)
+    chunks = [codes[..., k:k + 1024]
+              for k in range(0, max(codes.shape[-1], 1), 1024)]
+    return sum(np.vecdot(c, c).astype(np.int64) for c in chunks)
+
+
+def certified(sq_norms, vector_sq_norms, room):
+    """Chains whose every partial sum provably stays within +-`room`:
+    sq_norms * vector_sq_norms <= room**2 (Cauchy-Schwarz).
+
+    Both norms are exact integers below 2**53, and the product is taken
+    in float64, so the decision is exact and cannot overflow: a product
+    up to 2**53 is exact, and a larger one never rounds below 2**53,
+    which is above any room**2.  `vector_sq_norms` has one entry per
+    vector, the leading shape of `sq_norms` without its row axis.
+    Nothing passes for a negative room.
+    """
+    limit = room * room if room >= 0 else -1
+    vector_sq_norms = np.asarray(vector_sq_norms, dtype=np.float64)
+    return sq_norms * vector_sq_norms[..., None] <= limit
 
 
 def _chain(products, init):
@@ -212,8 +251,14 @@ def _saturating_scan(products, prefixes, out, init):
 
 
 def check_int8(codes, what):
-    """Raise ValueError unless every entry of `codes` is an int8 code."""
+    """Raise ValueError unless every entry of `codes` is an int8 code: a
+    whole number in [-128, 127].  A fraction (or NaN) is refused, never
+    truncated."""
     codes = np.asarray(codes)
+    if codes.dtype.kind not in "biu" and not np.array_equal(
+            codes, np.trunc(codes)):
+        raise ValueError("%s codes must be whole int8 codes, not fractions"
+                         % what)
     if codes.size and (codes.min() < INT8_MIN or codes.max() > INT8_MAX):
         raise ValueError("%s codes outside the int8 range [%d, %d]"
                          % (what, INT8_MIN, INT8_MAX))

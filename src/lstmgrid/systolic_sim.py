@@ -442,23 +442,29 @@ def count_toggles(words, word_bits, idle=0):
     shifted up one beat, with the previous integer's top beat shifted in.
     A leading integer whose top beat is `idle` starts the stream, and
     copies of the last beat pad the tail without flipping anything.
+
+    2-D `words` count every row as a stream of its own from idle, in one
+    pass, and return one int64 count per row; 1-D `words` return an int.
     """
     if word_bits not in _NARROW:
         raise ValueError("words must be 8 or 16 bits wide, not %d"
                          % (word_bits,))
     words = np.asarray(words, dtype=np.int64)
-    n_bytes = words.size * (word_bits // 8)
+    streams = words if words.ndim == 2 else words.reshape(1, -1)
+    n_bytes = streams.shape[1] * (word_bits // 8)
     if n_bytes == 0:
-        return 0
-    raw = np.empty(8 + -(-n_bytes // 8) * 8, np.uint8)
-    raw[7] = idle << 4
-    raw[8:8 + n_bytes].view(_NARROW[word_bits])[:] = words
-    raw[8 + n_bytes:] = (raw[7 + n_bytes] >> 4) * 0x11
-    packed = raw.view("<u8")
-    beats = packed[1:]
-    flips = (beats << 4) | (packed[:-1] >> 60)
-    flips ^= beats
-    return int(np.bitwise_count(flips).sum(dtype=np.int64))
+        counts = np.zeros(len(streams), np.int64)
+    else:
+        raw = np.empty((len(streams), 8 + -(-n_bytes // 8) * 8), np.uint8)
+        raw[:, 7] = idle << 4
+        raw[:, 8:8 + n_bytes].view(_NARROW[word_bits])[:] = streams
+        raw[:, 8 + n_bytes:] = (raw[:, 7 + n_bytes, None] >> 4) * 0x11
+        packed = raw.view("<u8")
+        beats = packed[:, 1:]
+        flips = (beats << 4) | (packed[:, :-1] >> 60)
+        flips ^= beats
+        counts = np.bitwise_count(flips).sum(axis=1, dtype=np.int64)
+    return counts if words.ndim == 2 else int(counts[0])
 
 
 # --- value execution --------------------------------------------------------------
@@ -503,7 +509,7 @@ class _LayerEngine:
         """Every die's partial MAC of one gate: one kernel call."""
         self.partials[gate], _ = mac_run(
             self.stack.w[gate], self.stack.operand(self.x, self.h),
-            abs_weights=self.stack.w_abs[gate])
+            sq_norms=self.stack.w_sq[gate])
 
     def param_codes(self, gate, die):
         """Die's input-slice then recurrent-slice weight codes of a gate."""
@@ -559,7 +565,7 @@ class _FcEngine:
         """Every master's projection partial: one kernel call."""
         self.partials, _ = mac_run(
             self.stack.w[0], self.stack.operand(engine.h_tiles),
-            abs_weights=self.stack.w_abs[0])
+            sq_norms=self.stack.w_sq[0])
 
     def reduce_hop(self, hop):
         incoming = self.partials[hop - 1]
@@ -602,6 +608,9 @@ class GridSim:
         # die id -> (word count, toggles) of its parameter burst; the
         # resident parameters, and so the burst, never change
         self._param_bursts = {}
+        # (word width, word count) -> (events, their words) awaiting one
+        # batched toggle count at the end of the timeline or step
+        self._pending = {}
 
     # -- link layer --
 
@@ -616,9 +625,23 @@ class GridSim:
                                  % (event.words, event.label, n_words))
 
     def _transfer(self, event, words):
-        words = np.asarray(words, dtype=np.int64)
+        # a copy: tiles are views of engine state that later records
+        # overwrite before the batched count reads them
+        words = np.array(words, dtype=np.int64)
         self._check_transfer(event, words.size)
-        event.toggles = count_toggles(words, event.word_bits)
+        events, rows = self._pending.setdefault(
+            (event.word_bits, words.size), ([], []))
+        events.append(event)
+        rows.append(words)
+
+    def _count_pending(self):
+        """Fill in the toggles of every queued transfer: one 2-D
+        `count_toggles` call per (word width, word count) group."""
+        for (word_bits, _), (events, rows) in self._pending.items():
+            counts = count_toggles(np.stack(rows), word_bits).tolist()
+            for event, toggles in zip(events, counts):
+                event.toggles = toggles
+        self._pending = {}
 
     def _load_die(self, event):
         """A die's parameter burst: the same words, from idle, on every
@@ -718,21 +741,24 @@ class GridSim:
     def run(self, features):
         """Walk the plan's run schedule over `features` (T x n_features
         int8 codes); returns (T x output width codes, PhaseTrace)."""
-        features = np.asarray(features, dtype=np.int64)
+        features = np.asarray(features)
         n_features = self.plan.spec.n_features
         if features.ndim != 2 or features.shape[1] != n_features:
             raise ValueError("features must be T x %d, not %s"
                              % (n_features, features.shape))
         check_int8(features, "feature")
+        features = features.astype(np.int64)
         config, steps, end = build_run_schedule(self.plan, self.cm,
                                                 len(features))
         for rec in config:
             self._exec_record(rec, None)
+        self._count_pending()
         outputs = np.zeros((len(features), self.plan.spec.output_width),
                            np.int64)
         for t, records in enumerate(steps):
             for rec in records:
                 self._exec_record(rec, features[t])
+            self._count_pending()
             outputs[t] = (self.fc.y if self.fc is not None
                           else self.engines[-1].output_codes())
         return outputs, PhaseTrace(

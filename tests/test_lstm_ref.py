@@ -161,6 +161,48 @@ def test_fixed_blocked_matches_blocked_oracle(splits, seed=11):
     assert got.c.tolist() == want_c
 
 
+def gathered_layout(mats, col_blocks, rows, widths):
+    """The stack layout by concatenation and index gather: per gate, the
+    matrices side by side (zero-padded to `rows` x `widths`), then per
+    block its selected columns, zero-filled to the widest block."""
+    offsets = np.cumsum([0] + list(widths))
+    cols = [np.concatenate([off + np.arange(*sl.indices(width))
+                            for sl, off, width in zip(block, offsets, widths)])
+            for block in col_blocks]
+    k = max(map(len, cols))
+    w = np.zeros((len(mats), len(cols), rows, k))
+    for g, gate_mats in enumerate(mats):
+        cat = np.zeros((rows, offsets[-1]))
+        for m, off in zip(gate_mats, offsets):
+            cat[:m.shape[0], off:off + m.shape[1]] = m
+        for b, c in enumerate(cols):
+            w[g, b, :, :len(c)] = cat[:, c]
+    return w
+
+
+@pytest.mark.parametrize("n_i,n_h,rows,widths,col_blocks", [
+    # the oracle's own sizes, ragged blocks
+    (7, 5, None, None, [(slice(0, 3), slice(0, 2)), (slice(3, 7),
+                                                      slice(2, 5))]),
+    # a grid's padded tiles: 3 columns of 3 inputs and 2 units
+    (7, 5, 6, (9, 6), [(slice(3 * j, 3 * j + 3), slice(2 * j, 2 * j + 2))
+                       for j in range(3)]),
+    # strided and empty selections
+    (8, 4, None, None, [(slice(0, 8, 3), slice(3, 4)), (slice(5, 5),
+                                                         slice(0, 4, 2))]),
+])
+def test_block_stack_layout_and_row_norms(n_i, n_h, rows, widths,
+                                          col_blocks):
+    p = random_fixed(5, n_i, n_h, scale=3.0)
+    mats = list(zip(p.input_weights(), p.recurrent_weights()))
+    stack = lr.BlockStack(mats, col_blocks, rows=rows, widths=widths)
+    want = gathered_layout(mats, col_blocks, rows or n_h,
+                           widths or (n_i, n_h))
+    assert stack.w.dtype == np.float32 and np.array_equal(stack.w, want)
+    assert stack.w_sq.dtype == np.int64
+    assert np.array_equal(stack.w_sq, (want.astype(np.int64) ** 2).sum(-1))
+
+
 def test_blocked_partials_are_not_associative():
     # three rail-high then three rail-low products: the flat chain clips at
     # a different point than the 3+3 split, so the results must differ

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lstmgrid import qformat as qf
@@ -185,7 +187,7 @@ def assert_factored_exact(w, v, init=0):
     want = chain_oracle(w, v, init)
     for got in (qf.mac_run(w, v, init=init),
                 qf.mac_run(w.astype(np.float32), v, init=init,
-                           abs_weights=np.abs(w).astype(np.float32)),
+                           sq_norms=(w * w).sum(axis=-1)),
                 qf.mac_run(w * v[:, None, :], init=init)):
         assert got[0].dtype == np.int64 and got[0].shape == w.shape[:-1]
         assert np.array_equal(got[0], want[0])
@@ -206,6 +208,52 @@ def test_factored_mac_run_matches_product_form_and_chain_oracle(data):
     assert_factored_exact(w, v, init)
 
 
+def certificate_oracle(w, v, init):
+    """Python-integer certificate per chain of w (B, R, K) against v (B, K):
+    ||w_r||**2 * ||v||**2 <= (32767 - |init|)**2, and no room below 0."""
+    room = qf.INT16_MAX - abs(init)
+    return [[room >= 0 and sum(x * x for x in row) * sum(x * x for x in vec)
+             <= room * room for row in rows]
+            for rows, vec in zip(w.tolist(), v.tolist())]
+
+
+@st.composite
+def certificate_edges(draw):
+    """Chains with one of them on the certificate's edge: |init| leaves a
+    room whose square is just below, at or just above ||w||**2 ||v||**2.
+    Half the time that chain is parallel to v, where Cauchy-Schwarz is
+    tight and a room one short really clips."""
+    b, r, k = draw(st.integers(1, 2)), draw(st.integers(1, 4)), \
+        draw(st.integers(1, 8))
+    code = st.one_of(int8s, st.sampled_from([-128, -127, 126, 127]))
+    w = draw(hnp.arrays(np.int64, (b, r, k), elements=code))
+    v = draw(hnp.arrays(np.int64, (b, k), elements=code))
+    bi, ri = draw(st.integers(0, b - 1)), draw(st.integers(0, r - 1))
+    if draw(st.booleans()):
+        w[bi, ri] = np.clip(draw(st.sampled_from([1, -1])) * v[bi], -128, 127)
+    norms = int((w[bi, ri] ** 2).sum()) * int((v[bi] ** 2).sum())
+    room = min(max(math.isqrt(norms) + draw(st.integers(-1, 1)), 0),
+               qf.INT16_MAX)
+    return w, v, draw(st.sampled_from([1, -1])) * (qf.INT16_MAX - room)
+
+
+# w == v: room 32258 == ||w|| ||v|| passes and the chain ends on 32767;
+# room 32257 fails and the chain clips; |init| 32767 leaves almost no room
+@example(case=(np.array([[[127, 127]]]), np.array([[127, 127]]), 509))
+@example(case=(np.array([[[127, 127]]]), np.array([[127, 127]]), 510))
+@example(case=(np.array([[[-128, 127]]]), np.array([[127, -128]]), -32767))
+@given(case=certificate_edges())
+@settings(max_examples=300, deadline=None)
+def test_certificate_tier_is_exact_at_its_edge(case):
+    w, v, init = case
+    certified = qf.certified((w * w).sum(axis=-1), (v * v).sum(axis=-1),
+                             qf.INT16_MAX - abs(init))
+    assert certified.tolist() == certificate_oracle(w, v, init)
+    # a certified chain never clips, so its plain float32 sum is exact
+    assert not chain_oracle(w, v, init)[1][certified].any()
+    assert_factored_exact(w, v, init)
+
+
 def _tier_rows(monkeypatch):
     """Rows handed to the wide-integer tiers by each mac_run call."""
     seen = []
@@ -221,9 +269,12 @@ def _tier_rows(monkeypatch):
 
 def test_bound_32767_stays_in_the_fast_tier(monkeypatch):
     seen = _tier_rows(monkeypatch)
-    # |W|.|v| = 2 * 127 * 127 + 127 * 4 + 1 = 32767 exactly, no clipping
+    # |W|.|v| = 2 * 127 * 127 + 127 * 4 + 1 = 32767 exactly, no clipping,
+    # though ||W||**2 ||v||**2 = 48388 * 32275 is above 32767**2: the
+    # bound tier keeps a chain the certificate leaves
     w = [[[127, 127, 127, 1]]]
     v = [[127, 127, 4, 1]]
+    assert not qf.certified(np.array([[48388]]), np.array([32275]), 32767)
     assert_factored_exact(w, v)
     acc, sat = qf.mac_run(np.array(w), np.array(v))
     assert acc.tolist() == [[32767]] and not sat.any()

@@ -1,8 +1,10 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles as O
 from lstmgrid import lstm_ref as LR
@@ -104,6 +106,20 @@ def test_packed_toggle_counting_matches_the_references(word_bits, words,
     assert O.toggle_count(words, word_bits, idle) == expect
 
 
+@settings(max_examples=200, deadline=None)
+@given(word_bits=st.sampled_from([8, 16]), n_rows=st.integers(0, 5),
+       width=st.integers(0, 20), idle=st.integers(0, 15), data=st.data())
+def test_batched_toggle_counting_counts_each_row_from_idle(word_bits, n_rows,
+                                                            width, idle,
+                                                            data):
+    words = data.draw(hnp.arrays(np.int64, (n_rows, width),
+                                 elements=st.integers(-(1 << 20), 1 << 20)))
+    got = count_toggles(words, word_bits, idle)
+    assert got.dtype == np.int64 and got.shape == (n_rows,)
+    assert got.tolist() == [O.count_toggles_int64(row, word_bits, idle)
+                            for row in words]
+
+
 @pytest.mark.parametrize("word_bits", [4, 12, 24, 32])
 def test_count_toggles_rejects_other_widths(word_bits):
     with pytest.raises(ValueError):
@@ -121,6 +137,28 @@ def test_count_toggles_rejects_other_widths(word_bits):
 ])
 def test_simulation_matches_blocked_reference(seed, layers, n_out, scale):
     plan, params, feats = make_case(seed, layers, n_out, scale)
+    out, _ = simulate(plan, params, feats)
+    assert np.array_equal(out, reference(plan, params, feats))
+
+
+def test_reduction_fold_clips_before_a_column_pulls_back():
+    # 3 die columns of 4 inputs each, every feature code 127.  Unit 0's
+    # input gate: column 0 clips high (4 x 16129), column 1 pushes on
+    # (+16129) and column 2 pulls back (-32258), so the saturating fold
+    # gives 509 where a plain sum gives 16638.  Unit 1 mirrors it low.
+    # Strong update gates carry the input gates into c and h.
+    n = 12
+    p = LR.LstmLayerParams(*(np.zeros((n, n), np.int64) for _ in range(8)),
+                           *(np.zeros(n, np.int64) for _ in range(7)),
+                           formats=LR.DEFAULT_FORMATS)
+    p.W_xi[0] = [127] * 4 + [127, 0, 0, 0] + [-127, -127, 0, 0]
+    p.W_xi[1] = -p.W_xi[0]
+    p.W_xc[:2, 0] = 64
+    params = LR.NetworkParams([p])
+    plan = plan_grid(LR.derive_spec(params), TINY)
+    grid = plan.layer_grids[0]
+    assert (grid.n, grid.ni_tile) == (3, 4)
+    feats = np.full((2, n), 127)
     out, _ = simulate(plan, params, feats)
     assert np.array_equal(out, reference(plan, params, feats))
 
@@ -289,6 +327,30 @@ def test_every_simulated_event_measures_toggles():
         for ev in rec.events:
             assert ev.toggles is not None
             assert 0 <= ev.toggles <= ev.bits
+
+
+# Digests of the outputs and `to_csv_rows()` (so every link event's bits
+# and toggles) of fixed seeded runs, recorded while each transfer still
+# counted its own toggles on the spot.  A queued tile read after a later
+# record overwrote it, or a count in another integer type, changes them.
+@pytest.mark.parametrize("seed,layers,n_out,scale,f_scale,n_steps,plan_kw,"
+                         "digest", [
+    (3, [(7, 10), (10, 9)], 3, 2.0, 4.0, 4, {}, "5144f5cc89c91314"),
+    (5, [(9, 12), (12, 12)], None, 1.0, 1.0, 3, {"chip_select": True},
+     "1c3a58b310321ca9"),
+    (8, [(5, 8), (8, 11), (11, 8)], 4, 2.0, 4.0, 3, {"reload": True},
+     "bd2d91b9c931dbb3"),
+])
+def test_outputs_and_link_toggles_match_the_recorded_digests(
+        seed, layers, n_out, scale, f_scale, n_steps, plan_kw, digest):
+    params = LR.random_network_params(seed, layers, n_out=n_out, scale=scale)
+    feats = LR.random_features(seed + 1, n_steps, layers[0][0],
+                               scale=f_scale)
+    plan = plan_grid(LR.derive_spec(params), TINY, **plan_kw)
+    out, trace = simulate(plan, params, feats)
+    h = hashlib.sha256(np.ascontiguousarray(out, "<i8").tobytes())
+    h.update(repr(trace.to_csv_rows()).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_reload_trace_reloads_params_every_pass_and_restores_state():
@@ -651,6 +713,35 @@ def test_codes_outside_int8_are_rejected(drive, target, value):
             run_reload(plan, params, feats)
         else:
             simulate(plan_grid(plan.spec, TINY), params, feats)
+
+
+@pytest.mark.parametrize("value", [0.5, -0.25, float("nan")])
+@pytest.mark.parametrize("target", ["feature", "weight", "projection"])
+@pytest.mark.parametrize("drive", ["simulate", "run_reload", "network_infer"])
+def test_fractional_codes_are_rejected_not_truncated(drive, target, value):
+    plan, params, feats = _out_of_range("feature", 3)
+    if target == "feature":
+        feats = feats.astype(np.float64)
+        feats[1, 2] += value
+    elif target == "weight":
+        params.layers[1].W_hf = params.layers[1].W_hf + value
+    else:
+        params.fc.W_y = params.fc.W_y + value
+    with pytest.raises(ValueError, match="whole int8"):
+        if drive == "network_infer":
+            LR.network_infer(plan.spec, params, feats)
+        elif drive == "run_reload":
+            run_reload(plan, params, feats)
+        else:
+            simulate(plan_grid(plan.spec, TINY), params, feats)
+
+
+def test_whole_float_codes_run_like_integer_codes():
+    plan, params, feats = _out_of_range("feature", 3)
+    out, _ = run_reload(plan, params, feats.astype(np.float64))
+    assert np.array_equal(out, run_reload(plan, params, feats)[0])
+    assert np.array_equal(out, reference(plan, params,
+                                         feats.astype(np.float64)))
 
 
 @pytest.mark.parametrize("lut_formats", [((4, 7), (5, 7)), ((5, 7), (5, 6))])
