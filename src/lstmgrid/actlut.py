@@ -96,9 +96,6 @@ def dump_lut(lut, path, fmt="csv"):
         lines.append(row % (idx, code, dequantize(code, lut.in_format),
                             out, dequantize(out, lut.out_format)))
     text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return text

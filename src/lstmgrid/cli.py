@@ -89,8 +89,6 @@ def _whole(value, what):
 
 
 def load_config_doc(path):
-    if path is None:
-        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -112,7 +110,7 @@ def _build_dataclass(cls, doc, what):
 
 
 def build_run_config(args):
-    doc = load_config_doc(getattr(args, "config", None))
+    doc = load_config_doc(args.config)
     tile = _build_dataclass(TileSpec, doc.get("tile"), "tile")
     cm = _build_dataclass(CycleModel, doc.get("cycle_model"), "cycle model")
     consts = _build_dataclass(EnergyConstants, doc.get("energy"), "energy")
@@ -196,7 +194,7 @@ def build_run_config(args):
 
 
 def _out_path(args, name):
-    out = getattr(args, "out", None) or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, name)
 
@@ -407,46 +405,52 @@ def cmd_lut_dump(args):
 
 # --- argument plumbing -------------------------------------------------------------
 
+# the flags each subcommand reads; "modes" is the --reload / --chip-select
+# pair, of which a run takes at most one
+_FLAGS = {
+    "--config": dict(required=True, help="YAML run configuration"),
+    "--out": dict(help="output directory"),
+    "--seed": dict(type=int, help="override generator seed"),
+    "--freq": dict(type=float, help="clock frequency in Hz"),
+    "--format": dict(choices=("csv", "txt"), default="csv"),
+    "--time-multiplexed": dict(
+        action="store_true",
+        help="share one stream per direction at the package"),
+}
+_MODE_FLAGS = {
+    "--reload": "single grid, parameters re-loaded per layer",
+    "--chip-select": "share one parameter stream per grid",
+}
+_SUBCOMMANDS = [
+    ("plan", cmd_plan, "place a network onto die grids",
+     ("--config", "--out", "modes", "--time-multiplexed")),
+    ("run", cmd_run, "simulate and cross-check a network",
+     ("--config", "--out", "--seed", "modes", "--freq", "--format")),
+    ("table4", cmd_table4, "model vs published extrapolations",
+     ("--out", "--freq", "--format")),
+    ("sweep", cmd_sweep, "frequency/grid/precision sweeps",
+     ("--config", "--out", "--freq")),
+    ("lut-dump", cmd_lut_dump, "write activation table contents",
+     ("--out", "--format")),
+]
+
+
 def build_parser():
     parser = _Parser(prog="lstmgrid",
                      description="grid mapping and simulation toolchain")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def common(p, config_required=False):
-        p.add_argument("--config", required=config_required,
-                       help="YAML run configuration")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override generator seed")
-        p.add_argument("--reload", action="store_true",
-                       help="single grid, parameters re-loaded per layer")
-        p.add_argument("--chip-select", action="store_true",
-                       help="share one parameter stream per grid")
-        p.add_argument("--freq", type=float,
-                       help="clock frequency in Hz")
-        p.add_argument("--format", choices=("csv", "txt"), default="csv")
-
-    p = sub.add_parser("plan", help="place a network onto die grids")
-    common(p, config_required=True)
-    p.add_argument("--time-multiplexed", action="store_true",
-                   help="share one stream per direction at the package")
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("run", help="simulate and cross-check a network")
-    common(p, config_required=True)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("table4", help="model vs published extrapolations")
-    common(p)
-    p.set_defaults(func=cmd_table4)
-
-    p = sub.add_parser("sweep", help="frequency/grid/precision sweeps")
-    common(p, config_required=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("lut-dump", help="write activation table contents")
-    common(p)
-    p.set_defaults(func=cmd_lut_dump)
+    for name, func, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag in flags:
+            if flag == "modes":
+                modes = p.add_mutually_exclusive_group()
+                for mode, mode_help in _MODE_FLAGS.items():
+                    modes.add_argument(mode, action="store_true",
+                                       help=mode_help)
+            else:
+                p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -530,29 +530,25 @@ def _role_of(name):
 
 
 def write_container(manifest_path, tensors, meta=None):
-    """Write named tensors as a UTF-8 JSON manifest plus a binary blob.
+    """Write named int8 code tensors as a UTF-8 JSON manifest plus a
+    binary blob.
 
-    `tensors` is a list of (name, role, array, fmt) where fmt is a QFormat
-    for int8 codes or None for float32 payloads.  The blob sits next to the
-    manifest and is referenced from it by file name.
+    `tensors` is a list of (name, role, array, fmt) where fmt is the
+    QFormat of the array's int8 codes.  The blob sits next to the manifest
+    and is referenced from it by file name.
     """
     blob_path = os.path.splitext(manifest_path)[0] + ".bin"
     entries, chunks, offset = [], [], 0
     for name, role, array, fmt in tensors:
         array = np.asarray(array)
-        if fmt is not None:
-            check_int8(array, name)
-            raw = array.astype("<i1").tobytes()
-            dtype = "int8"
-        else:
-            raw = array.astype("<f4").tobytes()
-            dtype = "float32"
+        check_int8(array, name)
+        raw = array.astype("<i1").tobytes()
         entries.append({
             "name": name,
             "role": role,
             "shape": list(array.shape),
-            "dtype": dtype,
-            "frac_bits": fmt.frac_bits if fmt is not None else None,
+            "dtype": "int8",
+            "frac_bits": fmt.frac_bits,
             "offset": offset,
             "byte_length": len(raw),
         })
@@ -574,7 +570,8 @@ def write_container(manifest_path, tensors, meta=None):
 
 
 def read_container(manifest_path):
-    """Returns (meta, {name: (role, array, fmt)}) with arrays decoded."""
+    """Returns (meta, {name: (role, array, fmt)}) with the int8 codes
+    decoded to int64.  An entry of any other dtype raises ValueError."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("container") != "tensor-blob":
@@ -585,16 +582,13 @@ def read_container(manifest_path):
         blob = fh.read()
     out = {}
     for e in manifest["tensors"]:
+        if e["dtype"] != "int8":
+            raise ValueError("tensor %s is %s, not int8 codes"
+                             % (e["name"], e["dtype"]))
         raw = blob[e["offset"]:e["offset"] + e["byte_length"]]
-        if e["dtype"] == "int8":
-            arr = np.frombuffer(raw, dtype="<i1").astype(np.int64)
-            fmt = QFormat(e["frac_bits"])
-        elif e["dtype"] == "float32":
-            arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            fmt = None
-        else:
-            raise ValueError("unknown dtype %r" % e["dtype"])
-        out[e["name"]] = (e["role"], arr.reshape(e["shape"]), fmt)
+        arr = np.frombuffer(raw, dtype="<i1").astype(np.int64)
+        out[e["name"]] = (e["role"], arr.reshape(e["shape"]),
+                          QFormat(e["frac_bits"]))
     return manifest.get("meta", {}), out
 
 

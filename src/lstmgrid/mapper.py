@@ -109,10 +109,6 @@ class GridPlan:
     dies: list
     links: list
     total_dies: int
-    pin_interpretations: dict  # both readings of the stream-count question
-
-    def grid(self, layer):
-        return self.layer_grids[layer]
 
     def die(self, die_id):
         return self._by_id[die_id]
@@ -271,25 +267,21 @@ def plan_grid(spec, tile=TileSpec(), reload=False, chip_select=False):
 
     sizes = [g.n * g.n for g in grids]
     total = max(sizes) if reload else sum(sizes)
-    first_n, last_n = grids[0].n, grids[-1].n
     return GridPlan(
         spec=spec, tile=tile, reload=reload, chip_select=chip_select,
-        layer_grids=grids, dies=dies, links=links, total_dies=total,
-        pin_interpretations={
-            "grid_side": {"n_inp": first_n, "n_out": last_n},
-            "all_dies": {"n_inp": first_n * first_n,
-                         "n_out": last_n * last_n},
-        })
+        layer_grids=grids, dies=dies, links=links, total_dies=total)
 
 
-def pin_budget(plan, time_multiplexed=False, interpretation="grid_side"):
+def pin_budget(plan, time_multiplexed=False):
     """Package pin count: clock/reset + config + 6 pins per data stream
-    (4 data + valid + ready).  Time-multiplexing shares one stream each
-    way, which is always 2 + 3 + 6 + 6 = 17 pins."""
-    streams = plan.pin_interpretations[interpretation]
-    n_inp, n_out = streams["n_inp"], streams["n_out"]
+    (4 data + valid + ready), one input stream per die column of the
+    first grid and one output stream per die row of the last.
+    Time-multiplexing shares one stream each way, which is always
+    2 + 3 + 6 + 6 = 17 pins."""
     if time_multiplexed:
         n_inp = n_out = 1
+    else:
+        n_inp, n_out = plan.layer_grids[0].n, plan.layer_grids[-1].n
     total = 2 + 3 + 6 * n_inp + 6 * n_out
     return PinBudget(2, 3, 6, n_inp, n_out, total_min=total)
 
@@ -306,5 +298,4 @@ def plan_to_dict(plan):
         "links": [{"kind": l.kind, "src": list(l.src),
                    "receivers": [list(r) for r in l.receivers],
                    "label": l.label} for l in plan.links],
-        "pin_interpretations": plan.pin_interpretations,
     }

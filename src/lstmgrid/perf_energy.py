@@ -121,14 +121,12 @@ def _event_io_energy_j(ev, consts):
     return energy * _PJ
 
 
-def report(trace, op=OperatingPoint(), consts=EnergyConstants(),
-           include_config=False):
+def report(trace, op=OperatingPoint(), consts=EnergyConstants()):
     """Price a finished trace at an operating point.
 
     Per-inference figures exclude the one-time configuration stream (it
     amortizes over the deployment); parameter re-loads inside reload-mode
-    steps are part of steady state and always counted.  Pass
-    `include_config=True` to price the configuration traffic too.
+    steps are part of steady state and always counted.
     """
     if trace.total_cycles and not op.frequency:
         raise ValueError("cannot report a non-empty trace at 0 Hz")
@@ -137,7 +135,7 @@ def report(trace, op=OperatingPoint(), consts=EnergyConstants(),
     phase_cycles, phase_io = {}, {}
     io_j = 0.0
     for rec in trace.records:
-        if rec.step is None and not include_config:
+        if rec.step is None:
             continue
         phase_cycles[rec.kind] = phase_cycles.get(rec.kind, 0) + rec.duration
         e = sum(_event_io_energy_j(ev, consts) for ev in rec.events)
@@ -169,21 +167,18 @@ def report(trace, op=OperatingPoint(), consts=EnergyConstants(),
                         phase_cycles, phase_io, die_core)
 
 
-def extrapolate(spec, tile=None, op=OperatingPoint(),
-                consts=EnergyConstants(), cycle_model=CycleModel(),
-                reload=False):
+def extrapolate(spec, tile=TileSpec(), op=OperatingPoint(),
+                consts=EnergyConstants(), cycle_model=CycleModel()):
     """Analytic steady-state report for one inference step.
 
     Matches the published extrapolation window: the configuration phase,
     the output projection, and the result write-out are excluded; planned
     traffic is priced with the constant toggle factor.
     """
-    plan = plan_grid(spec, tile or TileSpec(), reload=reload)
+    plan = plan_grid(spec, tile)
     records, end = build_step_schedule(plan, cycle_model, start=0, step=0,
                                        readout=False)
-    trace = PhaseTrace(records, end, 1,
-                       meta={"n_dies": plan.total_dies, "reload": False,
-                             "chip_select": plan.chip_select})
+    trace = PhaseTrace(records, end, 1, meta={"n_dies": plan.total_dies})
     return report(trace, op, consts)
 
 
@@ -235,12 +230,11 @@ def reference_spec(row):
     return NetworkSpec([(row.n_hidden, row.n_hidden)] * row.n_layers, None)
 
 
-def table_rows(tile=None, op=OperatingPoint(), consts=EnergyConstants(),
-               cycle_model=CycleModel()):
+def table_rows(op=OperatingPoint()):
     """Model-vs-published comparison rows (the CLI table output)."""
     rows = []
     for ref in REFERENCE_ROWS:
-        rep = extrapolate(reference_spec(ref), tile, op, consts, cycle_model)
+        rep = extrapolate(reference_spec(ref), op=op)
         rows.append({
             "layers": ref.n_layers, "n_hidden": ref.n_hidden,
             "grid": ref.grid, "dies": rep.n_dies,

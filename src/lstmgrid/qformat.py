@@ -9,17 +9,16 @@ are written to be reproducible to the bit on any platform.
 Rounding convention at every width reduction: round half away from zero.
 
 Every MAC chain of the package runs through `mac_run`, which is exact in
-four tiers.  Certificate: by Cauchy-Schwarz, no partial sum over any
+three tiers.  Certificate: by Cauchy-Schwarz, no partial sum over any
 subset of a chain's terms exceeds ||w|| * ||v|| in magnitude, so a chain
 with ||w||**2 * ||v||**2 <= (32767 - |init|)**2, decided exactly from the
 resident squared row norms, cannot leave int16 at any prefix, in any
 summation order.  It equals the plain sum, every partial sum is an
-integer below 2**24, and one float32 matmul W.v gives it exactly.  Bound:
-the chains that fail the certificate get the bound sum(|w| * |v|), and
-those whose bound plus |init| is at most 32767 keep the plain sum on the
-same argument.  Middle: chains whose bound is larger take the exact
-wide-integer prefix-sum check.  Scan: chains that really clip run a
-saturating scan one term at a time, vectorized across all of those chains.
+integer below 2**24, and one float32 matmul W.v gives it exactly.  Prefix
+check: the chains that fail the certificate take the exact wide-integer
+prefix sums, and those whose every prefix stays in int16 keep the last
+one.  Scan: chains that really clip run a saturating scan one term at a
+time, vectorized across all of those chains.
 """
 
 import numpy as np
@@ -60,35 +59,24 @@ class QFormat:
 
 
 def round_half_away(x):
-    """Round to nearest integer, ties away from zero (scalar or ndarray)."""
+    """Round to nearest integer, ties away from zero, as int64."""
     x = np.asarray(x)
-    out = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    if out.ndim == 0:
-        return int(out)
-    return out.astype(np.int64)
+    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
 
 
 def quantize(values, fmt):
-    """Real value(s) -> int8 code(s): scale, round half away, clamp."""
+    """Real values -> int8 codes (as int64): scale, round half away, clamp."""
     scaled = np.asarray(values, dtype=np.float64) * (1 << fmt.frac_bits)
-    codes = np.clip(round_half_away(scaled), INT8_MIN, INT8_MAX)
-    if np.ndim(values) == 0:
-        return int(codes)
-    return np.asarray(codes, dtype=np.int64)
+    return np.clip(round_half_away(scaled), INT8_MIN, INT8_MAX)
 
 
 def dequantize(codes, fmt):
-    """int8 code(s) -> exact real value(s) code * 2**-frac_bits."""
-    vals = np.asarray(codes, dtype=np.float64) * fmt.lsb
-    if np.ndim(codes) == 0:
-        return float(vals)
-    return vals
+    """int8 codes -> exact real values code * 2**-frac_bits."""
+    return np.asarray(codes, dtype=np.float64) * fmt.lsb
 
 
 def sat16(values):
-    """Clamp to the signed 16-bit range (scalar int or ndarray)."""
-    if np.ndim(values) == 0:
-        return min(max(int(values), INT16_MIN), INT16_MAX)
+    """Clamp to the signed 16-bit range, as int64."""
     # minimum/maximum: np.clip's per-call bound checks cost more than the
     # clamp itself on the short vectors of a die tile
     return np.minimum(np.maximum(np.asarray(values, dtype=np.int64),
@@ -98,19 +86,13 @@ def sat16(values):
 def shift_round(values, shift):
     """Arithmetic right shift by `shift` with round-half-away-from-zero.
 
-    No clamping; works on scalars and ndarrays.  shift == 0 is identity.
+    No clamping; returns int64.  shift == 0 is identity.
     """
     if shift < 0:
         raise ValueError("negative shift")
-    if shift == 0:
-        if np.ndim(values) == 0:
-            return int(values)
-        return np.asarray(values, dtype=np.int64)
-    if np.ndim(values) == 0:
-        v = int(values)
-        mag = (abs(v) + (1 << (shift - 1))) >> shift
-        return -mag if v < 0 else mag
     v = np.asarray(values, dtype=np.int64)
+    if shift == 0:
+        return v
     mag = (np.abs(v) + (1 << (shift - 1))) >> shift
     return np.where(v < 0, -mag, mag)
 
@@ -119,15 +101,13 @@ def requantize(value, value_frac_bits, target):
     """16-bit accumulator value -> int8 code in the target format.
 
     Shift right by the scale difference with round-half-away, then clamp
-    to [-128, 127].  Accepts a scalar or an ndarray of raw values.
+    to [-128, 127].
     """
     shift = value_frac_bits - target.frac_bits
     if shift < 0:
         raise ValueError("cannot requantize to more fractional bits "
                          "(%d -> %d)" % (value_frac_bits, target.frac_bits))
     rounded = shift_round(value, shift)
-    if np.ndim(value) == 0:
-        return min(max(int(rounded), INT8_MIN), INT8_MAX)
     return np.minimum(np.maximum(rounded, INT8_MIN), INT8_MAX)
 
 
@@ -150,11 +130,8 @@ def mac_run(weights, vector=None, init=0, sq_norms=None):
 
     Tiers (see the module docstring): one float32 matmul gives W.v for
     every chain, and the chains that pass the certificate keep it.  Only
-    when some chain fails it does a second matmul give the bound |W|.|v|;
-    a float32 sum of non-negative integers never rounds below min(true
-    sum, 2**24), so a bound above 32767 is never read as one below it.
-    Failed chains whose bound plus |init| is above 32767, and every chain
-    of the product form, take the middle and scan tiers (`_chain`).
+    the chains that fail it, and every chain of the product form, take
+    the prefix-check and scan tiers (`_chain`).
     """
     init = int(init)
     if vector is None:
@@ -173,14 +150,12 @@ def mac_run(weights, vector=None, init=0, sq_norms=None):
     passed = certified(sq_norms, (v * v).sum(axis=-1, dtype=np.float64),
                        room)
     if not passed.all():
-        bound = np.matmul(np.abs(w), np.abs(v)[..., None])[..., 0]
-        slow = np.nonzero(~passed & (bound > room))
-        if slow[0].size:
-            k = w.shape[-1:]
-            w_rows = np.broadcast_to(w, acc.shape + k)[slow]
-            v_rows = np.broadcast_to(v, acc.shape[:-1] + k)[slow[:-1]]
-            products = w_rows.astype(np.int64) * v_rows.astype(np.int64)
-            acc[slow], saturated[slow] = _chain(products, init)
+        slow = np.nonzero(~passed)
+        k = w.shape[-1:]
+        w_rows = np.broadcast_to(w, acc.shape + k)[slow]
+        v_rows = np.broadcast_to(v, acc.shape[:-1] + k)[slow[:-1]]
+        products = w_rows.astype(np.int64) * v_rows.astype(np.int64)
+        acc[slow], saturated[slow] = _chain(products, init)
     return acc, saturated
 
 
@@ -213,7 +188,7 @@ def certified(sq_norms, vector_sq_norms, room):
 
 
 def _chain(products, init):
-    """Middle and scan tiers over int64 terms shaped (..., K).
+    """Prefix-check and scan tiers over int64 terms shaped (..., K).
 
     A chain saturates exactly when some plain prefix sum leaves int16: up
     to the first such prefix the chain equals the prefix sums, and there
@@ -265,7 +240,5 @@ def check_int8(codes, what):
 
 
 def sat_add16(a, b):
-    """Saturating 16-bit add of two accumulator arrays/scalars."""
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return sat16(int(a) + int(b))
+    """Saturating 16-bit add of two accumulator arrays."""
     return sat16(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64))

@@ -776,8 +776,7 @@ def simulate(plan, params, features, luts=None, cycle_model=CycleModel(),
     return sim.run(features)
 
 
-def run_reload(plan, params, features, luts=None, cycle_model=CycleModel(),
-               dropped_links=()):
+def run_reload(plan, params, features, luts=None):
     """Single-grid execution, re-loading parameters layer by layer.
 
     States spill to the host between passes; outputs are bit-identical to
@@ -787,4 +786,4 @@ def run_reload(plan, params, features, luts=None, cycle_model=CycleModel(),
     """
     if not plan.reload:
         raise ValueError("plan was not built for reload mode")
-    return simulate(plan, params, features, luts, cycle_model, dropped_links)
+    return simulate(plan, params, features, luts)

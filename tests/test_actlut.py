@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -131,17 +130,17 @@ def test_bad_inputs_rejected():
         actlut.lut_error_stats(TANH, [])
 
 
-def test_dump_lut_csv_and_txt():
-    buf = io.StringIO()
-    text = actlut.dump_lut(TANH, buf, fmt="csv")
-    lines = buf.getvalue().strip().split("\n")
+def test_dump_lut_csv_and_txt(tmp_path):
+    path = tmp_path / "tanh.csv"
+    text = actlut.dump_lut(TANH, str(path), fmt="csv")
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
     assert len(lines) == 257  # header + 256 entries
     idx, code, _val, out, _outval = lines[1].split(",")
     assert (int(idx), int(code), int(out)) == (0, 0, TANH[0])
     # row for index 128 must be the signed code -128
     assert lines[129].split(",")[1] == "-128"
-    assert text == buf.getvalue()
-    txt = actlut.dump_lut(SIG, io.StringIO(), fmt="txt")
+    assert text == path.read_text(encoding="utf-8")
+    txt = actlut.dump_lut(SIG, str(tmp_path / "sig.txt"), fmt="txt")
     assert txt.count("\n") == 257
     with pytest.raises(ValueError):
-        actlut.dump_lut(TANH, io.StringIO(), fmt="bin")
+        actlut.dump_lut(TANH, str(tmp_path / "tanh.bin"), fmt="bin")

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -281,6 +282,40 @@ def test_run_from_container_with_other_formats(tmp_path, capsys):
     assert "BIT-EXACT: yes" in capsys.readouterr().out
 
 
+def reencode_as_float32(manifest_path, name):
+    """Re-write tensor `name` of a saved container as a float32 payload,
+    the only other dtype the container format names."""
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    blob_path = os.path.join(os.path.dirname(manifest_path), manifest["blob"])
+    with open(blob_path, "rb") as fh:
+        blob = fh.read()
+    entry = next(e for e in manifest["tensors"] if e["name"] == name)
+    codes = np.frombuffer(blob, "<i1", entry["byte_length"], entry["offset"])
+    raw = codes.astype("<f4").tobytes()
+    entry.update(dtype="float32", frac_bits=None, offset=len(blob),
+                 byte_length=len(raw))
+    with open(blob_path, "wb") as fh:
+        fh.write(blob + raw)
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.mark.parametrize("name", ["layer0.W_xi", "layer0.b_i"])
+def test_float32_container_entry_is_refused(tmp_path, capsys, name):
+    params = lstm_ref.random_network_params(45, [(8, 8)])
+    net_path = str(tmp_path / "net.json")
+    lstm_ref.save_network(net_path, params)
+    reencode_as_float32(net_path, name)
+    with pytest.raises(ValueError, match="int8"):
+        lstm_ref.load_network(net_path)
+    cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
+                       features={"n_steps": 2})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load network container")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
 # --- usage and config errors --------------------------------------------------------
 
 def test_unknown_command_is_usage_error(capsys):
@@ -319,6 +354,39 @@ def test_unmodelled_tile_keys_are_rejected(tmp_path, capsys, tile):
                        features={"n_steps": 1, "seed": 6}, tile=tile)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     assert_config_error(rc, capsys, "bad tile settings")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--config", "CFG", "--seed", "3"],
+    ["plan", "--config", "CFG", "--freq", "2e7"],
+    ["plan", "--config", "CFG", "--format", "txt"],
+    ["plan", "--config", "CFG", "--reload", "--chip-select"],
+    ["run", "--config", "CFG", "--reload", "--chip-select"],
+    ["table4", "--config", "CFG"],
+    ["table4", "--seed", "3"],
+    ["table4", "--reload"],
+    ["table4", "--chip-select"],
+    ["sweep", "--config", "CFG", "--seed", "3"],
+    ["sweep", "--config", "CFG", "--reload"],
+    ["sweep", "--config", "CFG", "--chip-select"],
+    ["sweep", "--config", "CFG", "--format", "txt"],
+    ["lut-dump", "--config", "CFG"],
+    ["lut-dump", "--seed", "3"],
+    ["lut-dump", "--reload"],
+    ["lut-dump", "--chip-select"],
+    ["lut-dump", "--freq", "0"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "CFG"))
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys,
+                                                      argv):
+    # a config every subcommand that reads one accepts
+    cfg = write_config(tmp_path / "c.yaml",
+                       network={"layers": [[8, 8]], "seed": 5},
+                       features={"n_steps": 1, "seed": 6},
+                       sweep={"axis": "grid", "values": [1]})
+    argv = [cfg if a == "CFG" else a for a in argv]
+    rc = cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "argument")
     assert not (tmp_path / "o").exists()  # nothing ran
 
 

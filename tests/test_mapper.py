@@ -87,7 +87,7 @@ def test_footprint_rejects_negative():
 def test_plan_footprints_match_roles():
     plan = plan_grid(spec_for([(192, 192)], n_out=62), TILE)
     for die in plan.dies:
-        grid = plan.grid(die.layer)
+        grid = plan.layer_grids[die.layer]
         expect = memory_footprint(
             grid.ni_tile, grid.nh_tile,
             fc_out=grid.n_out if die.fc_cols else None, fc_bias=die.fc_root,
@@ -120,7 +120,7 @@ def test_masters_sit_on_the_rightmost_column():
 
 def test_hidden_row_tiles_partition_the_padded_range():
     plan = plan_grid(spec_for([(288, 288)]), TILE)
-    grid = plan.grid(0)
+    grid = plan.layer_grids[0]
     rows = sorted({d.hidden_rows for d in plan.dies})
     assert rows == [(i * grid.nh_tile, (i + 1) * grid.nh_tile)
                     for i in range(grid.n)]
@@ -210,11 +210,13 @@ def test_pin_budget_two_by_two():
     assert pin_budget(plan, time_multiplexed=True).total_min == 17
 
 
-def test_pin_budget_alternative_interpretation():
-    plan = plan_grid(spec_for([(192, 192)]), TILE)
-    budget = pin_budget(plan, interpretation="all_dies")
-    assert budget.n_inp_layer == budget.n_out_layer == 4
-    assert budget.total_min == 2 + 3 + 24 + 24
+def test_pin_budget_reads_the_first_and_last_grids():
+    # one input stream per column of the 3x3 first grid, one output
+    # stream per row of the 1x1 last grid
+    plan = plan_grid(spec_for([(288, 288), (288, 48)]), TILE)
+    budget = pin_budget(plan)
+    assert (budget.n_inp_layer, budget.n_out_layer) == (3, 1)
+    assert budget.total_min == 2 + 3 + 18 + 6
 
 
 # --- reload schedule --------------------------------------------------------------

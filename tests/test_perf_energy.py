@@ -90,12 +90,11 @@ def test_flat_core_power_per_die():
 
 def test_configuration_traffic_is_excluded_by_default():
     trace = demo_trace(n_steps=1)
+    assert any(r.kind == "param_load" and r.step is None
+               for r in trace.records)
     lean = PE.report(trace, OP)
-    full = PE.report(trace, OP, include_config=True)
-    assert full.io_energy_j > lean.io_energy_j
-    assert full.core_energy_j == lean.core_energy_j
-    assert "param_load" in full.phase_io_j
     assert "param_load" not in lean.phase_io_j
+    assert "param_load" not in lean.phase_cycles
 
 
 def test_reload_report_collapses_to_physical_dies():

@@ -267,32 +267,24 @@ def _tier_rows(monkeypatch):
     return seen
 
 
-def test_bound_32767_stays_in_the_fast_tier(monkeypatch):
+def test_only_chains_that_fail_the_certificate_reach_the_exact_tiers(
+        monkeypatch):
     seen = _tier_rows(monkeypatch)
-    # |W|.|v| = 2 * 127 * 127 + 127 * 4 + 1 = 32767 exactly, no clipping,
-    # though ||W||**2 ||v||**2 = 48388 * 32275 is above 32767**2: the
-    # bound tier keeps a chain the certificate leaves
-    w = [[[127, 127, 127, 1]]]
-    v = [[127, 127, 4, 1]]
-    assert not qf.certified(np.array([[48388]]), np.array([32275]), 32767)
-    assert_factored_exact(w, v)
-    acc, sat = qf.mac_run(np.array(w), np.array(v))
-    assert acc.tolist() == [[32767]] and not sat.any()
-    # only the product-form check reached the wide tiers
-    assert [s.shape for s in seen] == [(1, 1, 4)]
-
-
-def test_bound_32768_leaves_the_fast_tier(monkeypatch):
-    seen = _tier_rows(monkeypatch)
-    w = np.array([[[127, -127, 127, 2],     # bound 32768, never clips
-                   [127, 127, 127, 2],      # bound 32768, clips at the end
-                   [127, 127, 127, 1]]])    # bound 32767
+    # rows 0-2 fail the certificate: row 2, for one, has ||w||**2 ||v||**2
+    # = 48388 * 32275 above 32767**2, though |w|.|v| is 32767 exactly
+    w = np.array([[[127, -127, 127, 2],     # |w|.|v| 32768, never clips
+                   [127, 127, 127, 2],      # |w|.|v| 32768, clips at the end
+                   [127, 127, 127, 1],      # |w|.|v| 32767, never clips
+                   [0, 0, 127, 1]]])        # certified
     v = np.array([[127, 127, 4, 1]])
+    passed = qf.certified(qf.row_sq_norms(w), (v * v).sum(axis=-1),
+                          qf.INT16_MAX)
+    assert passed.tolist() == [[False, False, False, True]]
     acc, sat = qf.mac_run(w, v)
-    assert acc.tolist() == [[510, 32767, 32767]]
-    assert sat.tolist() == [[False, True, False]]
-    assert [s.tolist() for s in seen] == [[[16129, -16129, 508, 2],
-                                           [16129, 16129, 508, 2]]]
+    assert acc.tolist() == [[510, 32767, 32767, 509]]
+    assert sat.tolist() == [[False, True, False, False]]
+    # one call, with the terms of exactly the failing chains
+    assert [s.tolist() for s in seen] == [(w * v[:, None])[~passed].tolist()]
     assert_factored_exact(w, v)
 
 

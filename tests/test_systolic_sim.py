@@ -285,7 +285,7 @@ def test_param_words_match_footprint_on_every_die():
 def test_reduction_traffic_per_gate_and_row():
     plan, params, feats = make_case(43, [(288, 288)], n_steps=1)
     _, trace = simulate(plan, params, feats)
-    grid = plan.grid(0)
+    grid = plan.layer_grids[0]
     reduce_recs = [r for r in trace.records if r.kind == "gate_reduce"]
     # 4 gates x (n - 1) hops, each moving one 16-bit partial per unit row
     assert len(reduce_recs) == 4 * (grid.n - 1)
@@ -298,7 +298,7 @@ def test_reduction_traffic_per_gate_and_row():
 def test_hidden_distribution_traffic():
     plan, params, feats = make_case(47, [(288, 288)], n_steps=1)
     _, trace = simulate(plan, params, feats)
-    grid = plan.grid(0)
+    grid = plan.layer_grids[0]
     chain = [r for r in trace.records if r.kind == "hidden_chain"]
     bcast = [r for r in trace.records if r.kind == "hidden_bcast"]
     assert len(chain) == grid.n - 1
@@ -316,7 +316,7 @@ def test_feature_stream_traffic_and_sources():
     assert all(ev.src == ("host",) for ev in streams[0].events)
     assert {ev.src for ev in streams[1].events} == {(0, 0, 1), (0, 1, 1)}
     for rec in streams:
-        grid = plan.grid(rec.layer)
+        grid = plan.layer_grids[rec.layer]
         assert all(ev.bits == 8 * grid.ni_tile for ev in rec.events)
 
 
@@ -679,6 +679,90 @@ def test_any_network_and_mode_is_bit_exact_and_moves_the_planned_bits(case):
     assert np.array_equal(out, reference(plan, params, feats))
     moved = sum(t["bits"] for t in trace.link_totals().values())
     assert moved == planned_bits(plan, case["n_steps"])
+
+
+# --- the grid against the scalar oracle --------------------------------------------
+
+OTABLES = {"sigmoid_lut": O.lut_table("sigmoid", 5, 7),
+           "tanh_lut": O.lut_table("tanh", 5, 7)}
+
+
+def scalar_reference(plan, params, feats):
+    """`oracles.run_network` over the column blocks `grid.col_blocks()`
+    names: scalar Python chains that share no arithmetic with the
+    package."""
+    blocks = [g.col_blocks() for g in plan.layer_grids]
+    layers = [dict(OTABLES, w_x=[m.tolist() for m in p.input_weights()],
+                   w_h=[m.tolist() for m in p.recurrent_weights()],
+                   peep=[p.w_ci.tolist(), p.w_cf.tolist(), p.w_co.tolist()],
+                   bias=[b.tolist() for b in p.biases()])
+              for p in params.layers]
+    fc = None
+    if params.fc is not None:
+        fc = {"w_y": params.fc.W_y.tolist(), "b_y": params.fc.b_y.tolist(),
+              "sigmoid_lut": OTABLES["sigmoid_lut"],
+              "blocks": [h for _, h in blocks[-1]]}
+    return O.run_network(layers, fc, feats.tolist(), blocks)[0]
+
+
+def certificate_edge_case():
+    """A 16 -> 5 layer on a 2x2 grid.  At step 0 the output-gate chain of
+    unit 0 in die column 0 reads eight weights and features of 64:
+    ||w||**2 ||v||**2 == (32767 + 1)**2, just past the certificate's
+    32767**2, and the chain clips at 32768.  Column 1 pulls back by
+    32272, so the fold leaves 495 where the unclipped sum leaves 496, and
+    the two round to different output-gate codes and hidden codes."""
+    n_i, n_h = 16, 5
+    p = LR.LstmLayerParams(
+        *(np.zeros((n_h, n_i if k % 2 == 0 else n_h), np.int64)
+          for k in range(8)),
+        *(np.zeros(n_h, np.int64) for _ in range(7)),
+        formats=LR.DEFAULT_FORMATS)
+    p.W_xo[0] = [64] * 8 + [-64] * 7 + [-60]
+    p.b_c[0] = 8  # a non-zero update gate, so that c and h are not 0
+    params = LR.NetworkParams([p])
+    feats = np.array([[64] * 15 + [60]] * 2)
+    return params, feats
+
+
+def scalar_cases():
+    """(params, features, saturating) cases: seeded 4x4 grids of 3 layers
+    with ragged widths, with and without a projection, some of them
+    saturating (weight scale 2 or more, feature scale 4), plus the
+    certificate's edge."""
+    # seed, layers (13..16 units is a 4x4 grid of TINY dies), n_out,
+    # weight scale, feature scale
+    for seed, layers, n_out, w_scale, f_scale in [
+            (301, [(7, 13), (13, 15), (15, 14)], 3, 1.0, 1.0),
+            (302, [(5, 14), (14, 13), (13, 16)], None, 0.5, 1.0),
+            (303, [(64, 15), (15, 13), (13, 14)], 2, 2.0, 4.0),
+            (304, [(61, 16), (16, 14), (14, 13)], None, 4.0, 4.0)]:
+        params = LR.random_network_params(seed, layers, n_out=n_out,
+                                          scale=w_scale)
+        feats = LR.random_features(seed + 1, 3, layers[0][0], scale=f_scale)
+        yield pytest.param(params, feats, w_scale >= 2, id="seed%d" % seed)
+    yield pytest.param(*certificate_edge_case(), True, id="certificate_edge")
+
+
+@pytest.mark.parametrize("params,feats,saturating", list(scalar_cases()))
+def test_every_mode_matches_the_scalar_oracle(monkeypatch, params, feats,
+                                              saturating):
+    # `saturating`: some chain of the scalar oracle clips
+    clipped = []
+    chain = O.mac_chain
+
+    def spy(pairs, init=0):
+        acc, sat = chain(pairs, init)
+        clipped.append(sat)
+        return acc, sat
+
+    monkeypatch.setattr(O, "mac_chain", spy)
+    spec = LR.derive_spec(params)
+    want = scalar_reference(plan_grid(spec, TINY), params, feats)
+    assert any(clipped) == saturating
+    for kw in ({}, {"reload": True}, {"chip_select": True}):
+        out, _ = simulate(plan_grid(spec, TINY, **kw), params, feats)
+        assert out.tolist() == want, kw
 
 
 # --- int8 domain at the library boundary ------------------------------------------
