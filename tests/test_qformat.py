@@ -254,24 +254,45 @@ def test_certificate_tier_is_exact_at_its_edge(case):
     assert_factored_exact(w, v, init)
 
 
-def _tier_rows(monkeypatch):
-    """Rows handed to the wide-integer tiers by each mac_run call."""
+def _spy(monkeypatch, name):
+    """Products handed to qformat's `name` tier by each mac_run call."""
     seen = []
-    real = qf._chain
+    real = getattr(qf, name)
 
-    def spy(products, init):
+    def spy(products, *rest):
         seen.append(products.copy())
-        return real(products, init)
+        return real(products, *rest)
 
-    monkeypatch.setattr(qf, "_chain", spy)
+    monkeypatch.setattr(qf, name, spy)
     return seen
 
 
-def test_only_chains_that_fail_the_certificate_reach_the_exact_tiers(
-        monkeypatch):
-    seen = _tier_rows(monkeypatch)
-    # rows 0-2 fail the certificate: row 2, for one, has ||w||**2 ||v||**2
-    # = 48388 * 32275 above 32767**2, though |w|.|v| is 32767 exactly
+# The fast tier is everything short of the saturating scan: the
+# certificate's float32 matmul and the wide-integer prefix check.
+
+
+def test_bound_32767_stays_in_the_fast_tier(monkeypatch):
+    chained = _spy(monkeypatch, "_chain")
+    scanned = _spy(monkeypatch, "_saturating_scan")
+    # |W|.|v| = 2 * 127 * 127 + 127 * 4 + 1 = 32767 exactly, no clipping;
+    # ||w||**2 ||v||**2 = 48388 * 32275 is above 32767**2, so the chain
+    # fails the certificate, and the prefix check settles it without a scan
+    w = np.array([[[127, 127, 127, 1]]])
+    v = np.array([[127, 127, 4, 1]])
+    assert not qf.certified(qf.row_sq_norms(w), (v * v).sum(axis=-1),
+                            qf.INT16_MAX).any()
+    acc, sat = qf.mac_run(w, v)
+    assert acc.tolist() == [[32767]] and not sat.any()
+    assert [s.tolist() for s in chained] == [[[16129, 16129, 508, 1]]]
+    assert scanned == []
+    assert_factored_exact(w, v)
+
+
+def test_bound_32768_leaves_the_fast_tier(monkeypatch):
+    chained = _spy(monkeypatch, "_chain")
+    scanned = _spy(monkeypatch, "_saturating_scan")
+    # rows 0-2 fail the certificate; only row 1 really clips, so only row 1
+    # leaves the fast tier for the scan
     w = np.array([[[127, -127, 127, 2],     # |w|.|v| 32768, never clips
                    [127, 127, 127, 2],      # |w|.|v| 32768, clips at the end
                    [127, 127, 127, 1],      # |w|.|v| 32767, never clips
@@ -284,7 +305,9 @@ def test_only_chains_that_fail_the_certificate_reach_the_exact_tiers(
     assert acc.tolist() == [[510, 32767, 32767, 509]]
     assert sat.tolist() == [[False, True, False, False]]
     # one call, with the terms of exactly the failing chains
-    assert [s.tolist() for s in seen] == [(w * v[:, None])[~passed].tolist()]
+    assert [s.tolist() for s in chained] == [(w * v[:, None])[~passed]
+                                             .tolist()]
+    assert [s.tolist() for s in scanned] == [[[16129, 16129, 508, 2]]]
     assert_factored_exact(w, v)
 
 
