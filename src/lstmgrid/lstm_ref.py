@@ -343,6 +343,14 @@ def cell_tail(dots, c, peep, bias, fmts, luts):
     return np.asarray(h_new, np.int64), np.asarray(c_new, np.int64)
 
 
+def fc_tail(acc, b_y, fmts, luts):
+    """The projection after its reduction: bias, requantize, sigmoid.  The
+    oracle's projection and the grid's root master both end in it."""
+    acc = sat_add16(acc, np.asarray(b_y, np.int64) << fmts.state.frac_bits)
+    return luts["sigmoid"].lookup(requantize(acc, fmts.acc_frac_bits,
+                                             fmts.state))
+
+
 def cell_step_fixed(params, state, x, luts, stack=None):
     """One bit-exact step on int8 codes.
 
@@ -371,15 +379,12 @@ def fc_step_fixed(params, h, luts, stack=None):
     default is one flat block."""
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
-    fmts = params.formats
     if h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
     if stack is None:
         stack = fc_stack(params)
-    acc = sat_add16(_blocked_dot(stack, h)[0],
-                    params.b_y.astype(np.int64) << fmts.state.frac_bits)
-    return luts["sigmoid"].lookup(requantize(acc, fmts.acc_frac_bits,
-                                             fmts.state))
+    return fc_tail(_blocked_dot(stack, h)[0], params.b_y, params.formats,
+                   luts)
 
 
 def network_infer(spec, params, features, mode="fixed", luts=None,
@@ -617,8 +622,12 @@ def load_network(manifest_path):
     meta, tensors = read_container(manifest_path)
     if meta.get("kind") != "network":
         raise ValueError("container does not hold a network")
-    formats = FormatSet(weight=QFormat(tensors["layer0.W_xi"][2].frac_bits),
-                        state=QFormat(meta["state_frac_bits"]),
+    weight = tensors["layer0.W_xi"][2]
+    odd = sorted(k for k, (_, _, fmt) in tensors.items() if fmt != weight)
+    if odd:
+        raise ValueError("tensors %s are not in the weights' format %r"
+                         % (", ".join(odd), weight))
+    formats = FormatSet(weight=weight, state=QFormat(meta["state_frac_bits"]),
                         gate=QFormat(meta["gate_frac_bits"]))
     layers = []
     for li in range(len(meta["layers"])):

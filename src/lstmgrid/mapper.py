@@ -15,6 +15,7 @@ step), spilling states to the host in between.
 """
 
 import dataclasses
+import functools
 import math
 
 HOST = ("host",)
@@ -56,21 +57,33 @@ class DiePlacement:
         return (self.layer, self.row, self.col)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class LinkPlan:
     """One planned point-to-point or broadcast connection.
 
-    kinds: 'p' parameters/features in, 'r' partial-sum reduction,
-    'h' hidden-state distribution, 'out' write-back/state spill.
+    kinds: 'p' parameters/features in, 'r' partial-sum reduction, 'h'
+    hidden-state distribution, 'out' write-back/state spill.  `key`
+    (layer, name, index...) is what schedules look the link up by, and
+    its label spells the key out.  Links compare by identity.
     """
     kind: str
     src: tuple  # die id or HOST
     receivers: tuple  # die ids or (HOST,)
-    label: str
+    key: tuple
 
     def __post_init__(self):
         if self.kind not in ("p", "r", "h", "out"):
             raise ValueError("unknown link kind %r" % (self.kind,))
+
+    @functools.cached_property
+    def label(self):
+        layer, name, *index = self.key
+        if name == "feat":
+            index = ["col%d" % j for j in index]
+        return ".".join(["L%d" % layer, name] + [str(k) for k in index])
+
+    # partial sums travel as 16-bit words, everything else as 8-bit ones
+    word_bits = property(lambda self: 16 if self.kind == "r" else 8)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,12 +126,13 @@ class GridPlan:
     def die(self, die_id):
         return self._by_id[die_id]
 
+    def link(self, key):
+        """The planned link of `key`; KeyError when the plan has none."""
+        return self._links[key]
+
     def __post_init__(self):
         self._by_id = {d.die_id: d for d in self.dies}
-        self._link_keys = {(l.kind, l.src, l.receivers) for l in self.links}
-
-    def has_link(self, kind, src, receivers):
-        return (kind, src, receivers) in self._link_keys
+        self._links = {link.key: link for link in self.links}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,58 +179,57 @@ def plan_layer_grid(layer, n_inputs, n_hidden, tile, n_out=None):
                      n_out=n_out)
 
 
-def _layer_links(grid, upstream):
-    """All planned connections touching one layer grid."""
-    n, ell = grid.n, grid.layer
-    links = []
-    master_col = n - 1
+def layer_io(reload, n_layers, grid):
+    """(spills, reads out) of `grid` in a run of this load mode: the one
+    rule for which state-spill and write-back links carry words.  Only a
+    multi-layer reload run spills, between its per-layer passes; only the
+    last grid reads out, unless it spills and has no projection: then its
+    last spill already is the output."""
+    spills = reload and n_layers > 1
+    return spills, (grid.layer == n_layers - 1
+                    and (grid.n_out is not None or not spills))
 
-    def die(i, j):
-        return (ell, i, j)
+
+def _layer_links(grid, upstream, spills, reads_out):
+    """Every connection one layer grid moves words on (see `layer_io`)."""
+    n, ell, mc = grid.n, grid.layer, grid.n - 1  # mc: the master column
+    links = []
+
+    def add(kind, src, receivers, *key):
+        links.append(LinkPlan(kind, src, tuple(receivers), (ell,) + key))
 
     # feature streams: one per column, host-fed on the first grid and
     # master-fed from the upstream grid afterwards
     for j in range(n):
         src = HOST if upstream is None else (
             upstream.layer, min(j, upstream.n - 1), upstream.n - 1)
-        links.append(LinkPlan("p", src, tuple(die(i, j) for i in range(n)),
-                              "L%d.feat.col%d" % (ell, j)))
+        add("p", src, ((ell, i, j) for i in range(n)), "feat", j)
     # parameter load streams, one per die
     for i in range(n):
         for j in range(n):
-            links.append(LinkPlan("p", HOST, (die(i, j),),
-                                  "L%d.load.%d.%d" % (ell, i, j)))
+            add("p", HOST, [(ell, i, j)], "load", i, j)
     # reduction chain, left to right within each row
     for i in range(n):
         for j in range(n - 1):
-            links.append(LinkPlan("r", die(i, j), (die(i, j + 1),),
-                                  "L%d.reduce.%d.%d" % (ell, i, j)))
+            add("r", (ell, i, j), [(ell, i, j + 1)], "reduce", i, j)
     # hidden distribution: chain up the master column, then each master
     # broadcasts its own tile to its namesake column
     for i in range(n - 1, 0, -1):
-        links.append(LinkPlan("h", die(i, master_col),
-                              (die(i - 1, master_col),),
-                              "L%d.hchain.%d" % (ell, i)))
+        add("h", (ell, i, mc), [(ell, i - 1, mc)], "hchain", i)
     for i in range(n - 1):
-        links.append(LinkPlan("h", die(i, master_col),
-                              tuple(die(r, i) for r in range(n)),
-                              "L%d.hcast.%d" % (ell, i)))
-    # projection reduction steps down the master column, then write-back
-    if grid.n_out is not None:
+        add("h", (ell, i, mc), ((ell, r, i) for r in range(n)), "hcast", i)
+    # read-out: the projection reduction steps down the master column and
+    # the root writes y back, or every master writes its hidden tile back
+    if reads_out and grid.n_out is not None:
         for i in range(n - 1):
-            links.append(LinkPlan("r", die(i, master_col),
-                                  (die(i + 1, master_col),),
-                                  "L%d.fcreduce.%d" % (ell, i)))
-        links.append(LinkPlan("out", die(n - 1, master_col), (HOST,),
-                              "L%d.writeback" % ell))
-    else:
+            add("r", (ell, i, mc), [(ell, i + 1, mc)], "fcreduce", i)
+        add("out", (ell, mc, mc), [HOST], "writeback")
+    elif reads_out:
         for i in range(n):
-            links.append(LinkPlan("out", die(i, master_col), (HOST,),
-                                  "L%d.writeback.%d" % (ell, i)))
-    # state spill/reload paths (used in reload mode)
-    for i in range(n):
-        links.append(LinkPlan("out", die(i, master_col), (HOST,),
-                              "L%d.spill.%d" % (ell, i)))
+            add("out", (ell, i, mc), [HOST], "writeback", i)
+    if spills:
+        for i in range(n):
+            add("out", (ell, i, mc), [HOST], "spill", i)
     return links
 
 
@@ -261,9 +274,9 @@ def plan_grid(spec, tile=TileSpec(), reload=False, chip_select=False):
                     h_cols=(j * grid.nh_tile, (j + 1) * grid.nh_tile),
                     fc_cols=fc_cols, fc_root=fc_root,
                     footprint_bytes=footprint))
-        links.extend(_layer_links(grid,
-                                  grids[grid.layer - 1]
-                                  if grid.layer and not reload else None))
+        links.extend(_layer_links(
+            grid, grids[grid.layer - 1] if grid.layer and not reload else None,
+            *layer_io(reload, len(grids), grid)))
 
     sizes = [g.n * g.n for g in grids]
     total = max(sizes) if reload else sum(sizes)

@@ -30,8 +30,9 @@ import dataclasses
 import numpy as np
 
 from . import lstm_ref
-from .mapper import HOST
-from .qformat import check_int8, mac_run, requantize, sat_add16
+from .mapper import HOST, layer_io
+# perfbench/tracing.py wraps requantize in this module by name
+from .qformat import check_int8, mac_run, requantize, sat_add16  # noqa: F401
 
 LINK_BITS = 4
 
@@ -72,26 +73,20 @@ class CycleModel:
 
 @dataclasses.dataclass
 class LinkEvent:
-    """Planned (and, after simulation, measured) traffic on one link."""
-    label: str
-    kind: str
-    src: tuple
-    receivers: tuple
+    """Planned (and, after simulation, measured) traffic on one link of
+    the plan (`mapper.LinkPlan`), which names its ends and word width."""
+    link: object
     words: int
-    word_bits: int
     toggles: int = None  # filled in by the simulator
 
-    @property
-    def bits(self):
-        return self.words * self.word_bits
-
-    @property
-    def host_drive(self):
-        return self.src == HOST
-
-    @property
-    def host_receive(self):
-        return self.receivers == (HOST,)
+    label = property(lambda self: self.link.label)
+    kind = property(lambda self: self.link.kind)
+    src = property(lambda self: self.link.src)
+    receivers = property(lambda self: self.link.receivers)
+    word_bits = property(lambda self: self.link.word_bits)
+    bits = property(lambda self: self.words * self.link.word_bits)
+    host_drive = property(lambda self: self.link.src == HOST)
+    host_receive = property(lambda self: self.link.receivers == (HOST,))
 
 
 @dataclasses.dataclass
@@ -182,6 +177,20 @@ def _die_ids(grid, cols=None):
     return tuple((grid.layer, i, j) for i in range(grid.n) for j in cols)
 
 
+def _event(plan, key, words):
+    """`words` on the plan's link of `key` (layer, name, index...)."""
+    try:
+        link = plan.link(key)
+    except KeyError:
+        raise DeadlockError("the plan has no link %s to carry %d words"
+                            % (key, words)) from None
+    return LinkEvent(link, words)
+
+
+def _ends(event):
+    return (event.src,) + event.receivers
+
+
 def build_load_schedule(plan, start=0, layers=None, step=None):
     """Configuration phase: every die's parameters over its p stream.
 
@@ -196,8 +205,8 @@ def build_load_schedule(plan, start=0, layers=None, step=None):
     for grid in plan.layer_grids:
         if layers is not None and grid.layer not in layers:
             continue
-        events = [LinkEvent("L%d.load.%d.%d" % die, "p", HOST, (die,),
-                            plan.die(die).footprint_bytes, 8)
+        events = [_event(plan, (grid.layer, "load") + die[1:],
+                         plan.die(die).footprint_bytes)
                   for die in _die_ids(grid)]
         groups = [[ev] for ev in events] if plan.chip_select else [events]
         for group in groups:
@@ -209,89 +218,82 @@ def build_load_schedule(plan, start=0, layers=None, step=None):
     return records, cursor
 
 
-def _schedule_gate_phases(grid, cm, cursor, x_cycles, records, step):
+def _schedule_gate_phases(plan, grid, cm, cursor, x_cycles, records, step):
     """The four gate rounds (compute, reduction chain, activation) plus
     the element-wise phase.  Returns the element-wise end cycle."""
-    n, nh = grid.n, grid.nh_tile
+    n, nh, ell = grid.n, grid.nh_tile, grid.layer
     all_dies = _die_ids(grid)
     masters = _die_ids(grid, cols=[n - 1])
     for g in range(4):
-        records.append(PhaseRecord("gate_compute", grid.layer, cursor,
+        records.append(PhaseRecord("gate_compute", ell, cursor,
                                    cursor + x_cycles, all_dies, [],
                                    gate=g, step=step))
         cursor += x_cycles
         for hop in range(1, n):
-            events = [LinkEvent("L%d.reduce.%d.%d" % (grid.layer, i, hop - 1),
-                                "r", (grid.layer, i, hop - 1),
-                                ((grid.layer, i, hop),), nh, 16)
+            events = [_event(plan, (ell, "reduce", i, hop - 1), nh)
                       for i in range(n)]
             dies = _die_ids(grid, cols=[hop - 1, hop])
-            records.append(PhaseRecord("gate_reduce", grid.layer, cursor,
+            records.append(PhaseRecord("gate_reduce", ell, cursor,
                                        cursor + 4 * nh + 4, dies, events,
                                        gate=g, hop=hop, step=step))
             cursor += 4 * nh + 4
-        records.append(PhaseRecord("gate_activate", grid.layer, cursor,
+        records.append(PhaseRecord("gate_activate", ell, cursor,
                                    cursor + cm.c_gate, masters, [],
                                    gate=g, step=step))
         cursor += cm.c_gate
-    records.append(PhaseRecord("elementwise", grid.layer, cursor,
+    records.append(PhaseRecord("elementwise", ell, cursor,
                                cursor + cm.c_fixed, masters, [], step=step))
     return cursor + cm.c_fixed
 
 
-def _schedule_distribution(grid, cursor, records, step):
+def _schedule_distribution(plan, grid, cursor, records, step):
     """Hidden-state distribution: chain up the master column, then the
     masters broadcast their own tiles to their namesake columns."""
-    n, nh = grid.n, grid.nh_tile
+    n, nh, ell = grid.n, grid.nh_tile, grid.layer
     if n == 1:
         return cursor
     hop_cycles = 2 * nh + 2
     for k, i in enumerate(range(n - 1, 0, -1), start=1):
-        src = (grid.layer, i, n - 1)
-        dst = (grid.layer, i - 1, n - 1)
+        ev = _event(plan, (ell, "hchain", i), nh)
         records.append(PhaseRecord(
-            "hidden_chain", grid.layer, cursor, cursor + hop_cycles,
-            (src, dst),
-            [LinkEvent("L%d.hchain.%d" % (grid.layer, i), "h", src, (dst,),
-                       nh, 8)], hop=k, step=step))
+            "hidden_chain", ell, cursor, cursor + hop_cycles, _ends(ev),
+            [ev], hop=k, step=step))
         cursor += hop_cycles
-    events, dies = [], set()
-    for i in range(n - 1):
-        src = (grid.layer, i, n - 1)
-        receivers = _die_ids(grid, cols=[i])
-        events.append(LinkEvent("L%d.hcast.%d" % (grid.layer, i), "h", src,
-                                receivers, nh, 8))
-        dies.add(src)
-        dies.update(receivers)
-    records.append(PhaseRecord("hidden_bcast", grid.layer, cursor,
-                               cursor + hop_cycles, tuple(sorted(dies)),
-                               events, step=step))
+    events = [_event(plan, (ell, "hcast", i), nh) for i in range(n - 1)]
+    dies = sorted({die for ev in events for die in _ends(ev)})
+    records.append(PhaseRecord("hidden_bcast", ell, cursor,
+                               cursor + hop_cycles, tuple(dies), events,
+                               step=step))
     return cursor + hop_cycles
 
 
-def _schedule_fc(grid, cm, cursor, records, step):
-    n, n_out = grid.n, grid.n_out
+def _schedule_readout(plan, grid, cm, cursor, records, step):
+    """The projection and the write-back of y, or of the hidden tiles."""
+    n, ell = grid.n, grid.layer
     masters = _die_ids(grid, cols=[n - 1])
-    records.append(PhaseRecord("fc_compute", grid.layer, cursor,
+    if grid.n_out is None:
+        events = [_event(plan, (ell, "writeback", i), grid.nh_tile)
+                  for i in range(n)]
+        records.append(PhaseRecord("writeback", ell, cursor,
+                                   cursor + 2 * grid.nh_tile, masters,
+                                   events, step=step))
+        return cursor + 2 * grid.nh_tile
+    n_out = grid.n_out
+    records.append(PhaseRecord("fc_compute", ell, cursor,
                                cursor + grid.nh_tile, masters, [], step=step))
     cursor += grid.nh_tile
     for i in range(n - 1):
-        src = (grid.layer, i, n - 1)
-        dst = (grid.layer, i + 1, n - 1)
+        ev = _event(plan, (ell, "fcreduce", i), n_out)
         records.append(PhaseRecord(
-            "fc_reduce", grid.layer, cursor, cursor + 4 * n_out + 4,
-            (src, dst),
-            [LinkEvent("L%d.fcreduce.%d" % (grid.layer, i), "r", src, (dst,),
-                       n_out, 16)], hop=i + 1, step=step))
+            "fc_reduce", ell, cursor, cursor + 4 * n_out + 4, _ends(ev),
+            [ev], hop=i + 1, step=step))
         cursor += 4 * n_out + 4
-    root = (grid.layer, n - 1, n - 1)
-    records.append(PhaseRecord("fc_activate", grid.layer, cursor,
-                               cursor + cm.c_gate, (root,), [], step=step))
+    ev = _event(plan, (ell, "writeback"), n_out)
+    records.append(PhaseRecord("fc_activate", ell, cursor,
+                               cursor + cm.c_gate, (ev.src,), [], step=step))
     cursor += cm.c_gate
-    records.append(PhaseRecord(
-        "writeback", grid.layer, cursor, cursor + 2 * n_out, (root,),
-        [LinkEvent("L%d.writeback" % grid.layer, "out", root, (HOST,),
-                   n_out, 8)], step=step))
+    records.append(PhaseRecord("writeback", ell, cursor, cursor + 2 * n_out,
+                               (ev.src,), [ev], step=step))
     return cursor + 2 * n_out
 
 
@@ -300,9 +302,9 @@ def build_step_schedule(plan, cm=CycleModel(), start=0, step=None,
     """One inference step across the (stacked) layer grids in `layers`
     (default: all of them).
 
-    With `readout`, the network's last grid ends in its output: the
-    projection and the write-back of y when the plan has one, else the
-    write-back of its hidden tiles.
+    With `readout`, a grid that reads out (`mapper.layer_io`) ends in its
+    output: the projection and the write-back of y when the plan has one,
+    else the write-back of its hidden tiles.
 
     The first scheduled grid streams its features from the host before
     computing.  Deeper grids run their recurrent MAC loops as soon as the
@@ -317,54 +319,39 @@ def build_step_schedule(plan, cm=CycleModel(), start=0, step=None,
     for grid in plan.layer_grids:
         if layers is not None and grid.layer not in layers:
             continue
-        n, nh, ni = grid.n, grid.nh_tile, grid.ni_tile
+        n, ni = grid.n, grid.ni_tile
         h_loop = cm.h_loop(plan, grid)
         all_dies = _die_ids(grid)
         if e_prev is None:
             feat_start = start
         else:
-            up = plan.layer_grids[grid.layer - 1]
             records.append(PhaseRecord("recurrent_compute", grid.layer,
                                        e_prev, e_prev + 4 * h_loop, all_dies,
                                        [], step=step))
             feat_start = e_prev + dist_cycles_prev
-        feat_events = [
-            LinkEvent("L%d.feat.col%d" % (grid.layer, j), "p",
-                      HOST if e_prev is None
-                      else (up.layer, min(j, up.n - 1), up.n - 1),
-                      _die_ids(grid, cols=[j]), ni, 8)
-            for j in range(n)]
+        feat_events = [_event(plan, (grid.layer, "feat", j), ni)
+                       for j in range(n)]
         records.append(PhaseRecord("feature_stream", grid.layer, feat_start,
                                    feat_start + 2 * ni, all_dies, feat_events,
                                    step=step))
         if e_prev is None:
-            cursor = _schedule_gate_phases(grid, cm, start + 2 * ni,
+            cursor = _schedule_gate_phases(plan, grid, cm, start + 2 * ni,
                                            ni + h_loop, records, step)
         else:
             x_start = max(e_prev + 4 * h_loop, feat_start + 2 * ni)
-            cursor = _schedule_gate_phases(grid, cm, x_start, ni, records,
-                                           step)
+            cursor = _schedule_gate_phases(plan, grid, cm, x_start, ni,
+                                           records, step)
         e_prev = cursor
         dist_start = cursor
-        cursor = _schedule_distribution(grid, cursor, records, step)
+        cursor = _schedule_distribution(plan, grid, cursor, records, step)
         dist_cycles_prev = cursor - dist_start
-        if not readout or grid.layer != len(plan.layer_grids) - 1:
-            continue
-        if grid.n_out is not None:
-            cursor = _schedule_fc(grid, cm, cursor, records, step)
-        else:
-            masters = _die_ids(grid, cols=[n - 1])
-            events = [LinkEvent("L%d.writeback.%d" % (grid.layer, i), "out",
-                                (grid.layer, i, n - 1), (HOST,), nh, 8)
-                      for i in range(n)]
-            records.append(PhaseRecord("writeback", grid.layer, cursor,
-                                       cursor + 2 * nh, masters, events,
-                                       step=step))
-            cursor += 2 * nh
+        _, reads_out = layer_io(plan.reload, len(plan.layer_grids), grid)
+        if readout and reads_out:
+            cursor = _schedule_readout(plan, grid, cm, cursor, records, step)
     return records, cursor
 
 
-def build_state_record(grid, kind, cursor, step):
+def build_state_record(plan, grid, kind, cursor, step):
     """Spill (`state_store`) or restore (`state_load`) one layer's h/c tiles.
 
     Restoring sends each hidden tile down its column's feature stream (all
@@ -372,22 +359,18 @@ def build_state_record(grid, kind, cursor, step):
     master over the parameter stream; spilling runs master write-outs, h
     tile then c tile per master.
     """
-    n, nh = grid.n, grid.nh_tile
-    masters = _die_ids(grid, cols=[n - 1])
+    n, nh, ell = grid.n, grid.nh_tile, grid.layer
     if kind == "state_load":
-        events = [LinkEvent("L%d.feat.col%d" % (grid.layer, j), "p", HOST,
-                            _die_ids(grid, cols=[j]), nh, 8)
-                  for j in range(n)]
-        events += [LinkEvent("L%d.load.%d.%d" % die, "p", HOST, (die,), nh, 8)
-                   for die in masters]
+        events = [_event(plan, (ell, "feat", j), nh) for j in range(n)]
+        events += [_event(plan, (ell, "load", i, n - 1), nh)
+                   for i in range(n)]
         dies = _die_ids(grid)
     else:
-        events = [LinkEvent("L%d.spill.%d" % (grid.layer, i), "out", die,
-                            (HOST,), nh, 8)
-                  for i, die in enumerate(masters) for _ in "hc"]
-        dies = masters
-    return PhaseRecord(kind, grid.layer, cursor, cursor + 4 * nh, dies,
-                       events, step=step)
+        events = [_event(plan, (ell, "spill", i), nh)
+                  for i in range(n) for _ in "hc"]
+        dies = _die_ids(grid, cols=[n - 1])
+    return PhaseRecord(kind, ell, cursor, cursor + 4 * nh, dies, events,
+                       step=step)
 
 
 def build_run_schedule(plan, cm, n_steps):
@@ -395,13 +378,15 @@ def build_run_schedule(plan, cm, n_steps):
     (configuration records, one record list per step, end cycle).
 
     Resident parameters (stacked, chip-select, one-layer reload) load once
-    on a timeline of their own (step None).  A multi-layer reload plan runs
-    one pass per (step, layer), step-major: parameter re-load, state
-    restore (not on the very first pass), one step of that layer alone,
-    state spill.  The spilled h of the last layer is already the output.
+    on a timeline of their own (step None).  A run that spills
+    (`mapper.layer_io`: a multi-layer reload plan) runs one pass per
+    (step, layer), step-major: parameter re-load, state restore (not on
+    the very first pass), one step of that layer alone, state spill.
     """
     steps, cursor = [], 0
-    if not plan.reload or len(plan.layer_grids) == 1:
+    spills, _ = layer_io(plan.reload, len(plan.layer_grids),
+                         plan.layer_grids[0])
+    if not spills:
         config, _ = build_load_schedule(plan)
         for t in range(n_steps):
             records, cursor = build_step_schedule(plan, cm, cursor, t)
@@ -413,15 +398,14 @@ def build_run_schedule(plan, cm, n_steps):
             loads, cursor = build_load_schedule(plan, cursor, [grid.layer], t)
             records += loads
             if t or grid.layer:
-                records.append(build_state_record(grid, "state_load",
+                records.append(build_state_record(plan, grid, "state_load",
                                                   cursor, t))
                 cursor = records[-1].end
-            recs, cursor = build_step_schedule(
-                plan, cm, cursor, t, readout=grid.n_out is not None,
-                layers=[grid.layer])
+            recs, cursor = build_step_schedule(plan, cm, cursor, t,
+                                               layers=[grid.layer])
             records += recs
-            records.append(build_state_record(grid, "state_store", cursor,
-                                              t))
+            records.append(build_state_record(plan, grid, "state_store",
+                                              cursor, t))
             cursor = records[-1].end
         steps.append(records)
     return [], steps, cursor
@@ -573,11 +557,8 @@ class _FcEngine:
         return incoming
 
     def activate(self):
-        fmts = self.formats
-        acc = sat_add16(self.partials[self.grid.n - 1],
-                        self.b_y << fmts.state.frac_bits)
-        self.y = self.luts["sigmoid"].lookup(
-            requantize(acc, fmts.acc_frac_bits, fmts.state))
+        self.y = lstm_ref.fc_tail(self.partials[self.grid.n - 1], self.b_y,
+                                  self.formats, self.luts)
 
 
 class GridSim:
@@ -601,7 +582,12 @@ class GridSim:
         self.fc = None
         if params.fc is not None:
             self.fc = _FcEngine(plan.layer_grids[-1], params.fc, self.luts)
-        self.dropped = set(dropped_links)
+        by_label = {link.label: link for link in plan.links}
+        unknown = sorted(map(str, set(dropped_links) - set(by_label)))
+        if unknown:
+            raise ValueError("dropped_links names links the plan does not "
+                             "have: %s" % ", ".join(unknown))
+        self.dropped = {by_label[label] for label in dropped_links}
         # h and c of each layer as last spilled to the host (reload mode)
         self.host_state = [np.zeros((2, g.nh_padded), np.int64)
                            for g in plan.layer_grids]
@@ -615,10 +601,9 @@ class GridSim:
     # -- link layer --
 
     def _check_transfer(self, event, n_words):
-        if event.label in self.dropped or not self.plan.has_link(
-                event.kind, event.src, event.receivers):
+        if event.link in self.dropped:
             raise DeadlockError(
-                "transfer on %s (%s -> %s) found no ready sink: link absent"
+                "transfer on %s (%s -> %s) found no ready sink: link dropped"
                 % (event.label, event.src, event.receivers))
         if n_words != event.words:
             raise AssertionError("planned %d words on %s, moved %d"
@@ -675,32 +660,29 @@ class GridSim:
         eng = self.engines[rec.layer]
         n = eng.grid.n
         kind = rec.kind
+        tiles = []  # the words each of the record's events carries
         if kind == "param_load":
             for ev in rec.events:
                 self._load_die(ev)
+            return
         elif kind == "state_load":
             eng.h[:], eng.c[:] = self.host_state[rec.layer]
-            tiles = [eng.h[eng.rows(j)] for j in range(n)]
-            tiles += [eng.c[eng.rows(i)] for i in range(n)]
-            for ev, words in zip(rec.events, tiles):
-                self._transfer(ev, words)
+            tiles = [vec[eng.rows(i)] for vec in (eng.h, eng.c)
+                     for i in range(n)]
         elif kind == "state_store":
             spill = np.zeros_like(self.host_state[rec.layer])
             real = slice(0, eng.grid.n_hidden)
             spill[0, real], spill[1, real] = eng.h[real], eng.c[real]
             self.host_state[rec.layer] = spill
             tiles = [vec[eng.rows(i)] for i in range(n) for vec in spill]
-            for ev, words in zip(rec.events, tiles):
-                self._transfer(ev, words)
         elif kind == "feature_stream":
             if rec.layer == 0:
                 eng.set_features(x_t)
             else:
                 up = self.engines[rec.layer - 1]
                 eng.set_features(up.h[:eng.grid.n_inputs])
-            for j, ev in enumerate(rec.events):
-                xs = slice(j * eng.grid.ni_tile, (j + 1) * eng.grid.ni_tile)
-                self._transfer(ev, eng.x[xs])
+            ni = eng.grid.ni_tile
+            tiles = [eng.x[j * ni:(j + 1) * ni] for j in range(n)]
         elif kind in ("recurrent_compute", "gate_activate"):
             # timing only: MACs are evaluated in pinned order by
             # gate_compute, and the activations by elementwise from the
@@ -710,33 +692,30 @@ class GridSim:
             eng.gate_round(rec.gate)
         elif kind == "gate_reduce":
             incoming = eng.reduce_hop(rec.gate, rec.hop)
-            for i, ev in enumerate(rec.events):
-                self._transfer(ev, incoming[eng.rows(i)])
+            tiles = [incoming[eng.rows(i)] for i in range(n)]
         elif kind == "elementwise":
             eng.elementwise()
             if n == 1:
                 eng.commit_hidden()  # no distribution phase on a 1x1 grid
         elif kind == "hidden_chain":
             # tile n-1 codes travel up the master column unchanged
-            self._transfer(rec.events[0], eng.hidden_tile(n - 1))
+            tiles = [eng.hidden_tile(n - 1)]
         elif kind == "hidden_bcast":
-            for i, ev in enumerate(rec.events):
-                self._transfer(ev, eng.hidden_tile(i))
+            tiles = [eng.hidden_tile(i) for i in range(n - 1)]
             eng.commit_hidden()
         elif kind == "fc_compute":
             self.fc.compute(eng)
         elif kind == "fc_reduce":
-            self._transfer(rec.events[0], self.fc.reduce_hop(rec.hop))
+            tiles = [self.fc.reduce_hop(rec.hop)]
         elif kind == "fc_activate":
             self.fc.activate()
         elif kind == "writeback":
-            if self.fc is not None:
-                self._transfer(rec.events[0], self.fc.y)
-            else:
-                for i, ev in enumerate(rec.events):
-                    self._transfer(ev, eng.hidden_tile(i))
+            tiles = ([self.fc.y] if self.fc is not None
+                     else [eng.hidden_tile(i) for i in range(n)])
         else:
             raise AssertionError("unhandled phase kind %r" % (kind,))
+        for ev, words in zip(rec.events, tiles, strict=True):
+            self._transfer(ev, words)
 
     def run(self, features):
         """Walk the plan's run schedule over `features` (T x n_features
@@ -764,8 +743,7 @@ class GridSim:
         return outputs, PhaseTrace(
             config + [rec for recs in steps for rec in recs], end,
             len(features), meta={"n_dies": self.plan.total_dies,
-                                 "reload": self.plan.reload,
-                                 "chip_select": self.plan.chip_select})
+                                 "reload": self.plan.reload})
 
 
 def simulate(plan, params, features, luts=None, cycle_model=CycleModel(),

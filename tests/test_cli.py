@@ -146,6 +146,23 @@ def test_run_rejects_unknown_fault_label(tmp_path, capsys, flags):
     assert "L0.reduce.0.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,labels", [
+    ([], ["L0.spill.0", "L0.writeback.1"]),
+    (["--reload"], ["L1.writeback.0"])])
+def test_run_rejects_labels_of_links_the_mode_never_uses(tmp_path, capsys,
+                                                         flags, labels):
+    # stacked runs never spill and only the last layer writes back; a
+    # two-layer reload run without a projection outputs its last spill
+    cfg = write_config(tmp_path / "f.yaml",
+                       network={"layers": [[8, 8], [8, 8]], "seed": 2},
+                       features={"n_steps": 2, "seed": 3},
+                       tile={"nh_capacity": 4},
+                       faults={"drop_links": labels})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]
+                  + flags)
+    assert_config_error(rc, capsys, ", ".join(labels))
+
+
 def test_run_oracle_mismatch_exit_code(small_config, tmp_path, capsys,
                                        monkeypatch):
     real = systolic_sim.simulate
@@ -308,6 +325,26 @@ def test_float32_container_entry_is_refused(tmp_path, capsys, name):
     lstm_ref.save_network(net_path, params)
     reencode_as_float32(net_path, name)
     with pytest.raises(ValueError, match="int8"):
+        lstm_ref.load_network(net_path)
+    cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
+                       features={"n_steps": 2})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load network container")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("name", ["layer0.b_i", "fc.W_y"])
+def test_container_entry_in_another_format_is_refused(tmp_path, capsys,
+                                                      name):
+    params = lstm_ref.random_network_params(46, [(8, 8)], n_out=3)
+    net_path = str(tmp_path / "net.json")
+    lstm_ref.save_network(net_path, params)
+    with open(net_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    next(e for e in manifest["tensors"] if e["name"] == name)["frac_bits"] = 2
+    with open(net_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match=name):
         lstm_ref.load_network(net_path)
     cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
                        features={"n_steps": 2})

@@ -138,52 +138,80 @@ def test_projection_slices_cover_the_master_column():
     assert [r.die_id for r in roots] == [(0, 1, 1)]
 
 
+def ends(plan, *key):
+    """Kind, source and receivers of the plan's link `key`."""
+    link = plan.link(key)
+    return link.kind, link.src, link.receivers
+
+
 def test_first_layer_feature_streams_come_from_the_host():
     plan = plan_grid(spec_for([(192, 192)]), TILE)
     for j in range(2):
-        assert plan.has_link("p", HOST, ((0, 0, j), (0, 1, j)))
+        assert ends(plan, 0, "feat", j) == ("p", HOST,
+                                            ((0, 0, j), (0, 1, j)))
 
 
 def test_stacked_feature_streams_come_from_upstream_masters():
     plan = plan_grid(spec_for([(192, 192), (192, 192)]), TILE)
     for j in range(2):
-        assert plan.has_link("p", (0, j, 1), ((1, 0, j), (1, 1, j)))
+        assert ends(plan, 1, "feat", j) == ("p", (0, j, 1),
+                                            ((1, 0, j), (1, 1, j)))
 
 
 def test_reload_feature_streams_stay_host_fed():
     plan = plan_grid(spec_for([(192, 192), (192, 192)]), TILE, reload=True)
     for j in range(2):
-        assert plan.has_link("p", HOST, ((1, 0, j), (1, 1, j)))
+        assert ends(plan, 1, "feat", j) == ("p", HOST,
+                                            ((1, 0, j), (1, 1, j)))
 
 
 def test_reduction_chain_runs_left_to_right():
     plan = plan_grid(spec_for([(288, 288)]), TILE)
-    for i in range(3):
-        for j in range(2):
-            assert plan.has_link("r", (0, i, j), ((0, i, j + 1),))
-        assert not plan.has_link("r", (0, i, 2), ((0, i, 1),))
+    # every row hops left to right, and no link runs back
+    assert {(l.src, l.receivers) for l in plan.links if l.kind == "r"} \
+        == {((0, i, j), ((0, i, j + 1),)) for i in range(3) for j in range(2)}
 
 
 def test_hidden_distribution_links():
     plan = plan_grid(spec_for([(288, 288)]), TILE)
     # chain climbs the master column
-    assert plan.has_link("h", (0, 2, 2), ((0, 1, 2),))
-    assert plan.has_link("h", (0, 1, 2), ((0, 0, 2),))
+    assert ends(plan, 0, "hchain", 2) == ("h", (0, 2, 2), ((0, 1, 2),))
+    assert ends(plan, 0, "hchain", 1) == ("h", (0, 1, 2), ((0, 0, 2),))
     # masters 0 and 1 broadcast to their namesake columns
-    assert plan.has_link("h", (0, 0, 2), ((0, 0, 0), (0, 1, 0), (0, 2, 0)))
-    assert plan.has_link("h", (0, 1, 2), ((0, 0, 1), (0, 1, 1), (0, 2, 1)))
+    assert ends(plan, 0, "hcast", 0) == (
+        "h", (0, 0, 2), ((0, 0, 0), (0, 1, 0), (0, 2, 0)))
+    assert ends(plan, 0, "hcast", 1) == (
+        "h", (0, 1, 2), ((0, 0, 1), (0, 1, 1), (0, 2, 1)))
 
 
 def test_every_die_has_a_parameter_stream():
     plan = plan_grid(spec_for([(192, 192), (192, 192)]), TILE)
     for die in plan.dies:
-        assert plan.has_link("p", HOST, (die.die_id,))
+        assert ends(plan, die.layer, "load", die.row, die.col) \
+            == ("p", HOST, (die.die_id,))
 
 
 def test_projection_reduction_and_writeback_links():
     plan = plan_grid(spec_for([(192, 192)], n_out=62), TILE)
-    assert plan.has_link("r", (0, 0, 1), ((0, 1, 1),))
-    assert plan.has_link("out", (0, 1, 1), (HOST,))
+    assert ends(plan, 0, "fcreduce", 0) == ("r", (0, 0, 1), ((0, 1, 1),))
+    assert ends(plan, 0, "writeback") == ("out", (0, 1, 1), (HOST,))
+    assert plan.link((0, "writeback")).label == "L0.writeback"
+
+
+@pytest.mark.parametrize("reload,n_out,labels", [
+    (False, None, ["L1.writeback.0", "L1.writeback.1"]),
+    (False, 3, ["L1.writeback"]),
+    # a multi-layer reload run spills every layer, and its last spill is
+    # the output unless it projects
+    (True, None, ["L0.spill.0", "L0.spill.1", "L1.spill.0", "L1.spill.1"]),
+    (True, 3, ["L0.spill.0", "L0.spill.1", "L1.writeback", "L1.spill.0",
+               "L1.spill.1"]),
+])
+def test_only_the_links_the_mode_writes_out_on_are_planned(reload, n_out,
+                                                           labels):
+    plan = plan_grid(spec_for([(192, 192), (192, 192)], n_out), TILE,
+                     reload=reload)
+    assert [l.label for l in plan.links if l.kind == "out"] == labels
 
 
 def test_link_kind_is_validated():

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -407,39 +408,58 @@ def test_reload_param_loads_carry_each_die_burst_toggles_on_every_pass():
 def test_every_reload_transfer_consults_the_plan(monkeypatch):
     plan, params, feats = make_case(65, [(96, 96), (96, 192)], n_out=10,
                                     n_steps=3, reload=True)
-    calls = []
-    has_link = plan.has_link
+    found, checked = [], []
+    link, check = plan.link, GridSim._check_transfer
 
-    def spy(kind, src, receivers):
-        calls.append((kind, src, receivers))
-        return has_link(kind, src, receivers)
+    def spy_link(key):
+        found.append(link(key))
+        return found[-1]
 
-    monkeypatch.setattr(plan, "has_link", spy)
+    def spy_check(sim, event, n_words):
+        checked.append(event)
+        return check(sim, event, n_words)
+
+    monkeypatch.setattr(plan, "link", spy_link)
+    monkeypatch.setattr(GridSim, "_check_transfer", spy_check)
     _, trace = run_reload(plan, params, feats)
-    # one link check per event, parameter re-loads on later passes included
-    assert calls == [(ev.kind, ev.src, ev.receivers)
-                     for rec in trace.records for ev in rec.events]
+    # one plan lookup and one transfer check per event, parameter
+    # re-loads on later passes included
+    events = [ev for rec in trace.records for ev in rec.events]
+    assert [ev.link for ev in events] == found
+    assert [id(ev) for ev in events] == [id(ev) for ev in checked]
     assert sum(len(rec.events) for rec in trace.records
                if rec.kind == "param_load") == 3 * len(plan.dies)
 
 
-@pytest.mark.parametrize("layers,mode", [
-    ([(96, 96), (96, 192)], "stacked"),
-    ([(96, 96), (96, 192)], "chip_select"),
-    ([(96, 96), (96, 192)], "reload"),
-    ([(96, 96), (96, 192), (192, 192)], "reload"),
-])
-def test_every_traced_event_uses_a_planned_link(layers, mode):
-    plan, params, feats = make_case(
-        63, layers, n_out=10, n_steps=2, reload=mode == "reload",
-        chip_select=mode == "chip_select")
-    drive = run_reload if mode == "reload" else simulate
-    _, trace = drive(plan, params, feats)
-    labels = {link.label for link in plan.links}
-    for rec in trace.records:
-        for ev in rec.events:
-            assert ev.label in labels
-            assert plan.has_link(ev.kind, ev.src, ev.receivers), ev.label
+# (layers, n_out) on TINY dies: one to three layers, grid sides 1 to 3,
+# with and without a projection
+LINK_CASES = [
+    ([(5, 4)], None),
+    ([(6, 12)], 3),
+    ([(7, 8), (8, 3)], None),
+    ([(3, 12), (12, 6)], 2),
+    ([(6, 8), (8, 12), (12, 4)], None),
+    ([(9, 3), (3, 9), (9, 8)], 4),
+]
+
+
+@pytest.mark.parametrize("mode", ["stacked", "chip_select", "reload"])
+@pytest.mark.parametrize("layers,n_out", LINK_CASES,
+                         ids=["layers%d" % k for k in range(len(LINK_CASES))])
+def test_every_traced_event_uses_a_planned_link(layers, n_out, mode):
+    params = LR.random_network_params(63, layers, n_out=n_out)
+    feats = LR.random_features(64, 2, layers[0][0])
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=mode == "reload",
+                     chip_select=mode == "chip_select")
+    _, trace = simulate(plan, params, feats)
+    # the run moves words on exactly the plan's links, each the plan's own
+    used = {id(ev.link): ev.link for rec in trace.records
+            for ev in rec.events}
+    assert sorted(used) == sorted(map(id, plan.links))
+    # so every planned link carries a transfer the run cannot do without
+    for link in plan.links:
+        with pytest.raises(DeadlockError, match=link.label):
+            simulate(plan, params, feats, dropped_links={link.label})
 
 
 # --- one run schedule for every load mode -----------------------------------------
@@ -524,14 +544,30 @@ def test_dropped_reduction_link_deadlocks():
 
 
 def test_unplanned_transfer_deadlocks():
-    # a plan for a different topology cannot serve a wider grid
+    # a plan without its hidden-distribution links cannot serve the run
     plan, params, feats = make_case(83, [(192, 192)], n_steps=1)
-    bad_params = LR.random_network_params(83, [(192, 192)])
-    sim = GridSim(plan, bad_params)
-    sim.plan._link_keys = {k for k in sim.plan._link_keys
-                           if k[0] != "h"}
-    with pytest.raises(DeadlockError):
+    plan = dataclasses.replace(
+        plan, links=[link for link in plan.links if link.kind != "h"])
+    sim = GridSim(plan, params)
+    with pytest.raises(DeadlockError, match="hchain"):
         sim.run(feats)
+
+
+@pytest.mark.parametrize("label,reload", [
+    ("L9.bogus", False), ("L0.reduce.0.1", False),
+    # labels of links the mode never moves a word on
+    ("L0.spill.0", False), ("L0.writeback.1", False),
+    ("L1.writeback.0", True)])
+@pytest.mark.parametrize("drive", ["GridSim", "simulate"])
+def test_dropping_a_link_the_plan_lacks_is_rejected(drive, label, reload):
+    params = LR.random_network_params(89, [(8, 8), (8, 8)])
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=reload)
+    with pytest.raises(ValueError, match=label):
+        if drive == "GridSim":
+            GridSim(plan, params, dropped_links={label})
+        else:
+            simulate(plan, params, LR.random_features(90, 2, 8),
+                     dropped_links=[label])
 
 
 def test_layer_count_mismatch_is_rejected():
