@@ -181,16 +181,22 @@ def build_run_config(args):
              % (features.shape[1], spec.n_features))
 
     faults = doc.get("faults") or {}
-    dropped = tuple(faults.get("drop_links") or ())
-    if dropped:
-        plan = mapper.plan_grid(spec, tile, reload=mode == "reload",
-                                chip_select=mode == "chip-select")
-        labels = {link.label for link in plan.links}
-        unknown = [str(label) for label in dropped if label not in labels]
-        _require(not unknown, "faults.drop_links names links the plan does "
-                 "not have: %s" % ", ".join(unknown))
     return RunConfig(params, features, spec, tile, mode, op, consts, cm,
-                     dropped, doc.get("sweep") or {})
+                     tuple(faults.get("drop_links") or ()),
+                     doc.get("sweep") or {})
+
+
+def plan_run(cfg):
+    """The grid plan of a run; a `faults.drop_links` label of a link the
+    plan lacks is a config error."""
+    plan = mapper.plan_grid(cfg.spec, cfg.tile, reload=cfg.reload,
+                            chip_select=cfg.chip_select)
+    labels = {link.label for link in plan.links}
+    unknown = [str(label) for label in cfg.dropped_links
+               if label not in labels]
+    _require(not unknown, "faults.drop_links names links the plan does not "
+             "have: %s" % ", ".join(unknown))
+    return plan
 
 
 def _out_path(args, name):
@@ -217,8 +223,7 @@ def _plan_blocks(plan):
 
 def cmd_plan(args):
     cfg = build_run_config(args)
-    plan = mapper.plan_grid(cfg.spec, cfg.tile, reload=cfg.reload,
-                            chip_select=cfg.chip_select)
+    plan = plan_run(cfg)
     budget = mapper.pin_budget(plan, time_multiplexed=args.time_multiplexed)
     lines = ["mode: %s" % cfg.mode]
     for grid in plan.layer_grids:
@@ -265,8 +270,7 @@ def _report_text(rep, n_steps):
 
 def cmd_run(args):
     cfg = build_run_config(args)
-    plan = mapper.plan_grid(cfg.spec, cfg.tile, reload=cfg.reload,
-                            chip_select=cfg.chip_select)
+    plan = plan_run(cfg)
     outputs, trace = systolic_sim.simulate(plan, cfg.params, cfg.features,
                                            cycle_model=cfg.cycle_model,
                                            dropped_links=cfg.dropped_links)
@@ -381,6 +385,8 @@ def _sweep_rows(cfg):
 
 def cmd_sweep(args):
     cfg = build_run_config(args)
+    if cfg.dropped_links:
+        plan_run(cfg)  # the sweep runs no grid, but refuses bad labels
     try:
         rows = _sweep_rows(cfg)
     except CapacityError as exc:

@@ -1,9 +1,10 @@
 """Latency, power, and energy reporting for grid executions.
 
 `report` turns a finished PhaseTrace into wall-clock time and a core/IO
-energy split at a given operating point.  `extrapolate` produces the same
-report analytically for any network shape by building the steady-state
-step schedule (no value execution) and pricing its planned traffic with a
+energy split at a given operating point, reducing each step template over
+its steps' toggle array.  `extrapolate` produces the same report
+analytically for any network shape by building the steady-state step
+template (no value execution) and pricing its planned traffic with a
 constant toggle factor — because both paths share the exact same phase
 records, the analytic and simulated cycle counts agree identically.
 
@@ -19,8 +20,11 @@ host receives is charged only at the driving die.
 
 import dataclasses
 
-from .mapper import TileSpec, plan_grid
-from .systolic_sim import CycleModel, PhaseTrace, build_step_schedule
+import numpy as np
+
+from .mapper import HOST, TileSpec, plan_grid
+from .systolic_sim import (CycleModel, PhaseTrace, StepTemplate,
+                           build_step_schedule)
 
 _PJ = 1e-12
 
@@ -110,15 +114,34 @@ class EnergyReport:
         return self.core_power_w * 1e3
 
 
-def _event_io_energy_j(ev, consts):
-    toggles = (ev.toggles if ev.toggles is not None
-               else consts.alpha_toggle * ev.bits)
-    energy = 0.0
-    if not ev.host_drive:
-        energy += toggles * consts.e_drive_pj_per_bit
-    if not ev.host_receive:
-        energy += toggles * consts.e_receive_pj_per_bit * len(ev.receivers)
-    return energy * _PJ
+def _record_io_energy_j(tpl, consts):
+    """Link energy of every record of a template's steps (steps x records).
+
+    Each event's energy is the per-event formula evaluated elementwise in
+    its own order, and each record's events are added one at a time, so
+    every entry equals pricing the record event by event."""
+    links, toggles = tpl.event_links(), tpl.toggles
+    if toggles is None:  # unmeasured: the planned bits at alpha_toggle
+        toggles = np.broadcast_to(consts.alpha_toggle * np.array(
+            [w * link.word_bits for w, link in zip(tpl.words, links)]),
+            (len(tpl.starts), len(links)))
+    drive = np.array([link.src != HOST for link in links])
+    listeners = np.array([0 if link.receivers == (HOST,)
+                          else len(link.receivers) for link in links])
+    energy = (toggles * consts.e_drive_pj_per_bit * drive
+              + toggles * consts.e_receive_pj_per_bit * listeners) * _PJ
+    per_record = np.zeros((len(tpl.starts), len(tpl.records)))
+    for j in range(max(map(len, tpl.spans), default=0)):
+        recs = [r for r, span in enumerate(tpl.spans) if len(span) > j]
+        per_record[:, recs] += energy[:, [tpl.spans[r][j] for r in recs]]
+    return per_record
+
+
+def _running_sum(parts):
+    """0.0 plus every value in order, one add at a time: `np.sum` adds
+    pairwise, which can change the last bits."""
+    values = np.concatenate(parts) if parts else np.zeros(0)
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def report(trace, op=OperatingPoint(), consts=EnergyConstants()):
@@ -132,15 +155,23 @@ def report(trace, op=OperatingPoint(), consts=EnergyConstants()):
         raise ValueError("cannot report a non-empty trace at 0 Hz")
     time_s = trace.total_cycles / op.frequency if trace.total_cycles else 0.0
 
-    phase_cycles, phase_io = {}, {}
-    io_j = 0.0
-    for rec in trace.records:
-        if rec.step is None:
+    # records in run order: every step of a template, every record of a step
+    phase_cycles, phase_parts, all_parts = {}, {}, []
+    for tpl in trace.templates:
+        if tpl.first is None:
             continue
-        phase_cycles[rec.kind] = phase_cycles.get(rec.kind, 0) + rec.duration
-        e = sum(_event_io_energy_j(ev, consts) for ev in rec.events)
-        phase_io[rec.kind] = phase_io.get(rec.kind, 0.0) + e
-        io_j += e
+        uses, columns = len(tpl.starts), {}
+        for r, (kind, _, _, _, start, end, _) in enumerate(tpl.records):
+            phase_cycles[kind] = phase_cycles.get(kind, 0) + uses * (end
+                                                                     - start)
+            columns.setdefault(kind, []).append(r)
+        energy = _record_io_energy_j(tpl, consts)
+        all_parts.append(energy.ravel())
+        for kind, recs in columns.items():
+            phase_parts.setdefault(kind, []).append(energy[:, recs].ravel())
+    phase_io = {kind: _running_sum(parts)
+                for kind, parts in phase_parts.items()}
+    io_j = _running_sum(all_parts)
     io_j += consts.p_pad_static_mw_per_die * 1e-3 * trace.meta["n_dies"] \
         * time_s
 
@@ -176,9 +207,9 @@ def extrapolate(spec, tile=TileSpec(), op=OperatingPoint(),
     traffic is priced with the constant toggle factor.
     """
     plan = plan_grid(spec, tile)
-    records, end = build_step_schedule(plan, cycle_model, start=0, step=0,
-                                       readout=False)
-    trace = PhaseTrace(records, end, 1, meta={"n_dies": plan.total_dies})
+    records, end = build_step_schedule(plan, cycle_model, readout=False)
+    tpl = StepTemplate.build(records, plan.links, 0, [0])
+    trace = PhaseTrace([tpl], end, 1, meta={"n_dies": plan.total_dies})
     return report(trace, op, consts)
 
 

@@ -2,23 +2,27 @@
 
 The timing side lives in `build_*_schedule` and `build_state_record`: pure
 functions from a plan to an ordered list of PhaseRecords with cycle spans
-and planned link traffic.  The value side (`GridSim`) walks those records
-and performs the actual distributed arithmetic — per-die partial MACs,
+and planned link traffic.  Every parameter stays resident, so the steps of
+a run repeat one step shape (two in multi-layer reload runs); `run_templates`
+builds each shape once as a `StepTemplate`, records with cycle offsets and
+events as indices into the plan's link table, before any value is
+computed.  The value side (`GridSim`) walks the templates step by step and
+performs the actual distributed arithmetic — per-die partial MACs,
 saturating reduction chains, master-side activation and element-wise
-updates, hidden-state distribution, optional output projection — counting
-real beat-level toggles on every link.  The analytic energy model
-consumes the very same records, so simulated and extrapolated cycle
-counts agree by construction.
+updates, hidden-state distribution, optional output projection — copying
+the words of every transfer into one buffer per run and counting their
+beat-level toggles into an int64 (steps x template events) array.  The
+analytic energy model prices the very same templates, so simulated and
+extrapolated cycle counts agree by construction.
 
 Master-side activation and the element-wise update are one call to
 `lstm_ref.cell_tail`, the oracle's own cell arithmetic after reduction,
 in the `elementwise` phase; `gate_activate` records carry timing only.
 
-One record walker executes every load mode: `GridSim.run` walks the
-records `build_run_schedule` builds before any value is computed.  In
-multi-layer reload runs, the per-pass parameter re-load, state restore
-(`state_load`) and state spill (`state_store`) are ordinary records whose
-traffic passes the same link checks as every other transfer.
+One walker executes every load mode.  In multi-layer reload runs, the
+per-pass parameter re-load, state restore (`state_load`) and state spill
+(`state_store`) are ordinary records whose traffic passes the same link
+checks as every other transfer.
 
 Value semantics never depend on the schedule's overlap decisions: the
 accumulation order is pinned (input slice, recurrent slice, block fold
@@ -106,55 +110,129 @@ class PhaseRecord:
         return self.end - self.start
 
 
+@dataclasses.dataclass(eq=False)
+class StepTemplate:
+    """One step shape of a run, built once, and the steps that replay it.
+
+    `records` holds (kind, layer, gate, hop, start, end, dies) tuples with
+    cycles counted from the step's start.  Record r's events are the
+    indices `spans[r]`: event e moves `words[e]` words on
+    `links[link[e]]`, the plan's link table.  Steps `first`, `first + 1`,
+    ... (None: the configuration timeline) start at the cycles `starts`;
+    `toggles` holds their events' toggles, int64 (steps x events), or None
+    when unmeasured (priced at alpha_toggle).
+    """
+    records: list
+    spans: list
+    link: list
+    words: list
+    links: list
+    first: int
+    starts: list
+    toggles: np.ndarray = None
+
+    @classmethod
+    def build(cls, records, links, first, starts):
+        """The template of `records`, scheduled from cycle 0."""
+        index = {link: k for k, link in enumerate(links)}
+        spans, link, words = [], [], []
+        for rec in records:
+            spans.append(range(len(link), len(link) + len(rec.events)))
+            link += [index[ev.link] for ev in rec.events]
+            words += [ev.words for ev in rec.events]
+        return cls([(r.kind, r.layer, r.gate, r.hop, r.start, r.end, r.dies)
+                    for r in records], spans, link, words, links, first,
+                   starts)
+
+    def event_links(self):
+        return [self.links[k] for k in self.link]
+
+    def steps(self):
+        """(step, start cycle, toggles of each event or None) per step."""
+        rows = ([None] * len(self.starts) if self.toggles is None
+                else self.toggles.tolist())
+        return [(None if self.first is None else self.first + k, start, row)
+                for k, (start, row) in enumerate(zip(self.starts, rows))]
+
+
 @dataclasses.dataclass
 class PhaseTrace:
-    records: list
+    templates: list
     total_cycles: int
     n_steps: int
     meta: dict
 
+    @property
+    def records(self):
+        """Every record of the run in order, built on demand."""
+        out = []
+        for tpl in self.templates:
+            links = tpl.event_links()
+            for step, start, toggles in tpl.steps():
+                for (kind, layer, gate, hop, s, e, dies), span in zip(
+                        tpl.records, tpl.spans):
+                    events = [LinkEvent(links[i], tpl.words[i],
+                                        None if toggles is None
+                                        else toggles[i]) for i in span]
+                    out.append(PhaseRecord(kind, layer, start + s, start + e,
+                                           dies, events, gate, hop, step))
+        return out
+
     def link_totals(self):
         totals = {}
-        for rec in self.records:
-            for ev in rec.events:
-                agg = totals.setdefault(ev.label, {
-                    "kind": ev.kind, "bits": 0, "words": 0, "toggles": 0,
-                    "host_drive": ev.host_drive,
-                    "host_receive": ev.host_receive,
-                    "n_receivers": len(ev.receivers)})
-                agg["bits"] += ev.bits
-                agg["words"] += ev.words
-                agg["toggles"] += ev.toggles if ev.toggles is not None else 0
+        for tpl in self.templates:
+            toggles = ([0] * len(tpl.link) if tpl.toggles is None
+                       else tpl.toggles.sum(axis=0).tolist())
+            for link, words, tog in zip(tpl.event_links(), tpl.words,
+                                        toggles):
+                agg = totals.setdefault(link.label, {
+                    "kind": link.kind, "bits": 0, "words": 0, "toggles": 0,
+                    "host_drive": link.src == HOST,
+                    "host_receive": link.receivers == (HOST,),
+                    "n_receivers": len(link.receivers)})
+                agg["bits"] += len(tpl.starts) * words * link.word_bits
+                agg["words"] += len(tpl.starts) * words
+                agg["toggles"] += tog
         return totals
 
     def die_activity(self):
         """Per-die active/stall cycle split over the inference span.
 
-        Configuration records (step None) lie on a separate timeline and
-        are excluded so active + stall == total_cycles holds.
+        The configuration timeline (step None) lies apart and is excluded
+        so active + stall == total_cycles holds.
         """
         active = {}
-        for rec in self.records:
-            if rec.step is None:
+        for tpl in self.templates:
+            if tpl.first is None:  # the configuration timeline
                 continue
-            for die in rec.dies:
-                active[die] = active.get(die, 0) + rec.duration
+            uses = len(tpl.starts)
+            for _, _, _, _, start, end, dies in tpl.records:
+                for die in dies:
+                    active[die] = active.get(die, 0) + uses * (end - start)
         return {die: {"active": act, "stall": self.total_cycles - act}
                 for die, act in active.items()}
 
     def to_csv_rows(self):
         rows = [("step", "phase", "layer", "gate", "hop", "start", "end",
                  "link", "bits", "toggles")]
-        for rec in self.records:
-            base = (rec.step, rec.kind, rec.layer,
-                    rec.gate if rec.gate is not None else "",
-                    rec.hop if rec.hop is not None else "",
-                    rec.start, rec.end)
-            if not rec.events:
-                rows.append(base + ("", 0, ""))
-            for ev in rec.events:
-                rows.append(base + (ev.label, ev.bits,
-                                    "" if ev.toggles is None else ev.toggles))
+        for tpl in self.templates:
+            links = tpl.event_links()
+            # per row: kind, layer, gate, hop, start, end, link, bits, and
+            # the event index (None: a record without events)
+            static = []
+            for (kind, layer, gate, hop, s, e, _), span in zip(tpl.records,
+                                                               tpl.spans):
+                base = (kind, layer, "" if gate is None else gate,
+                        "" if hop is None else hop, s, e)
+                static += [base + (links[i].label,
+                                   tpl.words[i] * links[i].word_bits, i)
+                           for i in span] or [base + ("", 0, None)]
+            for step, t0, toggles in tpl.steps():
+                rows += [(step, kind, layer, gate, hop, t0 + s, t0 + e, label,
+                          bits, "" if i is None or toggles is None
+                          else toggles[i])
+                         for kind, layer, gate, hop, s, e, label, bits, i
+                         in static]
         return rows
 
     def to_text(self):
@@ -373,42 +451,55 @@ def build_state_record(plan, grid, kind, cursor, step):
                        step=step)
 
 
-def build_run_schedule(plan, cm, n_steps):
-    """Every record of an `n_steps` run, built before any value exists:
-    (configuration records, one record list per step, end cycle).
+def _step_records(plan, cm, spills, step):
+    """One step of a run from cycle 0: (records, end cycle).  A run that
+    spills runs one pass per layer: parameter re-load, state restore (not
+    on the very first pass), one step of that layer alone, state spill."""
+    if not spills:
+        return build_step_schedule(plan, cm)
+    records, cursor = [], 0
+    for grid in plan.layer_grids:
+        loads, cursor = build_load_schedule(plan, cursor, [grid.layer])
+        records += loads
+        if step or grid.layer:
+            records.append(build_state_record(plan, grid, "state_load",
+                                              cursor, None))
+            cursor = records[-1].end
+        recs, cursor = build_step_schedule(plan, cm, cursor,
+                                           layers=[grid.layer])
+        records += recs
+        records.append(build_state_record(plan, grid, "state_store", cursor,
+                                          None))
+        cursor = records[-1].end
+    return records, cursor
+
+
+def run_templates(plan, cm, n_steps):
+    """The schedule of an `n_steps` run, built before any value exists:
+    (StepTemplates in run order, end cycle).
 
     Resident parameters (stacked, chip-select, one-layer reload) load once
-    on a timeline of their own (step None).  A run that spills
-    (`mapper.layer_io`: a multi-layer reload plan) runs one pass per
-    (step, layer), step-major: parameter re-load, state restore (not on
-    the very first pass), one step of that layer alone, state spill.
+    on a timeline of their own (step None), and every step replays one
+    template.  A run that spills (`mapper.layer_io`: a multi-layer reload
+    plan) runs one pass per (step, layer), step-major, so it has two step
+    shapes: step 0, whose first pass restores no state, and every later
+    step.
     """
-    steps, cursor = [], 0
     spills, _ = layer_io(plan.reload, len(plan.layer_grids),
                          plan.layer_grids[0])
+    templates, cursor = [], 0
     if not spills:
-        config, _ = build_load_schedule(plan)
-        for t in range(n_steps):
-            records, cursor = build_step_schedule(plan, cm, cursor, t)
-            steps.append(records)
-        return config, steps, cursor
-    for t in range(n_steps):
-        records = []
-        for grid in plan.layer_grids:
-            loads, cursor = build_load_schedule(plan, cursor, [grid.layer], t)
-            records += loads
-            if t or grid.layer:
-                records.append(build_state_record(plan, grid, "state_load",
-                                                  cursor, t))
-                cursor = records[-1].end
-            recs, cursor = build_step_schedule(plan, cm, cursor, t,
-                                               layers=[grid.layer])
-            records += recs
-            records.append(build_state_record(plan, grid, "state_store",
-                                              cursor, t))
-            cursor = records[-1].end
-        steps.append(records)
-    return [], steps, cursor
+        templates.append(StepTemplate.build(build_load_schedule(plan)[0],
+                                            plan.links, None, [0]))
+    shapes = [(0, min(n_steps, 1)), (1, n_steps - 1)] if spills \
+        else [(0, n_steps)]
+    for first, count in shapes:
+        if count > 0:
+            records, length = _step_records(plan, cm, spills, first)
+            templates.append(StepTemplate.build(records, plan.links, first, [
+                cursor + k * length for k in range(count)]))
+            cursor += count * length
+    return templates, cursor
 
 
 # --- toggle counting -------------------------------------------------------------
@@ -518,9 +609,6 @@ class _LayerEngine:
             self.partials[:, self.grid.n - 1], self.c, self.peep, self.bias,
             self.formats, self.luts)
 
-    def hidden_tile(self, i):
-        return self.h_tiles[self.rows(i)]
-
     def commit_hidden(self):
         self.h[:] = self.h_tiles
 
@@ -594,51 +682,29 @@ class GridSim:
         # die id -> (word count, toggles) of its parameter burst; the
         # resident parameters, and so the burst, never change
         self._param_bursts = {}
-        # (word width, word count) -> (events, their words) awaiting one
-        # batched toggle count at the end of the timeline or step
-        self._pending = {}
 
     # -- link layer --
 
-    def _check_transfer(self, event, n_words):
-        if event.link in self.dropped:
+    def _check_transfer(self, link):
+        if link in self.dropped:
             raise DeadlockError(
                 "transfer on %s (%s -> %s) found no ready sink: link dropped"
-                % (event.label, event.src, event.receivers))
-        if n_words != event.words:
-            raise AssertionError("planned %d words on %s, moved %d"
-                                 % (event.words, event.label, n_words))
+                % (link.label, link.src, link.receivers))
 
-    def _transfer(self, event, words):
-        # a copy: tiles are views of engine state that later records
-        # overwrite before the batched count reads them
-        words = np.array(words, dtype=np.int64)
-        self._check_transfer(event, words.size)
-        events, rows = self._pending.setdefault(
-            (event.word_bits, words.size), ([], []))
-        events.append(event)
-        rows.append(words)
-
-    def _count_pending(self):
-        """Fill in the toggles of every queued transfer: one 2-D
-        `count_toggles` call per (word width, word count) group."""
-        for (word_bits, _), (events, rows) in self._pending.items():
-            counts = count_toggles(np.stack(rows), word_bits).tolist()
-            for event, toggles in zip(events, counts):
-                event.toggles = toggles
-        self._pending = {}
-
-    def _load_die(self, event):
-        """A die's parameter burst: the same words, from idle, on every
-        load, so its size and toggles are counted on the first only."""
-        die_id = event.receivers[0]
+    def _burst(self, link, words):
+        """Toggles of a die's parameter burst on `link`: the same words,
+        from idle, on every load, so they are counted on the first only."""
+        die_id = link.receivers[0]
         burst = self._param_bursts.get(die_id)
         if burst is None:
-            words = self._param_words(self.plan.die(die_id))
-            burst = (words.size, count_toggles(words, event.word_bits))
-            self._param_bursts[die_id] = burst
-        self._check_transfer(event, burst[0])
-        event.toggles = burst[1]
+            codes = self._param_words(self.plan.die(die_id))
+            burst = self._param_bursts[die_id] = (
+                codes.size, count_toggles(codes, link.word_bits))
+        self._check_transfer(link)
+        if burst[0] != words:
+            raise AssertionError("planned %d words on %s, moved %d"
+                                 % (words, link.label, burst[0]))
+        return burst[1]
 
     # -- phases --
 
@@ -657,65 +723,101 @@ class GridSim:
         return np.concatenate(chunks).astype(np.int64)
 
     def _exec_record(self, rec, x_t):
-        eng = self.engines[rec.layer]
-        n = eng.grid.n
-        kind = rec.kind
-        tiles = []  # the words each of the record's events carries
-        if kind == "param_load":
-            for ev in rec.events:
-                self._load_die(ev)
-            return
-        elif kind == "state_load":
-            eng.h[:], eng.c[:] = self.host_state[rec.layer]
-            tiles = [vec[eng.rows(i)] for vec in (eng.h, eng.c)
-                     for i in range(n)]
-        elif kind == "state_store":
-            spill = np.zeros_like(self.host_state[rec.layer])
-            real = slice(0, eng.grid.n_hidden)
-            spill[0, real], spill[1, real] = eng.h[real], eng.c[real]
-            self.host_state[rec.layer] = spill
-            tiles = [vec[eng.rows(i)] for i in range(n) for vec in spill]
-        elif kind == "feature_stream":
-            if rec.layer == 0:
-                eng.set_features(x_t)
-            else:
-                up = self.engines[rec.layer - 1]
-                eng.set_features(up.h[:eng.grid.n_inputs])
-            ni = eng.grid.ni_tile
-            tiles = [eng.x[j * ni:(j + 1) * ni] for j in range(n)]
-        elif kind in ("recurrent_compute", "gate_activate"):
+        """Execute one template record; returns the words its events carry,
+        one row per event, or None for a record without transfers."""
+        kind, layer, gate, hop = rec[:4]
+        eng = self.engines[layer]
+        n, nh = eng.grid.n, eng.grid.nh_tile
+        if kind == "gate_compute":
+            eng.gate_round(gate)
+        elif kind == "gate_reduce":
+            return eng.reduce_hop(gate, hop).reshape(n, nh)
+        elif kind in ("recurrent_compute", "gate_activate", "param_load"):
             # timing only: MACs are evaluated in pinned order by
             # gate_compute, and the activations by elementwise from the
-            # reduced partials every gate leaves in place
+            # reduced partials every gate leaves in place; parameter
+            # bursts never change, so `_burst` counts them once
             pass
-        elif kind == "gate_compute":
-            eng.gate_round(rec.gate)
-        elif kind == "gate_reduce":
-            incoming = eng.reduce_hop(rec.gate, rec.hop)
-            tiles = [incoming[eng.rows(i)] for i in range(n)]
+        elif kind == "feature_stream":
+            if layer == 0:
+                eng.set_features(x_t)
+            else:
+                eng.set_features(self.engines[layer - 1].h[:eng.grid.n_inputs])
+            return eng.x.reshape(n, -1)
         elif kind == "elementwise":
             eng.elementwise()
             if n == 1:
                 eng.commit_hidden()  # no distribution phase on a 1x1 grid
         elif kind == "hidden_chain":
             # tile n-1 codes travel up the master column unchanged
-            tiles = [eng.hidden_tile(n - 1)]
+            return eng.h_tiles.reshape(n, nh)[n - 1:]
         elif kind == "hidden_bcast":
-            tiles = [eng.hidden_tile(i) for i in range(n - 1)]
             eng.commit_hidden()
+            return eng.h_tiles.reshape(n, nh)[:n - 1]
+        elif kind == "state_load":
+            eng.h[:], eng.c[:] = self.host_state[layer]
+            return self.host_state[layer].reshape(2 * n, nh)
+        elif kind == "state_store":
+            spill = np.zeros_like(self.host_state[layer])
+            real = slice(0, eng.grid.n_hidden)
+            spill[0, real], spill[1, real] = eng.h[real], eng.c[real]
+            self.host_state[layer] = spill
+            # master i spills its h tile, then its c tile
+            return spill.reshape(2, n, nh).swapaxes(0, 1).reshape(2 * n, nh)
         elif kind == "fc_compute":
             self.fc.compute(eng)
         elif kind == "fc_reduce":
-            tiles = [self.fc.reduce_hop(rec.hop)]
+            return self.fc.reduce_hop(hop)[None]
         elif kind == "fc_activate":
             self.fc.activate()
         elif kind == "writeback":
-            tiles = ([self.fc.y] if self.fc is not None
-                     else [eng.hidden_tile(i) for i in range(n)])
+            return (self.fc.y[None] if self.fc is not None
+                    else eng.h_tiles.reshape(n, nh))
         else:
             raise AssertionError("unhandled phase kind %r" % (kind,))
-        for ev, words in zip(rec.events, tiles, strict=True):
-            self._transfer(ev, words)
+        return None
+
+    def _walk(self, tpl, features, outputs):
+        """Run a template's steps: check each template event against the
+        dropped links once, execute the steps record by record, writing each
+        transfer's words straight into a per-run buffer, then count the
+        toggles with one 2-D `count_toggles` call per (word width, word
+        count) group."""
+        n, links = len(tpl.starts), tpl.event_links()
+        tpl.toggles = np.zeros((n, len(tpl.link)), np.int64)
+        groups, slots = {}, []  # (word width, word count) -> event indices
+        for (kind, *_), span in zip(tpl.records, tpl.spans):
+            if kind == "param_load" or not span:
+                for e in span:  # `_burst` checks the link and words
+                    tpl.toggles[:, e] = self._burst(links[e], tpl.words[e])
+                slots.append(None)
+                continue
+            for e in span:
+                self._check_transfer(links[e])
+            (key,) = {(links[e].word_bits, tpl.words[e]) for e in span}
+            members = groups.setdefault(key, [])
+            slots.append((key, slice(len(members), len(members) + len(span))))
+            members += span
+        words = {key: np.empty((n, len(events), key[1]), np.int64)
+                 for key, events in groups.items()}
+        for k in range(n) if tpl.first is not None else ():
+            t = tpl.first + k
+            x_t = features[t]
+            for rec, slot in zip(tpl.records, slots):
+                tiles = self._exec_record(rec, x_t)
+                if slot is not None:
+                    dest = words[slot[0]][k, slot[1]]
+                    if tiles.shape != dest.shape:
+                        raise AssertionError(
+                            "planned %s words on a %s record, moved %s"
+                            % (dest.shape, rec[0], tiles.shape))
+                    dest[...] = tiles
+            outputs[t] = (self.fc.y if self.fc is not None
+                          else self.engines[-1].output_codes())
+        for (word_bits, width), events in groups.items():
+            tpl.toggles[:, events] = count_toggles(
+                words[word_bits, width].reshape(-1, width),
+                word_bits).reshape(n, -1)
 
     def run(self, features):
         """Walk the plan's run schedule over `features` (T x n_features
@@ -727,23 +829,14 @@ class GridSim:
                              % (n_features, features.shape))
         check_int8(features, "feature")
         features = features.astype(np.int64)
-        config, steps, end = build_run_schedule(self.plan, self.cm,
-                                                len(features))
-        for rec in config:
-            self._exec_record(rec, None)
-        self._count_pending()
+        templates, end = run_templates(self.plan, self.cm, len(features))
         outputs = np.zeros((len(features), self.plan.spec.output_width),
                            np.int64)
-        for t, records in enumerate(steps):
-            for rec in records:
-                self._exec_record(rec, features[t])
-            self._count_pending()
-            outputs[t] = (self.fc.y if self.fc is not None
-                          else self.engines[-1].output_codes())
+        for tpl in templates:
+            self._walk(tpl, features, outputs)
         return outputs, PhaseTrace(
-            config + [rec for recs in steps for rec in recs], end,
-            len(features), meta={"n_dies": self.plan.total_dies,
-                                 "reload": self.plan.reload})
+            templates, end, len(features),
+            meta={"n_dies": self.plan.total_dies, "reload": self.plan.reload})
 
 
 def simulate(plan, params, features, luts=None, cycle_model=CycleModel(),

@@ -1,0 +1,160 @@
+"""Mutation checks of the simulator that anyone can re-run.
+
+Each mutant names a module of `src/lstmgrid`, an exact source snippet, its
+replacement, and the tests that must kill it: fail once the snippet is
+replaced.  Run from anywhere:
+
+    python tests/mutants.py [name ...]
+
+The command copies `src/` to a temporary directory and first runs the
+killers of the chosen mutants (default: all) on that unmutated copy; they
+must pass.  Then, for each mutant, it applies the replacement to a fresh
+copy, never in place, and runs the mutant's killers with `-x`.  It exits 1
+if the unmutated copy fails, a snippet is missing, or a mutant survives,
+and 0 when every mutant is killed.  A tier-1 test checks only that each
+snippet occurs exactly once in `src/`, so a refactor that moves mutated
+code must update this catalogue.
+
+Mutation testing: DeMillo, Lipton and Sayward, "Hints on test data
+selection", 1978; survey: Jia and Harman, TSE 2011.
+"""
+
+import argparse
+import dataclasses
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIM = "tests/test_systolic_sim.py::"
+
+
+@dataclasses.dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file name under src/lstmgrid
+    snippet: str
+    replacement: str
+    killers: tuple  # pytest node ids, relative to the repository root
+    why: str
+
+
+MUTANTS = [
+    Mutant(
+        "transfer_words_as_views", "systolic_sim.py",
+        "                    dest[...] = tiles\n"
+        "            outputs[t] = (self.fc.y if self.fc is not None\n"
+        "                          else self.engines[-1].output_codes())\n"
+        "        for (word_bits, width), events in groups.items():\n",
+        "                    self.__dict__.setdefault(\"_views\", []).append(\n"
+        "                        (dest, tiles))\n"
+        "            outputs[t] = (self.fc.y if self.fc is not None\n"
+        "                          else self.engines[-1].output_codes())\n"
+        "        for dest, tiles in self.__dict__.pop(\"_views\", []):\n"
+        "            dest[...] = tiles\n"
+        "        for (word_bits, width), events in groups.items():\n",
+        (SIM + "test_outputs_and_link_toggles_match_the_recorded_digests",),
+        "the walker keeps views of engine state and copies them into the "
+        "toggle buffer only after the walk, when later steps have "
+        "overwritten them"),
+    Mutant(
+        "template_step_offset", "systolic_sim.py",
+        "cursor + k * length for k in range(count)",
+        "cursor + k * (length + 1) for k in range(count)",
+        (SIM + "test_run_schedule_is_built_before_any_value",
+         SIM + "test_outputs_and_link_toggles_match_the_recorded_digests"),
+        "every step after the first of a template starts one more cycle "
+        "late"),
+    Mutant(
+        "die_activity_counts_configuration", "systolic_sim.py",
+        "            if tpl.first is None:  # the configuration timeline\n"
+        "                continue\n",
+        "",
+        (SIM + "test_active_plus_stall_covers_the_span",
+         "tests/test_perf_energy.py::"
+         "test_report_equals_the_record_loop_to_the_last_bit"),
+        "die_activity counts the configuration timeline's parameter loads"),
+    Mutant(
+        "burst_memo_skips_link_check", "systolic_sim.py",
+        "                codes.size, count_toggles(codes, link.word_bits))\n"
+        "        self._check_transfer(link)\n",
+        "                codes.size, count_toggles(codes, link.word_bits))\n"
+        "            self._check_transfer(link)\n",
+        (SIM + "test_every_reload_transfer_consults_the_plan",),
+        "a parameter load whose burst is memoized skips the dropped-link "
+        "check"),
+    Mutant(
+        "reduce_hop_plain_add", "systolic_sim.py",
+        "own[:] = sat_add16(incoming, own)",
+        "own[:] = incoming + own",
+        (SIM + "test_reduction_fold_clips_before_a_column_pulls_back",),
+        "the reduction fold adds without saturating"),
+]
+BY_NAME = {m.name: m for m in MUTANTS}
+
+
+def source(mutant, src=os.path.join(ROOT, "src")):
+    with open(os.path.join(src, "lstmgrid", mutant.module),
+              encoding="utf-8") as fh:
+        return fh.read()
+
+
+def pytest_run(src, killers):
+    """Exit status of pytest over `killers`, importing lstmgrid from
+    `src`: 0 all passed, 1 some failed, anything else an error."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import lstmgrid; print(lstmgrid.__file__)"],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    if not os.path.realpath(where.stdout.strip()).startswith(
+            os.path.realpath(src)):
+        raise RuntimeError("lstmgrid resolved to %s, not under %s"
+                           % (where.stdout.strip(), src))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *killers], env=env, cwd=ROOT, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("names", nargs="*", metavar="name",
+                        help="mutants to run (default: all): %s"
+                        % ", ".join(BY_NAME))
+    names = parser.parse_args(argv).names
+    unknown = sorted(set(names) - set(BY_NAME))
+    if unknown:
+        parser.error("no mutant named %s" % ", ".join(unknown))
+    mutants = [BY_NAME[n] for n in names] or MUTANTS
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = os.path.join(tmp, "clean", "src")
+        shutil.copytree(os.path.join(ROOT, "src"), clean)
+        killers = sorted({k for m in mutants for k in m.killers})
+        if pytest_run(clean, killers) != 0:
+            print("unmutated copy: killers fail, no mutant can be judged")
+            return 1
+        for mutant in mutants:
+            text = source(mutant, clean)
+            if text.count(mutant.snippet) != 1:
+                print("%s: snippet found %d times"
+                      % (mutant.name, text.count(mutant.snippet)))
+                failed = True
+                continue
+            src = os.path.join(tmp, mutant.name, "src")
+            shutil.copytree(clean, src)
+            with open(os.path.join(src, "lstmgrid", mutant.module), "w",
+                      encoding="utf-8") as fh:
+                fh.write(text.replace(mutant.snippet, mutant.replacement))
+            status = pytest_run(src, mutant.killers)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(
+                status, "ERROR (pytest exit %d)" % status)
+            print("%-36s %s" % (mutant.name, verdict))
+            failed |= status != 1
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

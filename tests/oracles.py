@@ -2,9 +2,10 @@
 
 Everything in here is pure Python (ints and Fractions, scalar loops, no
 numpy) so the fast vectorized package code can be checked against an
-independent code path.  Deliberately dumb; do not optimize.  The one
-exception is the int64 toggle counter at the end, the previous package
-implementation, kept as the reference for the byte-wide one.
+independent code path.  Deliberately dumb; do not optimize.  Two
+sections at the end are previous package implementations, kept as the
+references for their replacements: the int64 toggle counter, for the
+byte-wide one, and the record-loop energy report, for the columnar one.
 """
 
 import math
@@ -288,3 +289,91 @@ def count_toggles_int64(words, word_bits, idle=0):
         return 0
     prev = np.concatenate(([idle], beats[:-1]))
     return int(_POPCOUNT4[beats ^ prev].sum())
+
+
+# --- energy report over the trace's records, one event at a time --------------
+# The record-loop `PhaseTrace.link_totals`, `PhaseTrace.die_activity` and
+# `perf_energy.report` as they were before the trace became templates and a
+# toggle array; the columnar versions must equal them to the last bit and
+# in dict key order.
+
+_PJ = 1e-12
+
+
+def link_totals(trace):
+    totals = {}
+    for rec in trace.records:
+        for ev in rec.events:
+            agg = totals.setdefault(ev.label, {
+                "kind": ev.kind, "bits": 0, "words": 0, "toggles": 0,
+                "host_drive": ev.host_drive,
+                "host_receive": ev.host_receive,
+                "n_receivers": len(ev.receivers)})
+            agg["bits"] += ev.bits
+            agg["words"] += ev.words
+            agg["toggles"] += ev.toggles if ev.toggles is not None else 0
+    return totals
+
+
+def die_activity(trace):
+    active = {}
+    for rec in trace.records:
+        if rec.step is None:
+            continue
+        for die in rec.dies:
+            active[die] = active.get(die, 0) + rec.duration
+    return {die: {"active": act, "stall": trace.total_cycles - act}
+            for die, act in active.items()}
+
+
+def _event_io_energy_j(ev, consts):
+    toggles = (ev.toggles if ev.toggles is not None
+               else consts.alpha_toggle * ev.bits)
+    energy = 0.0
+    if not ev.host_drive:
+        energy += toggles * consts.e_drive_pj_per_bit
+    if not ev.host_receive:
+        energy += toggles * consts.e_receive_pj_per_bit * len(ev.receivers)
+    return energy * _PJ
+
+
+def report(trace, op, consts):
+    """`perf_energy.report` over `trace.records`; an EnergyReport."""
+    from lstmgrid.perf_energy import EnergyReport
+    if trace.total_cycles and not op.frequency:
+        raise ValueError("cannot report a non-empty trace at 0 Hz")
+    time_s = trace.total_cycles / op.frequency if trace.total_cycles else 0.0
+
+    phase_cycles, phase_io = {}, {}
+    io_j = 0.0
+    for rec in trace.records:
+        if rec.step is None:
+            continue
+        phase_cycles[rec.kind] = phase_cycles.get(rec.kind, 0) + rec.duration
+        e = sum(_event_io_energy_j(ev, consts) for ev in rec.events)
+        phase_io[rec.kind] = phase_io.get(rec.kind, 0.0) + e
+        io_j += e
+    io_j += consts.p_pad_static_mw_per_die * 1e-3 * trace.meta["n_dies"] \
+        * time_s
+
+    # reload mode time-shares physical dies across layer passes
+    collapse = trace.meta.get("reload", False)
+    die_core = {}
+    active = {}
+    for die, split in die_activity(trace).items():
+        key = die[1:] if collapse else die
+        active[key] = active.get(key, 0) + split["active"]
+    p_act = consts.p_core_active_mw_per_die * 1e-3
+    p_stl = consts.p_core_stall_mw_per_die * 1e-3
+    cycle_s = 1.0 / op.frequency if op.frequency else 0.0
+    for key, act in active.items():
+        die_core[key] = (p_act * act
+                         + p_stl * (trace.total_cycles - act)) * cycle_s
+    # dies that never appear in the trace still burn stall power
+    for _ in range(trace.meta["n_dies"] - len(active)):
+        die_core.setdefault(("idle", len(die_core)),
+                            p_stl * trace.total_cycles * cycle_s)
+    core_j = sum(die_core.values())
+    return EnergyReport(trace.total_cycles, trace.n_steps,
+                        trace.meta["n_dies"], time_s, core_j, io_j,
+                        phase_cycles, phase_io, die_core)

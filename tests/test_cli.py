@@ -146,6 +146,27 @@ def test_run_rejects_unknown_fault_label(tmp_path, capsys, flags):
     assert "L0.reduce.0.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,rc", [("run", 3), ("plan", 0)])
+def test_dropped_labels_are_checked_against_the_one_plan(
+        tmp_path, capsys, monkeypatch, command, rc):
+    plans = []
+    plan_grid = cli.mapper.plan_grid
+
+    def counted(*args, **kwargs):
+        plans.append(plan_grid(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(cli.mapper, "plan_grid", counted)
+    cfg = write_config(tmp_path / "f.yaml",
+                       network={"layers": [[8, 8], [8, 8]], "seed": 2},
+                       features={"n_steps": 2, "seed": 3},
+                       tile={"nh_capacity": 4},
+                       faults={"drop_links": ["L1.hcast.0"]})
+    assert cli.main([command, "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--reload"]) == rc
+    assert len(plans) == 1
+
+
 @pytest.mark.parametrize("flags,labels", [
     ([], ["L0.spill.0", "L0.writeback.1"]),
     (["--reload"], ["L1.writeback.0"])])

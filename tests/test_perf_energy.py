@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import oracles as O
 from lstmgrid import lstm_ref as LR
 from lstmgrid import perf_energy as PE
 from lstmgrid.mapper import TileSpec, plan_grid
@@ -115,6 +116,61 @@ def test_host_side_pads_are_never_charged():
     # with receive and static zeroed, what remains is die-driven traffic
     feat = rep.phase_io_j.get("feature_stream", 0.0)
     assert feat == 0.0  # host drives the features; the host pad is free
+
+
+# --- the columnar report against the record loop ---------------------------------
+
+# (seed, layers, n_out, weight scale, feature scale, steps, plan keywords,
+# tile): the three recorded-digest runs of test_systolic_sim, and a
+# chip-select run of the demonstrator
+REPORT_CASES = [
+    (3, [(7, 10), (10, 9)], 3, 2.0, 4.0, 4, {}, 4),
+    (5, [(9, 12), (12, 12)], None, 1.0, 1.0, 3, {"chip_select": True}, 4),
+    (8, [(5, 8), (8, 11), (11, 8)], 4, 2.0, 4.0, 3, {"reload": True}, 4),
+    (7, [(123, 192)], 62, 1.0, 1.0, 3, {"chip_select": True}, 96),
+]
+PRICES = [(OP, PE.EnergyConstants()),
+          (PE.OperatingPoint(3.3e6), PE.EnergyConstants(
+              e_drive_pj_per_bit=3.1, e_receive_pj_per_bit=0.7,
+              p_pad_static_mw_per_die=0.3, alpha_toggle=0.3))]
+
+
+def extrapolated_traces(monkeypatch):
+    """The one-step traces `extrapolate` prices, with unmeasured toggles."""
+    traces, report = [], PE.report
+    monkeypatch.setattr(PE, "report", lambda trace, *args: traces.append(
+        trace) or report(trace, *args))
+    PE.extrapolate(PE.reference_spec(PE.REFERENCE_ROWS[-1]))
+    PE.extrapolate(LR.NetworkSpec([(7, 9), (9, 5)], 3),
+                   TileSpec(nh_capacity=4))
+    monkeypatch.undo()
+    assert len(traces) == 2
+    return traces
+
+
+@pytest.mark.parametrize("case", REPORT_CASES + ["extrapolate"],
+                         ids=["digest0", "digest1", "digest2", "chip_select",
+                              "extrapolate"])
+def test_report_equals_the_record_loop_to_the_last_bit(monkeypatch, case):
+    if case == "extrapolate":
+        traces = extrapolated_traces(monkeypatch)
+    else:
+        seed, layers, n_out, scale, f_scale, n_steps, plan_kw, units = case
+        params = LR.random_network_params(seed, layers, n_out=n_out,
+                                          scale=scale)
+        feats = LR.random_features(seed + 1, n_steps, layers[0][0],
+                                   scale=f_scale)
+        plan = plan_grid(LR.derive_spec(params),
+                         TileSpec(nh_capacity=units), **plan_kw)
+        traces = [simulate(plan, params, feats)[1]]
+    for trace in traces:
+        for op, consts in PRICES:
+            got, want = PE.report(trace, op, consts), O.report(trace, op,
+                                                               consts)
+            # repr spells every float exactly and keeps dict key order
+            assert got == want and repr(got) == repr(want)
+        assert repr(trace.die_activity()) == repr(O.die_activity(trace))
+        assert repr(trace.link_totals()) == repr(O.link_totals(trace))
 
 
 # --- analytic model vs simulation ---------------------------------------------------

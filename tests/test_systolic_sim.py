@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis.extra import numpy as hnp
 import oracles as O
 from lstmgrid import lstm_ref as LR
 from lstmgrid.actlut import build_lut
-from lstmgrid.mapper import TileSpec, plan_grid
+from lstmgrid.mapper import TileSpec, layer_io, plan_grid
 from lstmgrid.qformat import QFormat
 from lstmgrid.systolic_sim import (CycleModel, DeadlockError, GridSim,
-                                   build_load_schedule, build_run_schedule,
-                                   build_step_schedule, count_toggles,
-                                   run_reload, simulate)
+                                   PhaseTrace, build_load_schedule,
+                                   build_state_record, build_step_schedule,
+                                   count_toggles, run_templates, run_reload,
+                                   simulate)
 
 TILE = TileSpec()
 
@@ -415,18 +417,31 @@ def test_every_reload_transfer_consults_the_plan(monkeypatch):
         found.append(link(key))
         return found[-1]
 
-    def spy_check(sim, event, n_words):
-        checked.append(event)
-        return check(sim, event, n_words)
+    def spy_check(sim, planned):
+        checked.append(planned)
+        return check(sim, planned)
 
     monkeypatch.setattr(plan, "link", spy_link)
     monkeypatch.setattr(GridSim, "_check_transfer", spy_check)
     _, trace = run_reload(plan, params, feats)
-    # one plan lookup and one transfer check per event, parameter
-    # re-loads on later passes included
-    events = [ev for rec in trace.records for ev in rec.events]
-    assert [ev.link for ev in events] == found
-    assert [id(ev) for ev in events] == [id(ev) for ev in checked]
+    # two step shapes: step 0, whose first pass restores no state, and
+    # every later step; each template event is looked up in the plan and
+    # checked against the dropped links exactly once, in template order,
+    # the parameter re-loads of later passes included
+    templates = trace.templates
+    assert [tpl.first for tpl in templates] == [0, 1]
+    assert [id(ln) for ln in found] == [id(ln) for ln in checked] \
+        == [id(ln) for tpl in templates for ln in tpl.event_links()]
+    later = templates[1]
+    assert sum(len(span) for rec, span in zip(later.records, later.spans)
+               if rec[0] == "param_load") == len(plan.dies)
+    # every materialized event carries the link its template event found
+    per_step = collections.defaultdict(list)
+    for rec in trace.records:
+        per_step[rec.step] += [id(ev.link) for ev in rec.events]
+    first = len(templates[0].link)
+    assert per_step[0] == [id(ln) for ln in found[:first]]
+    assert per_step[1] == per_step[2] == [id(ln) for ln in found[first:]]
     assert sum(len(rec.events) for rec in trace.records
                if rec.kind == "param_load") == 3 * len(plan.dies)
 
@@ -480,9 +495,42 @@ def test_simulate_runs_multi_layer_reload_plans_like_run_reload(layers,
     assert trace.total_cycles == trace_r.total_cycles
 
 
+def build_run_schedule(plan, cm, n_steps):
+    """Every record of an `n_steps` run, one step after another:
+    (configuration records, one record list per step, end cycle).  The
+    reference for the run's templates: each step built on its own by the
+    schedule builders, with an explicit start and step."""
+    steps, cursor = [], 0
+    spills, _ = layer_io(plan.reload, len(plan.layer_grids),
+                         plan.layer_grids[0])
+    if not spills:
+        config, _ = build_load_schedule(plan)
+        for t in range(n_steps):
+            records, cursor = build_step_schedule(plan, cm, cursor, t)
+            steps.append(records)
+        return config, steps, cursor
+    for t in range(n_steps):
+        records = []
+        for grid in plan.layer_grids:
+            loads, cursor = build_load_schedule(plan, cursor, [grid.layer], t)
+            records += loads
+            if t or grid.layer:
+                records.append(build_state_record(plan, grid, "state_load",
+                                                  cursor, t))
+                cursor = records[-1].end
+            recs, cursor = build_step_schedule(plan, cm, cursor, t,
+                                               layers=[grid.layer])
+            records += recs
+            records.append(build_state_record(plan, grid, "state_store",
+                                              cursor, t))
+            cursor = records[-1].end
+        steps.append(records)
+    return [], steps, cursor
+
+
 def _timing(rec):
     return (rec.kind, rec.layer, rec.start, rec.end, rec.step, rec.gate,
-            rec.hop, [(ev.label, ev.words) for ev in rec.events])
+            rec.hop, rec.dies, [(ev.link, ev.words) for ev in rec.events])
 
 
 @pytest.mark.parametrize("layers,mode", [
@@ -492,16 +540,28 @@ def _timing(rec):
     ([(6, 8), (8, 8)], "reload"),
 ])
 def test_run_schedule_is_built_before_any_value(layers, mode):
-    plan, params, feats = make_case(68, layers, n_out=3, n_steps=3)
-    plan = plan_grid(plan.spec, TINY, reload=mode == "reload",
-                     chip_select=mode == "chip_select")
-    config, steps, end = build_run_schedule(plan, CycleModel(), len(feats))
-    assert all(rec.step is None for rec in config)
-    assert [{rec.step for rec in recs} for recs in steps] == [{0}, {1}, {2}]
-    _, trace = simulate(plan, params, feats)
-    assert [_timing(rec) for rec in config + sum(steps, [])] \
-        == [_timing(rec) for rec in trace.records]
-    assert end == trace.total_cycles
+    # the run replays one template per step shape; every record it yields
+    # is the one the builders give for that step, called on their own
+    for n_out, n_steps in itertools.product((3, None), (0, 1, 3)):
+        plan, params, feats = make_case(68, layers, n_out=n_out,
+                                        n_steps=n_steps)
+        plan = plan_grid(plan.spec, TINY, reload=mode == "reload",
+                         chip_select=mode == "chip_select")
+        config, steps, end = build_run_schedule(plan, CycleModel(), n_steps)
+        assert all(rec.step is None for rec in config)
+        assert [{rec.step for rec in recs} for recs in steps] \
+            == [{t} for t in range(n_steps)]
+        want = [_timing(rec) for rec in config + sum(steps, [])]
+        templates, schedule_end = run_templates(plan, CycleModel(), n_steps)
+        schedule = PhaseTrace(templates, schedule_end, n_steps, meta={})
+        _, trace = simulate(plan, params, feats)
+        assert [_timing(rec) for rec in schedule.records] == want
+        assert [_timing(rec) for rec in trace.records] == want
+        assert end == schedule_end == trace.total_cycles
+        # the configuration timeline, then one template per step shape
+        shapes = [0, 1][:n_steps] if len(layers) > 1 and mode == "reload" \
+            else [None] + [0][:n_steps]
+        assert [tpl.first for tpl in trace.templates] == shapes
 
 
 # --- stall accounting -------------------------------------------------------------
