@@ -42,7 +42,8 @@ class Lut256:
 
     def lookup(self, codes):
         """Vectorized table lookup on an array of signed input codes."""
-        return self.table[np.asarray(codes, dtype=np.int64) & 0xFF]
+        # the index modulo 256 is the code's low byte
+        return self.table.take(np.asarray(codes, dtype=np.int64), mode="wrap")
 
 
 def build_lut(kind, in_format, out_format):

@@ -162,7 +162,8 @@ def build_run_config(args):
     feat = doc.get("features") or {}
     if "container" in feat:
         try:
-            features = lstm_ref.load_features(feat["container"])
+            features = lstm_ref.load_features(feat["container"],
+                                              spec.formats)
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError("cannot load feature container: %s" % exc)
     else:

@@ -35,6 +35,11 @@ class FormatSet:
     state: QFormat = QFormat(5)
     gate: QFormat = QFormat(7)
 
+    def __post_init__(self):  # the cell aligns i*u down to f*c's scale
+        if self.gate.frac_bits < self.state.frac_bits:
+            raise ValueError("gate format %r has fewer fractional bits than "
+                             "the state format %r" % (self.gate, self.state))
+
     @property
     def acc_frac_bits(self):
         return self.weight.frac_bits + self.state.frac_bits
@@ -66,14 +71,9 @@ class LstmLayerParams:
 
     def __post_init__(self):
         n_h, n_i = self.W_xi.shape
-        for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
-            if getattr(self, name).shape != (n_h, n_i):
-                raise ValueError("%s shape mismatch" % name)
-        for name in ("W_hi", "W_hf", "W_hc", "W_ho"):
-            if getattr(self, name).shape != (n_h, n_h):
-                raise ValueError("%s shape mismatch" % name)
-        for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o"):
-            if getattr(self, name).shape != (n_h,):
+        shapes = {"W_x": (n_h, n_i), "W_h": (n_h, n_h)}
+        for name in _LAYER_TENSORS:
+            if getattr(self, name).shape != shapes.get(name[:3], (n_h,)):
                 raise ValueError("%s shape mismatch" % name)
 
     @property
@@ -314,63 +314,71 @@ def cell_tail(dots, c, peep, bias, fmts, luts):
     """The cell arithmetic after the gate reduction, unit by unit: the
     oracle's cell step and the grid's master dies both end in it.
 
-    `dots` holds the four gates' reduced 16-bit accumulators (gates,
-    units), `peep` the (w_ci, w_cf, w_co) peephole codes and `bias` the
-    four gate biases.  The output gate's peephole reads the new cell
-    state.  Returns (h_new, c_new) as int64 codes.
+    `dots` holds the four gates' reduced 16-bit accumulators, `peep` the
+    (w_ci, w_cf, w_co) peephole codes and `bias` the four gate biases:
+    int64 arrays (gates, units).  The output gate's peephole reads the new
+    cell state.  Returns (h_new, c_new) as int64 codes.  A product of two
+    int8 codes, shifted right or not, is at most 128 * 128 == 2**14 in
+    magnitude, so no 16-bit clamp of one product alone can bind.
     """
     sf, gf = fmts.state.frac_bits, fmts.gate.frac_bits
     sig, tanh = luts["sigmoid"], luts["tanh"]
+    bias = bias << sf  # to the accumulator scale
 
-    def gate(g, lut, peep_times_c=None):
-        acc = dots[g]
-        if peep_times_c is not None:
-            acc = sat_add16(acc, peep_times_c)
-        acc = sat_add16(acc, np.asarray(bias[g], np.int64) << sf)
-        return lut.lookup(requantize(acc, fmts.acc_frac_bits, fmts.state))
+    def pre_activation(acc, b):  # saturating bias add, requantize
+        return requantize(sat16(sat16(acc) + b), fmts.acc_frac_bits,
+                          fmts.state)
 
-    g_i = gate(0, sig, peep[0] * c)
-    g_f = gate(1, sig, peep[1] * c)
-    g_u = gate(2, tanh)
+    # gates i, f and u at once: u has no peephole, and clamping its
+    # reduced accumulator, already in int16, leaves it as it is
+    pre = dots[:3].copy()
+    pre[:2] += peep[:2] * c
+    pre = pre_activation(pre, bias[:3])
+    g_if, g_u = sig.lookup(pre[:2]), tanh.lookup(pre[2])
 
-    # align the 14-bit i*u product to the 12-bit scale of f*c, accumulate,
-    # then store the cell state back at 8 bits
-    p_iu = sat16(shift_round(g_i * g_u, gf - sf))
-    c_new = requantize(sat16(g_f * c + p_iu), gf + sf, fmts.state)
+    # align i*u to the scale of f*c (`FormatSet` keeps gf >= sf) and add;
+    # this clamp binds, as both terms reach 2**14 when gf == sf.  Then
+    # store the cell state back at 8 bits
+    p_iu = shift_round(g_if[0] * g_u, gf - sf)
+    c_new = requantize(sat16(g_if[1] * c + p_iu), gf + sf, fmts.state)
 
-    g_o = gate(3, sig, peep[2] * c_new)
-    h_new = requantize(sat16(g_o * tanh.lookup(c_new)), 2 * gf, fmts.state)
-    return np.asarray(h_new, np.int64), np.asarray(c_new, np.int64)
+    g_o = sig.lookup(pre_activation(dots[3] + peep[2] * c_new, bias[3]))
+    h_new = requantize(g_o * tanh.lookup(c_new), 2 * gf, fmts.state)
+    return h_new, c_new
 
 
 def fc_tail(acc, b_y, fmts, luts):
     """The projection after its reduction: bias, requantize, sigmoid.  The
     oracle's projection and the grid's root master both end in it."""
-    acc = sat_add16(acc, np.asarray(b_y, np.int64) << fmts.state.frac_bits)
+    acc = sat16(acc + (np.asarray(b_y, np.int64) << fmts.state.frac_bits))
     return luts["sigmoid"].lookup(requantize(acc, fmts.acc_frac_bits,
                                              fmts.state))
 
 
-def cell_step_fixed(params, state, x, luts, stack=None):
+def cell_constants(params):
+    """`cell_tail`'s peephole (3, units) and bias (4, units) code arrays."""
+    return (np.array((params.w_ci, params.w_cf, params.w_co), np.int64),
+            np.array(params.biases(), np.int64))
+
+
+def cell_step_fixed(params, state, x, luts, stack=None, consts=None):
     """One bit-exact step on int8 codes.
 
-    `stack` is the layer's `cell_stack(params, col_blocks)`, prepared once
-    for many steps; the default is one flat block covering everything.
-    Splitting changes results only when an intermediate sum saturates,
-    which is exactly why the grid simulator must run with the block
-    structure of its plan.
+    `stack` (the layer's `cell_stack(params, col_blocks)`; default one
+    flat block) and `consts` (`cell_constants(params)`) are prepared once
+    for many steps.  Splitting changes results only when an intermediate
+    sum saturates, which is exactly why the grid simulator must run with
+    the block structure of its plan.
     """
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
     check_luts(luts, params.formats)
     if x.shape != (params.n_inputs,) or state.h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
-    if stack is None:
-        stack = cell_stack(params)
-    h_new, c_new = cell_tail(_blocked_dot(stack, x, state.h), state.c,
-                             (params.w_ci, params.w_cf, params.w_co),
-                             params.biases(), params.formats, luts)
-    return LstmState(h_new, c_new)
+    dots = _blocked_dot(stack or cell_stack(params), x, state.h)
+    peep, bias = consts or cell_constants(params)
+    return LstmState(*cell_tail(dots, state.c, peep, bias, params.formats,
+                                luts))
 
 
 def fc_step_fixed(params, h, luts, stack=None):
@@ -381,10 +389,8 @@ def fc_step_fixed(params, h, luts, stack=None):
         raise ValueError("fixed step needs quantized parameters")
     if h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
-    if stack is None:
-        stack = fc_stack(params)
-    return fc_tail(_blocked_dot(stack, h)[0], params.b_y, params.formats,
-                   luts)
+    return fc_tail(_blocked_dot(stack or fc_stack(params), h)[0],
+                   params.b_y, params.formats, luts)
 
 
 def network_infer(spec, params, features, mode="fixed", luts=None,
@@ -395,7 +401,7 @@ def network_infer(spec, params, features, mode="fixed", luts=None,
     in float mode); states start at zero and persist across steps.
     Returns a T x output_width matrix.  In fixed mode every parameter and
     feature code must be int8 (ValueError otherwise); each layer's weight
-    stacks are prepared once per call.
+    stacks and cell constants are prepared once per call.
     """
     if mode not in ("float", "fixed"):
         raise ValueError("mode must be 'float' or 'fixed'")
@@ -407,7 +413,7 @@ def network_infer(spec, params, features, mode="fixed", luts=None,
     if (spec.n_out is None) != (params.fc is None):
         raise ValueError("projection presence mismatch")
     fixed = mode == "fixed"
-    stacks = [None] * spec.n_layers
+    stacks = consts = [None] * spec.n_layers
     fc_weights = None
     if fixed:
         check_codes(params, features)
@@ -416,6 +422,7 @@ def network_infer(spec, params, features, mode="fixed", luts=None,
         stacks = [cell_stack(p, col_blocks_per_layer[li]
                              if col_blocks_per_layer else None)
                   for li, p in enumerate(params.layers)]
+        consts = [cell_constants(p) for p in params.layers]
         if params.fc is not None:
             fc_weights = fc_stack(params.fc, fc_col_blocks)
     states = [LstmState.zeros(n_h, fixed) for _, n_h in spec.layers]
@@ -426,7 +433,8 @@ def network_infer(spec, params, features, mode="fixed", luts=None,
         for li in range(spec.n_layers):
             if fixed:
                 states[li] = cell_step_fixed(params.layers[li], states[li],
-                                             feed, luts, stack=stacks[li])
+                                             feed, luts, stack=stacks[li],
+                                             consts=consts[li])
             else:
                 states[li] = cell_step_float(params.layers[li], states[li],
                                              feed)
@@ -459,13 +467,10 @@ def quantize_params_uniform(float_params, formats=DEFAULT_FORMATS):
             if float_params.fc is not None else None)
     if float_params.quantized:
         raise ValueError("parameters are already quantized")
-    fields = {}
-    for f in dataclasses.fields(LstmLayerParams):
-        if f.name == "formats":
-            continue
-        fields[f.name] = _quantize_param_tensor(
-            getattr(float_params, f.name), formats.weight)
-    return LstmLayerParams(formats=formats, **fields)
+    return LstmLayerParams(formats=formats, **{
+        name: _quantize_param_tensor(getattr(float_params, name),
+                                     formats.weight)
+        for name in _LAYER_TENSORS})
 
 
 def quantize_features(values, formats=DEFAULT_FORMATS):
@@ -482,21 +487,15 @@ def random_network_params(seed, layer_sizes, n_out=None, scale=0.5,
     NetworkSpec(list(layer_sizes), n_out)
     rng = np.random.default_rng(seed)
 
-    def mat(rows, cols):
-        return rng.uniform(-scale, scale, size=(rows, cols))
+    def draw(*shape):
+        return rng.uniform(-scale, scale, size=shape)
 
-    def vec(n):
-        return rng.uniform(-scale, scale, size=n)
-
-    layers = []
-    for n_i, n_h in layer_sizes:
-        layers.append(LstmLayerParams(
-            mat(n_h, n_i), mat(n_h, n_h), mat(n_h, n_i), mat(n_h, n_h),
-            mat(n_h, n_i), mat(n_h, n_h), mat(n_h, n_i), mat(n_h, n_h),
-            *(vec(n_h) for _ in range(7))))
+    layers = [LstmLayerParams(*(draw(n_h, n) for n in (n_i, n_h) * 4),
+                              *(draw(n_h) for _ in range(7)))
+              for n_i, n_h in layer_sizes]
     fc = None
     if n_out is not None:
-        fc = FcParams(mat(n_out, layer_sizes[-1][1]), vec(n_out))
+        fc = FcParams(draw(n_out, layer_sizes[-1][1]), draw(n_out))
     return quantize_params_uniform(NetworkParams(layers, fc), formats)
 
 
@@ -651,8 +650,13 @@ def save_features(manifest_path, codes, formats=DEFAULT_FORMATS):
                            {"kind": "features", "n_steps": codes.shape[0]})
 
 
-def load_features(manifest_path):
+def load_features(manifest_path, formats=DEFAULT_FORMATS):
+    """Feature codes; ValueError unless in the state format of `formats`."""
     meta, tensors = read_container(manifest_path)
     if meta.get("kind") != "features" or "features" not in tensors:
         raise ValueError("container does not hold features")
-    return tensors["features"][1]
+    _, codes, fmt = tensors["features"]
+    if fmt != formats.state:
+        raise ValueError("features are in %r, not the network's state "
+                         "format %r" % (fmt, formats.state))
+    return codes

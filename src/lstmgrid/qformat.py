@@ -93,21 +93,18 @@ def shift_round(values, shift):
     v = np.asarray(values, dtype=np.int64)
     if shift == 0:
         return v
-    mag = (np.abs(v) + (1 << (shift - 1))) >> shift
-    return np.where(v < 0, -mag, mag)
+    # floor((v + half) / 2**shift) rounds ties up; one less below zero
+    # (v >> 63 is -1 there, 0 elsewhere) rounds them away from zero
+    return (v + (v >> 63) + (1 << (shift - 1))) >> shift
 
 
 def requantize(value, value_frac_bits, target):
     """16-bit accumulator value -> int8 code in the target format.
 
-    Shift right by the scale difference with round-half-away, then clamp
-    to [-128, 127].
+    Shift right by the scale difference with round-half-away (ValueError
+    if the target has more fractional bits), then clamp to [-128, 127].
     """
-    shift = value_frac_bits - target.frac_bits
-    if shift < 0:
-        raise ValueError("cannot requantize to more fractional bits "
-                         "(%d -> %d)" % (value_frac_bits, target.frac_bits))
-    rounded = shift_round(value, shift)
+    rounded = shift_round(value, value_frac_bits - target.frac_bits)
     return np.minimum(np.maximum(rounded, INT8_MIN), INT8_MAX)
 
 

@@ -561,12 +561,8 @@ class _LayerEngine:
         self.stack = lstm_ref.BlockStack(
             list(zip(params.input_weights(), params.recurrent_weights())),
             grid.col_blocks(), rows=nhp, widths=(nip, nhp))
-        self.peep = np.zeros((3, nhp), np.int64)
-        self.bias = np.zeros((4, nhp), np.int64)
-        for p, vec in enumerate((params.w_ci, params.w_cf, params.w_co)):
-            self.peep[p, :grid.n_hidden] = vec
-        for g, vec in enumerate(params.biases()):
-            self.bias[g, :grid.n_hidden] = vec
+        self.peep, self.bias = (np.pad(a, ((0, 0), (0, nhp - grid.n_hidden)))
+                                for a in lstm_ref.cell_constants(params))
         self.h = np.zeros(nhp, np.int64)
         self.c = np.zeros(nhp, np.int64)
         self.x = np.zeros(nip, np.int64)
@@ -714,8 +710,7 @@ class GridSim:
         x_codes, h_codes = zip(*(eng.param_codes(g, die) for g in range(4)))
         chunks = list(x_codes) + list(h_codes)
         if die.role == "master":
-            chunks += [eng.peep[p, rows] for p in range(3)]
-            chunks += [eng.bias[g, rows] for g in range(4)]
+            chunks += [*eng.peep[:, rows], *eng.bias[:, rows]]
             if die.fc_cols is not None:
                 chunks.append(self.fc.param_codes(die.row))
                 if die.fc_root:

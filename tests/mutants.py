@@ -29,6 +29,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIM = "tests/test_systolic_sim.py::"
+REF = "tests/test_lstm_ref.py::"
+TAILS = (REF + "test_batched_tails_equal_the_unbatched_ones_in_every_format",
+         REF + "test_batched_tails_equal_the_unbatched_ones")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,6 +94,31 @@ MUTANTS = [
         "own[:] = incoming + own",
         (SIM + "test_reduction_fold_clips_before_a_column_pulls_back",),
         "the reduction fold adds without saturating"),
+    Mutant(
+        "iu_alignment_off_by_one", "lstm_ref.py",
+        "shift_round(g_if[0] * g_u, gf - sf)",
+        "shift_round(g_if[0] * g_u, gf - sf + 1)",
+        TAILS + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
+        "the cell tail aligns the i*u product one bit too far down"),
+    Mutant(
+        "output_peephole_reads_old_c", "lstm_ref.py",
+        "dots[3] + peep[2] * c_new",
+        "dots[3] + peep[2] * c",
+        TAILS + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
+        "the output gate's peephole reads the old cell state"),
+    Mutant(
+        "fc_bias_extra_shift", "lstm_ref.py",
+        "np.asarray(b_y, np.int64) << fmts.state.frac_bits",
+        "np.asarray(b_y, np.int64) << fmts.state.frac_bits + 1",
+        TAILS + (SIM + "test_every_mode_matches_the_scalar_oracle",),
+        "the projection's bias enters one bit too far up"),
+    Mutant(
+        "round_half_up", "qformat.py",
+        "(v + (v >> 63) + (1 << (shift - 1))) >> shift",
+        "(v + (1 << (shift - 1))) >> shift",
+        TAILS + ("tests/test_qformat.py::test_shift_round_matches_oracle",
+                 "tests/test_qformat.py::test_requantize_matches_oracle"),
+        "the rounding shift rounds negative ties up, not away from zero"),
 ]
 BY_NAME = {m.name: m for m in MUTANTS}
 

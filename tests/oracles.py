@@ -2,10 +2,11 @@
 
 Everything in here is pure Python (ints and Fractions, scalar loops, no
 numpy) so the fast vectorized package code can be checked against an
-independent code path.  Deliberately dumb; do not optimize.  Two
+independent code path.  Deliberately dumb; do not optimize.  Three
 sections at the end are previous package implementations, kept as the
 references for their replacements: the int64 toggle counter, for the
-byte-wide one, and the record-loop energy report, for the columnar one.
+byte-wide one, the record-loop energy report, for the columnar one, and
+the gate-by-gate cell and projection tails, for the batched ones.
 """
 
 import math
@@ -377,3 +378,77 @@ def report(trace, op, consts):
     return EnergyReport(trace.total_cycles, trace.n_steps,
                         trace.meta["n_dies"], time_s, core_j, io_j,
                         phase_cycles, phase_io, die_core)
+
+
+# --- cell and projection tails, one gate at a time ----------------------------
+# `lstm_ref.cell_tail` and `lstm_ref.fc_tail` as they were before the first
+# three gates were batched and the rounding shift lost its np.where, with
+# the `qformat` helpers and `Lut256.lookup` they called (renamed `np_*`
+# here, next to the scalar helpers of the same names above).  The batched
+# tails must equal them for every format set with gate frac bits >= state
+# frac bits.
+
+def np_sat16(values):
+    return np.minimum(np.maximum(np.asarray(values, dtype=np.int64),
+                                 I16_MIN), I16_MAX)
+
+
+def np_sat_add16(a, b):
+    return np_sat16(np.asarray(a, dtype=np.int64)
+                    + np.asarray(b, dtype=np.int64))
+
+
+def np_shift_round(values, shift):
+    if shift < 0:
+        raise ValueError("negative shift")
+    v = np.asarray(values, dtype=np.int64)
+    if shift == 0:
+        return v
+    mag = (np.abs(v) + (1 << (shift - 1))) >> shift
+    return np.where(v < 0, -mag, mag)
+
+
+def np_lookup(lut, codes):
+    return lut.table[np.asarray(codes, dtype=np.int64) & 0xFF]
+
+
+def np_requantize(value, value_frac_bits, target):
+    shift = value_frac_bits - target.frac_bits
+    if shift < 0:
+        raise ValueError("cannot requantize to more fractional bits "
+                         "(%d -> %d)" % (value_frac_bits, target.frac_bits))
+    rounded = np_shift_round(value, shift)
+    return np.minimum(np.maximum(rounded, I8_MIN), I8_MAX)
+
+
+def unbatched_cell_tail(dots, c, peep, bias, fmts, luts):
+    sf, gf = fmts.state.frac_bits, fmts.gate.frac_bits
+    sig, tanh = luts["sigmoid"], luts["tanh"]
+
+    def gate(g, lut, peep_times_c=None):
+        acc = dots[g]
+        if peep_times_c is not None:
+            acc = np_sat_add16(acc, peep_times_c)
+        acc = np_sat_add16(acc, np.asarray(bias[g], np.int64) << sf)
+        return np_lookup(lut, np_requantize(acc, fmts.acc_frac_bits,
+                                            fmts.state))
+
+    g_i = gate(0, sig, peep[0] * c)
+    g_f = gate(1, sig, peep[1] * c)
+    g_u = gate(2, tanh)
+
+    # align the 14-bit i*u product to the 12-bit scale of f*c, accumulate,
+    # then store the cell state back at 8 bits
+    p_iu = np_sat16(np_shift_round(g_i * g_u, gf - sf))
+    c_new = np_requantize(np_sat16(g_f * c + p_iu), gf + sf, fmts.state)
+
+    g_o = gate(3, sig, peep[2] * c_new)
+    h_new = np_requantize(np_sat16(g_o * np_lookup(tanh, c_new)), 2 * gf,
+                          fmts.state)
+    return np.asarray(h_new, np.int64), np.asarray(c_new, np.int64)
+
+
+def unbatched_fc_tail(acc, b_y, fmts, luts):
+    acc = np_sat_add16(acc, np.asarray(b_y, np.int64) << fmts.state.frac_bits)
+    return np_lookup(luts["sigmoid"], np_requantize(acc, fmts.acc_frac_bits,
+                                                    fmts.state))

@@ -8,6 +8,8 @@ import yaml
 from lstmgrid import cli, lstm_ref, systolic_sim
 from lstmgrid.qformat import QFormat
 
+import oracles as O
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -318,6 +320,74 @@ def test_run_from_container_with_other_formats(tmp_path, capsys):
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 0, capsys.readouterr().err
     assert "BIT-EXACT: yes" in capsys.readouterr().out
+
+
+# a weight format without fractional bits requantizes by a shift of 0, and
+# equal gate and state formats align i*u to f*c by a shift of 0
+EDGE_FORMATS = {
+    "weight-frac-0": lstm_ref.FormatSet(weight=QFormat(0)),
+    "gate-equals-state": lstm_ref.FormatSet(state=QFormat(5),
+                                            gate=QFormat(5)),
+}
+
+
+@pytest.mark.parametrize("mode", ["stacked", "reload", "chip_select"])
+@pytest.mark.parametrize("formats", sorted(EDGE_FORMATS))
+def test_run_in_the_tails_edge_formats_equals_the_unbatched_tails(
+        tmp_path, capsys, monkeypatch, formats, mode):
+    fmts = EDGE_FORMATS[formats]
+    params = lstm_ref.random_network_params(47, [(6, 8), (8, 8)], n_out=3,
+                                            scale=3.0, formats=fmts)
+    feats = lstm_ref.random_features(48, 4, 6, formats=fmts)
+    net_path, feat_path = str(tmp_path / "net.json"), str(tmp_path / "f.json")
+    lstm_ref.save_network(net_path, params, formats=fmts)
+    lstm_ref.save_features(feat_path, feats, formats=fmts)
+    cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
+                       features={"container": feat_path}, mode=mode,
+                       tile={"nh_capacity": 4})
+    written = {}
+    for tails in ("batched", "unbatched"):
+        if tails == "unbatched":
+            monkeypatch.setattr(lstm_ref, "cell_tail", O.unbatched_cell_tail)
+            monkeypatch.setattr(lstm_ref, "fc_tail", O.unbatched_fc_tail)
+        out = tmp_path / tails
+        rc = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert rc == 0 and "BIT-EXACT: yes" in capsys.readouterr().out
+        written[tails] = {name: (out / name).read_bytes()
+                          for name in ("outputs.csv", "report.txt",
+                                       "trace.csv")}
+    assert written["batched"] == written["unbatched"]
+
+
+def test_network_with_a_gate_format_narrower_than_its_state_is_refused(
+        tmp_path, capsys):
+    net_path = str(tmp_path / "net.json")
+    lstm_ref.save_network(net_path,
+                          lstm_ref.random_network_params(49, [(8, 8)]))
+    with open(net_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["meta"]["gate_frac_bits"] = 4  # the state format is Q2.5
+    with open(net_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
+                       features={"n_steps": 2})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load network container")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+def test_feature_container_in_another_format_is_refused(tmp_path, capsys):
+    feat_path = str(tmp_path / "f.json")
+    q43 = lstm_ref.FormatSet(state=QFormat(3))
+    lstm_ref.save_features(feat_path,
+                           lstm_ref.random_features(50, 2, 8, formats=q43),
+                           formats=q43)
+    cfg = write_config(tmp_path / "c.yaml",
+                       network={"layers": [[8, 8]], "seed": 5},
+                       features={"container": feat_path})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load feature container")
+    assert not (tmp_path / "o").exists()  # nothing ran
 
 
 def reencode_as_float32(manifest_path, name):

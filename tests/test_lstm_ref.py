@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lstmgrid import lstm_ref as lr
+from lstmgrid.actlut import Lut256
 from lstmgrid.qformat import QFormat, dequantize
 
 import oracles as O
@@ -140,6 +141,85 @@ def test_cell_tail_matches_scalar_oracle_tail(units):
     want = [O.cell_tail(*u, OTAB["sigmoid_lut"], OTAB["tanh_lut"])[:2]
             for u in units]
     assert list(zip(h_new.tolist(), c_new.tolist())) == want
+
+
+# --- the batched tails in every admitted format ----------------------------------
+
+# (weight, state, gate) frac bits; the cell needs gate >= state
+FRAC_TRIPLES = [(w, s, g) for w in range(8) for s in range(8)
+                for g in range(s, 8)]
+CODE8 = st.one_of(st.sampled_from([-128, -127, 127]), INT8)
+EXTREMES = [((32767, -32768, 32767, -32768), -128, (-128, -128, -128),
+             (127, -128, 127, -128)),
+            ((-32768, 32767, -32768, 32767), 127, (-128, 127, -128),
+             (-128, 127, -128, 127))]
+
+
+def format_set(w, s, g):
+    return lr.FormatSet(QFormat(w), QFormat(s), QFormat(g))
+
+
+def tail_luts(fmts, seed=None):
+    """The format's activation tables, or two arbitrary int8 tables drawn
+    from `seed`."""
+    if seed is None:
+        return lr.default_luts(fmts)
+    tables = np.random.default_rng(seed).integers(-128, 128, (2, 256))
+    tables[:, :2] = -128, 127  # the int8 ends, for every seed
+    return {kind: Lut256(kind, fmts.state, fmts.gate, table)
+            for kind, table in zip(("sigmoid", "tanh"), tables)}
+
+
+def assert_tails_equal_unbatched(fmts, luts, dots, c, peep, bias):
+    got = lr.cell_tail(dots, c, peep, bias, fmts, luts)
+    want = O.unbatched_cell_tail(dots, c, peep, bias, fmts, luts)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    for acc, b_y in zip(dots, bias):
+        assert (lr.fc_tail(acc, b_y, fmts, luts).tolist()
+                == O.unbatched_fc_tail(acc, b_y, fmts, luts).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(fracs=st.sampled_from(FRAC_TRIPLES),
+       units=st.lists(st.tuples(st.tuples(*[INT16] * 4), CODE8,
+                                st.tuples(*[CODE8] * 3),
+                                st.tuples(*[CODE8] * 4)),
+                      min_size=1, max_size=8),
+       table_seed=st.none() | st.integers(0, 2 ** 32 - 1))
+@example(fracs=(0, 5, 7), units=EXTREMES, table_seed=None)
+@example(fracs=(5, 5, 5), units=EXTREMES, table_seed=None)
+@example(fracs=(0, 0, 0), units=EXTREMES, table_seed=None)
+@example(fracs=(7, 7, 7), units=EXTREMES, table_seed=0)
+def test_batched_tails_equal_the_unbatched_ones(fracs, units, table_seed):
+    # reduced accumulators anywhere in int16 and codes at the int8 ends,
+    # in any format set with gate frac bits >= state frac bits; arbitrary
+    # tables reach gate codes the format's own tables never give
+    fmts = format_set(*fracs)
+    dots, c, peep, bias = (np.array(v, np.int64).T for v in zip(*units))
+    assert_tails_equal_unbatched(fmts, tail_luts(fmts, table_seed), dots, c,
+                                 peep, bias)
+
+
+def test_batched_tails_equal_the_unbatched_ones_in_every_format():
+    rng = np.random.default_rng(12)
+    n = 256
+    for fracs in FRAC_TRIPLES:
+        fmts = format_set(*fracs)
+        dots = rng.integers(-32768, 32768, (4, n))
+        c = rng.integers(-128, 128, n)
+        peep = rng.integers(-128, 128, (3, n))
+        bias = rng.integers(-128, 128, (4, n))
+        for k, (acc, c_k, p_k, b_k) in enumerate(EXTREMES):
+            dots[:, k], c[k], peep[:, k], bias[:, k] = acc, c_k, p_k, b_k
+        for table_seed in (None, sum(fracs)):
+            assert_tails_equal_unbatched(fmts, tail_luts(fmts, table_seed),
+                                         dots, c, peep, bias)
+
+
+def test_gate_format_narrower_than_the_state_format_is_refused():
+    with pytest.raises(ValueError, match="fewer fractional bits"):
+        lr.FormatSet(state=QFormat(5), gate=QFormat(4))
+    assert lr.FormatSet(state=QFormat(5), gate=QFormat(5)).gate.frac_bits == 5
 
 
 @pytest.mark.parametrize("splits", [2, 3])
@@ -413,6 +493,16 @@ def test_feature_container_round_trip(tmp_path):
     assert lr.load_features(path).tolist() == feats.tolist()
     with pytest.raises(ValueError):
         lr.load_network(path)
+
+
+def test_feature_container_in_another_state_format_is_refused(tmp_path):
+    path = str(tmp_path / "feats.json")
+    q43 = lr.FormatSet(state=QFormat(3))
+    lr.save_features(path, lr.random_features(36, 2, 3, formats=q43), q43)
+    assert lr.load_features(path, q43).shape == (2, 3)
+    with pytest.raises(ValueError, match="Q4.3, not the network's state "
+                       "format Q2.5"):
+        lr.load_features(path)
 
 
 def test_container_blob_is_little_endian_int8(tmp_path):
