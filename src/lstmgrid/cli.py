@@ -174,7 +174,7 @@ def build_run_config(args):
                 seed + 1 if seed is not None
                 else _whole(feat.get("seed", 1), "features.seed"),
                 n_steps=n_steps, n_features=spec.n_features,
-                scale=float(feat.get("scale", 1.0)))
+                formats=spec.formats, scale=float(feat.get("scale", 1.0)))
         except (TypeError, ValueError) as exc:
             raise ConfigError("bad features settings: %s" % exc)
     _require(features.shape[1] == spec.n_features,

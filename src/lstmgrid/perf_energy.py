@@ -120,7 +120,7 @@ def _record_io_energy_j(tpl, consts):
     Each event's energy is the per-event formula evaluated elementwise in
     its own order, and each record's events are added one at a time, so
     every entry equals pricing the record event by event."""
-    links, toggles = tpl.event_links(), tpl.toggles
+    links, toggles = tpl.links, tpl.toggles
     if toggles is None:  # unmeasured: the planned bits at alpha_toggle
         toggles = np.broadcast_to(consts.alpha_toggle * np.array(
             [w * link.word_bits for w, link in zip(tpl.words, links)]),
@@ -208,7 +208,7 @@ def extrapolate(spec, tile=TileSpec(), op=OperatingPoint(),
     """
     plan = plan_grid(spec, tile)
     records, end = build_step_schedule(plan, cycle_model, readout=False)
-    tpl = StepTemplate.build(records, plan.links, 0, [0])
+    tpl = StepTemplate.build(records, 0, [0])
     trace = PhaseTrace([tpl], end, 1, meta={"n_dies": plan.total_dies})
     return report(trace, op, consts)
 

@@ -5,19 +5,24 @@ functions from a plan to an ordered list of PhaseRecords with cycle spans
 and planned link traffic.  Every parameter stays resident, so the steps of
 a run repeat one step shape (two in multi-layer reload runs); `run_templates`
 builds each shape once as a `StepTemplate`, records with cycle offsets and
-events as indices into the plan's link table, before any value is
-computed.  The value side (`GridSim`) walks the templates step by step and
-performs the actual distributed arithmetic — per-die partial MACs,
-saturating reduction chains, master-side activation and element-wise
-updates, hidden-state distribution, optional output projection — copying
-the words of every transfer into one buffer per run and counting their
-beat-level toggles into an int64 (steps x template events) array.  The
-analytic energy model prices the very same templates, so simulated and
-extrapolated cycle counts agree by construction.
+events on the plan's `LinkPlan` objects, before any value is computed.
+
+The value side (`GridSim`) keeps what is resident on the dies: weight
+stacks, peepholes, biases, the projection and every die's parameter burst.
+Each `run` starts from zero state and walks the templates step by step,
+performing the actual distributed arithmetic — per-die partial MACs (one
+kernel call for a layer step's four gates), saturating reduction chains,
+master-side activation and element-wise updates, hidden-state
+distribution, optional output projection — copying the words of every
+transfer into one buffer per run and counting their beat-level toggles
+into an int64 (steps x template events) array.  The analytic energy model
+prices the very same templates, so simulated and extrapolated cycle counts
+agree by construction.
 
 Master-side activation and the element-wise update are one call to
 `lstm_ref.cell_tail`, the oracle's own cell arithmetic after reduction,
-in the `elementwise` phase; `gate_activate` records carry timing only.
+in the `elementwise` phase; `gate_activate` records, and the
+`gate_compute` records of gates 1-3, carry timing only.
 
 One walker executes every load mode.  In multi-layer reload runs, the
 per-pass parameter re-load, state restore (`state_load`) and state spill
@@ -116,36 +121,30 @@ class StepTemplate:
 
     `records` holds (kind, layer, gate, hop, start, end, dies) tuples with
     cycles counted from the step's start.  Record r's events are the
-    indices `spans[r]`: event e moves `words[e]` words on
-    `links[link[e]]`, the plan's link table.  Steps `first`, `first + 1`,
+    indices `spans[r]`: event e moves `words[e]` words on `links[e]`, a
+    link of the plan (`mapper.LinkPlan`).  Steps `first`, `first + 1`,
     ... (None: the configuration timeline) start at the cycles `starts`;
     `toggles` holds their events' toggles, int64 (steps x events), or None
     when unmeasured (priced at alpha_toggle).
     """
     records: list
     spans: list
-    link: list
-    words: list
     links: list
+    words: list
     first: int
     starts: list
     toggles: np.ndarray = None
 
     @classmethod
-    def build(cls, records, links, first, starts):
+    def build(cls, records, first, starts):
         """The template of `records`, scheduled from cycle 0."""
-        index = {link: k for k, link in enumerate(links)}
-        spans, link, words = [], [], []
+        spans, links, words = [], [], []
         for rec in records:
-            spans.append(range(len(link), len(link) + len(rec.events)))
-            link += [index[ev.link] for ev in rec.events]
+            spans.append(range(len(links), len(links) + len(rec.events)))
+            links += [ev.link for ev in rec.events]
             words += [ev.words for ev in rec.events]
         return cls([(r.kind, r.layer, r.gate, r.hop, r.start, r.end, r.dies)
-                    for r in records], spans, link, words, links, first,
-                   starts)
-
-    def event_links(self):
-        return [self.links[k] for k in self.link]
+                    for r in records], spans, links, words, first, starts)
 
     def steps(self):
         """(step, start cycle, toggles of each event or None) per step."""
@@ -167,11 +166,10 @@ class PhaseTrace:
         """Every record of the run in order, built on demand."""
         out = []
         for tpl in self.templates:
-            links = tpl.event_links()
             for step, start, toggles in tpl.steps():
                 for (kind, layer, gate, hop, s, e, dies), span in zip(
                         tpl.records, tpl.spans):
-                    events = [LinkEvent(links[i], tpl.words[i],
+                    events = [LinkEvent(tpl.links[i], tpl.words[i],
                                         None if toggles is None
                                         else toggles[i]) for i in span]
                     out.append(PhaseRecord(kind, layer, start + s, start + e,
@@ -181,10 +179,9 @@ class PhaseTrace:
     def link_totals(self):
         totals = {}
         for tpl in self.templates:
-            toggles = ([0] * len(tpl.link) if tpl.toggles is None
+            toggles = ([0] * len(tpl.links) if tpl.toggles is None
                        else tpl.toggles.sum(axis=0).tolist())
-            for link, words, tog in zip(tpl.event_links(), tpl.words,
-                                        toggles):
+            for link, words, tog in zip(tpl.links, tpl.words, toggles):
                 agg = totals.setdefault(link.label, {
                     "kind": link.kind, "bits": 0, "words": 0, "toggles": 0,
                     "host_drive": link.src == HOST,
@@ -216,7 +213,7 @@ class PhaseTrace:
         rows = [("step", "phase", "layer", "gate", "hop", "start", "end",
                  "link", "bits", "toggles")]
         for tpl in self.templates:
-            links = tpl.event_links()
+            links = tpl.links
             # per row: kind, layer, gate, hop, start, end, link, bits, and
             # the event index (None: a record without events)
             static = []
@@ -490,13 +487,13 @@ def run_templates(plan, cm, n_steps):
     templates, cursor = [], 0
     if not spills:
         templates.append(StepTemplate.build(build_load_schedule(plan)[0],
-                                            plan.links, None, [0]))
+                                            None, [0]))
     shapes = [(0, min(n_steps, 1)), (1, n_steps - 1)] if spills \
         else [(0, n_steps)]
     for first, count in shapes:
         if count > 0:
             records, length = _step_records(plan, cm, spills, first)
-            templates.append(StepTemplate.build(records, plan.links, first, [
+            templates.append(StepTemplate.build(records, first, [
                 cursor + k * length for k in range(count)]))
             cursor += count * length
     return templates, cursor
@@ -544,109 +541,61 @@ def count_toggles(words, word_bits, idle=0):
 
 # --- value execution --------------------------------------------------------------
 
-class _LayerEngine:
-    """Distributed state and arithmetic for one layer grid.
+def reduce_hop(partials, hop):
+    """Row `hop` of `partials` folds the partials arriving from row
+    `hop - 1` into its own with saturating adds, in place; returns the
+    arriving partials.  Rows are die columns of a gate reduction (every row
+    tile at once) or the master rows of the projection reduction."""
+    incoming = partials[hop - 1]
+    partials[hop] = sat_add16(incoming, partials[hop])
+    return incoming
 
-    Each gate's weights stay resident as column-block stacks, block j
-    holding die column j's input slice then recurrent slice
-    (`lstm_ref.BlockStack`: w is (gate, j, nh_padded, ni_tile + nh_tile)).
+
+class _Layer:
+    """One layer grid's resident parameters.
+
+    Each gate's weights stay as column-block stacks, block j holding die
+    column j's input slice then recurrent slice (`lstm_ref.BlockStack`: w
+    is (gate, j, nh_padded, ni_tile + nh_tile)); the peephole and bias rows
+    are zero-padded to nh_padded units.
     """
 
     def __init__(self, grid, params, luts):
         lstm_ref.check_luts(luts, params.formats)
-        self.grid = grid
-        self.luts = luts
-        self.formats = params.formats
-        nhp, nip = grid.nh_padded, grid.ni_padded
+        nhp = grid.nh_padded
+        self.grid, self.formats = grid, params.formats
         self.stack = lstm_ref.BlockStack(
             list(zip(params.input_weights(), params.recurrent_weights())),
-            grid.col_blocks(), rows=nhp, widths=(nip, nhp))
+            grid.col_blocks(), rows=nhp, widths=(grid.ni_padded, nhp))
         self.peep, self.bias = (np.pad(a, ((0, 0), (0, nhp - grid.n_hidden)))
                                 for a in lstm_ref.cell_constants(params))
+
+
+class _LayerState:
+    """One layer grid's values in a run, all zero when the run starts."""
+
+    def __init__(self, grid):
+        nhp = grid.nh_padded
         self.h = np.zeros(nhp, np.int64)
         self.c = np.zeros(nhp, np.int64)
-        self.x = np.zeros(nip, np.int64)
-        # running partial per (gate, die column j, padded row)
-        self.partials = np.zeros((4, grid.n, nhp), np.int64)
-
-    def rows(self, i):
-        return slice(i * self.grid.nh_tile, (i + 1) * self.grid.nh_tile)
-
-    def set_features(self, x):
-        self.x[:] = 0
-        self.x[:len(x)] = x
-
-    def gate_round(self, gate):
-        """Every die's partial MAC of one gate: one kernel call."""
-        self.partials[gate], _ = mac_run(
-            self.stack.w[gate], self.stack.operand(self.x, self.h),
-            sq_norms=self.stack.w_sq[gate])
-
-    def param_codes(self, gate, die):
-        """Die's input-slice then recurrent-slice weight codes of a gate."""
-        block = self.stack.w[gate, die.col, self.rows(die.row)]
-        ni = self.grid.ni_tile
-        return block[:, :ni].ravel(), block[:, ni:].ravel()
-
-    def reduce_hop(self, gate, hop):
-        """Die column `hop` folds the arriving partials into its own, all
-        row tiles at once; returns the arriving partials."""
-        incoming, own = self.partials[gate, hop - 1], self.partials[gate, hop]
-        own[:] = sat_add16(incoming, own)
-        return incoming
-
-    def elementwise(self):
-        """Every master's peepholes, biases, activations and state update
-        (`lstm_ref.cell_tail`) over the gates' reduced partials in the
-        last die column.  Padded rows stay zero: their weights, peepholes
-        and biases are zero."""
-        # master row i now owns h tile i; distribution fills self.h
-        self.h_tiles, self.c[:] = lstm_ref.cell_tail(
-            self.partials[:, self.grid.n - 1], self.c, self.peep, self.bias,
-            self.formats, self.luts)
-
-    def commit_hidden(self):
-        self.h[:] = self.h_tiles
-
-    def output_codes(self):
-        return self.h_tiles[:self.grid.n_hidden]
-
-
-class _FcEngine:
-    """Projection slices on the master column of the last grid: master i
-    holds W_y's columns of hidden tile i as block i of a resident stack."""
-
-    def __init__(self, grid, fc_params, luts):
-        self.grid = grid
-        self.luts = luts
-        self.formats = fc_params.formats
-        self.stack = lstm_ref.BlockStack(
-            [(fc_params.W_y,)], [(h,) for _, h in grid.col_blocks()],
-            widths=(grid.nh_padded,))
-        self.b_y = fc_params.b_y.astype(np.int64)
-        self.partials = None  # (master row i, n_out) after `compute`
-
-    def param_codes(self, i):
-        return self.stack.w[0, i].ravel()
-
-    def compute(self, engine):
-        """Every master's projection partial: one kernel call."""
-        self.partials, _ = mac_run(
-            self.stack.w[0], self.stack.operand(engine.h_tiles),
-            sq_norms=self.stack.w_sq[0])
-
-    def reduce_hop(self, hop):
-        incoming = self.partials[hop - 1]
-        self.partials[hop] = sat_add16(incoming, self.partials[hop])
-        return incoming
-
-    def activate(self):
-        self.y = lstm_ref.fc_tail(self.partials[self.grid.n - 1], self.b_y,
-                                  self.formats, self.luts)
+        self.x = np.zeros(grid.ni_padded, np.int64)  # the step's input
+        # h and c as last spilled to the host (reload mode)
+        self.host = np.zeros((2, nhp), np.int64)
+        self.partials = None  # (gate, die column j, padded row)
+        self.h_tiles = None  # the masters' new hidden tiles
+        self.fc = self.y = None  # projection partials per master row, y
 
 
 class GridSim:
-    """Executes a plan's run schedule over real parameter/feature codes."""
+    """A plan's die array configured with a network's parameters.
+
+    Construction keeps only what stays resident on the dies: each layer's
+    weight stacks, peepholes and biases, the projection (master i of the
+    last grid holds W_y's columns of hidden tile i as block i of a stack)
+    and every die's parameter burst with its toggles.  `run` walks the
+    plan's run schedule over real feature codes from zero state, so every
+    run of one GridSim is alike.
+    """
 
     def __init__(self, plan, params, luts=None, cycle_model=CycleModel(),
                  dropped_links=()):
@@ -661,23 +610,29 @@ class GridSim:
         self.plan = plan
         self.cm = cycle_model
         self.luts = luts or lstm_ref.default_luts(params.layers[0].formats)
-        self.engines = [_LayerEngine(g, p, self.luts)
-                        for g, p in zip(plan.layer_grids, params.layers)]
-        self.fc = None
-        if params.fc is not None:
-            self.fc = _FcEngine(plan.layer_grids[-1], params.fc, self.luts)
+        self.layers = [_Layer(g, p, self.luts)
+                       for g, p in zip(plan.layer_grids, params.layers)]
+        self.fc = params.fc
+        if self.fc is not None:
+            last = plan.layer_grids[-1]
+            self.fc_stack = lstm_ref.BlockStack(
+                [(self.fc.W_y,)], [(h,) for _, h in last.col_blocks()],
+                widths=(last.nh_padded,))
+            self.b_y = self.fc.b_y.astype(np.int64)
         by_label = {link.label: link for link in plan.links}
         unknown = sorted(map(str, set(dropped_links) - set(by_label)))
         if unknown:
             raise ValueError("dropped_links names links the plan does not "
                              "have: %s" % ", ".join(unknown))
         self.dropped = {by_label[label] for label in dropped_links}
-        # h and c of each layer as last spilled to the host (reload mode)
-        self.host_state = [np.zeros((2, g.nh_padded), np.int64)
-                           for g in plan.layer_grids]
-        # die id -> (word count, toggles) of its parameter burst; the
-        # resident parameters, and so the burst, never change
-        self._param_bursts = {}
+        # load link -> (word count, toggles) of its die's parameter burst:
+        # the same words from idle on every load
+        self.bursts = {}
+        for link in plan.links:
+            if link.key[1] == "load":
+                words = self._param_words(plan.die(link.receivers[0]))
+                self.bursts[link] = (words.size,
+                                     count_toggles(words, link.word_bits))
 
     # -- link layer --
 
@@ -688,98 +643,111 @@ class GridSim:
                 % (link.label, link.src, link.receivers))
 
     def _burst(self, link, words):
-        """Toggles of a die's parameter burst on `link`: the same words,
-        from idle, on every load, so they are counted on the first only."""
-        die_id = link.receivers[0]
-        burst = self._param_bursts.get(die_id)
-        if burst is None:
-            codes = self._param_words(self.plan.die(die_id))
-            burst = self._param_bursts[die_id] = (
-                codes.size, count_toggles(codes, link.word_bits))
+        """Toggles of a die's parameter burst on `link`."""
         self._check_transfer(link)
-        if burst[0] != words:
+        size, toggles = self.bursts[link]
+        if size != words:
             raise AssertionError("planned %d words on %s, moved %d"
-                                 % (words, link.label, burst[0]))
-        return burst[1]
+                                 % (words, link.label, size))
+        return toggles
 
     # -- phases --
 
     def _param_words(self, die):
-        eng = self.engines[die.layer]
-        rows = eng.rows(die.row)
-        x_codes, h_codes = zip(*(eng.param_codes(g, die) for g in range(4)))
-        chunks = list(x_codes) + list(h_codes)
+        """A die's parameter burst, cut from the resident stacks: its four
+        gates' input-slice codes, then their recurrent-slice codes, then a
+        master's peephole, bias and projection rows."""
+        lay = self.layers[die.layer]
+        nh, ni = lay.grid.nh_tile, lay.grid.ni_tile
+        rows = slice(die.row * nh, (die.row + 1) * nh)
+        block = lay.stack.w[:, die.col, rows]
+        chunks = [block[..., :ni], block[..., ni:]]
         if die.role == "master":
-            chunks += [*eng.peep[:, rows], *eng.bias[:, rows]]
+            chunks += [lay.peep[:, rows], lay.bias[:, rows]]
             if die.fc_cols is not None:
-                chunks.append(self.fc.param_codes(die.row))
+                chunks.append(self.fc_stack.w[0, die.row])
                 if die.fc_root:
-                    chunks.append(self.fc.b_y)
-        return np.concatenate(chunks).astype(np.int64)
+                    chunks.append(self.b_y)
+        return np.concatenate([c.ravel() for c in chunks]).astype(np.int64)
 
-    def _exec_record(self, rec, x_t):
-        """Execute one template record; returns the words its events carry,
-        one row per event, or None for a record without transfers."""
+    def _exec_record(self, rec, x_t, states):
+        """Execute one template record on the run's `states`; returns the
+        words its events carry, one row per event, or None for a record
+        without transfers."""
         kind, layer, gate, hop = rec[:4]
-        eng = self.engines[layer]
-        n, nh = eng.grid.n, eng.grid.nh_tile
+        lay, st = self.layers[layer], states[layer]
+        n, nh = lay.grid.n, lay.grid.nh_tile
         if kind == "gate_compute":
-            eng.gate_round(gate)
+            if gate == 0:
+                # the four gates read the same x and h: every die's
+                # partial MACs of the step in one kernel call
+                st.partials, _ = mac_run(
+                    lay.stack.w, lay.stack.operand(st.x, st.h),
+                    sq_norms=lay.stack.w_sq)
         elif kind == "gate_reduce":
-            return eng.reduce_hop(gate, hop).reshape(n, nh)
+            return reduce_hop(st.partials[gate], hop).reshape(n, nh)
         elif kind in ("recurrent_compute", "gate_activate", "param_load"):
-            # timing only: MACs are evaluated in pinned order by
-            # gate_compute, and the activations by elementwise from the
-            # reduced partials every gate leaves in place; parameter
-            # bursts never change, so `_burst` counts them once
+            # timing only: MACs are evaluated in pinned order by the
+            # first gate_compute, and the activations by elementwise from
+            # the reduced partials every gate leaves in place; parameter
+            # bursts never change, so they are counted at construction
             pass
         elif kind == "feature_stream":
-            if layer == 0:
-                eng.set_features(x_t)
-            else:
-                eng.set_features(self.engines[layer - 1].h[:eng.grid.n_inputs])
-            return eng.x.reshape(n, -1)
+            x = x_t if layer == 0 else states[layer - 1].h[:lay.grid.n_inputs]
+            st.x[:] = 0
+            st.x[:len(x)] = x
+            return st.x.reshape(n, -1)
         elif kind == "elementwise":
-            eng.elementwise()
+            # every master's peepholes, biases, activations and state
+            # update over the reduced partials in the last die column;
+            # padded rows stay zero, as their parameters are zero.  Master
+            # row i now owns h tile i; distribution fills st.h
+            st.h_tiles, st.c[:] = lstm_ref.cell_tail(
+                st.partials[:, n - 1], st.c, lay.peep, lay.bias,
+                lay.formats, self.luts)
             if n == 1:
-                eng.commit_hidden()  # no distribution phase on a 1x1 grid
+                st.h[:] = st.h_tiles  # no distribution phase on a 1x1 grid
         elif kind == "hidden_chain":
             # tile n-1 codes travel up the master column unchanged
-            return eng.h_tiles.reshape(n, nh)[n - 1:]
+            return st.h_tiles.reshape(n, nh)[n - 1:]
         elif kind == "hidden_bcast":
-            eng.commit_hidden()
-            return eng.h_tiles.reshape(n, nh)[:n - 1]
+            st.h[:] = st.h_tiles
+            return st.h_tiles.reshape(n, nh)[:n - 1]
         elif kind == "state_load":
-            eng.h[:], eng.c[:] = self.host_state[layer]
-            return self.host_state[layer].reshape(2 * n, nh)
+            st.h[:], st.c[:] = st.host
+            return st.host.reshape(2 * n, nh)
         elif kind == "state_store":
-            spill = np.zeros_like(self.host_state[layer])
-            real = slice(0, eng.grid.n_hidden)
-            spill[0, real], spill[1, real] = eng.h[real], eng.c[real]
-            self.host_state[layer] = spill
+            spill = np.zeros_like(st.host)
+            real = slice(0, lay.grid.n_hidden)
+            spill[0, real], spill[1, real] = st.h[real], st.c[real]
+            st.host = spill
             # master i spills its h tile, then its c tile
             return spill.reshape(2, n, nh).swapaxes(0, 1).reshape(2 * n, nh)
         elif kind == "fc_compute":
-            self.fc.compute(eng)
+            # every master's projection partial: one kernel call
+            st.fc, _ = mac_run(self.fc_stack.w[0],
+                               self.fc_stack.operand(st.h_tiles),
+                               sq_norms=self.fc_stack.w_sq[0])
         elif kind == "fc_reduce":
-            return self.fc.reduce_hop(hop)[None]
+            return reduce_hop(st.fc, hop)[None]
         elif kind == "fc_activate":
-            self.fc.activate()
+            st.y = lstm_ref.fc_tail(st.fc[n - 1], self.b_y, self.fc.formats,
+                                    self.luts)
         elif kind == "writeback":
-            return (self.fc.y[None] if self.fc is not None
-                    else eng.h_tiles.reshape(n, nh))
+            return (st.y[None] if self.fc is not None
+                    else st.h_tiles.reshape(n, nh))
         else:
             raise AssertionError("unhandled phase kind %r" % (kind,))
         return None
 
-    def _walk(self, tpl, features, outputs):
+    def _walk(self, tpl, features, outputs, states):
         """Run a template's steps: check each template event against the
         dropped links once, execute the steps record by record, writing each
         transfer's words straight into a per-run buffer, then count the
         toggles with one 2-D `count_toggles` call per (word width, word
         count) group."""
-        n, links = len(tpl.starts), tpl.event_links()
-        tpl.toggles = np.zeros((n, len(tpl.link)), np.int64)
+        n, links = len(tpl.starts), tpl.links
+        tpl.toggles = np.zeros((n, len(links)), np.int64)
         groups, slots = {}, []  # (word width, word count) -> event indices
         for (kind, *_), span in zip(tpl.records, tpl.spans):
             if kind == "param_load" or not span:
@@ -795,11 +763,12 @@ class GridSim:
             members += span
         words = {key: np.empty((n, len(events), key[1]), np.int64)
                  for key, events in groups.items()}
+        last, width = states[-1], outputs.shape[1]
         for k in range(n) if tpl.first is not None else ():
             t = tpl.first + k
             x_t = features[t]
             for rec, slot in zip(tpl.records, slots):
-                tiles = self._exec_record(rec, x_t)
+                tiles = self._exec_record(rec, x_t, states)
                 if slot is not None:
                     dest = words[slot[0]][k, slot[1]]
                     if tiles.shape != dest.shape:
@@ -807,8 +776,8 @@ class GridSim:
                             "planned %s words on a %s record, moved %s"
                             % (dest.shape, rec[0], tiles.shape))
                     dest[...] = tiles
-            outputs[t] = (self.fc.y if self.fc is not None
-                          else self.engines[-1].output_codes())
+            outputs[t] = (last.y if self.fc is not None
+                          else last.h_tiles[:width])
         for (word_bits, width), events in groups.items():
             tpl.toggles[:, events] = count_toggles(
                 words[word_bits, width].reshape(-1, width),
@@ -816,7 +785,8 @@ class GridSim:
 
     def run(self, features):
         """Walk the plan's run schedule over `features` (T x n_features
-        int8 codes); returns (T x output width codes, PhaseTrace)."""
+        int8 codes) from zero state; returns (T x output width codes,
+        PhaseTrace)."""
         features = np.asarray(features)
         n_features = self.plan.spec.n_features
         if features.ndim != 2 or features.shape[1] != n_features:
@@ -827,8 +797,9 @@ class GridSim:
         templates, end = run_templates(self.plan, self.cm, len(features))
         outputs = np.zeros((len(features), self.plan.spec.output_width),
                            np.int64)
+        states = [_LayerState(g) for g in self.plan.layer_grids]
         for tpl in templates:
-            self._walk(tpl, features, outputs)
+            self._walk(tpl, features, outputs, states)
         return outputs, PhaseTrace(
             templates, end, len(features),
             meta={"n_dies": self.plan.total_dies, "reload": self.plan.reload})

@@ -30,6 +30,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIM = "tests/test_systolic_sim.py::"
 REF = "tests/test_lstm_ref.py::"
+QF = "tests/test_qformat.py::"
 TAILS = (REF + "test_batched_tails_equal_the_unbatched_ones_in_every_format",
          REF + "test_batched_tails_equal_the_unbatched_ones")
 
@@ -48,13 +49,13 @@ MUTANTS = [
     Mutant(
         "transfer_words_as_views", "systolic_sim.py",
         "                    dest[...] = tiles\n"
-        "            outputs[t] = (self.fc.y if self.fc is not None\n"
-        "                          else self.engines[-1].output_codes())\n"
+        "            outputs[t] = (last.y if self.fc is not None\n"
+        "                          else last.h_tiles[:width])\n"
         "        for (word_bits, width), events in groups.items():\n",
         "                    self.__dict__.setdefault(\"_views\", []).append(\n"
         "                        (dest, tiles))\n"
-        "            outputs[t] = (self.fc.y if self.fc is not None\n"
-        "                          else self.engines[-1].output_codes())\n"
+        "            outputs[t] = (last.y if self.fc is not None\n"
+        "                          else last.h_tiles[:width])\n"
         "        for dest, tiles in self.__dict__.pop(\"_views\", []):\n"
         "            dest[...] = tiles\n"
         "        for (word_bits, width), events in groups.items():\n",
@@ -80,20 +81,34 @@ MUTANTS = [
          "test_report_equals_the_record_loop_to_the_last_bit"),
         "die_activity counts the configuration timeline's parameter loads"),
     Mutant(
-        "burst_memo_skips_link_check", "systolic_sim.py",
-        "                codes.size, count_toggles(codes, link.word_bits))\n"
-        "        self._check_transfer(link)\n",
-        "                codes.size, count_toggles(codes, link.word_bits))\n"
-        "            self._check_transfer(link)\n",
+        "param_load_skips_link_check", "systolic_sim.py",
+        "        self._check_transfer(link)\n"
+        "        size, toggles = self.bursts[link]\n",
+        "        size, toggles = self.bursts[link]\n",
         (SIM + "test_every_reload_transfer_consults_the_plan",),
-        "a parameter load whose burst is memoized skips the dropped-link "
-        "check"),
+        "a parameter load skips the dropped-link check"),
     Mutant(
         "reduce_hop_plain_add", "systolic_sim.py",
-        "own[:] = sat_add16(incoming, own)",
-        "own[:] = incoming + own",
+        "partials[hop] = sat_add16(incoming, partials[hop])",
+        "partials[hop] = incoming + partials[hop]",
         (SIM + "test_reduction_fold_clips_before_a_column_pulls_back",),
         "the reduction fold adds without saturating"),
+    Mutant(
+        "state_carried_across_runs", "systolic_sim.py",
+        "        states = [_LayerState(g) for g in self.plan.layer_grids]\n",
+        "        states = self.__dict__.setdefault(\"_states\", [\n"
+        "            _LayerState(g) for g in self.plan.layer_grids])\n",
+        (SIM + "test_a_second_run_starts_from_zero_state",),
+        "a run starts from the h, c and host state the last run left"),
+    Mutant(
+        "block_stack_packs_short_ranges", "lstm_ref.py",
+        "                    pos += len(r)\n",
+        "                    pos += part.shape[1]\n",
+        (SIM + "test_param_words_match_the_network_tensors",
+         SIM + "test_every_mode_matches_the_scalar_oracle"),
+        "a block range past its matrix's real width is packed short, so "
+        "the next matrix's columns of the block sit under the wrong "
+        "operand codes"),
     Mutant(
         "iu_alignment_off_by_one", "lstm_ref.py",
         "shift_round(g_if[0] * g_u, gf - sf)",
@@ -116,9 +131,28 @@ MUTANTS = [
         "round_half_up", "qformat.py",
         "(v + (v >> 63) + (1 << (shift - 1))) >> shift",
         "(v + (1 << (shift - 1))) >> shift",
-        TAILS + ("tests/test_qformat.py::test_shift_round_matches_oracle",
-                 "tests/test_qformat.py::test_requantize_matches_oracle"),
+        TAILS + (QF + "test_shift_round_matches_oracle",
+                 QF + "test_requantize_matches_oracle"),
         "the rounding shift rounds negative ties up, not away from zero"),
+    Mutant(
+        "certificate_admits_room_plus_one", "qformat.py",
+        "limit = room * room if room >= 0 else -1",
+        "limit = (room + 1) ** 2 if room >= 0 else -1",
+        (QF + "test_certificate_tier_is_exact_at_its_edge",
+         SIM + "test_every_mode_matches_the_scalar_oracle"),
+        "the certificate admits a chain one past its edge"),
+    Mutant(
+        "certificate_ignores_init", "qformat.py",
+        "room = INT16_MAX - abs(init)",
+        "room = INT16_MAX",
+        (QF + "test_certificate_tier_is_exact_at_its_edge",),
+        "the certificate leaves no room for the chain's initial value"),
+    Mutant(
+        "scan_clamps_at_32766", "qformat.py",
+        "lo, hi = np.int64(INT16_MIN), np.int64(INT16_MAX)",
+        "lo, hi = np.int64(INT16_MIN), np.int64(INT16_MAX - 1)",
+        (QF + "test_mac_run_saturating_rows",),
+        "the saturating scan clamps one code below int16's top"),
 ]
 BY_NAME = {m.name: m for m in MUTANTS}
 

@@ -322,6 +322,32 @@ def test_run_from_container_with_other_formats(tmp_path, capsys):
     assert "BIT-EXACT: yes" in capsys.readouterr().out
 
 
+def test_random_features_take_the_container_state_format(tmp_path, capsys,
+                                                        monkeypatch):
+    # a Q3.4 state network draws its random features as Q3.4 codes
+    fmts = lstm_ref.FormatSet(state=QFormat(4))
+    params = lstm_ref.random_network_params(45, [(8, 8)], formats=fmts)
+    net_path = tmp_path / "net.json"
+    lstm_ref.save_network(str(net_path), params, formats=fmts)
+    cfg = write_config(tmp_path / "c.yaml",
+                       network={"container": str(net_path)},
+                       features={"n_steps": 3, "seed": 5, "scale": 1.5})
+    simulated = []
+    simulate = systolic_sim.simulate
+
+    def spy(plan, params, features, **kw):
+        simulated.append(features)
+        return simulate(plan, params, features, **kw)
+
+    monkeypatch.setattr(systolic_sim, "simulate", spy)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+    assert "BIT-EXACT: yes" in capsys.readouterr().out
+    (features,) = simulated
+    assert features.tolist() == lstm_ref.random_features(
+        5, 3, 8, formats=fmts, scale=1.5).tolist()
+
+
 # a weight format without fractional bits requantizes by a shift of 0, and
 # equal gate and state formats align i*u to f*c by a shift of 0
 EDGE_FORMATS = {

@@ -285,6 +285,58 @@ def test_param_words_match_footprint_on_every_die():
         assert sim._param_words(die).size == die.footprint_bytes
 
 
+def _padded(a, *shape):
+    return np.pad(a, [(0, n - k) for n, k in zip(shape, a.shape)])
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["stacked", "reload"])
+def test_param_words_match_the_network_tensors(reload):
+    # each die's burst rebuilt from the parameter tensors, zero-padded to
+    # the grid, and the plan's placement; ragged input and hidden widths
+    # on a 3x3 and a 2x2 grid, the second with a projection
+    params = LR.random_network_params(81, [(7, 10), (10, 7)], n_out=3)
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=reload)
+    sim = GridSim(plan, params)
+    for die in plan.dies:
+        grid, p = plan.layer_grids[die.layer], params.layers[die.layer]
+        nhp, rows = grid.nh_padded, slice(*die.hidden_rows)
+        want = [_padded(w, nhp, grid.ni_padded)[rows, slice(*die.x_cols)]
+                for w in (p.W_xi, p.W_xf, p.W_xc, p.W_xo)]
+        want += [_padded(w, nhp, nhp)[rows, slice(*die.h_cols)]
+                 for w in (p.W_hi, p.W_hf, p.W_hc, p.W_ho)]
+        if die.role == "master":
+            want += [_padded(v, nhp)[rows] for v in (
+                p.w_ci, p.w_cf, p.w_co, p.b_i, p.b_f, p.b_c, p.b_o)]
+        if die.fc_cols is not None:
+            want.append(_padded(params.fc.W_y, 3, nhp)[:, slice(
+                *die.fc_cols)])
+        if die.fc_root:
+            want.append(params.fc.b_y)
+        got = sim._param_words(die)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.concatenate(
+            [w.ravel() for w in want]).tolist(), die.die_id
+    assert sum(d.fc_cols is not None for d in plan.dies) == 2
+    assert {g.ni_padded - g.n_inputs for g in plan.layer_grids} == {2, 0}
+
+
+@pytest.mark.parametrize("layers,n_out,reload", [
+    ([(7, 10), (10, 7)], 3, False),
+    ([(6, 8), (8, 4), (4, 8)], None, True),
+], ids=["stacked", "reload"])
+def test_a_second_run_starts_from_zero_state(layers, n_out, reload):
+    # a GridSim keeps its resident parameters between runs, never the h
+    # and c of its dies or the states a reload run spills to the host
+    params = LR.random_network_params(83, layers, n_out=n_out)
+    feats = LR.random_features(84, 3, layers[0][0])
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=reload)
+    sim = GridSim(plan, params)
+    (first, trace), (second, trace2) = sim.run(feats), sim.run(feats)
+    assert np.array_equal(first, reference(plan, params, feats))
+    assert np.array_equal(second, first)
+    assert trace2.to_csv_rows() == trace.to_csv_rows()
+
+
 def test_reduction_traffic_per_gate_and_row():
     plan, params, feats = make_case(43, [(288, 288)], n_steps=1)
     _, trace = simulate(plan, params, feats)
@@ -431,7 +483,7 @@ def test_every_reload_transfer_consults_the_plan(monkeypatch):
     templates = trace.templates
     assert [tpl.first for tpl in templates] == [0, 1]
     assert [id(ln) for ln in found] == [id(ln) for ln in checked] \
-        == [id(ln) for tpl in templates for ln in tpl.event_links()]
+        == [id(ln) for tpl in templates for ln in tpl.links]
     later = templates[1]
     assert sum(len(span) for rec, span in zip(later.records, later.spans)
                if rec[0] == "param_load") == len(plan.dies)
@@ -439,7 +491,7 @@ def test_every_reload_transfer_consults_the_plan(monkeypatch):
     per_step = collections.defaultdict(list)
     for rec in trace.records:
         per_step[rec.step] += [id(ev.link) for ev in rec.events]
-    first = len(templates[0].link)
+    first = len(templates[0].links)
     assert per_step[0] == [id(ln) for ln in found[:first]]
     assert per_step[1] == per_step[2] == [id(ln) for ln in found[first:]]
     assert sum(len(rec.events) for rec in trace.records
