@@ -50,8 +50,10 @@ DEFAULT_FORMATS = FormatSet()
 
 @dataclasses.dataclass
 class LstmLayerParams:
-    """One layer's weights.  Arrays are float64 (float mode) or int64 codes
-    (fixed mode, `formats` set).  Peephole vectors may be all zero."""
+    """One layer's weights.  Arrays are float64 (float mode) or int8 codes
+    (fixed mode, `formats` set), as quantized or loaded; codes of a wider
+    dtype are accepted too, checked by value.  Peephole vectors may be all
+    zero."""
     W_xi: np.ndarray
     W_hi: np.ndarray
     W_xf: np.ndarray
@@ -450,12 +452,13 @@ def network_infer(spec, params, features, mode="fixed", luts=None,
 
 def _quantize_param_tensor(values, fmt):
     # parameters stay on the 255-level symmetric grid: code -128 is unused
-    return np.clip(quantize(np.atleast_1d(np.asarray(values, np.float64)),
-                            fmt), -127, 127)
+    codes = quantize(np.atleast_1d(np.asarray(values, np.float64)), fmt)
+    return np.maximum(codes, -127).astype(np.int8)
 
 
 def quantize_params_uniform(float_params, formats=DEFAULT_FORMATS):
-    """Import float weights onto the uniform symmetric 8-bit grid."""
+    """Import float weights onto the uniform symmetric 8-bit grid, as int8
+    arrays."""
     if isinstance(float_params, FcParams):
         return FcParams(_quantize_param_tensor(float_params.W_y, formats.weight),
                         _quantize_param_tensor(float_params.b_y, formats.weight),
@@ -574,8 +577,9 @@ def write_container(manifest_path, tensors, meta=None):
 
 
 def read_container(manifest_path):
-    """Returns (meta, {name: (role, array, fmt)}) with the int8 codes
-    decoded to int64.  An entry of any other dtype raises ValueError."""
+    """Returns (meta, {name: (role, array, fmt)}) with the codes decoded
+    as int8 arrays, the container's own dtype.  An entry of any other dtype
+    raises ValueError."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("container") != "tensor-blob":
@@ -590,7 +594,7 @@ def read_container(manifest_path):
             raise ValueError("tensor %s is %s, not int8 codes"
                              % (e["name"], e["dtype"]))
         raw = blob[e["offset"]:e["offset"] + e["byte_length"]]
-        arr = np.frombuffer(raw, dtype="<i1").astype(np.int64)
+        arr = np.frombuffer(raw, dtype="<i1").astype(np.int8)
         out[e["name"]] = (e["role"], arr.reshape(e["shape"]),
                           QFormat(e["frac_bits"]))
     return manifest.get("meta", {}), out
@@ -617,7 +621,8 @@ def save_network(manifest_path, params, formats=DEFAULT_FORMATS):
 
 
 def load_network(manifest_path):
-    """Inverse of save_network: returns (spec, NetworkParams)."""
+    """Inverse of save_network: returns (spec, NetworkParams) holding int8
+    code arrays."""
     meta, tensors = read_container(manifest_path)
     if meta.get("kind") != "network":
         raise ValueError("container does not hold a network")
@@ -651,7 +656,8 @@ def save_features(manifest_path, codes, formats=DEFAULT_FORMATS):
 
 
 def load_features(manifest_path, formats=DEFAULT_FORMATS):
-    """Feature codes; ValueError unless in the state format of `formats`."""
+    """Feature codes as int8; ValueError unless in the state format of
+    `formats`."""
     meta, tensors = read_container(manifest_path)
     if meta.get("kind") != "features" or "features" not in tensors:
         raise ValueError("container does not hold features")

@@ -67,7 +67,8 @@ def round_half_away(x):
 def quantize(values, fmt):
     """Real values -> int8 codes (as int64): scale, round half away, clamp."""
     scaled = np.asarray(values, dtype=np.float64) * (1 << fmt.frac_bits)
-    return np.clip(round_half_away(scaled), INT8_MIN, INT8_MAX)
+    return np.minimum(np.maximum(round_half_away(scaled), INT8_MIN),
+                      INT8_MAX)
 
 
 def dequantize(codes, fmt):
@@ -224,9 +225,12 @@ def _saturating_scan(products, prefixes, out, init):
 
 def check_int8(codes, what):
     """Raise ValueError unless every entry of `codes` is an int8 code: a
-    whole number in [-128, 127].  A fraction (or NaN) is refused, never
-    truncated."""
+    whole number in [-128, 127].  An int8 array passes at once, as its
+    dtype proves the range; any other dtype is checked by value, and a
+    fraction (or NaN) is refused, never truncated."""
     codes = np.asarray(codes)
+    if codes.dtype == np.int8:
+        return
     if codes.dtype.kind not in "biu" and not np.array_equal(
             codes, np.trunc(codes)):
         raise ValueError("%s codes must be whole int8 codes, not fractions"

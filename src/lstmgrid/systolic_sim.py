@@ -517,11 +517,15 @@ def count_toggles(words, word_bits, idle=0):
 
     2-D `words` count every row as a stream of its own from idle, in one
     pass, and return one int64 count per row; 1-D `words` return an int.
+    Integer words of any width are narrowed as they are (the low bytes of
+    their two's-complement codes); other words go through int64 first.
     """
     if word_bits not in _NARROW:
         raise ValueError("words must be 8 or 16 bits wide, not %d"
                          % (word_bits,))
-    words = np.asarray(words, dtype=np.int64)
+    words = np.asarray(words)
+    if words.dtype.kind not in "iu":
+        words = words.astype(np.int64)
     streams = words if words.ndim == 2 else words.reshape(1, -1)
     n_bytes = streams.shape[1] * (word_bits // 8)
     if n_bytes == 0:
@@ -668,7 +672,9 @@ class GridSim:
                 chunks.append(self.fc_stack.w[0, die.row])
                 if die.fc_root:
                     chunks.append(self.b_y)
-        return np.concatenate([c.ravel() for c in chunks]).astype(np.int64)
+        # every chunk holds int8 codes: cast straight to the burst's bytes
+        return np.concatenate([c.ravel() for c in chunks], dtype=np.int8,
+                              casting="unsafe")
 
     def _exec_record(self, rec, x_t, states):
         """Execute one template record on the run's `states`; returns the

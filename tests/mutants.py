@@ -153,6 +153,21 @@ MUTANTS = [
         "lo, hi = np.int64(INT16_MIN), np.int64(INT16_MAX - 1)",
         (QF + "test_mac_run_saturating_rows",),
         "the saturating scan clamps one code below int16's top"),
+    Mutant(
+        "int8_check_trusts_one_byte_dtypes", "qformat.py",
+        "if codes.dtype == np.int8:",
+        "if codes.dtype.itemsize == 1:",
+        (QF + "test_check_int8_refuses_other_dtypes_out_of_range",),
+        "the int8 check passes uint8 and bool arrays unread, so a uint8 "
+        "200 enters the MAC kernel as a code"),
+    Mutant(
+        "int8_check_trusts_integer_dtypes", "qformat.py",
+        "if codes.dtype == np.int8:",
+        "if codes.dtype.kind in \"iu\":",
+        (SIM + "test_codes_outside_int8_are_rejected",
+         QF + "test_check_int8_refuses_other_dtypes_out_of_range"),
+        "the int8 check passes every integer array unread, so an int64 "
+        "300 enters the MAC kernel as a code"),
 ]
 BY_NAME = {m.name: m for m in MUTANTS}
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -469,6 +471,41 @@ def test_quantize_rejects_requantizing():
         lr.quantize_params_uniform(random_fixed(0, 2, 2))
 
 
+def _code_tensors(params):
+    return [getattr(p, name) for p in params.layers
+            for name in lr._LAYER_TENSORS] + [params.fc.W_y, params.fc.b_y]
+
+
+def test_quantized_parameters_are_int8_on_the_oracle_grid():
+    rng = np.random.default_rng(7)
+    p = zeros_params(4, 3, fixed=False)
+    for name in lr._LAYER_TENSORS:  # ties, clamps at both ends, zeros
+        values = getattr(p, name)
+        values[...] = rng.choice([-9.0, -4.0, -0.046875, 0.0, 0.015625,
+                                  1.984375, 3.99, 9.0], values.shape)
+    floats = lr.NetworkParams([p], lr.FcParams(rng.uniform(-5, 5, (2, 3)),
+                                               np.array([-4.5, 4.5])))
+    q = lr.quantize_params_uniform(floats)
+    for got, values in zip(_code_tensors(q), _code_tensors(floats)):
+        assert got.dtype == np.int8
+        assert got.tolist() == np.vectorize(
+            lambda v: O.quant_param(v, 5))(values).tolist()
+
+
+def test_random_network_codes_are_int8_with_the_recorded_values():
+    # the digest of these codes as int64, recorded when the producers
+    # still returned int64 arrays; scale 5.0 clamps codes at -127 and 127
+    params = lr.random_network_params(5, [(7, 10), (10, 7)], n_out=3,
+                                      scale=5.0)
+    digest = hashlib.sha256()
+    for codes in _code_tensors(params):
+        assert codes.dtype == np.int8
+        digest.update(codes.astype("<i8").tobytes())
+    assert digest.hexdigest()[:16] == "e70ac7f637a8daac"
+    codes = np.concatenate([c.ravel() for c in _code_tensors(params)])
+    assert codes.min() == -127 and codes.max() == 127
+
+
 # --- container round trips --------------------------------------------------------
 
 def test_network_container_round_trip(tmp_path):
@@ -477,10 +514,9 @@ def test_network_container_round_trip(tmp_path):
     lr.save_network(path, params)
     spec, loaded = lr.load_network(path)
     assert spec.layers == [(3, 4), (4, 2)] and spec.n_out == 3
-    for a, b in zip(params.layers, loaded.layers):
-        for name in lr._LAYER_TENSORS:
-            assert getattr(a, name).tolist() == getattr(b, name).tolist()
-    assert loaded.fc.W_y.tolist() == params.fc.W_y.tolist()
+    for a, b in zip(_code_tensors(params), _code_tensors(loaded)):
+        assert b.dtype == np.int8 and b.flags.writeable
+        assert a.tolist() == b.tolist()
     feats = lr.random_features(34, 6, 3)
     assert (lr.network_infer(spec, loaded, feats).tolist()
             == lr.network_infer(spec, params, feats).tolist())

@@ -348,3 +348,26 @@ def test_zero_rows_and_empty_chains():
                               init=init)
         assert acc.tolist() == [[init] * 3] * 2 and not sat.any()
     assert_factored_exact(np.zeros((1, 0, 4)), np.zeros((1, 4)))
+
+
+# --- the int8 domain check --------------------------------------------------------
+
+@pytest.mark.parametrize("codes", [
+    np.array([0, 200], np.uint8),  # one byte, but not an int8 code
+    np.array([-3, 300], np.int16),
+    np.array([5, -129], np.int64),
+], ids=["uint8", "int16", "int64"])
+def test_check_int8_refuses_other_dtypes_out_of_range(codes):
+    with pytest.raises(ValueError, match="outside the int8 range"):
+        qf.check_int8(codes, "test")
+
+
+@pytest.mark.parametrize("codes", [
+    np.array([0, 127], np.uint8),
+    np.array([True, False]),
+    np.array([-128, 127], np.int16),
+    np.array([-128, 127], np.int8),
+    np.array([-128.0, 127.0]),
+], ids=["uint8", "bool", "int16", "int8", "float"])
+def test_check_int8_accepts_in_range_codes_of_any_dtype(codes):
+    qf.check_int8(codes, "test")

@@ -12,6 +12,7 @@ import oracles as O
 from lstmgrid import lstm_ref as LR
 from lstmgrid.actlut import build_lut
 from lstmgrid.mapper import TileSpec, layer_io, plan_grid
+from lstmgrid.perf_energy import report
 from lstmgrid.qformat import QFormat
 from lstmgrid.systolic_sim import (CycleModel, DeadlockError, GridSim,
                                    PhaseTrace, build_load_schedule,
@@ -121,6 +122,25 @@ def test_batched_toggle_counting_counts_each_row_from_idle(word_bits, n_rows,
     assert got.dtype == np.int64 and got.shape == (n_rows,)
     assert got.tolist() == [O.count_toggles_int64(row, word_bits, idle)
                             for row in words]
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_bits=st.sampled_from([8, 16]),
+       dtype=st.sampled_from([np.int8, np.int16]),
+       shape=st.one_of(st.tuples(st.integers(0, 40)),
+                       st.tuples(st.integers(0, 5), st.integers(0, 20))),
+       idle=st.integers(0, 15), data=st.data())
+def test_narrow_integer_words_count_like_their_int64_values(
+        word_bits, dtype, shape, idle, data):
+    # parameter bursts arrive as int8 words and are never widened first:
+    # an int8 word on a 16-bit link moves as its sign-extended code
+    words = data.draw(hnp.arrays(dtype, shape))
+    got = count_toggles(words, word_bits, idle)
+    if words.ndim == 1:
+        assert got == O.count_toggles_int64(words.tolist(), word_bits, idle)
+    else:
+        assert got.tolist() == [O.count_toggles_int64(row, word_bits, idle)
+                                for row in words.tolist()]
 
 
 @pytest.mark.parametrize("word_bits", [4, 12, 24, 32])
@@ -313,7 +333,7 @@ def test_param_words_match_the_network_tensors(reload):
         if die.fc_root:
             want.append(params.fc.b_y)
         got = sim._param_words(die)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int8
         assert got.tolist() == np.concatenate(
             [w.ravel() for w in want]).tolist(), die.die_id
     assert sum(d.fc_cols is not None for d in plan.dies) == 2
@@ -919,15 +939,21 @@ def _out_of_range(target, value):
     plan, params, feats = make_case(109, [(6, 8), (8, 8)], n_out=3,
                                     n_steps=2)
     plan = plan_grid(plan.spec, TINY, reload=True)
+    # parameters hold int8 codes: the targeted tensor is widened to int64
+    # first, so that it can hold the out-of-range value
     if target == "feature":
         feats[1, 2] = value
     elif target == "weight":
+        params.layers[1].W_hf = params.layers[1].W_hf.astype(np.int64)
         params.layers[1].W_hf[3, 4] = value
     elif target == "peephole":
+        params.layers[0].w_co = params.layers[0].w_co.astype(np.int64)
         params.layers[0].w_co[5] = value
     elif target == "bias":
+        params.layers[1].b_c = params.layers[1].b_c.astype(np.int64)
         params.layers[1].b_c[0] = value
     else:
+        params.fc.W_y = params.fc.W_y.astype(np.int64)
         params.fc.W_y[2, 7] = value
     return plan, params, feats
 
@@ -945,6 +971,40 @@ def test_codes_outside_int8_are_rejected(drive, target, value):
             run_reload(plan, params, feats)
         else:
             simulate(plan_grid(plan.spec, TINY), params, feats)
+
+
+def _widened(params):
+    """A copy of a network whose codes are int64 arrays."""
+    layers = [dataclasses.replace(p, **{
+        name: getattr(p, name).astype(np.int64)
+        for name in LR._LAYER_TENSORS}) for p in params.layers]
+    fc = dataclasses.replace(params.fc, W_y=params.fc.W_y.astype(np.int64),
+                             b_y=params.fc.b_y.astype(np.int64))
+    return LR.NetworkParams(layers, fc)
+
+
+@pytest.mark.parametrize("mode", [{}, {"reload": True},
+                                  {"chip_select": True}],
+                         ids=["stacked", "reload", "chip_select"])
+def test_int8_and_int64_codes_run_alike(mode):
+    # ragged 2-layer network with a projection, at a scale that saturates
+    # MAC chains, so no int8 product may enter the arithmetic unwidened
+    params = LR.random_network_params(127, [(7, 10), (10, 7)], n_out=3,
+                                      scale=4.0)
+    feats = LR.random_features(128, 4, 7, scale=4.0)
+    wide = _widened(params)
+    assert params.layers[0].W_xi.dtype == np.int8
+    plan = plan_grid(LR.derive_spec(params), TINY, **mode)
+    runs = [simulate(plan, p, f) for p, f in (
+        (params, feats.astype(np.int8)), (wide, feats))]
+    (out8, trace8), (out64, trace64) = runs
+    assert out8.dtype == out64.dtype == np.int64
+    assert out8.tolist() == out64.tolist()
+    assert trace8.to_csv_rows() == trace64.to_csv_rows()
+    assert repr(report(trace8)) == repr(report(trace64))
+    ref8 = reference(plan, params, feats.astype(np.int8))
+    assert ref8.tolist() == reference(plan, wide, feats).tolist()
+    assert ref8.tolist() == out8.tolist()
 
 
 @pytest.mark.parametrize("value", [0.5, -0.25, float("nan")])
