@@ -27,7 +27,7 @@ from . import actlut, lstm_ref, mapper, perf_energy, systolic_sim
 from .mapper import CapacityError, TileSpec
 from .perf_energy import EnergyConstants, OperatingPoint
 from .qformat import QFormat
-from .systolic_sim import CycleModel, DeadlockError
+from .systolic_sim import DeadlockError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,6 +35,8 @@ EXIT_CONSTRAINT = 2
 EXIT_CORRECTNESS = 3
 
 SCHEMA_VERSION = 1
+_SECTIONS = ("schema_version", "network", "features", "tile", "mode",
+             "operating_point", "energy", "faults", "sweep")
 
 
 class ConfigError(Exception):
@@ -56,7 +58,6 @@ class RunConfig:
     mode: str  # 'stacked' | 'reload' | 'chip-select'
     op: OperatingPoint
     consts: EnergyConstants
-    cycle_model: CycleModel
     dropped_links: tuple
     sweep: dict
 
@@ -102,6 +103,21 @@ def load_config_doc(path):
     return doc
 
 
+def _section(doc, name, keys):
+    """Section `name` of the config ({} when absent; None: the config
+    itself), a mapping of only `keys`, where a `container` stands alone.
+    A key that nothing reads is a config error."""
+    section = (doc if name is None else doc.get(name)) or {}
+    what = "%s settings" % (name or "config").replace("_", " ")
+    _require(isinstance(section, dict), "bad %s: not a mapping" % what)
+    if "container" in section and "container" in keys:
+        keys = ("container",)
+    unread = sorted(set(map(str, section)) - set(keys))
+    _require(not unread, "bad %s: %s is never read" % (what, ", ".join(
+        k if name is None else "%s.%s" % (name, k) for k in unread)))
+    return section
+
+
 def _build_dataclass(cls, doc, what):
     try:
         return cls(**(doc or {}))
@@ -111,20 +127,18 @@ def _build_dataclass(cls, doc, what):
 
 def build_run_config(args):
     doc = load_config_doc(args.config)
+    _section(doc, None, _SECTIONS)
     tile = _build_dataclass(TileSpec, doc.get("tile"), "tile")
-    cm = _build_dataclass(CycleModel, doc.get("cycle_model"), "cycle model")
     consts = _build_dataclass(EnergyConstants, doc.get("energy"), "energy")
 
-    op_doc = dict(doc.get("operating_point") or {})
-    if "frequency_hz" in op_doc:
-        try:  # YAML floats like 1.0e7 (no exponent sign) arrive as strings
-            op_doc["frequency"] = float(op_doc.pop("frequency_hz"))
-        except (TypeError, ValueError):
-            raise ConfigError("operating_point.frequency_hz must be a number")
+    try:  # YAML floats like 1.0e7 (no exponent sign) arrive as strings
+        frequency = float(_section(doc, "operating_point", (
+            "frequency_hz",)).get("frequency_hz", OperatingPoint.frequency))
+    except (TypeError, ValueError):
+        raise ConfigError("operating_point.frequency_hz must be a number")
     if getattr(args, "freq", None) is not None:
-        op_doc["frequency"] = args.freq
-    op = _build_dataclass(OperatingPoint, op_doc, "operating point")
-    _frequency(op.frequency)
+        frequency = args.freq
+    op = OperatingPoint(_frequency(frequency))
 
     mode = doc.get("mode", "stacked")
     _require(mode in ("stacked", "reload", "chip-select", "chip_select"),
@@ -135,7 +149,8 @@ def build_run_config(args):
     if getattr(args, "chip_select", False):
         mode = "chip-select"
 
-    net = doc.get("network") or {}
+    net = _section(doc, "network",
+                   ("container", "layers", "n_out", "seed", "scale"))
     seed = getattr(args, "seed", None)
     if "container" in net:
         try:
@@ -159,7 +174,7 @@ def build_run_config(args):
             raise ConfigError("bad network settings: %s" % exc)
         spec = lstm_ref.derive_spec(params)
 
-    feat = doc.get("features") or {}
+    feat = _section(doc, "features", ("container", "n_steps", "seed", "scale"))
     if "container" in feat:
         try:
             features = lstm_ref.load_features(feat["container"],
@@ -181,10 +196,12 @@ def build_run_config(args):
              "features are %d wide, network expects %d"
              % (features.shape[1], spec.n_features))
 
-    faults = doc.get("faults") or {}
-    return RunConfig(params, features, spec, tile, mode, op, consts, cm,
-                     tuple(faults.get("drop_links") or ()),
-                     doc.get("sweep") or {})
+    drops = _section(doc, "faults", ("drop_links",)).get("drop_links") or []
+    _require(isinstance(drops, list)
+             and all(isinstance(label, str) for label in drops),
+             "faults.drop_links must be a list of link labels")
+    return RunConfig(params, features, spec, tile, mode, op, consts,
+                     tuple(drops), _section(doc, "sweep", ("axis", "values")))
 
 
 def plan_run(cfg):
@@ -192,11 +209,10 @@ def plan_run(cfg):
     plan lacks is a config error."""
     plan = mapper.plan_grid(cfg.spec, cfg.tile, reload=cfg.reload,
                             chip_select=cfg.chip_select)
-    labels = {link.label for link in plan.links}
-    unknown = [str(label) for label in cfg.dropped_links
-               if label not in labels]
-    _require(not unknown, "faults.drop_links names links the plan does not "
-             "have: %s" % ", ".join(unknown))
+    try:
+        mapper.links_labelled(plan, cfg.dropped_links)
+    except ValueError as exc:
+        raise ConfigError("faults.drop_links: %s" % exc)
     return plan
 
 
@@ -273,7 +289,6 @@ def cmd_run(args):
     cfg = build_run_config(args)
     plan = plan_run(cfg)
     outputs, trace = systolic_sim.simulate(plan, cfg.params, cfg.features,
-                                           cycle_model=cfg.cycle_model,
                                            dropped_links=cfg.dropped_links)
 
     blocks, fc_blocks = _plan_blocks(plan)
@@ -349,8 +364,7 @@ def _sweep_rows(cfg):
                  "time_per_inference_us"]]
         for f in values:
             op = OperatingPoint(frequency=_frequency(f, "a sweep frequency"))
-            rep = perf_energy.extrapolate(cfg.spec, cfg.tile, op, cfg.consts,
-                                          cfg.cycle_model)
+            rep = perf_energy.extrapolate(cfg.spec, cfg.tile, op, cfg.consts)
             rows.append(["%g" % f,
                          "%.2f" % perf_energy.peak_performance(
                              cfg.tile.nh_capacity, op),
@@ -364,8 +378,7 @@ def _sweep_rows(cfg):
             _require(n >= 1, "sweep grid sizes must be positive, not %d" % n)
             width = int(n) * cfg.tile.nh_capacity
             spec = lstm_ref.NetworkSpec([(width, width)], None)
-            rep = perf_energy.extrapolate(spec, cfg.tile, cfg.op, cfg.consts,
-                                          cfg.cycle_model)
+            rep = perf_energy.extrapolate(spec, cfg.tile, cfg.op, cfg.consts)
             rows.append([int(n), width, rep.n_dies, "%.4f" % rep.time_us,
                          "%.4f" % rep.total_energy_uj,
                          "%.2f" % rep.io_fraction_pct])

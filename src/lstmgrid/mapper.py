@@ -285,6 +285,16 @@ def plan_grid(spec, tile=TileSpec(), reload=False, chip_select=False):
         layer_grids=grids, dies=dies, links=links, total_dies=total)
 
 
+def links_labelled(plan, labels):
+    """The plan's links of `labels`; ValueError naming any it lacks."""
+    by_label = {link.label: link for link in plan.links}
+    unknown = sorted(map(str, set(labels) - set(by_label)))
+    if unknown:
+        raise ValueError("the plan has no link labelled %s"
+                         % ", ".join(unknown))
+    return {by_label[label] for label in labels}
+
+
 def pin_budget(plan, time_multiplexed=False):
     """Package pin count: clock/reset + config + 6 pins per data stream
     (4 data + valid + ready), one input stream per die column of the

@@ -23,8 +23,7 @@ import dataclasses
 import numpy as np
 
 from .mapper import HOST, TileSpec, plan_grid
-from .systolic_sim import (CycleModel, PhaseTrace, StepTemplate,
-                           build_step_schedule)
+from .systolic_sim import PhaseTrace, StepTemplate, build_step_schedule
 
 _PJ = 1e-12
 
@@ -43,12 +42,13 @@ class OperatingPoint:
 class EnergyConstants:
     """Calibrated energy/power constants at the 10 MHz, 1.2 V/2.5 V point.
 
-    e_drive/e_receive are measured pad costs per toggled bit.  The three
-    fitted constants of the timing/power model live elsewhere (CycleModel
-    carries c_gate and c_fixed; the stall power here equals the active
-    power, i.e. a fitted stall fraction of 1.0).  p_pad_static covers pad
-    leakage and bias per die; alpha_toggle prices planned traffic when no
-    simulated toggle counts exist (random data toggles half the bits).
+    e_drive/e_receive are measured pad costs per toggled bit.  Of the
+    three fitted constants of the timing/power model, two are cycle counts
+    (`systolic_sim.C_GATE` and `C_FIXED`); the third is the stall power
+    here, equal to the active power (a fitted stall fraction of 1.0).
+    p_pad_static covers pad leakage and bias per die; alpha_toggle prices
+    planned traffic when no simulated toggle counts exist (random data
+    toggles half the bits).
     """
     e_drive_pj_per_bit: float = 27.8
     e_receive_pj_per_bit: float = 4.7
@@ -161,10 +161,10 @@ def report(trace, op=OperatingPoint(), consts=EnergyConstants()):
         if tpl.first is None:
             continue
         uses, columns = len(tpl.starts), {}
-        for r, (kind, _, _, _, start, end, _) in enumerate(tpl.records):
-            phase_cycles[kind] = phase_cycles.get(kind, 0) + uses * (end
-                                                                     - start)
-            columns.setdefault(kind, []).append(r)
+        for r, rec in enumerate(tpl.records):
+            phase_cycles[rec.kind] = (phase_cycles.get(rec.kind, 0)
+                                      + uses * rec.duration)
+            columns.setdefault(rec.kind, []).append(r)
         energy = _record_io_energy_j(tpl, consts)
         all_parts.append(energy.ravel())
         for kind, recs in columns.items():
@@ -199,7 +199,7 @@ def report(trace, op=OperatingPoint(), consts=EnergyConstants()):
 
 
 def extrapolate(spec, tile=TileSpec(), op=OperatingPoint(),
-                consts=EnergyConstants(), cycle_model=CycleModel()):
+                consts=EnergyConstants()):
     """Analytic steady-state report for one inference step.
 
     Matches the published extrapolation window: the configuration phase,
@@ -207,9 +207,9 @@ def extrapolate(spec, tile=TileSpec(), op=OperatingPoint(),
     traffic is priced with the constant toggle factor.
     """
     plan = plan_grid(spec, tile)
-    records, end = build_step_schedule(plan, cycle_model, readout=False)
-    tpl = StepTemplate.build(records, 0, [0])
-    trace = PhaseTrace([tpl], end, 1, meta={"n_dies": plan.total_dies})
+    records, end = build_step_schedule(plan, readout=False)
+    trace = PhaseTrace([StepTemplate(records, 0, [0])], end, 1,
+                       meta={"n_dies": plan.total_dies})
     return report(trace, op, consts)
 
 

@@ -39,45 +39,19 @@ import dataclasses
 import numpy as np
 
 from . import lstm_ref
-from .mapper import HOST, layer_io
+from .mapper import HOST, layer_io, links_labelled
 # perfbench/tracing.py wraps requantize in this module by name
 from .qformat import check_int8, mac_run, requantize, sat_add16  # noqa: F401
 
 LINK_BITS = 4
+# the fitted timing constants: cycles per gate for the activation lookup
+# and drain, and cycles for the element-wise state update
+C_GATE = 10
+C_FIXED = 12
 
 
 class DeadlockError(RuntimeError):
     """A transfer found no planned (or surviving) link to hand-shake with."""
-
-
-@dataclasses.dataclass(frozen=True)
-class CycleModel:
-    """Calibrated per-step timing constants.
-
-    c_gate: fixed cycles per gate for activation lookup/drain.
-    c_fixed: fixed cycles for the element-wise state update.
-    hidden_loop_mode: 'fixed_capacity' runs the recurrent MAC loop over
-    all physical units regardless of the mapped tile height (the fitted
-    behaviour); 'truncate' shortens it to the tile height.
-    """
-    c_gate: int = 10
-    c_fixed: int = 12
-    hidden_loop_mode: str = "fixed_capacity"
-
-    def __post_init__(self):
-        for name in ("c_gate", "c_fixed"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:  # no bool, float, str
-                raise ValueError("%s must be a non-negative integer, not %r"
-                                 % (name, value))
-        if self.hidden_loop_mode not in ("fixed_capacity", "truncate"):
-            raise ValueError("unknown hidden_loop_mode %r"
-                             % (self.hidden_loop_mode,))
-
-    def h_loop(self, plan, grid):
-        if self.hidden_loop_mode == "truncate":
-            return grid.nh_tile
-        return max(grid.nh_tile, plan.tile.nh_capacity)
 
 
 @dataclasses.dataclass
@@ -119,8 +93,8 @@ class PhaseRecord:
 class StepTemplate:
     """One step shape of a run, built once, and the steps that replay it.
 
-    `records` holds (kind, layer, gate, hop, start, end, dies) tuples with
-    cycles counted from the step's start.  Record r's events are the
+    `records` are the builders' PhaseRecords, scheduled from cycle 0, so
+    their cycles count from the step's start.  Record r's events are the
     indices `spans[r]`: event e moves `words[e]` words on `links[e]`, a
     link of the plan (`mapper.LinkPlan`).  Steps `first`, `first + 1`,
     ... (None: the configuration timeline) start at the cycles `starts`;
@@ -128,23 +102,17 @@ class StepTemplate:
     when unmeasured (priced at alpha_toggle).
     """
     records: list
-    spans: list
-    links: list
-    words: list
     first: int
     starts: list
     toggles: np.ndarray = None
 
-    @classmethod
-    def build(cls, records, first, starts):
-        """The template of `records`, scheduled from cycle 0."""
-        spans, links, words = [], [], []
-        for rec in records:
-            spans.append(range(len(links), len(links) + len(rec.events)))
-            links += [ev.link for ev in rec.events]
-            words += [ev.words for ev in rec.events]
-        return cls([(r.kind, r.layer, r.gate, r.hop, r.start, r.end, r.dies)
-                    for r in records], spans, links, words, first, starts)
+    def __post_init__(self):
+        self.spans, self.links, self.words = [], [], []
+        for rec in self.records:
+            self.spans.append(range(len(self.links),
+                                    len(self.links) + len(rec.events)))
+            self.links += [ev.link for ev in rec.events]
+            self.words += [ev.words for ev in rec.events]
 
     def steps(self):
         """(step, start cycle, toggles of each event or None) per step."""
@@ -167,13 +135,14 @@ class PhaseTrace:
         out = []
         for tpl in self.templates:
             for step, start, toggles in tpl.steps():
-                for (kind, layer, gate, hop, s, e, dies), span in zip(
-                        tpl.records, tpl.spans):
+                for rec, span in zip(tpl.records, tpl.spans):
                     events = [LinkEvent(tpl.links[i], tpl.words[i],
                                         None if toggles is None
                                         else toggles[i]) for i in span]
-                    out.append(PhaseRecord(kind, layer, start + s, start + e,
-                                           dies, events, gate, hop, step))
+                    out.append(PhaseRecord(
+                        rec.kind, rec.layer, start + rec.start,
+                        start + rec.end, rec.dies, events, rec.gate, rec.hop,
+                        step))
         return out
 
     def link_totals(self):
@@ -203,9 +172,9 @@ class PhaseTrace:
             if tpl.first is None:  # the configuration timeline
                 continue
             uses = len(tpl.starts)
-            for _, _, _, _, start, end, dies in tpl.records:
-                for die in dies:
-                    active[die] = active.get(die, 0) + uses * (end - start)
+            for rec in tpl.records:
+                for die in rec.dies:
+                    active[die] = active.get(die, 0) + uses * rec.duration
         return {die: {"active": act, "stall": self.total_cycles - act}
                 for die, act in active.items()}
 
@@ -213,17 +182,16 @@ class PhaseTrace:
         rows = [("step", "phase", "layer", "gate", "hop", "start", "end",
                  "link", "bits", "toggles")]
         for tpl in self.templates:
-            links = tpl.links
             # per row: kind, layer, gate, hop, start, end, link, bits, and
             # the event index (None: a record without events)
             static = []
-            for (kind, layer, gate, hop, s, e, _), span in zip(tpl.records,
-                                                               tpl.spans):
-                base = (kind, layer, "" if gate is None else gate,
-                        "" if hop is None else hop, s, e)
-                static += [base + (links[i].label,
-                                   tpl.words[i] * links[i].word_bits, i)
-                           for i in span] or [base + ("", 0, None)]
+            for rec, span in zip(tpl.records, tpl.spans):
+                base = (rec.kind, rec.layer,
+                        "" if rec.gate is None else rec.gate,
+                        "" if rec.hop is None else rec.hop, rec.start, rec.end)
+                static += [base + (ev.label, ev.bits, i)
+                           for ev, i in zip(rec.events, span)] \
+                    or [base + ("", 0, None)]
             for step, t0, toggles in tpl.steps():
                 rows += [(step, kind, layer, gate, hop, t0 + s, t0 + e, label,
                           bits, "" if i is None or toggles is None
@@ -266,7 +234,7 @@ def _ends(event):
     return (event.src,) + event.receivers
 
 
-def build_load_schedule(plan, start=0, layers=None, step=None):
+def build_load_schedule(plan, start=0, layers=None):
     """Configuration phase: every die's parameters over its p stream.
 
     A die's burst is its footprint in 8-bit words, 8 // LINK_BITS beats
@@ -288,12 +256,12 @@ def build_load_schedule(plan, start=0, layers=None, step=None):
             beats = max(ev.words for ev in group) * (8 // LINK_BITS)
             records.append(PhaseRecord(
                 "param_load", grid.layer, cursor, cursor + beats,
-                tuple(ev.receivers[0] for ev in group), group, step=step))
+                tuple(ev.receivers[0] for ev in group), group))
             cursor += beats
     return records, cursor
 
 
-def _schedule_gate_phases(plan, grid, cm, cursor, x_cycles, records, step):
+def _schedule_gate_phases(plan, grid, cursor, x_cycles, records):
     """The four gate rounds (compute, reduction chain, activation) plus
     the element-wise phase.  Returns the element-wise end cycle."""
     n, nh, ell = grid.n, grid.nh_tile, grid.layer
@@ -302,7 +270,7 @@ def _schedule_gate_phases(plan, grid, cm, cursor, x_cycles, records, step):
     for g in range(4):
         records.append(PhaseRecord("gate_compute", ell, cursor,
                                    cursor + x_cycles, all_dies, [],
-                                   gate=g, step=step))
+                                   gate=g))
         cursor += x_cycles
         for hop in range(1, n):
             events = [_event(plan, (ell, "reduce", i, hop - 1), nh)
@@ -310,18 +278,17 @@ def _schedule_gate_phases(plan, grid, cm, cursor, x_cycles, records, step):
             dies = _die_ids(grid, cols=[hop - 1, hop])
             records.append(PhaseRecord("gate_reduce", ell, cursor,
                                        cursor + 4 * nh + 4, dies, events,
-                                       gate=g, hop=hop, step=step))
+                                       gate=g, hop=hop))
             cursor += 4 * nh + 4
         records.append(PhaseRecord("gate_activate", ell, cursor,
-                                   cursor + cm.c_gate, masters, [],
-                                   gate=g, step=step))
-        cursor += cm.c_gate
+                                   cursor + C_GATE, masters, [], gate=g))
+        cursor += C_GATE
     records.append(PhaseRecord("elementwise", ell, cursor,
-                               cursor + cm.c_fixed, masters, [], step=step))
-    return cursor + cm.c_fixed
+                               cursor + C_FIXED, masters, []))
+    return cursor + C_FIXED
 
 
-def _schedule_distribution(plan, grid, cursor, records, step):
+def _schedule_distribution(plan, grid, cursor, records):
     """Hidden-state distribution: chain up the master column, then the
     masters broadcast their own tiles to their namesake columns."""
     n, nh, ell = grid.n, grid.nh_tile, grid.layer
@@ -332,17 +299,16 @@ def _schedule_distribution(plan, grid, cursor, records, step):
         ev = _event(plan, (ell, "hchain", i), nh)
         records.append(PhaseRecord(
             "hidden_chain", ell, cursor, cursor + hop_cycles, _ends(ev),
-            [ev], hop=k, step=step))
+            [ev], hop=k))
         cursor += hop_cycles
     events = [_event(plan, (ell, "hcast", i), nh) for i in range(n - 1)]
     dies = sorted({die for ev in events for die in _ends(ev)})
     records.append(PhaseRecord("hidden_bcast", ell, cursor,
-                               cursor + hop_cycles, tuple(dies), events,
-                               step=step))
+                               cursor + hop_cycles, tuple(dies), events))
     return cursor + hop_cycles
 
 
-def _schedule_readout(plan, grid, cm, cursor, records, step):
+def _schedule_readout(plan, grid, cursor, records):
     """The projection and the write-back of y, or of the hidden tiles."""
     n, ell = grid.n, grid.layer
     masters = _die_ids(grid, cols=[n - 1])
@@ -351,29 +317,28 @@ def _schedule_readout(plan, grid, cm, cursor, records, step):
                   for i in range(n)]
         records.append(PhaseRecord("writeback", ell, cursor,
                                    cursor + 2 * grid.nh_tile, masters,
-                                   events, step=step))
+                                   events))
         return cursor + 2 * grid.nh_tile
     n_out = grid.n_out
     records.append(PhaseRecord("fc_compute", ell, cursor,
-                               cursor + grid.nh_tile, masters, [], step=step))
+                               cursor + grid.nh_tile, masters, []))
     cursor += grid.nh_tile
     for i in range(n - 1):
         ev = _event(plan, (ell, "fcreduce", i), n_out)
         records.append(PhaseRecord(
             "fc_reduce", ell, cursor, cursor + 4 * n_out + 4, _ends(ev),
-            [ev], hop=i + 1, step=step))
+            [ev], hop=i + 1))
         cursor += 4 * n_out + 4
     ev = _event(plan, (ell, "writeback"), n_out)
-    records.append(PhaseRecord("fc_activate", ell, cursor,
-                               cursor + cm.c_gate, (ev.src,), [], step=step))
-    cursor += cm.c_gate
+    records.append(PhaseRecord("fc_activate", ell, cursor, cursor + C_GATE,
+                               (ev.src,), []))
+    cursor += C_GATE
     records.append(PhaseRecord("writeback", ell, cursor, cursor + 2 * n_out,
-                               (ev.src,), [ev], step=step))
+                               (ev.src,), [ev]))
     return cursor + 2 * n_out
 
 
-def build_step_schedule(plan, cm=CycleModel(), start=0, step=None,
-                        readout=True, layers=None):
+def build_step_schedule(plan, start=0, readout=True, layers=None):
     """One inference step across the (stacked) layer grids in `layers`
     (default: all of them).
 
@@ -395,38 +360,36 @@ def build_step_schedule(plan, cm=CycleModel(), start=0, step=None,
         if layers is not None and grid.layer not in layers:
             continue
         n, ni = grid.n, grid.ni_tile
-        h_loop = cm.h_loop(plan, grid)
+        # the recurrent MAC loop sweeps every physical unit of a die, even
+        # when the tile maps fewer: only this capacity loop matches the
+        # published timings (looping over the mapped units alone puts
+        # Table 4's 56-unit row 25% fast)
+        h_loop = max(grid.nh_tile, plan.tile.nh_capacity)
         all_dies = _die_ids(grid)
-        if e_prev is None:
-            feat_start = start
+        if e_prev is None:  # both MAC loops run once the features are in
+            feat_start, x_start, x_cycles = start, start + 2 * ni, ni + h_loop
         else:
             records.append(PhaseRecord("recurrent_compute", grid.layer,
                                        e_prev, e_prev + 4 * h_loop, all_dies,
-                                       [], step=step))
+                                       []))
             feat_start = e_prev + dist_cycles_prev
+            x_start = max(e_prev + 4 * h_loop, feat_start + 2 * ni)
+            x_cycles = ni
         feat_events = [_event(plan, (grid.layer, "feat", j), ni)
                        for j in range(n)]
         records.append(PhaseRecord("feature_stream", grid.layer, feat_start,
-                                   feat_start + 2 * ni, all_dies, feat_events,
-                                   step=step))
-        if e_prev is None:
-            cursor = _schedule_gate_phases(plan, grid, cm, start + 2 * ni,
-                                           ni + h_loop, records, step)
-        else:
-            x_start = max(e_prev + 4 * h_loop, feat_start + 2 * ni)
-            cursor = _schedule_gate_phases(plan, grid, cm, x_start, ni,
-                                           records, step)
-        e_prev = cursor
-        dist_start = cursor
-        cursor = _schedule_distribution(plan, grid, cursor, records, step)
-        dist_cycles_prev = cursor - dist_start
+                                   feat_start + 2 * ni, all_dies,
+                                   feat_events))
+        e_prev = _schedule_gate_phases(plan, grid, x_start, x_cycles, records)
+        cursor = _schedule_distribution(plan, grid, e_prev, records)
+        dist_cycles_prev = cursor - e_prev
         _, reads_out = layer_io(plan.reload, len(plan.layer_grids), grid)
         if readout and reads_out:
-            cursor = _schedule_readout(plan, grid, cm, cursor, records, step)
+            cursor = _schedule_readout(plan, grid, cursor, records)
     return records, cursor
 
 
-def build_state_record(plan, grid, kind, cursor, step):
+def build_state_record(plan, grid, kind, cursor):
     """Spill (`state_store`) or restore (`state_load`) one layer's h/c tiles.
 
     Restoring sends each hidden tile down its column's feature stream (all
@@ -444,34 +407,32 @@ def build_state_record(plan, grid, kind, cursor, step):
         events = [_event(plan, (ell, "spill", i), nh)
                   for i in range(n) for _ in "hc"]
         dies = _die_ids(grid, cols=[n - 1])
-    return PhaseRecord(kind, ell, cursor, cursor + 4 * nh, dies, events,
-                       step=step)
+    return PhaseRecord(kind, ell, cursor, cursor + 4 * nh, dies, events)
 
 
-def _step_records(plan, cm, spills, step):
+def _step_records(plan, spills, first_restores):
     """One step of a run from cycle 0: (records, end cycle).  A run that
-    spills runs one pass per layer: parameter re-load, state restore (not
-    on the very first pass), one step of that layer alone, state spill."""
+    spills runs one pass per layer: parameter re-load, state restore (on
+    the first pass only if `first_restores`), one step of that layer
+    alone, state spill."""
     if not spills:
-        return build_step_schedule(plan, cm)
+        return build_step_schedule(plan)
     records, cursor = [], 0
     for grid in plan.layer_grids:
         loads, cursor = build_load_schedule(plan, cursor, [grid.layer])
         records += loads
-        if step or grid.layer:
+        if first_restores or grid.layer:
             records.append(build_state_record(plan, grid, "state_load",
-                                              cursor, None))
+                                              cursor))
             cursor = records[-1].end
-        recs, cursor = build_step_schedule(plan, cm, cursor,
-                                           layers=[grid.layer])
+        recs, cursor = build_step_schedule(plan, cursor, layers=[grid.layer])
         records += recs
-        records.append(build_state_record(plan, grid, "state_store", cursor,
-                                          None))
+        records.append(build_state_record(plan, grid, "state_store", cursor))
         cursor = records[-1].end
     return records, cursor
 
 
-def run_templates(plan, cm, n_steps):
+def run_templates(plan, n_steps):
     """The schedule of an `n_steps` run, built before any value exists:
     (StepTemplates in run order, end cycle).
 
@@ -486,14 +447,14 @@ def run_templates(plan, cm, n_steps):
                          plan.layer_grids[0])
     templates, cursor = [], 0
     if not spills:
-        templates.append(StepTemplate.build(build_load_schedule(plan)[0],
-                                            None, [0]))
+        templates.append(StepTemplate(build_load_schedule(plan)[0], None,
+                                      [0]))
     shapes = [(0, min(n_steps, 1)), (1, n_steps - 1)] if spills \
         else [(0, n_steps)]
     for first, count in shapes:
         if count > 0:
-            records, length = _step_records(plan, cm, spills, first)
-            templates.append(StepTemplate.build(records, first, [
+            records, length = _step_records(plan, spills, first > 0)
+            templates.append(StepTemplate(records, first, [
                 cursor + k * length for k in range(count)]))
             cursor += count * length
     return templates, cursor
@@ -601,8 +562,7 @@ class GridSim:
     run of one GridSim is alike.
     """
 
-    def __init__(self, plan, params, luts=None, cycle_model=CycleModel(),
-                 dropped_links=()):
+    def __init__(self, plan, params, luts=None, dropped_links=()):
         # (layer shapes, projection width) of the parameters and the plan
         got = ([(p.n_inputs, p.n_hidden) for p in params.layers],
                params.fc.n_out if params.fc is not None else None)
@@ -612,7 +572,6 @@ class GridSim:
                              % (got, want))
         lstm_ref.check_codes(params)
         self.plan = plan
-        self.cm = cycle_model
         self.luts = luts or lstm_ref.default_luts(params.layers[0].formats)
         self.layers = [_Layer(g, p, self.luts)
                        for g, p in zip(plan.layer_grids, params.layers)]
@@ -623,12 +582,7 @@ class GridSim:
                 [(self.fc.W_y,)], [(h,) for _, h in last.col_blocks()],
                 widths=(last.nh_padded,))
             self.b_y = self.fc.b_y.astype(np.int64)
-        by_label = {link.label: link for link in plan.links}
-        unknown = sorted(map(str, set(dropped_links) - set(by_label)))
-        if unknown:
-            raise ValueError("dropped_links names links the plan does not "
-                             "have: %s" % ", ".join(unknown))
-        self.dropped = {by_label[label] for label in dropped_links}
+        self.dropped = links_labelled(plan, dropped_links)
         # load link -> (word count, toggles) of its die's parameter burst:
         # the same words from idle on every load
         self.bursts = {}
@@ -680,7 +634,7 @@ class GridSim:
         """Execute one template record on the run's `states`; returns the
         words its events carry, one row per event, or None for a record
         without transfers."""
-        kind, layer, gate, hop = rec[:4]
+        kind, layer, gate, hop = rec.kind, rec.layer, rec.gate, rec.hop
         lay, st = self.layers[layer], states[layer]
         n, nh = lay.grid.n, lay.grid.nh_tile
         if kind == "gate_compute":
@@ -755,8 +709,8 @@ class GridSim:
         n, links = len(tpl.starts), tpl.links
         tpl.toggles = np.zeros((n, len(links)), np.int64)
         groups, slots = {}, []  # (word width, word count) -> event indices
-        for (kind, *_), span in zip(tpl.records, tpl.spans):
-            if kind == "param_load" or not span:
+        for rec, span in zip(tpl.records, tpl.spans):
+            if rec.kind == "param_load" or not span:
                 for e in span:  # `_burst` checks the link and words
                     tpl.toggles[:, e] = self._burst(links[e], tpl.words[e])
                 slots.append(None)
@@ -767,7 +721,9 @@ class GridSim:
             members = groups.setdefault(key, [])
             slots.append((key, slice(len(members), len(members) + len(span))))
             members += span
-        words = {key: np.empty((n, len(events), key[1]), np.int64)
+        # partial sums are clamped to int16, every other word is an int8
+        # code: each fits its link's word width
+        words = {key: np.empty((n, len(events), key[1]), "i%d" % (key[0] // 8))
                  for key, events in groups.items()}
         last, width = states[-1], outputs.shape[1]
         for k in range(n) if tpl.first is not None else ():
@@ -780,7 +736,7 @@ class GridSim:
                     if tiles.shape != dest.shape:
                         raise AssertionError(
                             "planned %s words on a %s record, moved %s"
-                            % (dest.shape, rec[0], tiles.shape))
+                            % (dest.shape, rec.kind, tiles.shape))
                     dest[...] = tiles
             outputs[t] = (last.y if self.fc is not None
                           else last.h_tiles[:width])
@@ -800,7 +756,7 @@ class GridSim:
                              % (n_features, features.shape))
         check_int8(features, "feature")
         features = features.astype(np.int64)
-        templates, end = run_templates(self.plan, self.cm, len(features))
+        templates, end = run_templates(self.plan, len(features))
         outputs = np.zeros((len(features), self.plan.spec.output_width),
                            np.int64)
         states = [_LayerState(g) for g in self.plan.layer_grids]
@@ -811,11 +767,10 @@ class GridSim:
             meta={"n_dies": self.plan.total_dies, "reload": self.plan.reload})
 
 
-def simulate(plan, params, features, luts=None, cycle_model=CycleModel(),
-             dropped_links=()):
+def simulate(plan, params, features, luts=None, dropped_links=()):
     """Plan + params + features -> (outputs, PhaseTrace), in the load mode
     the plan was built for."""
-    sim = GridSim(plan, params, luts, cycle_model, dropped_links)
+    sim = GridSim(plan, params, luts, dropped_links)
     return sim.run(features)
 
 

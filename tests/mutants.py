@@ -81,6 +81,21 @@ MUTANTS = [
          "test_report_equals_the_record_loop_to_the_last_bit"),
         "die_activity counts the configuration timeline's parameter loads"),
     Mutant(
+        "full_unit_loop_truncated", "systolic_sim.py",
+        "h_loop = max(grid.nh_tile, plan.tile.nh_capacity)",
+        "h_loop = grid.nh_tile",
+        (SIM + "test_small_layer_keeps_the_full_unit_loop",),
+        "the recurrent MAC loop sweeps only the mapped units of a tile, "
+        "not every physical unit of the die"),
+    Mutant(
+        "section_passes_unread_key", "cli.py",
+        "    unread = sorted(set(map(str, section)) - set(keys))\n",
+        "    unread = sorted(set(map(str, section)) - set(keys)) \\\n"
+        "        if name is None else []\n",
+        ("tests/test_cli.py::test_keys_nothing_reads_fail_at_config_load",),
+        "a config section ignores a key it never reads; only the top "
+        "level is still checked"),
+    Mutant(
         "param_load_skips_link_check", "systolic_sim.py",
         "        self._check_transfer(link)\n"
         "        size, toggles = self.bursts[link]\n",

@@ -597,7 +597,8 @@ def test_frequency_with_unsigned_exponent_is_a_number(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc,needle", [
-    ({"cycle_model": {"hidden_loop_mode": "bogus"}}, "hidden_loop_mode"),
+    # the timing constants are fixed; no section sets them
+    ({"cycle_model": {"hidden_loop_mode": "fixed_capacity"}}, "cycle_model"),
     ({"operating_point": {"frequency_hz": 0}}, "frequency"),
     ({"operating_point": {"frequency_hz": "fast"}}, "frequency"),
     ({"tile": {"nh_capacity": 7.5}}, "bad tile settings"),
@@ -605,8 +606,9 @@ def test_frequency_with_unsigned_exponent_is_a_number(tmp_path, capsys):
     # PyYAML reads 1.5e5 (no exponent sign) as the string "1.5e5"
     ({"tile": {"sram_bytes": "1.5e5"}}, "bad tile settings"),
     ({"tile": {"sram_bytes": -5}}, "bad tile settings"),
-    ({"cycle_model": {"c_gate": -100}}, "bad cycle model settings"),
-    ({"cycle_model": {"c_fixed": 2.5}}, "bad cycle model settings"),
+    # the clock is frequency_hz, with no other spelling
+    ({"operating_point": {"frequency": 2e7}}, "operating_point.frequency"),
+    ({"faults": {"drop_links": [["L0.feat.col0"]]}}, "faults.drop_links"),
     # energy is priced from constants calibrated at 1.2 V core, 2.5 V pads
     ({"operating_point": {"v_core": 0.9}}, "bad operating point settings"),
 ])
@@ -619,6 +621,54 @@ def test_bad_run_settings_fail_at_config_load(tmp_path, capsys, doc, needle):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+# (section or None for the top level, key, value, whether the section
+# names a container): a key no section reads, or one that the section's
+# container makes unread
+UNREAD_KEYS = [
+    (None, "extras", 1, False),
+    ("network", "n_outs", 3, False),
+    ("features", "nsteps", 3, False),
+    ("faults", "drop_link", ["L0.feat.col0"], False),
+    ("sweep", "value", [2e7], False),
+    ("network", "layers", [[8, 8]], True),
+    ("network", "n_out", 2, True),
+    ("network", "seed", 9, True),
+    ("network", "scale", 1.0, True),
+    ("features", "n_steps", 3, True),
+    ("features", "seed", 9, True),
+    ("features", "scale", 0.5, True),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "plan", "sweep"])
+@pytest.mark.parametrize(
+    "section,key,value,container", UNREAD_KEYS,
+    ids=["%s%s%s" % (section + "." if section else "", key,
+                     "+container" if container else "")
+         for section, key, _, container in UNREAD_KEYS])
+def test_keys_nothing_reads_fail_at_config_load(tmp_path, capsys, command,
+                                                section, key, value,
+                                                container):
+    doc = {"network": {"layers": [[8, 8]], "seed": 5},
+           "features": {"n_steps": 2, "seed": 6},
+           "faults": {"drop_links": []},
+           "sweep": {"axis": "frequency", "values": [1e7]}}
+    if container:
+        path = str(tmp_path / ("%s.json" % section))
+        if section == "network":
+            lstm_ref.save_network(
+                path, lstm_ref.random_network_params(5, [(8, 8)]))
+        else:
+            lstm_ref.save_features(path, lstm_ref.random_features(6, 2, 8))
+        doc[section] = {"container": path}
+    (doc[section] if section else doc)[key] = value
+    cfg = write_config(tmp_path / "c.yaml", **doc)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys,
+                        "%s.%s" % (section, key) if section else key)
     assert not (tmp_path / "o").exists()  # nothing ran
 
 

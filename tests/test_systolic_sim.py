@@ -14,11 +14,10 @@ from lstmgrid.actlut import build_lut
 from lstmgrid.mapper import TileSpec, layer_io, plan_grid
 from lstmgrid.perf_energy import report
 from lstmgrid.qformat import QFormat
-from lstmgrid.systolic_sim import (CycleModel, DeadlockError, GridSim,
-                                   PhaseTrace, build_load_schedule,
-                                   build_state_record, build_step_schedule,
-                                   count_toggles, run_templates, run_reload,
-                                   simulate)
+from lstmgrid.systolic_sim import (DeadlockError, GridSim, PhaseTrace,
+                                   build_load_schedule, build_state_record,
+                                   build_step_schedule, count_toggles,
+                                   run_templates, run_reload, simulate)
 
 TILE = TileSpec()
 
@@ -237,7 +236,7 @@ STEP_CYCLES = {96: 1012, 192: 2952, 288: 4698, 384: 6444, 480: 8190}
 def test_steady_state_step_cycles(width, cycles):
     spec = LR.NetworkSpec([(width, width)], None)
     plan = plan_grid(spec, TILE)
-    _, end = build_step_schedule(plan, CycleModel(), readout=False)
+    _, end = build_step_schedule(plan, readout=False)
     assert end == cycles
 
 
@@ -245,18 +244,15 @@ def test_small_layer_keeps_the_full_unit_loop():
     # 56 mapped units still sweep all 96 physical units per gate
     spec = LR.NetworkSpec([(56, 56)], None)
     plan = plan_grid(spec, TILE)
-    _, end = build_step_schedule(plan, CycleModel(), readout=False)
+    _, end = build_step_schedule(plan, readout=False)
     assert end == 2 * 56 + 4 * (56 + 96) + 4 * 10 + 12 == 772
-    _, trunc = build_step_schedule(plan, CycleModel(
-        hidden_loop_mode="truncate"), readout=False)
-    assert trunc == 2 * 56 + 4 * (56 + 56) + 4 * 10 + 12 == 612
 
 
 def test_demonstrator_step_cycles():
     # 2x2 grid, 192 hidden, 123 features, 62 outputs, full readout
     spec = LR.NetworkSpec([(123, 192)], 62)
     plan = plan_grid(spec, TILE)
-    _, end = build_step_schedule(plan, CycleModel())
+    _, end = build_step_schedule(plan)
     assert end == 3230
 
 
@@ -266,24 +262,16 @@ def test_pipelined_stack_cycles():
                            ([480, 480, 480], 23802)]:
         spec = LR.NetworkSpec([(w, w) for w in widths], None)
         plan = plan_grid(spec, TILE)
-        _, end = build_step_schedule(plan, CycleModel(), readout=False)
+        _, end = build_step_schedule(plan, readout=False)
         assert end == expect, widths
 
 
 def test_schedule_is_identical_for_reload_plans():
     spec = LR.NetworkSpec([(96, 96)], None)
-    t_stacked = build_step_schedule(plan_grid(spec, TILE), CycleModel(),
-                                    readout=False)[1]
+    t_stacked = build_step_schedule(plan_grid(spec, TILE), readout=False)[1]
     t_reload = build_step_schedule(plan_grid(spec, TILE, reload=True),
-                                   CycleModel(), readout=False)[1]
+                                   readout=False)[1]
     assert t_stacked == t_reload
-
-
-def test_cycle_model_rejects_unknown_mode():
-    spec = LR.NetworkSpec([(96, 96)], None)
-    plan = plan_grid(spec, TILE)
-    with pytest.raises(ValueError):
-        build_step_schedule(plan, CycleModel(hidden_loop_mode="bogus"))
 
 
 # --- traffic accounting -----------------------------------------------------------
@@ -506,7 +494,7 @@ def test_every_reload_transfer_consults_the_plan(monkeypatch):
         == [id(ln) for tpl in templates for ln in tpl.links]
     later = templates[1]
     assert sum(len(span) for rec, span in zip(later.records, later.spans)
-               if rec[0] == "param_load") == len(plan.dies)
+               if rec.kind == "param_load") == len(plan.dies)
     # every materialized event carries the link its template event found
     per_step = collections.defaultdict(list)
     for rec in trace.records:
@@ -567,36 +555,38 @@ def test_simulate_runs_multi_layer_reload_plans_like_run_reload(layers,
     assert trace.total_cycles == trace_r.total_cycles
 
 
-def build_run_schedule(plan, cm, n_steps):
+def build_run_schedule(plan, n_steps):
     """Every record of an `n_steps` run, one step after another:
     (configuration records, one record list per step, end cycle).  The
     reference for the run's templates: each step built on its own by the
-    schedule builders, with an explicit start and step."""
+    schedule builders, with an explicit start, its records stamped with
+    their step."""
     steps, cursor = [], 0
     spills, _ = layer_io(plan.reload, len(plan.layer_grids),
                          plan.layer_grids[0])
     if not spills:
         config, _ = build_load_schedule(plan)
         for t in range(n_steps):
-            records, cursor = build_step_schedule(plan, cm, cursor, t)
-            steps.append(records)
+            records, cursor = build_step_schedule(plan, cursor)
+            steps.append([dataclasses.replace(rec, step=t)
+                          for rec in records])
         return config, steps, cursor
     for t in range(n_steps):
         records = []
         for grid in plan.layer_grids:
-            loads, cursor = build_load_schedule(plan, cursor, [grid.layer], t)
+            loads, cursor = build_load_schedule(plan, cursor, [grid.layer])
             records += loads
             if t or grid.layer:
                 records.append(build_state_record(plan, grid, "state_load",
-                                                  cursor, t))
+                                                  cursor))
                 cursor = records[-1].end
-            recs, cursor = build_step_schedule(plan, cm, cursor, t,
+            recs, cursor = build_step_schedule(plan, cursor,
                                                layers=[grid.layer])
             records += recs
             records.append(build_state_record(plan, grid, "state_store",
-                                              cursor, t))
+                                              cursor))
             cursor = records[-1].end
-        steps.append(records)
+        steps.append([dataclasses.replace(rec, step=t) for rec in records])
     return [], steps, cursor
 
 
@@ -619,12 +609,12 @@ def test_run_schedule_is_built_before_any_value(layers, mode):
                                         n_steps=n_steps)
         plan = plan_grid(plan.spec, TINY, reload=mode == "reload",
                          chip_select=mode == "chip_select")
-        config, steps, end = build_run_schedule(plan, CycleModel(), n_steps)
+        config, steps, end = build_run_schedule(plan, n_steps)
         assert all(rec.step is None for rec in config)
         assert [{rec.step for rec in recs} for recs in steps] \
             == [{t} for t in range(n_steps)]
         want = [_timing(rec) for rec in config + sum(steps, [])]
-        templates, schedule_end = run_templates(plan, CycleModel(), n_steps)
+        templates, schedule_end = run_templates(plan, n_steps)
         schedule = PhaseTrace(templates, schedule_end, n_steps, meta={})
         _, trace = simulate(plan, params, feats)
         assert [_timing(rec) for rec in schedule.records] == want
