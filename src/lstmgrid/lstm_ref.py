@@ -1,10 +1,10 @@
-"""Monolithic LSTM inference: float reference and bit-exact fixed-point model.
+"""Monolithic LSTM inference: the bit-exact fixed-point golden model.
 
-The fixed-point path is the golden model the grid simulator must reproduce
-bit for bit.  Saturating accumulation is order-sensitive, so the evaluation
-order is pinned: input-loop ascending, recurrent-loop ascending, peephole,
-bias — optionally split into column blocks (`BlockStack`) whose partial
-sums are folded left to right exactly like a reduction chain of dies.
+The grid simulator must reproduce it bit for bit.  Saturating
+accumulation is order-sensitive, so the evaluation order is pinned:
+input-loop ascending, recurrent-loop ascending, peephole, bias —
+optionally split into column blocks (`BlockStack`) whose partial sums are
+folded left to right exactly like a reduction chain of dies.
 
 Cells are peephole LSTMs (three extra diagonal weights); all-zero peephole
 vectors reduce the cell to one without peepholes.  Gate order throughout the
@@ -12,9 +12,10 @@ package: input, forget, update (cell candidate), output.  The update gate
 has no peephole; the output gate's peephole reads the *new* cell state as
 stored in 8 bits.
 
-Fixed-point scales: weights/states Q2.5, gate outputs Q0.7, accumulators
-16 bit at 10 fractional bits (bias enters shifted left by the state's
-fractional width).
+Parameters carry their own Q-formats (`FormatSet`); the default
+(`DEFAULT_FORMATS`) is weights/states Q2.5, gate outputs Q0.7,
+accumulators 16 bit at 10 fractional bits (bias enters shifted left by
+the state's fractional width).
 """
 
 import dataclasses
@@ -50,10 +51,10 @@ DEFAULT_FORMATS = FormatSet()
 
 @dataclasses.dataclass
 class LstmLayerParams:
-    """One layer's weights.  Arrays are float64 (float mode) or int8 codes
-    (fixed mode, `formats` set), as quantized or loaded; codes of a wider
-    dtype are accepted too, checked by value.  Peephole vectors may be all
-    zero."""
+    """One layer's weights: int8 codes in `formats`, as quantized or
+    loaded; codes of a wider dtype are accepted too, checked by value.
+    Float arrays (`formats` None) exist only before quantization.
+    Peephole vectors may be all zero."""
     W_xi: np.ndarray
     W_hi: np.ndarray
     W_xf: np.ndarray
@@ -134,9 +135,8 @@ class LstmState:
             raise ValueError("state vectors must be 1-D and equal length")
 
     @classmethod
-    def zeros(cls, n_hidden, fixed=True):
-        dtype = np.int64 if fixed else np.float64
-        return cls(np.zeros(n_hidden, dtype), np.zeros(n_hidden, dtype))
+    def zeros(cls, n_hidden):
+        return cls(np.zeros(n_hidden, np.int64), np.zeros(n_hidden, np.int64))
 
 
 @dataclasses.dataclass
@@ -181,10 +181,13 @@ class NetworkParams:
     fc: FcParams = None
 
 
-def derive_spec(params, formats=DEFAULT_FORMATS):
+def derive_spec(params):
+    """The spec of a quantized network, in its layer 0's formats."""
+    if not params.layers[0].quantized:
+        raise ValueError("a network spec needs quantized parameters")
     layers = [(p.n_inputs, p.n_hidden) for p in params.layers]
     n_out = params.fc.n_out if params.fc is not None else None
-    return NetworkSpec(layers, n_out, formats)
+    return NetworkSpec(layers, n_out, params.layers[0].formats)
 
 
 def default_luts(formats=DEFAULT_FORMATS):
@@ -194,35 +197,6 @@ def default_luts(formats=DEFAULT_FORMATS):
         "sigmoid": actlut.build_lut("sigmoid", formats.state, formats.gate),
         "tanh": actlut.build_lut("tanh", formats.state, formats.gate),
     }
-
-
-# --- float reference ---------------------------------------------------------
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def cell_step_float(params, state, x):
-    """One full-precision step (the quantization-free reference)."""
-    if params.quantized:
-        raise ValueError("float step needs float parameters")
-    if x.shape != (params.n_inputs,) or state.h.shape != (params.n_hidden,):
-        raise ValueError("dimension mismatch")
-    h, c = state.h, state.c
-    pre_i = params.W_xi @ x + params.W_hi @ h + params.w_ci * c + params.b_i
-    pre_f = params.W_xf @ x + params.W_hf @ h + params.w_cf * c + params.b_f
-    pre_u = params.W_xc @ x + params.W_hc @ h + params.b_c
-    g_i, g_f, g_u = _sigmoid(pre_i), _sigmoid(pre_f), np.tanh(pre_u)
-    c_new = g_f * c + g_i * g_u
-    pre_o = params.W_xo @ x + params.W_ho @ h + params.w_co * c_new + params.b_o
-    h_new = _sigmoid(pre_o) * np.tanh(c_new)
-    return LstmState(h_new, c_new)
-
-
-def fc_step_float(params, h):
-    if h.shape != (params.n_hidden,):
-        raise ValueError("dimension mismatch")
-    return _sigmoid(params.W_y @ h + params.b_y)
 
 
 # --- fixed-point golden model -------------------------------------------------
@@ -395,18 +369,17 @@ def fc_step_fixed(params, h, luts, stack=None):
                    params.b_y, params.formats, luts)
 
 
-def network_infer(spec, params, features, mode="fixed", luts=None,
+def network_infer(spec, params, features, *, luts=None,
                   col_blocks_per_layer=None, fc_col_blocks=None):
     """Run T steps through the layer stack and optional projection.
 
-    `features` is a T x n_features matrix (int8 codes in fixed mode, reals
-    in float mode); states start at zero and persist across steps.
-    Returns a T x output_width matrix.  In fixed mode every parameter and
-    feature code must be int8 (ValueError otherwise); each layer's weight
-    stacks and cell constants are prepared once per call.
+    `features` is a T x n_features matrix of int8 codes; states start at
+    zero and persist across steps.  Returns a T x output_width matrix of
+    codes.  Every parameter and feature code must be int8 (ValueError
+    otherwise); each layer's weight stacks and cell constants are prepared
+    once per call.  `luts` defaults to `default_luts(spec.formats)`, and
+    the column blocks to one flat block per layer.
     """
-    if mode not in ("float", "fixed"):
-        raise ValueError("mode must be 'float' or 'fixed'")
     features = np.asarray(features)
     if features.ndim != 2 or features.shape[1] != spec.n_features:
         raise ValueError("feature matrix must be T x %d" % spec.n_features)
@@ -414,36 +387,26 @@ def network_infer(spec, params, features, mode="fixed", luts=None,
         raise ValueError("layer count mismatch")
     if (spec.n_out is None) != (params.fc is None):
         raise ValueError("projection presence mismatch")
-    fixed = mode == "fixed"
-    stacks = consts = [None] * spec.n_layers
-    fc_weights = None
-    if fixed:
-        check_codes(params, features)
-        if luts is None:
-            luts = default_luts(spec.formats)
-        stacks = [cell_stack(p, col_blocks_per_layer[li]
-                             if col_blocks_per_layer else None)
-                  for li, p in enumerate(params.layers)]
-        consts = [cell_constants(p) for p in params.layers]
-        if params.fc is not None:
-            fc_weights = fc_stack(params.fc, fc_col_blocks)
-    states = [LstmState.zeros(n_h, fixed) for _, n_h in spec.layers]
-    out = np.zeros((features.shape[0], spec.output_width),
-                   dtype=np.int64 if fixed else np.float64)
+    check_codes(params, features)
+    if luts is None:
+        luts = default_luts(spec.formats)
+    stacks = [cell_stack(p, col_blocks_per_layer[li]
+                         if col_blocks_per_layer else None)
+              for li, p in enumerate(params.layers)]
+    consts = [cell_constants(p) for p in params.layers]
+    fc_weights = (fc_stack(params.fc, fc_col_blocks)
+                  if params.fc is not None else None)
+    states = [LstmState.zeros(n_h) for _, n_h in spec.layers]
+    out = np.zeros((features.shape[0], spec.output_width), dtype=np.int64)
     for t in range(features.shape[0]):
         feed = features[t]
         for li in range(spec.n_layers):
-            if fixed:
-                states[li] = cell_step_fixed(params.layers[li], states[li],
-                                             feed, luts, stack=stacks[li],
-                                             consts=consts[li])
-            else:
-                states[li] = cell_step_float(params.layers[li], states[li],
-                                             feed)
+            states[li] = cell_step_fixed(params.layers[li], states[li],
+                                         feed, luts, stack=stacks[li],
+                                         consts=consts[li])
             feed = states[li].h
         if params.fc is not None:
-            feed = (fc_step_fixed(params.fc, feed, luts, stack=fc_weights)
-                    if fixed else fc_step_float(params.fc, feed))
+            feed = fc_step_fixed(params.fc, feed, luts, stack=fc_weights)
         out[t] = feed
     return out
 
@@ -600,8 +563,15 @@ def read_container(manifest_path):
     return manifest.get("meta", {}), out
 
 
-def save_network(manifest_path, params, formats=DEFAULT_FORMATS):
-    """Persist a quantized network (layers + optional projection)."""
+def save_network(manifest_path, params):
+    """Persist a quantized network (layers + optional projection) in the
+    formats its parameters carry.  ValueError unless the projection and
+    every layer carry layer 0's formats."""
+    formats = derive_spec(params).formats
+    parts = params.layers + ([params.fc] if params.fc is not None else [])
+    if any(p.formats != formats for p in parts):
+        raise ValueError("every layer and the projection must carry layer "
+                         "0's formats %r" % (formats,))
     tensors = []
     for li, layer in enumerate(params.layers):
         for name in _LAYER_TENSORS:
@@ -643,7 +613,7 @@ def load_network(manifest_path):
         fc = FcParams(tensors["fc.W_y"][1], tensors["fc.b_y"][1],
                       formats=formats)
     params = NetworkParams(layers, fc)
-    return derive_spec(params, formats), params
+    return derive_spec(params), params
 
 
 def save_features(manifest_path, codes, formats=DEFAULT_FORMATS):

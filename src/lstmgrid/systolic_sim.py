@@ -145,22 +145,6 @@ class PhaseTrace:
                         step))
         return out
 
-    def link_totals(self):
-        totals = {}
-        for tpl in self.templates:
-            toggles = ([0] * len(tpl.links) if tpl.toggles is None
-                       else tpl.toggles.sum(axis=0).tolist())
-            for link, words, tog in zip(tpl.links, tpl.words, toggles):
-                agg = totals.setdefault(link.label, {
-                    "kind": link.kind, "bits": 0, "words": 0, "toggles": 0,
-                    "host_drive": link.src == HOST,
-                    "host_receive": link.receivers == (HOST,),
-                    "n_receivers": len(link.receivers)})
-                agg["bits"] += len(tpl.starts) * words * link.word_bits
-                agg["words"] += len(tpl.starts) * words
-                agg["toggles"] += tog
-        return totals
-
     def die_activity(self):
         """Per-die active/stall cycle split over the inference span.
 

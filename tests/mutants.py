@@ -31,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIM = "tests/test_systolic_sim.py::"
 REF = "tests/test_lstm_ref.py::"
 QF = "tests/test_qformat.py::"
+PE = "tests/test_perf_energy.py::"
 TAILS = (REF + "test_batched_tails_equal_the_unbatched_ones_in_every_format",
          REF + "test_batched_tails_equal_the_unbatched_ones")
 
@@ -183,6 +184,46 @@ MUTANTS = [
          QF + "test_check_int8_refuses_other_dtypes_out_of_range"),
         "the int8 check passes every integer array unread, so an int64 "
         "300 enters the MAC kernel as a code"),
+    Mutant(
+        "save_network_writes_default_formats", "lstm_ref.py",
+        "        \"state_frac_bits\": formats.state.frac_bits,\n"
+        "        \"gate_frac_bits\": formats.gate.frac_bits,\n",
+        "        \"state_frac_bits\": DEFAULT_FORMATS.state.frac_bits,\n"
+        "        \"gate_frac_bits\": DEFAULT_FORMATS.gate.frac_bits,\n",
+        (REF + "test_network_container_round_trip",),
+        "a saved network's state and gate formats are written as the "
+        "defaults, so its codes load back re-labelled"),
+    Mutant(
+        "host_receive_charged", "perf_energy.py",
+        "listeners = np.array([0 if link.receivers == (HOST,)",
+        "listeners = np.array([1 if link.receivers == (HOST,)",
+        (PE + "test_report_equals_the_record_loop_to_the_last_bit",),
+        "a word the host receives is charged one receiver pad"),
+    Mutant(
+        "host_drive_charged", "perf_energy.py",
+        "drive = np.array([link.src != HOST for link in links])",
+        "drive = np.ones(len(links), bool)",
+        (PE + "test_host_side_pads_are_never_charged",),
+        "a word the host drives is charged a driver pad"),
+    Mutant(
+        "pad_static_for_one_die", "perf_energy.py",
+        "consts.p_pad_static_mw_per_die * 1e-3 * trace.meta[\"n_dies\"]",
+        "consts.p_pad_static_mw_per_die * 1e-3 * 1",
+        (PE + "test_energy_additivity_and_time",),
+        "static pad power is charged for one die, not for every die"),
+    Mutant(
+        "toggle_tail_pad_flips", "systolic_sim.py",
+        "raw[:, 8 + n_bytes:] = (raw[:, 7 + n_bytes, None] >> 4) * 0x11",
+        "raw[:, 8 + n_bytes:] = 0",
+        (SIM + "test_beat_stream_is_little_endian",),
+        "the padding after a stream's last beat is zero, so it flips "
+        "the bits the last beat set"),
+    Mutant(
+        "footprint_without_peepholes", "mapper.py",
+        "total += (3 + 4) * n_h_tile",
+        "total += 4 * n_h_tile",
+        ("tests/test_mapper.py::test_footprint_full_die",),
+        "a master's footprint leaves out its three peephole diagonals"),
 ]
 BY_NAME = {m.name: m for m in MUTANTS}
 

@@ -293,10 +293,11 @@ def count_toggles_int64(words, word_bits, idle=0):
 
 
 # --- energy report over the trace's records, one event at a time --------------
-# The record-loop `PhaseTrace.link_totals`, `PhaseTrace.die_activity` and
-# `perf_energy.report` as they were before the trace became templates and a
-# toggle array; the columnar versions must equal them to the last bit and
-# in dict key order.
+# The record-loop `PhaseTrace.die_activity` and `perf_energy.report` as they
+# were before the trace became templates and a toggle array; the columnar
+# versions must equal them to the last bit and in dict key order.
+# `link_totals` is now the only link-total reduction: the tests measure
+# per-link bits, words and toggles with it.
 
 _PJ = 1e-12
 

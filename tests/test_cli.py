@@ -313,7 +313,7 @@ def test_run_from_container_with_other_formats(tmp_path, capsys):
     fmts = lstm_ref.FormatSet(weight=QFormat(4), state=QFormat(4))
     params = lstm_ref.random_network_params(43, [(8, 8)], formats=fmts)
     net_path = tmp_path / "net.json"
-    lstm_ref.save_network(str(net_path), params, formats=fmts)
+    lstm_ref.save_network(str(net_path), params)
     cfg = write_config(tmp_path / "c.yaml",
                        network={"container": str(net_path)},
                        features={"n_steps": 2})
@@ -328,7 +328,7 @@ def test_random_features_take_the_container_state_format(tmp_path, capsys,
     fmts = lstm_ref.FormatSet(state=QFormat(4))
     params = lstm_ref.random_network_params(45, [(8, 8)], formats=fmts)
     net_path = tmp_path / "net.json"
-    lstm_ref.save_network(str(net_path), params, formats=fmts)
+    lstm_ref.save_network(str(net_path), params)
     cfg = write_config(tmp_path / "c.yaml",
                        network={"container": str(net_path)},
                        features={"n_steps": 3, "seed": 5, "scale": 1.5})
@@ -366,7 +366,7 @@ def test_run_in_the_tails_edge_formats_equals_the_unbatched_tails(
                                             scale=3.0, formats=fmts)
     feats = lstm_ref.random_features(48, 4, 6, formats=fmts)
     net_path, feat_path = str(tmp_path / "net.json"), str(tmp_path / "f.json")
-    lstm_ref.save_network(net_path, params, formats=fmts)
+    lstm_ref.save_network(net_path, params)
     lstm_ref.save_features(feat_path, feats, formats=fmts)
     cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
                        features={"container": feat_path}, mode=mode,

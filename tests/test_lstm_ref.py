@@ -40,42 +40,12 @@ def random_fixed(seed, n_i, n_h, scale=0.8):
     return p.layers[0]
 
 
-# --- float reference ----------------------------------------------------------
-
-def test_float_all_zero():
-    p = zeros_params(3, 3, fixed=False)
-    s = lr.cell_step_float(p, lr.LstmState.zeros(3, fixed=False), np.zeros(3))
-    assert np.allclose(s.c, 0) and np.allclose(s.h, 0)
-    # gates sit at 0.5 internally: forcing c=1 with f=0.5 must halve it
-    s2 = lr.cell_step_float(p, lr.LstmState(np.zeros(3), np.ones(3)),
-                            np.zeros(3))
-    assert np.allclose(s2.c, 0.5)
-
-
-def test_float_forget_gate_limit():
-    p = zeros_params(2, 2, fixed=False)
-    p.b_f[:] = 50.0  # forget gate pinned at ~1
-    p.b_i[:] = -50.0  # input gate pinned at ~0
-    state = lr.LstmState(np.zeros(2), np.array([0.7, -1.2]))
-    out = lr.cell_step_float(p, state, np.zeros(2))
-    assert np.allclose(out.c, [0.7, -1.2], atol=1e-9)
-
-
-def test_float_random_vs_scalar_oracle():
-    rng = np.random.default_rng(7)
-    p = zeros_params(3, 3, fixed=False)
-    for name in ("W_xi", "W_hi", "W_xf", "W_hf", "W_xc", "W_hc", "W_xo",
-                 "W_ho", "w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o"):
-        arr = getattr(p, name)
-        arr[...] = rng.uniform(-1, 1, arr.shape)
-    x = rng.uniform(-1, 1, 3)
-    h0 = rng.uniform(-1, 1, 3)
-    c0 = rng.uniform(-1, 1, 3)
-    got = lr.cell_step_float(p, lr.LstmState(h0, c0), x)
-    od = to_oracle(p)
-    want_h, want_c = O.cell_step_float(od, x.tolist(), h0.tolist(), c0.tolist())
-    assert np.allclose(got.h, want_h, atol=1e-12)
-    assert np.allclose(got.c, want_c, atol=1e-12)
+def dequantized_oracle(params):
+    """`to_oracle`'s weights, peepholes and biases as the reals their codes
+    stand for: the parameters of `O.cell_step_float`."""
+    d = to_oracle(params)
+    return {k: dequantize(np.array(d[k]), FMT.weight).tolist()
+            for k in ("w_x", "w_h", "peep", "bias")}
 
 
 # --- fixed-point golden model ---------------------------------------------------
@@ -336,27 +306,22 @@ def test_float_fixed_agreement_bound():
     e_c = e_sig + e_tanh + 0.5 * 2.0 ** -12 + 0.5 * lsb_s
     for seed in range(8):
         p = random_fixed(seed, 4, 4, scale=0.25)
-        pf = zeros_params(4, 4, fixed=False)
-        for name in ("W_xi", "W_hi", "W_xf", "W_hf", "W_xc", "W_hc", "W_xo",
-                     "W_ho", "w_ci", "w_cf", "w_co",
-                     "b_i", "b_f", "b_c", "b_o"):
-            getattr(pf, name)[...] = dequantize(getattr(p, name), FMT.weight)
         x = lr.random_features(seed + 50, 1, 4)[0]
         fixed = lr.cell_step_fixed(p, lr.LstmState.zeros(4), x, LUTS)
-        flt = lr.cell_step_float(pf, lr.LstmState.zeros(4, fixed=False),
-                                 dequantize(x, FMT.state))
+        flt_h, flt_c = O.cell_step_float(dequantized_oracle(p),
+                                         dequantize(x, FMT.state).tolist(),
+                                         [0.0] * 4, [0.0] * 4)
         peep_o = float(np.max(np.abs(dequantize(p.w_co, FMT.weight))))
         e_o = 0.25 * (peep_o * e_c + 0.5 * lsb_s) + 0.5 * lsb_g
         e_h = (e_c + 0.5 * lsb_g) + e_o + 0.5 * lsb_s
-        assert np.max(np.abs(dequantize(fixed.c, FMT.state) - flt.c)) <= e_c
-        assert np.max(np.abs(dequantize(fixed.h, FMT.state) - flt.h)) <= e_h
+        assert np.max(np.abs(dequantize(fixed.c, FMT.state) - flt_c)) <= e_c
+        assert np.max(np.abs(dequantize(fixed.h, FMT.state) - flt_h)) <= e_h
 
 
 # --- projection ---------------------------------------------------------------
 
 def test_fc_trivial():
     fc_f = lr.FcParams(np.zeros((3, 4)), np.zeros(3))
-    assert np.allclose(lr.fc_step_float(fc_f, np.zeros(4)), 0.5)
     fc_q = lr.FcParams(np.zeros((3, 4), np.int64), np.zeros(3, np.int64),
                        formats=FMT)
     got = lr.fc_step_fixed(fc_q, np.zeros(4, np.int64), LUTS)
@@ -422,8 +387,8 @@ def test_network_shape_errors():
     spec = lr.derive_spec(params)
     with pytest.raises(ValueError):
         lr.network_infer(spec, params, np.zeros((2, 5), np.int64))
-    with pytest.raises(ValueError, match="mode"):
-        lr.network_infer(spec, params, np.zeros((2, 3), np.int64), "int")
+    with pytest.raises(TypeError):  # the tables are keyword-only
+        lr.network_infer(spec, params, np.zeros((2, 3), np.int64), LUTS)
     with pytest.raises(ValueError):
         lr.NetworkSpec([(3, 4), (5, 4)])
     with pytest.raises(ValueError):
@@ -508,18 +473,43 @@ def test_random_network_codes_are_int8_with_the_recorded_values():
 
 # --- container round trips --------------------------------------------------------
 
-def test_network_container_round_trip(tmp_path):
-    params = lr.random_network_params(33, [(3, 4), (4, 2)], n_out=3)
+Q34 = lr.FormatSet(state=QFormat(4))
+
+
+@pytest.mark.parametrize("fmts", [FMT, Q34], ids=["default", "state-Q3.4"])
+def test_network_container_round_trip(tmp_path, fmts):
+    params = lr.random_network_params(33, [(3, 4), (4, 2)], n_out=3,
+                                      formats=fmts)
     path = str(tmp_path / "net.json")
+    assert lr.derive_spec(params).formats == fmts
     lr.save_network(path, params)
     spec, loaded = lr.load_network(path)
     assert spec.layers == [(3, 4), (4, 2)] and spec.n_out == 3
+    assert spec.formats == fmts and loaded.fc.formats == fmts
+    assert [p.formats for p in loaded.layers] == [fmts, fmts]
     for a, b in zip(_code_tensors(params), _code_tensors(loaded)):
         assert b.dtype == np.int8 and b.flags.writeable
         assert a.tolist() == b.tolist()
-    feats = lr.random_features(34, 6, 3)
+    feats = lr.random_features(34, 6, 3, formats=fmts)
     assert (lr.network_infer(spec, loaded, feats).tolist()
             == lr.network_infer(spec, params, feats).tolist())
+
+
+def test_unquantized_or_mixed_format_networks_are_refused(tmp_path):
+    path = str(tmp_path / "net.json")
+    mixed = lr.random_network_params(38, [(3, 4), (4, 2)], n_out=3)
+    mixed.layers[1].formats = Q34
+    with pytest.raises(ValueError, match="carry layer 0's formats"):
+        lr.save_network(path, mixed)
+    mixed.layers[1].formats = FMT
+    mixed.fc.formats = Q34
+    with pytest.raises(ValueError, match="carry layer 0's formats"):
+        lr.save_network(path, mixed)
+    floats = lr.NetworkParams([zeros_params(2, 2, fixed=False)])
+    for refused in (lr.derive_spec, lambda p: lr.save_network(path, p)):
+        with pytest.raises(ValueError, match="needs quantized parameters"):
+            refused(floats)
+    assert not (tmp_path / "net.json").exists()
 
 
 def test_feature_container_round_trip(tmp_path):

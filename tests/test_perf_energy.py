@@ -63,6 +63,14 @@ def test_empty_trace_reports_zero_energy():
     assert rep.core_power_w == 0.0
 
 
+def test_zero_step_run_prices_no_die():
+    params = LR.random_network_params(9, [(8, 8), (8, 8)], n_out=3)
+    plan = plan_grid(LR.derive_spec(params), TileSpec(nh_capacity=4))
+    _, trace = simulate(plan, params, LR.random_features(10, 0, 8))
+    rep = PE.report(trace, OP)
+    assert rep.die_core_j == {} and rep.core_energy_j == 0.0
+
+
 def test_nonempty_trace_needs_a_clock():
     trace = demo_trace(n_steps=1)
     with pytest.raises(ValueError):
@@ -170,7 +178,6 @@ def test_report_equals_the_record_loop_to_the_last_bit(monkeypatch, case):
             # repr spells every float exactly and keeps dict key order
             assert got == want and repr(got) == repr(want)
         assert repr(trace.die_activity()) == repr(O.die_activity(trace))
-        assert repr(trace.link_totals()) == repr(O.link_totals(trace))
 
 
 # --- analytic model vs simulation ---------------------------------------------------

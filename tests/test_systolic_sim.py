@@ -443,7 +443,7 @@ def test_reload_trace_reloads_params_every_pass_and_restores_state():
     _, trace = run_reload(plan, params, feats)
     assert passes(trace, "param_load") == [(None, 0)]
     assert passes(trace, "state_load") == passes(trace, "state_store") == []
-    totals = trace.link_totals()
+    totals = O.link_totals(trace)
     assert totals["L0.load.0.0"]["words"] == 74_400
     assert totals["L0.feat.col0"]["words"] == 96 * 10
     assert totals["L0.writeback.0"]["words"] == 96 * 10
@@ -754,7 +754,7 @@ def test_trace_text_and_csv_exports():
     rows = trace.to_csv_rows()
     assert rows[0][0] == "step"
     assert len(rows) > len(trace.records)  # events expand to rows
-    totals = trace.link_totals()
+    totals = O.link_totals(trace)
     assert totals["L0.writeback"]["host_receive"] is True
     assert totals["L0.load.0.0"]["host_drive"] is True
     assert totals["L0.load.0.0"]["bits"] == trace.records[0].events[0].bits
@@ -763,7 +763,7 @@ def test_trace_text_and_csv_exports():
 def test_link_totals_aggregate_over_steps():
     plan, params, feats = make_case(107, [(96, 96)], n_steps=4)
     _, trace = simulate(plan, params, feats)
-    feat = trace.link_totals()["L0.feat.col0"]
+    feat = O.link_totals(trace)["L0.feat.col0"]
     assert feat["bits"] == 4 * 8 * 96
 
 
@@ -835,7 +835,7 @@ def test_any_network_and_mode_is_bit_exact_and_moves_the_planned_bits(case):
                      chip_select=case["mode"] == "chip_select")
     out, trace = (run_reload if reload else simulate)(plan, params, feats)
     assert np.array_equal(out, reference(plan, params, feats))
-    moved = sum(t["bits"] for t in trace.link_totals().values())
+    moved = sum(t["bits"] for t in O.link_totals(trace).values())
     assert moved == planned_bits(plan, case["n_steps"])
 
 
