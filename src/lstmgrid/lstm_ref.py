@@ -244,8 +244,11 @@ class BlockStack:
         self.w_sq = row_sq_norms(self.w)
 
     def operand(self, *vectors):
-        """Per block, the codes its terms multiply: (blocks, K)."""
-        return np.concatenate(vectors + (np.zeros(1, np.int64),))[self.index]
+        """Per block, the codes its terms multiply: (..., blocks, K) for
+        vectors shaped (..., n), one operand per leading index."""
+        pad = np.zeros(np.shape(vectors[0])[:-1] + (1,), np.int64)
+        return np.concatenate(vectors + (pad,), axis=-1).take(self.index,
+                                                              axis=-1)
 
 
 def cell_stack(params, col_blocks=None):
@@ -263,18 +266,19 @@ def fc_stack(params, col_blocks=None):
     return BlockStack([(params.W_y,)], [(sl,) for sl in col_blocks])
 
 
-def _blocked_dot(stack, *vectors):
-    """Saturating dot products split into column blocks: (gates, rows).
+def _blocked_dot(w, sq_norms, operand):
+    """Saturating dot products split into column blocks: (..., rows).
 
-    Per block: per-MAC 16-bit saturation over the block's terms in order.
-    Block partials are then folded left to right with saturating adds
-    (the reduction-chain order).
+    `w` and `sq_norms` are a `BlockStack`'s layout, (..., blocks, rows, K)
+    and (..., blocks, rows), and `operand` is its `operand`.  Per block:
+    per-MAC 16-bit saturation over the block's terms in order.  Block
+    partials are then folded left to right with saturating adds (the
+    reduction-chain order).
     """
-    partials, _ = mac_run(stack.w, stack.operand(*vectors),
-                          sq_norms=stack.w_sq)
-    acc = partials[:, 0]
-    for b in range(1, partials.shape[1]):
-        acc = sat_add16(acc, partials[:, b])
+    partials, _ = mac_run(w, operand, sq_norms=sq_norms)
+    acc = partials[..., 0, :]
+    for b in range(1, partials.shape[-2]):
+        acc = sat_add16(acc, partials[..., b, :])
     return acc
 
 
@@ -351,7 +355,8 @@ def cell_step_fixed(params, state, x, luts, stack=None, consts=None):
     check_luts(luts, params.formats)
     if x.shape != (params.n_inputs,) or state.h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
-    dots = _blocked_dot(stack or cell_stack(params), x, state.h)
+    stack = stack or cell_stack(params)
+    dots = _blocked_dot(stack.w, stack.w_sq, stack.operand(x, state.h))
     peep, bias = consts or cell_constants(params)
     return LstmState(*cell_tail(dots, state.c, peep, bias, params.formats,
                                 luts))
@@ -359,13 +364,18 @@ def cell_step_fixed(params, state, x, luts, stack=None, consts=None):
 
 def fc_step_fixed(params, h, luts, stack=None):
     """Fixed-point projection: blocked MAC, bias, requantize, sigmoid.
-    `stack` passes `fc_stack(params, col_blocks)` prepared once; the
-    default is one flat block."""
+
+    `h` is one hidden vector, or a T x n_hidden matrix whose rows are
+    projected at once (T x n_out), one MAC call for all of them.  `stack`
+    passes `fc_stack(params, col_blocks)` prepared once; the default is
+    one flat block.
+    """
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
-    if h.shape != (params.n_hidden,):
+    if h.ndim not in (1, 2) or h.shape[-1] != params.n_hidden:
         raise ValueError("dimension mismatch")
-    return fc_tail(_blocked_dot(stack or fc_stack(params), h)[0],
+    stack = stack or fc_stack(params)
+    return fc_tail(_blocked_dot(stack.w[0], stack.w_sq[0], stack.operand(h)),
                    params.b_y, params.formats, luts)
 
 
@@ -379,6 +389,10 @@ def network_infer(spec, params, features, *, luts=None,
     otherwise); each layer's weight stacks and cell constants are prepared
     once per call.  `luts` defaults to `default_luts(spec.formats)`, and
     the column blocks to one flat block per layer.
+
+    The layers run one after another: every step of layer 0, one
+    `cell_step_fixed` call each, then layer 1 over layer 0's hidden codes
+    of every step, and so on; the projection runs once, over every step.
     """
     features = np.asarray(features)
     if features.ndim != 2 or features.shape[1] != spec.n_features:
@@ -396,19 +410,18 @@ def network_infer(spec, params, features, *, luts=None,
     consts = [cell_constants(p) for p in params.layers]
     fc_weights = (fc_stack(params.fc, fc_col_blocks)
                   if params.fc is not None else None)
-    states = [LstmState.zeros(n_h) for _, n_h in spec.layers]
-    out = np.zeros((features.shape[0], spec.output_width), dtype=np.int64)
-    for t in range(features.shape[0]):
-        feed = features[t]
-        for li in range(spec.n_layers):
-            states[li] = cell_step_fixed(params.layers[li], states[li],
-                                         feed, luts, stack=stacks[li],
-                                         consts=consts[li])
-            feed = states[li].h
-        if params.fc is not None:
-            feed = fc_step_fixed(params.fc, feed, luts, stack=fc_weights)
-        out[t] = feed
-    return out
+    feed = features
+    for li, layer in enumerate(params.layers):
+        state = LstmState.zeros(layer.n_hidden)
+        hidden = np.zeros((len(feed), layer.n_hidden), np.int64)
+        for t, x in enumerate(feed):
+            state = cell_step_fixed(layer, state, x, luts, stack=stacks[li],
+                                    consts=consts[li])
+            hidden[t] = state.h
+        feed = hidden
+    if params.fc is not None:
+        feed = fc_step_fixed(params.fc, feed, luts, stack=fc_weights)
+    return feed
 
 
 # --- post-training quantization ------------------------------------------------

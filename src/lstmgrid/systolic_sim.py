@@ -9,25 +9,29 @@ events on the plan's `LinkPlan` objects, before any value is computed.
 
 The value side (`GridSim`) keeps what is resident on the dies: weight
 stacks, peepholes, biases, the projection and every die's parameter burst.
-Each `run` starts from zero state and walks the templates step by step,
-performing the actual distributed arithmetic — per-die partial MACs (one
-kernel call for a layer step's four gates), saturating reduction chains,
-master-side activation and element-wise updates, hidden-state
-distribution, optional output projection — copying the words of every
-transfer into one buffer per run and counting their beat-level toggles
-into an int64 (steps x template events) array.  The analytic energy model
-prices the very same templates, so simulated and extrapolated cycle counts
-agree by construction.
+Each `run` first checks every template event against the dropped links,
+then performs the actual distributed arithmetic from zero state,
+layer-major.  Only the recurrence runs step by step: per layer step, the
+per-die partial MACs of all four gates in one kernel call, the column fold
+of all four gates (one saturating add per hop) and the master-side
+activation and element-wise update, one call to `lstm_ref.cell_tail`, the
+oracle's own cell arithmetic after reduction.  A layer keeps its
+histories (step inputs, the partials each hop receives, h and c), the
+next layer reads its hidden codes as features, and the optional output
+projection runs once over every step.  Records without transfers (the
+compute, activation and element-wise phases) carry timing only; every
+other record's words, over all of its template's steps at once, are
+slices of those histories, written into one buffer per word group,
+whose beat-level toggles are counted into an int64 (steps x template
+events) array.  The analytic energy model prices the very same
+templates, so simulated and extrapolated cycle counts agree by
+construction.
 
-Master-side activation and the element-wise update are one call to
-`lstm_ref.cell_tail`, the oracle's own cell arithmetic after reduction,
-in the `elementwise` phase; `gate_activate` records, and the
-`gate_compute` records of gates 1-3, carry timing only.
-
-One walker executes every load mode.  In multi-layer reload runs, the
+One engine serves every load mode.  In multi-layer reload runs, the
 per-pass parameter re-load, state restore (`state_load`) and state spill
 (`state_store`) are ordinary records whose traffic passes the same link
-checks as every other transfer.
+checks as every other transfer; their words are the h and c histories,
+since spilling and restoring never change a value.
 
 Value semantics never depend on the schedule's overlap decisions: the
 accumulation order is pinned (input slice, recurrent slice, block fold
@@ -493,11 +497,24 @@ def count_toggles(words, word_bits, idle=0):
 def reduce_hop(partials, hop):
     """Row `hop` of `partials` folds the partials arriving from row
     `hop - 1` into its own with saturating adds, in place; returns the
-    arriving partials.  Rows are die columns of a gate reduction (every row
-    tile at once) or the master rows of the projection reduction."""
+    arriving partials.  Rows are die columns of a gate reduction (every
+    gate and row tile at once) or the master rows of the projection
+    reduction (every step at once)."""
     incoming = partials[hop - 1]
     partials[hop] = sat_add16(incoming, partials[hop])
     return incoming
+
+
+@dataclasses.dataclass
+class _History:
+    """One layer grid's values over a run.  `x` holds each step's input
+    codes (T, ni_padded); `incoming` the partials each gate reduction hop
+    receives (T, gate, hop - 1, nh_padded); and `hc` row t the (h, c)
+    codes that enter step t (T + 1, 2, nh_padded), row 0 the zero state.
+    Padded rows stay zero, as their parameters are zero."""
+    x: np.ndarray
+    incoming: np.ndarray
+    hc: np.ndarray
 
 
 class _Layer:
@@ -516,23 +533,34 @@ class _Layer:
         self.stack = lstm_ref.BlockStack(
             list(zip(params.input_weights(), params.recurrent_weights())),
             grid.col_blocks(), rows=nhp, widths=(grid.ni_padded, nhp))
-        self.peep, self.bias = (np.pad(a, ((0, 0), (0, nhp - grid.n_hidden)))
-                                for a in lstm_ref.cell_constants(params))
+        self.peep = np.zeros((3, nhp), np.int64)
+        self.bias = np.zeros((4, nhp), np.int64)
+        self.peep[:, :grid.n_hidden], self.bias[:, :grid.n_hidden] = \
+            lstm_ref.cell_constants(params)
 
-
-class _LayerState:
-    """One layer grid's values in a run, all zero when the run starts."""
-
-    def __init__(self, grid):
-        nhp = grid.nh_padded
-        self.h = np.zeros(nhp, np.int64)
-        self.c = np.zeros(nhp, np.int64)
-        self.x = np.zeros(grid.ni_padded, np.int64)  # the step's input
-        # h and c as last spilled to the host (reload mode)
-        self.host = np.zeros((2, nhp), np.int64)
-        self.partials = None  # (gate, die column j, padded row)
-        self.h_tiles = None  # the masters' new hidden tiles
-        self.fc = self.y = None  # projection partials per master row, y
+    def history(self, x, luts):
+        """The layer's `_History` over the step inputs `x` (T x ni_padded
+        codes), from zero state.  Each step runs only the recurrence: the
+        partial MACs, the column fold and the cell update."""
+        n, nhp = self.grid.n, self.grid.nh_padded
+        incoming = np.empty((len(x), 4, n - 1, nhp), np.int16)
+        hc = np.zeros((len(x) + 1, 2, nhp), np.int8)
+        for t in range(len(x)):
+            h, c = hc[t]
+            # the four gates read the same x and h: every die's partial
+            # MACs of the step in one kernel call
+            partials, _ = mac_run(self.stack.w, self.stack.operand(x[t], h),
+                                  sq_norms=self.stack.w_sq)
+            # the fold of all four gates at once, on the (die column,
+            # gate, row) view, keeping what each hop receives
+            cols = partials.swapaxes(0, 1)
+            for hop in range(1, n):
+                incoming[t, :, hop - 1] = reduce_hop(cols, hop)
+            # every master's peepholes, biases, activations and state
+            # update over the reduced partials in the last die column
+            hc[t + 1, 0], hc[t + 1, 1] = lstm_ref.cell_tail(
+                cols[n - 1], c, self.peep, self.bias, self.formats, luts)
+        return _History(x, incoming, hc)
 
 
 class GridSim:
@@ -541,9 +569,12 @@ class GridSim:
     Construction keeps only what stays resident on the dies: each layer's
     weight stacks, peepholes and biases, the projection (master i of the
     last grid holds W_y's columns of hidden tile i as block i of a stack)
-    and every die's parameter burst with its toggles.  `run` walks the
-    plan's run schedule over real feature codes from zero state, so every
-    run of one GridSim is alike.
+    and every die's parameter burst with its toggles.  `run` computes over
+    real feature codes from zero state, so every run of one GridSim is
+    alike.  It runs layer-major: layer by layer, the step loop runs only
+    the recurrence and keeps the layer's histories; the projection runs
+    once over every step; then each template record's words, over all of
+    the template's steps at once, are slices of those histories.
     """
 
     def __init__(self, plan, params, luts=None, dropped_links=()):
@@ -593,7 +624,30 @@ class GridSim:
                                  % (words, link.label, size))
         return toggles
 
-    # -- phases --
+    def _check(self, tpl):
+        """Check a template's events against the dropped links, once each
+        and in order, and fill in its parameter bursts' toggles.  Returns
+        the word groups of its other transfers, (word width, word count) ->
+        event indices, and per transfer record (record, group, its events'
+        positions in the group)."""
+        links = tpl.links
+        tpl.toggles = np.zeros((len(tpl.starts), len(links)), np.int64)
+        groups, slots = {}, []
+        for rec, span in zip(tpl.records, tpl.spans):
+            if rec.kind == "param_load" or not span:
+                for e in span:  # `_burst` checks the link and words
+                    tpl.toggles[:, e] = self._burst(links[e], tpl.words[e])
+                continue
+            for e in span:
+                self._check_transfer(links[e])
+            (key,) = {(links[e].word_bits, tpl.words[e]) for e in span}
+            members = groups.setdefault(key, [])
+            slots.append((rec, key, slice(len(members),
+                                          len(members) + len(span))))
+            members += span
+        return groups, slots
+
+    # -- values --
 
     def _param_words(self, die):
         """A die's parameter burst, cut from the resident stacks: its four
@@ -614,139 +668,112 @@ class GridSim:
         return np.concatenate([c.ravel() for c in chunks], dtype=np.int8,
                               casting="unsafe")
 
-    def _exec_record(self, rec, x_t, states):
-        """Execute one template record on the run's `states`; returns the
-        words its events carry, one row per event, or None for a record
-        without transfers."""
-        kind, layer, gate, hop = rec.kind, rec.layer, rec.gate, rec.hop
-        lay, st = self.layers[layer], states[layer]
-        n, nh = lay.grid.n, lay.grid.nh_tile
-        if kind == "gate_compute":
-            if gate == 0:
-                # the four gates read the same x and h: every die's
-                # partial MACs of the step in one kernel call
-                st.partials, _ = mac_run(
-                    lay.stack.w, lay.stack.operand(st.x, st.h),
-                    sq_norms=lay.stack.w_sq)
-        elif kind == "gate_reduce":
-            return reduce_hop(st.partials[gate], hop).reshape(n, nh)
-        elif kind in ("recurrent_compute", "gate_activate", "param_load"):
-            # timing only: MACs are evaluated in pinned order by the
-            # first gate_compute, and the activations by elementwise from
-            # the reduced partials every gate leaves in place; parameter
-            # bursts never change, so they are counted at construction
-            pass
-        elif kind == "feature_stream":
-            x = x_t if layer == 0 else states[layer - 1].h[:lay.grid.n_inputs]
-            st.x[:] = 0
-            st.x[:len(x)] = x
-            return st.x.reshape(n, -1)
-        elif kind == "elementwise":
-            # every master's peepholes, biases, activations and state
-            # update over the reduced partials in the last die column;
-            # padded rows stay zero, as their parameters are zero.  Master
-            # row i now owns h tile i; distribution fills st.h
-            st.h_tiles, st.c[:] = lstm_ref.cell_tail(
-                st.partials[:, n - 1], st.c, lay.peep, lay.bias,
-                lay.formats, self.luts)
-            if n == 1:
-                st.h[:] = st.h_tiles  # no distribution phase on a 1x1 grid
-        elif kind == "hidden_chain":
-            # tile n-1 codes travel up the master column unchanged
-            return st.h_tiles.reshape(n, nh)[n - 1:]
-        elif kind == "hidden_bcast":
-            st.h[:] = st.h_tiles
-            return st.h_tiles.reshape(n, nh)[:n - 1]
-        elif kind == "state_load":
-            st.h[:], st.c[:] = st.host
-            return st.host.reshape(2 * n, nh)
-        elif kind == "state_store":
-            spill = np.zeros_like(st.host)
-            real = slice(0, lay.grid.n_hidden)
-            spill[0, real], spill[1, real] = st.h[real], st.c[real]
-            st.host = spill
-            # master i spills its h tile, then its c tile
-            return spill.reshape(2, n, nh).swapaxes(0, 1).reshape(2 * n, nh)
-        elif kind == "fc_compute":
-            # every master's projection partial: one kernel call
-            st.fc, _ = mac_run(self.fc_stack.w[0],
-                               self.fc_stack.operand(st.h_tiles),
-                               sq_norms=self.fc_stack.w_sq[0])
-        elif kind == "fc_reduce":
-            return reduce_hop(st.fc, hop)[None]
-        elif kind == "fc_activate":
-            st.y = lstm_ref.fc_tail(st.fc[n - 1], self.b_y, self.fc.formats,
-                                    self.luts)
-        elif kind == "writeback":
-            return (st.y[None] if self.fc is not None
-                    else st.h_tiles.reshape(n, nh))
-        else:
-            raise AssertionError("unhandled phase kind %r" % (kind,))
-        return None
+    def _histories(self, features):
+        """Every layer's `_History`, layer by layer: layer k + 1 reads
+        layer k's hidden codes of the same step as its inputs."""
+        hist, feed = [], features
+        for lay in self.layers:
+            x = np.zeros((len(features), lay.grid.ni_padded), np.int8)
+            x[:, :feed.shape[1]] = feed
+            hist.append(lay.history(x, self.luts))
+            feed = hist[-1].hc[1:, 0, :lay.grid.n_hidden]
+        return hist
 
-    def _walk(self, tpl, features, outputs, states):
-        """Run a template's steps: check each template event against the
-        dropped links once, execute the steps record by record, writing each
-        transfer's words straight into a per-run buffer, then count the
-        toggles with one 2-D `count_toggles` call per (word width, word
-        count) group."""
-        n, links = len(tpl.starts), tpl.links
-        tpl.toggles = np.zeros((n, len(links)), np.int64)
-        groups, slots = {}, []  # (word width, word count) -> event indices
-        for rec, span in zip(tpl.records, tpl.spans):
-            if rec.kind == "param_load" or not span:
-                for e in span:  # `_burst` checks the link and words
-                    tpl.toggles[:, e] = self._burst(links[e], tpl.words[e])
-                slots.append(None)
-                continue
-            for e in span:
-                self._check_transfer(links[e])
-            (key,) = {(links[e].word_bits, tpl.words[e]) for e in span}
-            members = groups.setdefault(key, [])
-            slots.append((key, slice(len(members), len(members) + len(span))))
-            members += span
+    def _project(self, h):
+        """The projection of every step's hidden codes `h` (T x nh_padded)
+        at once: every master's partials in one kernel call, then the
+        fold up the master column.  Returns (the partials each hop
+        receives, T x (n - 1) x n_out; y, T x n_out)."""
+        partials, _ = mac_run(self.fc_stack.w[0], self.fc_stack.operand(h),
+                              sq_norms=self.fc_stack.w_sq[0])
+        rows = partials.swapaxes(0, 1)  # (master row, step, output)
+        n = len(rows)
+        incoming = np.empty((len(h), n - 1, self.fc.n_out), np.int16)
+        for hop in range(1, n):
+            incoming[:, hop - 1] = reduce_hop(rows, hop)
+        return incoming, lstm_ref.fc_tail(rows[n - 1], self.b_y,
+                                          self.fc.formats, self.luts)
+
+    def _words(self, rec, ts, hist, proj):
+        """The words a record's events carry in the steps `ts` (a slice),
+        cut from the run's histories: (steps, events, word count)."""
+        lay, grid = hist[rec.layer], self.layers[rec.layer].grid
+        n, nh, kind = grid.n, grid.nh_tile, rec.kind
+        steps = ts.stop - ts.start
+        after = slice(ts.start + 1, ts.stop + 1)  # the states steps leave
+        if kind == "feature_stream":
+            return lay.x[ts].reshape(steps, n, -1)
+        if kind == "gate_reduce":
+            return lay.incoming[ts, rec.gate, rec.hop - 1].reshape(steps, n,
+                                                                   nh)
+        if kind == "state_load":  # what the step before left: h, c tiles
+            return lay.hc[ts].reshape(steps, 2 * n, nh)
+        if kind == "state_store":  # master i spills its h, then its c tile
+            return lay.hc[after].reshape(steps, 2, n, nh).swapaxes(1, 2) \
+                .reshape(steps, 2 * n, nh)
+        if kind == "fc_reduce":
+            return proj[0][ts, rec.hop - 1, None]
+        if kind == "writeback" and proj is not None:
+            return proj[1][ts, None]
+        tiles = lay.hc[after, 0].reshape(steps, n, nh)
+        if kind == "hidden_chain":  # tile n-1 travels up the master column
+            return tiles[:, n - 1:]
+        if kind == "hidden_bcast":
+            return tiles[:, :n - 1]
+        if kind == "writeback":
+            return tiles
+        raise AssertionError("unhandled phase kind %r" % (kind,))
+
+    def _fill(self, tpl, groups, slots, hist, proj):
+        """Write each transfer's words over the template's steps into one
+        buffer per word group, then count their toggles with one 2-D
+        `count_toggles` call per group."""
+        n = len(tpl.starts)
+        ts = slice(tpl.first, tpl.first + n)
         # partial sums are clamped to int16, every other word is an int8
         # code: each fits its link's word width
-        words = {key: np.empty((n, len(events), key[1]), "i%d" % (key[0] // 8))
+        words = {key: np.empty((n, len(events), key[1]),
+                               "i%d" % (key[0] // 8))
                  for key, events in groups.items()}
-        last, width = states[-1], outputs.shape[1]
-        for k in range(n) if tpl.first is not None else ():
-            t = tpl.first + k
-            x_t = features[t]
-            for rec, slot in zip(tpl.records, slots):
-                tiles = self._exec_record(rec, x_t, states)
-                if slot is not None:
-                    dest = words[slot[0]][k, slot[1]]
-                    if tiles.shape != dest.shape:
-                        raise AssertionError(
-                            "planned %s words on a %s record, moved %s"
-                            % (dest.shape, rec.kind, tiles.shape))
-                    dest[...] = tiles
-            outputs[t] = (last.y if self.fc is not None
-                          else last.h_tiles[:width])
+        for rec, key, pos in slots:
+            dest = words[key][:, pos]
+            tiles = self._words(rec, ts, hist, proj)
+            if tiles.shape != dest.shape:
+                raise AssertionError(
+                    "planned %s words on a %s record, moved %s"
+                    % (dest.shape, rec.kind, tiles.shape))
+            dest[...] = tiles
         for (word_bits, width), events in groups.items():
             tpl.toggles[:, events] = count_toggles(
                 words[word_bits, width].reshape(-1, width),
                 word_bits).reshape(n, -1)
 
     def run(self, features):
-        """Walk the plan's run schedule over `features` (T x n_features
-        int8 codes) from zero state; returns (T x output width codes,
-        PhaseTrace)."""
+        """The plan's run over `features` (T x n_features int8 codes) from
+        zero state; returns (T x output width codes, PhaseTrace).
+
+        Every template event meets its link checks before any value is
+        computed; then the layers run one after another over all steps,
+        the projection runs once, and the templates' words are cut from
+        the histories.
+        """
         features = np.asarray(features)
         n_features = self.plan.spec.n_features
         if features.ndim != 2 or features.shape[1] != n_features:
             raise ValueError("features must be T x %d, not %s"
                              % (n_features, features.shape))
         check_int8(features, "feature")
-        features = features.astype(np.int64)
         templates, end = run_templates(self.plan, len(features))
-        outputs = np.zeros((len(features), self.plan.spec.output_width),
-                           np.int64)
-        states = [_LayerState(g) for g in self.plan.layer_grids]
-        for tpl in templates:
-            self._walk(tpl, features, outputs, states)
-        return outputs, PhaseTrace(
+        checked = [self._check(tpl) for tpl in templates]
+        hist = self._histories(features)
+        h_last = hist[-1].hc[1:, 0]
+        proj = self._project(h_last) if self.fc is not None else None
+        for tpl, (groups, slots) in zip(templates, checked):
+            if tpl.first is not None:  # not the configuration timeline
+                self._fill(tpl, groups, slots, hist, proj)
+        width = self.plan.spec.output_width
+        outputs = proj[1] if proj is not None else h_last[:, :width]
+        return outputs.astype(np.int64), PhaseTrace(
             templates, end, len(features),
             meta={"n_dies": self.plan.total_dies, "reload": self.plan.reload})
 

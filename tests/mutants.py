@@ -48,22 +48,32 @@ class Mutant:
 
 MUTANTS = [
     Mutant(
-        "transfer_words_as_views", "systolic_sim.py",
-        "                    dest[...] = tiles\n"
-        "            outputs[t] = (last.y if self.fc is not None\n"
-        "                          else last.h_tiles[:width])\n"
-        "        for (word_bits, width), events in groups.items():\n",
-        "                    self.__dict__.setdefault(\"_views\", []).append(\n"
-        "                        (dest, tiles))\n"
-        "            outputs[t] = (last.y if self.fc is not None\n"
-        "                          else last.h_tiles[:width])\n"
-        "        for dest, tiles in self.__dict__.pop(\"_views\", []):\n"
-        "            dest[...] = tiles\n"
-        "        for (word_bits, width), events in groups.items():\n",
+        "reduce_words_after_the_fold", "systolic_sim.py",
+        "    return incoming\n",
+        "    return partials[hop]\n",
         (SIM + "test_outputs_and_link_toggles_match_the_recorded_digests",),
-        "the walker keeps views of engine state and copies them into the "
-        "toggle buffer only after the walk, when later steps have "
-        "overwritten them"),
+        "a reduction hop's words are the partials it leaves, folded, not "
+        "the ones it receives"),
+    Mutant(
+        "words_cut_from_step_zero", "systolic_sim.py",
+        "ts = slice(tpl.first, tpl.first + n)",
+        "ts = slice(0, n)",
+        (SIM + "test_outputs_and_link_toggles_match_the_recorded_digests",),
+        "the later reload template's words are cut from the histories of "
+        "steps 0 to T - 2, not 1 to T - 1"),
+    Mutant(
+        "state_load_reads_this_step", "systolic_sim.py",
+        "return lay.hc[ts].reshape(steps, 2 * n, nh)",
+        "return lay.hc[after].reshape(steps, 2 * n, nh)",
+        (SIM + "test_outputs_and_link_toggles_match_the_recorded_digests",),
+        "a state restore carries the h and c its step leaves, not the "
+        "ones the step before left"),
+    Mutant(
+        "feature_history_one_step_off", "systolic_sim.py",
+        "feed = hist[-1].hc[1:, 0, :lay.grid.n_hidden]",
+        "feed = hist[-1].hc[:-1, 0, :lay.grid.n_hidden]",
+        (SIM + "test_every_mode_matches_the_scalar_oracle",),
+        "layer k + 1 reads layer k's hidden codes of the step before"),
     Mutant(
         "template_step_offset", "systolic_sim.py",
         "cursor + k * length for k in range(count)",
@@ -111,11 +121,12 @@ MUTANTS = [
         "the reduction fold adds without saturating"),
     Mutant(
         "state_carried_across_runs", "systolic_sim.py",
-        "        states = [_LayerState(g) for g in self.plan.layer_grids]\n",
-        "        states = self.__dict__.setdefault(\"_states\", [\n"
-        "            _LayerState(g) for g in self.plan.layer_grids])\n",
+        "        hc = np.zeros((len(x) + 1, 2, nhp), np.int8)\n",
+        "        hc = np.zeros((len(x) + 1, 2, nhp), np.int8)\n"
+        "        hc[0] = self.__dict__.get(\"_hc\", hc)[-1]\n"
+        "        self._hc = hc\n",
         (SIM + "test_a_second_run_starts_from_zero_state",),
-        "a run starts from the h, c and host state the last run left"),
+        "a run starts from the h and c the last run left"),
     Mutant(
         "block_stack_packs_short_ranges", "lstm_ref.py",
         "                    pos += len(r)\n",

@@ -371,10 +371,6 @@ def report(trace, op, consts):
     for key, act in active.items():
         die_core[key] = (p_act * act
                          + p_stl * (trace.total_cycles - act)) * cycle_s
-    # dies that never appear in the trace still burn stall power
-    for _ in range(trace.meta["n_dies"] - len(active)):
-        die_core.setdefault(("idle", len(die_core)),
-                            p_stl * trace.total_cycles * cycle_s)
     core_j = sum(die_core.values())
     return EnergyReport(trace.total_cycles, trace.n_steps,
                         trace.meta["n_dies"], time_s, core_j, io_j,

@@ -350,6 +350,25 @@ def test_fc_scalar_and_random_vs_oracle():
     assert got_b.tolist() == want_b
 
 
+@pytest.mark.parametrize("blocks", [None, [slice(0, 3), slice(3, 7)]],
+                         ids=["flat", "blocked"])
+def test_fc_step_on_a_matrix_equals_one_call_per_row(blocks):
+    # full-range codes, so that chains and the block fold clip
+    rng = np.random.default_rng(11)
+    fc = lr.FcParams(rng.integers(-127, 128, (5, 7)).astype(np.int8),
+                     rng.integers(-127, 128, 5).astype(np.int8), formats=FMT)
+    stack = lr.fc_stack(fc, blocks)
+    h = rng.integers(-128, 128, (6, 7))
+    got = lr.fc_step_fixed(fc, h, LUTS, stack=stack)
+    assert got.tolist() == [lr.fc_step_fixed(fc, row, LUTS,
+                                             stack=stack).tolist()
+                            for row in h]
+    assert lr.fc_step_fixed(fc, h[:0], LUTS, stack=stack).shape == (0, 5)
+    for bad in (h[:, :6], h[None]):
+        with pytest.raises(ValueError, match="dimension"):
+            lr.fc_step_fixed(fc, bad, LUTS)
+
+
 # --- whole-network runs ---------------------------------------------------------
 
 def test_network_infer_empty_sequence():

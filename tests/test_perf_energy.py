@@ -129,13 +129,14 @@ def test_host_side_pads_are_never_charged():
 # --- the columnar report against the record loop ---------------------------------
 
 # (seed, layers, n_out, weight scale, feature scale, steps, plan keywords,
-# tile): the three recorded-digest runs of test_systolic_sim, and a
-# chip-select run of the demonstrator
+# tile): the three recorded-digest runs of test_systolic_sim, a
+# chip-select run of the demonstrator, and a run of zero steps
 REPORT_CASES = [
     (3, [(7, 10), (10, 9)], 3, 2.0, 4.0, 4, {}, 4),
     (5, [(9, 12), (12, 12)], None, 1.0, 1.0, 3, {"chip_select": True}, 4),
     (8, [(5, 8), (8, 11), (11, 8)], 4, 2.0, 4.0, 3, {"reload": True}, 4),
     (7, [(123, 192)], 62, 1.0, 1.0, 3, {"chip_select": True}, 96),
+    (9, [(8, 8), (8, 8)], None, 1.0, 1.0, 0, {}, 4),
 ]
 PRICES = [(OP, PE.EnergyConstants()),
           (PE.OperatingPoint(3.3e6), PE.EnergyConstants(
@@ -158,7 +159,7 @@ def extrapolated_traces(monkeypatch):
 
 @pytest.mark.parametrize("case", REPORT_CASES + ["extrapolate"],
                          ids=["digest0", "digest1", "digest2", "chip_select",
-                              "extrapolate"])
+                              "zero_steps", "extrapolate"])
 def test_report_equals_the_record_loop_to_the_last_bit(monkeypatch, case):
     if case == "extrapolate":
         traces = extrapolated_traces(monkeypatch)

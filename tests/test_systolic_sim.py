@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles as O
-from lstmgrid import lstm_ref as LR
+from lstmgrid import lstm_ref as LR, systolic_sim
 from lstmgrid.actlut import build_lut
 from lstmgrid.mapper import TileSpec, layer_io, plan_grid
-from lstmgrid.perf_energy import report
-from lstmgrid.qformat import QFormat
+from lstmgrid.perf_energy import EnergyConstants, OperatingPoint, report
+from lstmgrid.qformat import QFormat, mac_run
 from lstmgrid.systolic_sim import (DeadlockError, GridSim, PhaseTrace,
                                    build_load_schedule, build_state_record,
                                    build_step_schedule, count_toggles,
@@ -921,6 +922,67 @@ def test_every_mode_matches_the_scalar_oracle(monkeypatch, params, feats,
     for kw in ({}, {"reload": True}, {"chip_select": True}):
         out, _ = simulate(plan_grid(spec, TINY, **kw), params, feats)
         assert out.tolist() == want, kw
+
+
+# --- edge runs of the layer-major engine -------------------------------------------
+
+@pytest.mark.parametrize("mode", ["stacked", "reload", "chip_select"])
+@pytest.mark.parametrize("n_out", [3, None], ids=["fc", "no_fc"])
+@pytest.mark.parametrize("n_steps", [0, 1, 3])
+def test_edge_runs_match_both_oracles_and_the_record_loop_report(
+        n_steps, n_out, mode):
+    # a ragged 2-layer network on a 3x3 and a 2x2 grid, at scales that
+    # clip chains; zero steps leave empty histories, one step no later
+    # reload template
+    params = LR.random_network_params(131, [(7, 10), (10, 6)], n_out=n_out,
+                                      scale=2.0)
+    feats = LR.random_features(132, n_steps, 7, scale=4.0)
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=mode == "reload",
+                     chip_select=mode == "chip_select")
+    out, trace = simulate(plan, params, feats)
+    want = scalar_reference(plan, params, feats)
+    assert out.dtype == np.int64
+    assert out.shape == (n_steps, plan.spec.output_width)
+    assert out.tolist() == want
+    assert reference(plan, params, feats).tolist() == want
+    for op, consts in ((OperatingPoint(), EnergyConstants()),
+                       (OperatingPoint(3.3e6),
+                        EnergyConstants(alpha_toggle=0.3))):
+        got, expected = report(trace, op, consts), O.report(trace, op, consts)
+        assert got == expected and repr(got) == repr(expected)
+
+
+def test_a_drop_only_the_later_reload_template_meets_fails_before_values(
+        monkeypatch):
+    # every link of a plan already serves step 0, so the drop hits one
+    # event alone: layer 0's state restore, which only later steps make.
+    # Every event is checked before any value is computed
+    params = LR.random_network_params(137, [(6, 8), (8, 8)], n_out=3)
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=True)
+    first, later = run_templates(plan, 3)[0]
+    (restore,) = [span[0] for rec, span in zip(later.records, later.spans)
+                  if rec.kind == "state_load" and rec.layer == 0]
+
+    class DroppedAt:
+        """Reports a link dropped at the `at`-th check (from 1) only."""
+
+        def __init__(self, at):
+            self.at, self.seen = at, 0
+
+        def __contains__(self, link):
+            self.seen += 1
+            return self.seen == self.at
+
+    sim = GridSim(plan, params)
+    sim.dropped = DroppedAt(len(first.links) + restore + 1)
+    macs = []
+    monkeypatch.setattr(systolic_sim, "mac_run",
+                        lambda *a, **k: macs.append(a) or mac_run(*a, **k))
+    message = ("transfer on L0.feat.col0 (('host',) -> ((0, 0, 0), "
+               "(0, 1, 0))) found no ready sink: link dropped")
+    with pytest.raises(DeadlockError, match="^%s$" % re.escape(message)):
+        sim.run(LR.random_features(138, 3, 6))
+    assert sim.dropped.seen == sim.dropped.at and macs == []
 
 
 # --- int8 domain at the library boundary ------------------------------------------

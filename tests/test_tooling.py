@@ -3,14 +3,23 @@
 `perfbench/tracing.py` patches functions by name; a name that the library
 no longer has makes its per-layer metric read None.  `perfbench/bench.py`
 calls the library's drivers, oracle and trace helpers; a call that no
-longer fits fails every op.  Otherwise only the minute-long harness smoke
-test would notice either.
+longer fits fails every op.  The tracer also counts on how the library
+calls them: one gate MAC call per (layer, step) on each side, whose
+saturation flags are whole chains' (the saturating workload's self-check
+floor counts them), and one `cell_step_fixed` call per (layer, step),
+whose first argument names the layer.  Otherwise only the minute-long
+harness smoke test would notice any of this.
 """
 
+import collections
 import importlib
 import os
 
-from lstmgrid import lstm_ref
+import numpy as np
+import pytest
+
+import oracles as O
+from lstmgrid import lstm_ref, systolic_sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,3 +45,84 @@ def test_benchmark_pipeline_runs_every_workload_exactly(monkeypatch):
             r = bench.run_pipeline(inst, luts, bench._direct)
             assert r.exact, (workload.name, inst.index)
             bench.model_metrics(r)
+
+
+def _recorder(fn, log):
+    """`fn`, appending (args, result) to `log` on every call."""
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        log.append((args, result))
+        return result
+    return recorded
+
+
+def _traced_pipeline(monkeypatch, inst):
+    """`bench.run_pipeline` over `inst` with spies on the calls the tracer
+    wraps: {"sim" | "ref": [(mac_run args, (acc, saturated))], "cell":
+    [(cell_step_fixed args, state)]}."""
+    bench = importlib.import_module("bench")
+    calls = collections.defaultdict(list)
+    with monkeypatch.context() as m:
+        for module, name, side in ((systolic_sim, "mac_run", "sim"),
+                                   (lstm_ref, "mac_run", "ref"),
+                                   (lstm_ref, "cell_step_fixed", "cell")):
+            m.setattr(module, name, _recorder(getattr(module, name),
+                                              calls[side]))
+        r = bench.run_pipeline(inst, lstm_ref.default_luts(), bench._direct)
+    assert r.exact
+    return calls
+
+
+def _instances(monkeypatch, name):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return workloads.build_instances(workloads.WORKLOADS[name], 3, toy=True)
+
+
+def _is_gate_call(args):
+    """A gate call multiplies a layer's four-gate stack."""
+    return np.ndim(args[0]) == 4 and np.shape(args[0])[0] == 4
+
+
+@pytest.mark.parametrize("workload", ["stacked_3x480", "reload_3x384",
+                                      "sweep_tiny"])
+def test_each_side_calls_the_gate_mac_per_layer_step_and_projects_once(
+        monkeypatch, workload):
+    for inst in _instances(monkeypatch, workload):
+        calls = _traced_pipeline(monkeypatch, inst)
+        n_layers, steps = inst.spec.n_layers, inst.n_steps
+        for side in ("sim", "ref"):
+            gates = [args for args, _ in calls[side] if _is_gate_call(args)]
+            assert len(gates) == n_layers * steps, (side, inst.index)
+            assert len(calls[side]) - len(gates) \
+                == (inst.params.fc is not None), (side, inst.index)
+        layer_of = {id(p): k for k, p in enumerate(inst.params.layers)}
+        cells = collections.Counter(layer_of.get(id(args[0]))
+                                    for args, _ in calls["cell"])
+        assert cells == {k: steps for k in range(n_layers)}, inst.index
+
+
+def test_every_mac_call_flags_the_chains_the_scalar_mac_clips(monkeypatch):
+    # the saturating workload's toy network: 96 -> 96 at weight scale 2.0
+    # and feature scale 4.0, on one die, so each gate call's chains are
+    # whole: a gate's 96 input terms, then its 96 recurrent terms.  A
+    # chain split into halves would flag only the halves that clip
+    (inst, _) = _instances(monkeypatch, "saturating_1x480")
+    layer = inst.params.layers[0]
+    whole = np.stack([np.hstack(pair) for pair in zip(
+        layer.input_weights(), layer.recurrent_weights())])
+    assert whole.shape == (4, 96, 192)
+    calls = _traced_pipeline(monkeypatch, inst)
+    flags = []
+    for side in ("sim", "ref"):
+        assert len(calls[side]) == inst.n_steps
+        for t, (args, (_, saturated)) in enumerate(calls[side]):
+            w, v = np.asarray(args[0]), np.asarray(args[1])
+            assert np.array_equal(w.reshape(whole.shape), whole)
+            assert np.array_equal(v[0, :96], inst.features[t])
+            codes = v[0].tolist()
+            want = [O.mac_chain(zip(row, codes))[1]
+                    for row in whole.reshape(-1, 192).tolist()]
+            assert saturated.ravel().tolist() == want, (side, t)
+            flags += want
+    assert sum(flags) >= 0.30 * len(flags)
