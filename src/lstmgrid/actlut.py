@@ -22,20 +22,27 @@ ACTIVATIONS = {"sigmoid": _sigmoid, "tanh": _tanh}
 
 
 class Lut256:
-    """256-entry activation table from one 8-bit format to another."""
+    """256-entry activation table from one 8-bit format to another.
 
-    __slots__ = ("kind", "in_format", "out_format", "table")
+    `table` is a read-only copy of the codes given, so the tables built
+    from it and memoized in `derived` (`lstm_ref.tail_tables`) cannot go
+    stale.
+    """
+
+    __slots__ = ("kind", "in_format", "out_format", "table", "derived")
 
     def __init__(self, kind, in_format, out_format, table):
         if kind not in ACTIVATIONS:
             raise ValueError("unknown activation kind %r" % (kind,))
-        table = np.asarray(table, dtype=np.int64)
+        table = np.array(table, dtype=np.int64)
         if table.shape != (256,):
             raise ValueError("table must hold exactly 256 codes")
+        table.flags.writeable = False
         self.kind = kind
         self.in_format = in_format
         self.out_format = out_format
         self.table = table
+        self.derived = {}
 
     def __getitem__(self, code):
         return int(self.table[int(code) & 0xFF])

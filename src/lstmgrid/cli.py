@@ -82,6 +82,31 @@ def _frequency(value, what="the clock frequency"):
     return value
 
 
+def _number(value, what):
+    """`value` as a float if it is a number (a bool is not; YAML floats
+    like 1.0e7, with no exponent sign, arrive as strings), else a config
+    error."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError("%s must be a number, not %r" % (what, value))
+
+
+MAX_SCALE = 128.0  # 2**7: no 8-bit Q-format code stands for more
+
+
+def _scale(value, what):
+    """`value` as a float if it is a number from 0 to `MAX_SCALE`, else a
+    config error: a wider uniform draw only adds saturated codes, and a
+    non-finite one cannot be drawn."""
+    scale = _number(value, what)
+    _require(0.0 <= scale <= MAX_SCALE, "%s must be from 0 to %g, not %r"
+             % (what, MAX_SCALE, value))
+    return scale
+
+
 def _whole(value, what):
     """`value` if it is an integer (a bool is not), else a config error."""
     _require(isinstance(value, int) and not isinstance(value, bool),
@@ -131,11 +156,9 @@ def build_run_config(args):
     tile = _build_dataclass(TileSpec, doc.get("tile"), "tile")
     consts = _build_dataclass(EnergyConstants, doc.get("energy"), "energy")
 
-    try:  # YAML floats like 1.0e7 (no exponent sign) arrive as strings
-        frequency = float(_section(doc, "operating_point", (
-            "frequency_hz",)).get("frequency_hz", OperatingPoint.frequency))
-    except (TypeError, ValueError):
-        raise ConfigError("operating_point.frequency_hz must be a number")
+    frequency = _number(_section(doc, "operating_point", (
+        "frequency_hz",)).get("frequency_hz", OperatingPoint.frequency),
+        "operating_point.frequency_hz")
     if getattr(args, "freq", None) is not None:
         frequency = args.freq
     op = OperatingPoint(_frequency(frequency))
@@ -169,7 +192,8 @@ def build_run_config(args):
             params = lstm_ref.random_network_params(
                 seed if seed is not None
                 else _whole(net.get("seed", 0), "network.seed"), sizes,
-                n_out=n_out, scale=float(net.get("scale", 0.5)))
+                n_out=n_out, scale=_scale(net.get("scale", 0.5),
+                                          "network.scale"))
         except (TypeError, ValueError) as exc:
             raise ConfigError("bad network settings: %s" % exc)
         spec = lstm_ref.derive_spec(params)
@@ -189,7 +213,8 @@ def build_run_config(args):
                 seed + 1 if seed is not None
                 else _whole(feat.get("seed", 1), "features.seed"),
                 n_steps=n_steps, n_features=spec.n_features,
-                formats=spec.formats, scale=float(feat.get("scale", 1.0)))
+                formats=spec.formats,
+                scale=_scale(feat.get("scale", 1.0), "features.scale"))
         except (TypeError, ValueError) as exc:
             raise ConfigError("bad features settings: %s" % exc)
     _require(features.shape[1] == spec.n_features,
@@ -354,11 +379,11 @@ def _sweep_rows(cfg):
     axis = cfg.sweep.get("axis")
     _require(axis in ("frequency", "grid", "frac_bits"),
              "sweep.axis must be frequency, grid, or frac_bits")
-    try:  # YAML floats like 1.59e8 (no exponent sign) arrive as strings
-        cast = float if axis == "frequency" else int
-        values = sorted(cast(v) for v in cfg.sweep.get("values") or [])
-    except (TypeError, ValueError):
-        raise ConfigError("sweep.values must be numbers")
+    values = cfg.sweep.get("values") or []
+    _require(isinstance(values, list), "sweep.values must be a list")
+    values = sorted(_number(v, "a sweep frequency") if axis == "frequency"
+                    else _whole(v, "a sweep %s value" % axis)
+                    for v in values)
     if axis == "frequency":
         rows = [["frequency_hz", "gops", "link_bw_mb_s",
                  "time_per_inference_us"]]
@@ -376,10 +401,10 @@ def _sweep_rows(cfg):
                  "e_total_uj", "io_pct"]]
         for n in values:
             _require(n >= 1, "sweep grid sizes must be positive, not %d" % n)
-            width = int(n) * cfg.tile.nh_capacity
+            width = n * cfg.tile.nh_capacity
             spec = lstm_ref.NetworkSpec([(width, width)], None)
             rep = perf_energy.extrapolate(spec, cfg.tile, cfg.op, cfg.consts)
-            rows.append([int(n), width, rep.n_dies, "%.4f" % rep.time_us,
+            rows.append([n, width, rep.n_dies, "%.4f" % rep.time_us,
                          "%.4f" % rep.total_energy_uj,
                          "%.2f" % rep.io_fraction_pct])
         return rows
@@ -387,8 +412,8 @@ def _sweep_rows(cfg):
              "sigmoid_max_se"]]
     grid = np.linspace(-4.0, 4.0, 4096, endpoint=False)
     for fb in values:
-        in_fmt = QFormat(int(fb))
-        row = [int(fb)]
+        in_fmt = QFormat(fb)
+        row = [fb]
         for kind in ("tanh", "sigmoid"):
             lut = actlut.build_lut(kind, in_fmt, QFormat(7))
             stats = actlut.lut_error_stats(lut, grid)

@@ -16,6 +16,15 @@ Parameters carry their own Q-formats (`FormatSet`); the default
 (`DEFAULT_FORMATS`) is weights/states Q2.5, gate outputs Q0.7,
 accumulators 16 bit at 10 fractional bits (bias enters shifted left by
 the state's fractional width).
+
+After the reduction, the cell (`cell_tail`) and the projection
+(`fc_tail`) address exact int16 tables with the 16-bit accumulator
+(`TailTables`), as a master die ends each gate in its activation ROM:
+one lookup per requantize -> clamp -> LUT chain.  The saturating bias
+add folds into per-unit clamp bounds by sat16(sat16(s) + B) ==
+clip(s + B, -32768 + max(B, 0), 32767 + min(B, 0)) (`gate_bounds`).
+The tables are built from the helpers they replace, about 3 ms once per
+LUT pair and format set, and memoized on the LUTs (`tail_tables`).
 """
 
 import dataclasses
@@ -26,7 +35,7 @@ import numpy as np
 
 from . import actlut
 from .qformat import (QFormat, check_int8, mac_run, quantize, requantize,
-                      row_sq_norms, sat16, sat_add16, shift_round)
+                      row_sq_norms, sat_add16, shift_round)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,13 +199,19 @@ def derive_spec(params):
     return NetworkSpec(layers, n_out, params.layers[0].formats)
 
 
+_DEFAULT_LUTS = {}  # FormatSet -> its (read-only) sigmoid and tanh tables
+
+
 def default_luts(formats=DEFAULT_FORMATS):
     """The two activation tables the fixed-point cell needs.  A single tanh
-    table serves both the update gate and the cell-output nonlinearity."""
-    return {
-        "sigmoid": actlut.build_lut("sigmoid", formats.state, formats.gate),
-        "tanh": actlut.build_lut("tanh", formats.state, formats.gate),
-    }
+    table serves both the update gate and the cell-output nonlinearity.
+    Every call for one format set returns the same two tables, so their
+    `tail_tables` are built once per process."""
+    if formats not in _DEFAULT_LUTS:
+        _DEFAULT_LUTS[formats] = {
+            kind: actlut.build_lut(kind, formats.state, formats.gate)
+            for kind in ("sigmoid", "tanh")}
+    return dict(_DEFAULT_LUTS[formats])
 
 
 # --- fixed-point golden model -------------------------------------------------
@@ -290,65 +305,182 @@ def check_luts(luts, formats):
         raise ValueError("LUT formats do not match parameter formats")
 
 
-def cell_tail(dots, c, peep, bias, fmts, luts):
+# --- tables addressed by the 16-bit accumulator --------------------------------
+
+INT16_CODES = 1 << 16  # one table entry per int16 value
+_ZERO = 1 << 15  # index of the value 0 in a table at offset 32768
+_TANH = INT16_CODES  # where the tanh half of `TailTables.gates` starts
+_CHUNK = 1 << 13  # entries written per step of a table build
+
+
+@dataclasses.dataclass(frozen=True)
+class TailTables:
+    """Exact int16 tables of the cell and projection tails, one entry per
+    16-bit value, so that requantize -> clamp -> LUT is one lookup.
+
+    `gates` holds, for every int16 pre-activation v, the sigmoid code
+    `sigmoid.lookup(requantize(v, acc_frac_bits, state))` at v + 32768,
+    then the tanh code at 65536 + v + 32768.  `c` holds the cell-state
+    requantizer `requantize(v, gf + sf, state)` at v + 32768, so a lookup
+    with mode="clip" is exactly its sat16.  `h` holds, at the index whose
+    high byte is g_o's and low byte c_new's, `requantize(g_o *
+    tanh.lookup(c_new), 2 * gf, state)`: the int16 value
+    (g_o << 8) | (c_new & 0xFF), looked up with mode="wrap".
+    """
+    gates: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
+
+
+def _fill(table, entry, first):
+    """Write entry(v) for v = first, first + 1, ... into `table`, in
+    chunks: no int64 temporary of the table's size."""
+    for start in range(0, len(table), _CHUNK):
+        table[start:start + _CHUNK] = entry(
+            np.arange(first + start, first + start + _CHUNK))
+
+
+def build_tail_tables(luts, fmts):
+    """The `TailTables` of one LUT pair in one format set, from the
+    helpers they replace.  About 3 ms; `tail_tables` builds them once."""
+    check_luts(luts, fmts)
+    sf, gf = fmts.state.frac_bits, fmts.gate.frac_bits
+    t = TailTables(*(np.empty(n, np.int16)
+                     for n in (2 * INT16_CODES, INT16_CODES, INT16_CODES)))
+    for lut, half in ((luts["sigmoid"], t.gates[:_TANH]),
+                      (luts["tanh"], t.gates[_TANH:])):
+        _fill(half, lambda v, lut=lut: lut.lookup(
+            requantize(v, fmts.acc_frac_bits, fmts.state)), -_ZERO)
+    _fill(t.c, lambda v: requantize(v, gf + sf, fmts.state), -_ZERO)
+
+    # the int16 value v sits at v mod 65536; its high byte is g_o, its
+    # low byte c_new's, which `lookup` reads
+    def h_entry(v):
+        return requantize((v >> 8) * luts["tanh"].lookup(v), 2 * gf,
+                          fmts.state)
+    _fill(t.h[:_ZERO], h_entry, 0)
+    _fill(t.h[_ZERO:], h_entry, -_ZERO)
+    for table in (t.gates, t.c, t.h):
+        table.flags.writeable = False
+    return t
+
+
+def tail_tables(luts, fmts):
+    """`build_tail_tables(luts, fmts)`, memoized on the sigmoid table per
+    (tanh table, format set): built once per process, never per call."""
+    memo = luts["sigmoid"].derived
+    key = (luts["tanh"], fmts)
+    if key not in memo:
+        memo[key] = build_tail_tables(luts, fmts)
+    return memo[key]
+
+
+def gate_bounds(acc_bias, base=0):
+    """(offset, lo, hi) with min(max(s + offset, lo), hi) the index, in
+    a table at `base` + 32768, of sat16(sat16(s) + acc_bias) for any
+    wide sum s: by sat16(sat16(s) + B) == clip(s + B, -32768 + max(B, 0),
+    32767 + min(B, 0))."""
+    return (acc_bias + (base + _ZERO), np.maximum(acc_bias, 0) + base,
+            np.minimum(acc_bias, 0) + (base + INT16_CODES - 1))
+
+
+@dataclasses.dataclass(frozen=True)
+class CellConstants:
+    """One layer's `cell_tail` preparation.  `peep` (w_ci, w_cf, w_co) and
+    `bias` keep the codes; `tables` are the tail tables; `ifu_*` are
+    gates i, f, u's (3, units) peephole codes (u has none: zero) and
+    index bounds (`gate_bounds`, u's in the tanh half), and `o_*` the
+    output gate's.  `iu_shift` aligns i*u to the scale of f*c."""
+    peep: np.ndarray
+    bias: np.ndarray
+    tables: TailTables
+    iu_shift: int
+    ifu_peep: np.ndarray
+    ifu_offset: np.ndarray
+    ifu_lo: np.ndarray
+    ifu_hi: np.ndarray
+    o_peep: np.ndarray
+    o_offset: np.ndarray
+    o_lo: np.ndarray
+    o_hi: np.ndarray
+
+
+def cell_constants(peep, bias, fmts, luts):
+    """`cell_tail`'s per-layer preparation from the (w_ci, w_cf, w_co)
+    peephole codes `peep` (3, units) and the four gate bias codes `bias`
+    (4, units): each bias at the accumulator scale, with the table offset
+    and clamp bounds folded in (`gate_bounds`)."""
+    peep, bias = np.asarray(peep, np.int64), np.asarray(bias, np.int64)
+    base = np.array([[0], [0], [_TANH], [0]])
+    offset, lo, hi = gate_bounds(bias << fmts.state.frac_bits, base)
+    ifu_peep = np.concatenate([peep[:2], np.zeros_like(peep[:1])])
+    return CellConstants(
+        peep, bias, tail_tables(luts, fmts),
+        fmts.gate.frac_bits - fmts.state.frac_bits, ifu_peep, offset[:3],
+        lo[:3], hi[:3], peep[2], offset[3], lo[3], hi[3])
+
+
+def cell_tail(dots, c, consts):
     """The cell arithmetic after the gate reduction, unit by unit: the
     oracle's cell step and the grid's master dies both end in it.
 
-    `dots` holds the four gates' reduced 16-bit accumulators, `peep` the
-    (w_ci, w_cf, w_co) peephole codes and `bias` the four gate biases:
-    int64 arrays (gates, units).  The output gate's peephole reads the new
-    cell state.  Returns (h_new, c_new) as int64 codes.  A product of two
+    `dots` holds the four gates' reduced 16-bit accumulators (gates,
+    units), `c` the cell state codes and `consts` the layer's
+    `cell_constants`.  The output gate's peephole reads the new cell
+    state.  Returns (h_new, c_new) as int16 codes.
+
+    Each requantize -> clamp -> LUT chain is one lookup into an exact
+    `TailTables` table: a gate's pre-activation is one add, one max and
+    one min (the saturating peephole and bias adds folded into clamp
+    bounds by sat16(sat16(s) + B) == clip(s + B, -32768 + max(B, 0),
+    32767 + min(B, 0)), `gate_bounds`), the cell state one clipped
+    lookup of g_f * c + i*u, and h one lookup by (g_o, c_new).  The
+    tables cost about 3 ms, once per LUT pair and format set
+    (`tail_tables`, called by `cell_constants`).  A product of two
     int8 codes, shifted right or not, is at most 128 * 128 == 2**14 in
     magnitude, so no 16-bit clamp of one product alone can bind.
     """
-    sf, gf = fmts.state.frac_bits, fmts.gate.frac_bits
-    sig, tanh = luts["sigmoid"], luts["tanh"]
-    bias = bias << sf  # to the accumulator scale
-
-    def pre_activation(acc, b):  # saturating bias add, requantize
-        return requantize(sat16(sat16(acc) + b), fmts.acc_frac_bits,
-                          fmts.state)
-
-    # gates i, f and u at once: u has no peephole, and clamping its
-    # reduced accumulator, already in int16, leaves it as it is
-    pre = dots[:3].copy()
-    pre[:2] += peep[:2] * c
-    pre = pre_activation(pre, bias[:3])
-    g_if, g_u = sig.lookup(pre[:2]), tanh.lookup(pre[2])
-
+    k, t = consts, consts.tables
+    pre = k.ifu_peep * c
+    pre += dots[:3]
+    pre += k.ifu_offset
+    g_i, g_f, g_u = t.gates.take(np.minimum(np.maximum(pre, k.ifu_lo),
+                                            k.ifu_hi))
     # align i*u to the scale of f*c (`FormatSet` keeps gf >= sf) and add;
-    # this clamp binds, as both terms reach 2**14 when gf == sf.  Then
-    # store the cell state back at 8 bits
-    p_iu = shift_round(g_if[0] * g_u, gf - sf)
-    c_new = requantize(sat16(g_if[1] * c + p_iu), gf + sf, fmts.state)
-
-    g_o = sig.lookup(pre_activation(dots[3] + peep[2] * c_new, bias[3]))
-    h_new = requantize(g_o * tanh.lookup(c_new), 2 * gf, fmts.state)
+    # the sum's clamp binds, as both terms reach 2**14 when gf == sf
+    p_iu = shift_round(g_i * g_u, k.iu_shift)
+    c_new = t.c.take(g_f * c + p_iu + _ZERO, mode="clip")
+    pre = dots[3] + k.o_peep * c_new
+    pre += k.o_offset
+    g_o = t.gates.take(np.minimum(np.maximum(pre, k.o_lo), k.o_hi))
+    h_new = t.h.take((g_o << 8) | (c_new & 0xFF), mode="wrap")
     return h_new, c_new
 
 
 def fc_tail(acc, b_y, fmts, luts):
-    """The projection after its reduction: bias, requantize, sigmoid.  The
-    oracle's projection and the grid's root master both end in it."""
-    acc = sat16(acc + (np.asarray(b_y, np.int64) << fmts.state.frac_bits))
-    return luts["sigmoid"].lookup(requantize(acc, fmts.acc_frac_bits,
-                                             fmts.state))
+    """The projection after its reduction: bias, requantize, sigmoid, one
+    `TailTables` lookup.  The oracle's projection and the grid's root
+    master both end in it."""
+    offset, lo, hi = gate_bounds(
+        np.asarray(b_y, np.int64) << fmts.state.frac_bits)
+    return tail_tables(luts, fmts).gates.take(
+        np.minimum(np.maximum(acc + offset, lo), hi))
 
 
-def cell_constants(params):
-    """`cell_tail`'s peephole (3, units) and bias (4, units) code arrays."""
-    return (np.array((params.w_ci, params.w_cf, params.w_co), np.int64),
-            np.array(params.biases(), np.int64))
+def layer_constants(params, luts):
+    """`cell_constants` of a layer's own peephole and bias codes."""
+    return cell_constants((params.w_ci, params.w_cf, params.w_co),
+                          params.biases(), params.formats, luts)
 
 
 def cell_step_fixed(params, state, x, luts, stack=None, consts=None):
     """One bit-exact step on int8 codes.
 
     `stack` (the layer's `cell_stack(params, col_blocks)`; default one
-    flat block) and `consts` (`cell_constants(params)`) are prepared once
-    for many steps.  Splitting changes results only when an intermediate
-    sum saturates, which is exactly why the grid simulator must run with
-    the block structure of its plan.
+    flat block) and `consts` (`layer_constants(params, luts)`) are
+    prepared once for many steps.  Splitting changes results only when
+    an intermediate sum saturates, which is exactly why the grid
+    simulator must run with the block structure of its plan.
     """
     if not params.quantized:
         raise ValueError("fixed step needs quantized parameters")
@@ -357,9 +489,8 @@ def cell_step_fixed(params, state, x, luts, stack=None, consts=None):
         raise ValueError("dimension mismatch")
     stack = stack or cell_stack(params)
     dots = _blocked_dot(stack.w, stack.w_sq, stack.operand(x, state.h))
-    peep, bias = consts or cell_constants(params)
-    return LstmState(*cell_tail(dots, state.c, peep, bias, params.formats,
-                                luts))
+    return LstmState(*cell_tail(dots, state.c,
+                                consts or layer_constants(params, luts)))
 
 
 def fc_step_fixed(params, h, luts, stack=None):
@@ -407,7 +538,7 @@ def network_infer(spec, params, features, *, luts=None,
     stacks = [cell_stack(p, col_blocks_per_layer[li]
                          if col_blocks_per_layer else None)
               for li, p in enumerate(params.layers)]
-    consts = [cell_constants(p) for p in params.layers]
+    consts = [layer_constants(p, luts) for p in params.layers]
     fc_weights = (fc_stack(params.fc, fc_col_blocks)
                   if params.fc is not None else None)
     feed = features

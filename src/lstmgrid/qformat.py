@@ -65,10 +65,17 @@ def round_half_away(x):
 
 
 def quantize(values, fmt):
-    """Real values -> int8 codes (as int64): scale, round half away, clamp."""
-    scaled = np.asarray(values, dtype=np.float64) * (1 << fmt.frac_bits)
-    return np.minimum(np.maximum(round_half_away(scaled), INT8_MIN),
-                      INT8_MAX)
+    """Real values -> int8 codes (as int64): clamp, scale, round half away.
+
+    The clamp to the format's range comes first, in floating point, so
+    every value saturates to its own end, +-inf included, and no scaled
+    value can overflow the integer cast.  NaN raises ValueError."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        raise ValueError("cannot quantize NaN")
+    # the range ends are whole codes: clamping before rounding is exact
+    return round_half_away(np.clip(values, INT8_MIN * fmt.lsb,
+                                   INT8_MAX * fmt.lsb) * (1 << fmt.frac_bits))
 
 
 def dequantize(codes, fmt):

@@ -523,22 +523,24 @@ class _Layer:
     Each gate's weights stay as column-block stacks, block j holding die
     column j's input slice then recurrent slice (`lstm_ref.BlockStack`: w
     is (gate, j, nh_padded, ni_tile + nh_tile)); the peephole and bias rows
-    are zero-padded to nh_padded units.
+    are zero-padded to nh_padded units and prepared for the cell tail
+    (`lstm_ref.cell_constants`).
     """
 
     def __init__(self, grid, params, luts):
-        lstm_ref.check_luts(luts, params.formats)
         nhp = grid.nh_padded
-        self.grid, self.formats = grid, params.formats
+        self.grid = grid
         self.stack = lstm_ref.BlockStack(
             list(zip(params.input_weights(), params.recurrent_weights())),
             grid.col_blocks(), rows=nhp, widths=(grid.ni_padded, nhp))
-        self.peep = np.zeros((3, nhp), np.int64)
-        self.bias = np.zeros((4, nhp), np.int64)
-        self.peep[:, :grid.n_hidden], self.bias[:, :grid.n_hidden] = \
-            lstm_ref.cell_constants(params)
+        peep = np.zeros((3, nhp), np.int64)
+        bias = np.zeros((4, nhp), np.int64)
+        peep[:, :grid.n_hidden] = params.w_ci, params.w_cf, params.w_co
+        bias[:, :grid.n_hidden] = params.biases()
+        self.consts = lstm_ref.cell_constants(peep, bias, params.formats,
+                                              luts)
 
-    def history(self, x, luts):
+    def history(self, x):
         """The layer's `_History` over the step inputs `x` (T x ni_padded
         codes), from zero state.  Each step runs only the recurrence: the
         partial MACs, the column fold and the cell update."""
@@ -559,7 +561,7 @@ class _Layer:
             # every master's peepholes, biases, activations and state
             # update over the reduced partials in the last die column
             hc[t + 1, 0], hc[t + 1, 1] = lstm_ref.cell_tail(
-                cols[n - 1], c, self.peep, self.bias, self.formats, luts)
+                cols[n - 1], c, self.consts)
         return _History(x, incoming, hc)
 
 
@@ -659,7 +661,7 @@ class GridSim:
         block = lay.stack.w[:, die.col, rows]
         chunks = [block[..., :ni], block[..., ni:]]
         if die.role == "master":
-            chunks += [lay.peep[:, rows], lay.bias[:, rows]]
+            chunks += [lay.consts.peep[:, rows], lay.consts.bias[:, rows]]
             if die.fc_cols is not None:
                 chunks.append(self.fc_stack.w[0, die.row])
                 if die.fc_root:
@@ -675,7 +677,7 @@ class GridSim:
         for lay in self.layers:
             x = np.zeros((len(features), lay.grid.ni_padded), np.int8)
             x[:, :feed.shape[1]] = feed
-            hist.append(lay.history(x, self.luts))
+            hist.append(lay.history(x))
             feed = hist[-1].hc[1:, 0, :lay.grid.n_hidden]
         return hist
 

@@ -138,14 +138,14 @@ MUTANTS = [
         "operand codes"),
     Mutant(
         "iu_alignment_off_by_one", "lstm_ref.py",
-        "shift_round(g_if[0] * g_u, gf - sf)",
-        "shift_round(g_if[0] * g_u, gf - sf + 1)",
+        "shift_round(g_i * g_u, k.iu_shift)",
+        "shift_round(g_i * g_u, k.iu_shift + 1)",
         TAILS + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
         "the cell tail aligns the i*u product one bit too far down"),
     Mutant(
         "output_peephole_reads_old_c", "lstm_ref.py",
-        "dots[3] + peep[2] * c_new",
-        "dots[3] + peep[2] * c",
+        "dots[3] + k.o_peep * c_new",
+        "dots[3] + k.o_peep * c",
         TAILS + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
         "the output gate's peephole reads the old cell state"),
     Mutant(
@@ -154,6 +154,44 @@ MUTANTS = [
         "np.asarray(b_y, np.int64) << fmts.state.frac_bits + 1",
         TAILS + (SIM + "test_every_mode_matches_the_scalar_oracle",),
         "the projection's bias enters one bit too far up"),
+    Mutant(
+        "clamp_bounds_sign_swapped", "lstm_ref.py",
+        "    return (acc_bias + (base + _ZERO), np.maximum(acc_bias, 0) + base,\n"
+        "            np.minimum(acc_bias, 0) + (base + INT16_CODES - 1))\n",
+        "    return (acc_bias + (base + _ZERO), np.minimum(acc_bias, 0) + base,\n"
+        "            np.maximum(acc_bias, 0) + (base + INT16_CODES - 1))\n",
+        (REF + "test_gate_bounds_fold_the_saturating_bias_add",) + TAILS,
+        "a gate's clamp bounds fold the bias in with the wrong sign, so a "
+        "saturated pre-activation indexes past its table half"),
+    Mutant(
+        "c_table_without_clip", "lstm_ref.py",
+        't.c.take(g_f * c + p_iu + _ZERO, mode="clip")',
+        't.c.take(g_f * c + p_iu + _ZERO)',
+        (REF + "test_cell_state_update_clips_at_the_int16_top",),
+        "the cell-state lookup does not clip its index, so a c-update sum "
+        "outside int16 raises instead of saturating"),
+    Mutant(
+        "h_table_index_off_by_one", "lstm_ref.py",
+        't.h.take((g_o << 8) | (c_new & 0xFF), mode="wrap")',
+        't.h.take(((g_o << 8) | (c_new & 0xFF)) + 1, mode="wrap")',
+        TAILS + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
+        "the h lookup reads the entry of the next (g_o, c_new) pair"),
+    Mutant(
+        "gate_table_at_state_frac_bits", "lstm_ref.py",
+        "requantize(v, fmts.acc_frac_bits, fmts.state)",
+        "requantize(v, fmts.state.frac_bits, fmts.state)",
+        (REF + "test_tail_tables_equal_the_helpers_they_replace",) + TAILS,
+        "the gate tables requantize from the state's frac bits, not the "
+        "accumulator's"),
+    Mutant(
+        "tail_tables_rebuilt_per_call", "lstm_ref.py",
+        "    if key not in memo:\n"
+        "        memo[key] = build_tail_tables(luts, fmts)\n",
+        "    memo[key] = build_tail_tables(luts, fmts)\n",
+        ("tests/test_tooling.py::"
+         "test_tail_tables_are_built_once_per_lut_pair_and_formats",),
+        "the tail tables are rebuilt on every call, so every op pays for "
+        "them"),
     Mutant(
         "round_half_up", "qformat.py",
         "(v + (v >> 63) + (1 << (shift - 1))) >> shift",

@@ -372,9 +372,12 @@ def test_run_in_the_tails_edge_formats_equals_the_unbatched_tails(
                        features={"container": feat_path}, mode=mode,
                        tile={"nh_capacity": 4})
     written = {}
+    luts = lstm_ref.default_luts(fmts)  # the tables a run defaults to
     for tails in ("batched", "unbatched"):
         if tails == "unbatched":
-            monkeypatch.setattr(lstm_ref, "cell_tail", O.unbatched_cell_tail)
+            monkeypatch.setattr(lstm_ref, "cell_tail", lambda dots, c, k:
+                                O.unbatched_cell_tail(dots, c, k.peep, k.bias,
+                                                      fmts, luts))
             monkeypatch.setattr(lstm_ref, "fc_tail", O.unbatched_fc_tail)
         out = tmp_path / tails
         rc = cli.main(["run", "--config", cfg, "--out", str(out)])
@@ -611,6 +614,7 @@ def test_frequency_with_unsigned_exponent_is_a_number(tmp_path, capsys):
     ({"faults": {"drop_links": [["L0.feat.col0"]]}}, "faults.drop_links"),
     # energy is priced from constants calibrated at 1.2 V core, 2.5 V pads
     ({"operating_point": {"v_core": 0.9}}, "bad operating point settings"),
+    ({"operating_point": {"frequency_hz": True}}, "frequency"),
 ])
 def test_bad_run_settings_fail_at_config_load(tmp_path, capsys, doc, needle):
     cfg = write_config(tmp_path / "c.yaml",
@@ -702,7 +706,7 @@ def test_run_rejects_bad_frequency_flag(small_config, tmp_path, capsys,
     assert not (tmp_path / "o").exists()  # nothing ran
 
 
-@pytest.mark.parametrize("value", [-1, 0, "inf", "nan"])
+@pytest.mark.parametrize("value", [-1, 0, "inf", "nan", True])
 def test_frequency_sweep_rejects_bad_values(tmp_path, capsys, value):
     cfg = write_config(tmp_path / "s.yaml",
                        network={"layers": [[96, 96]], "seed": 3},
@@ -711,7 +715,9 @@ def test_frequency_sweep_rejects_bad_values(tmp_path, capsys, value):
                         "frequency")
 
 
-@pytest.mark.parametrize("axis,value", [("frac_bits", 9), ("grid", 0)])
+@pytest.mark.parametrize("axis,value", [
+    ("frac_bits", 9), ("grid", 0), ("grid", True), ("grid", 2.5),
+    ("frac_bits", 2.7), ("frac_bits", True), ("frac_bits", "5")])
 def test_sweep_rejects_bad_points(tmp_path, capsys, axis, value):
     cfg = write_config(tmp_path / "s.yaml",
                        network={"layers": [[96, 96]], "seed": 3},
@@ -733,10 +739,25 @@ def test_sweep_rejects_bad_points(tmp_path, capsys, axis, value):
     ({"layers": [[4, 8]], "seed": 1.9}, {}, "network.seed"),
     ({"layers": [[4, 8]], "seed": "7"}, {}, "network.seed"),
     ({"layers": [[4, 8]]}, {"seed": 1.5}, "features.seed"),
+    ({"layers": [[4, 8]], "scale": float("nan")}, {}, "network.scale"),
+    ({"layers": [[4, 8]], "scale": float("inf")}, {}, "network.scale"),
+    # PyYAML reads 1e400 (no dot) as the string "1e400": inf as a float
+    ({"layers": [[4, 8]], "scale": "1e400"}, {}, "network.scale"),
+    ({"layers": [[4, 8]], "scale": True}, {}, "network.scale"),
+    ({"layers": [[4, 8]], "scale": -0.5}, {}, "network.scale"),
+    ({"layers": [[4, 8]]}, {"scale": float("nan")}, "features.scale"),
+    ({"layers": [[4, 8]]}, {"scale": float("-inf")}, "features.scale"),
+    ({"layers": [[4, 8]]}, {"scale": "1e400"}, "features.scale"),
+    ({"layers": [[4, 8]]}, {"scale": 1e300}, "features.scale"),
+    ({"layers": [[4, 8]]}, {"scale": True}, "features.scale"),
 ], ids=["layer_mismatch", "zero_hidden", "zero_n_out", "negative_steps",
         "fractional_width", "float_width", "bool_width", "bool_n_out",
         "fractional_steps", "fractional_seed", "string_seed",
-        "fractional_feature_seed"])
+        "fractional_feature_seed", "nan_scale", "inf_scale",
+        "overflowing_scale", "bool_scale", "negative_scale",
+        "nan_feature_scale", "inf_feature_scale",
+        "overflowing_feature_scale", "huge_feature_scale",
+        "bool_feature_scale"])
 def test_bad_network_shapes_fail_at_config_load(tmp_path, capsys, command,
                                                 network, features, needle):
     cfg = write_config(tmp_path / "c.yaml", network=network,

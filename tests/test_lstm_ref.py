@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lstmgrid import lstm_ref as lr
 from lstmgrid.actlut import Lut256
-from lstmgrid.qformat import QFormat, dequantize
+from lstmgrid.qformat import QFormat, dequantize, requantize
 
 import oracles as O
 
@@ -109,7 +109,8 @@ INT8 = st.integers(-128, 127)
 def test_cell_tail_matches_scalar_oracle_tail(units):
     # reduced accumulators anywhere in int16, which MAC chains rarely reach
     dots, c, peep, bias = (np.array(v, np.int64).T for v in zip(*units))
-    h_new, c_new = lr.cell_tail(dots, c, peep, bias, FMT, LUTS)
+    h_new, c_new = lr.cell_tail(dots, c,
+                                lr.cell_constants(peep, bias, FMT, LUTS))
     want = [O.cell_tail(*u, OTAB["sigmoid_lut"], OTAB["tanh_lut"])[:2]
             for u in units]
     assert list(zip(h_new.tolist(), c_new.tolist())) == want
@@ -143,7 +144,7 @@ def tail_luts(fmts, seed=None):
 
 
 def assert_tails_equal_unbatched(fmts, luts, dots, c, peep, bias):
-    got = lr.cell_tail(dots, c, peep, bias, fmts, luts)
+    got = lr.cell_tail(dots, c, lr.cell_constants(peep, bias, fmts, luts))
     want = O.unbatched_cell_tail(dots, c, peep, bias, fmts, luts)
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
     for acc, b_y in zip(dots, bias):
@@ -186,6 +187,79 @@ def test_batched_tails_equal_the_unbatched_ones_in_every_format():
         for table_seed in (None, sum(fracs)):
             assert_tails_equal_unbatched(fmts, tail_luts(fmts, table_seed),
                                          dots, c, peep, bias)
+
+
+def test_cell_state_update_clips_at_the_int16_top():
+    # with gf == sf, i*u and f*c are both (-128) * (-128) == 2**14, and
+    # their sum 2**15 is one past int16: the c update must clip it
+    units = 3
+    dots = np.zeros((4, units), np.int64)
+    c = np.full(units, -128)
+    peep, bias = np.zeros((3, units), np.int64), np.zeros((4, units), np.int64)
+    for sf in range(8):
+        fmts = format_set(5, sf, sf)
+        luts = {kind: Lut256(kind, fmts.state, fmts.gate, [-128] * 256)
+                for kind in ("sigmoid", "tanh")}
+        h_new, c_new = lr.cell_tail(dots, c, lr.cell_constants(peep, bias,
+                                                               fmts, luts))
+        want = O.unbatched_cell_tail(dots, c, peep, bias, fmts, luts)
+        assert [h_new.tolist(), c_new.tolist()] == [a.tolist() for a in want]
+        assert c_new.tolist() == [requantize(32767, 2 * sf, fmts.state)] * 3
+
+
+# --- the tail tables -------------------------------------------------------------
+
+INT16_VALUES = np.arange(-32768, 32768)
+
+
+@pytest.mark.parametrize("table_seed", [None, 3])
+def test_tail_tables_equal_the_helpers_they_replace(table_seed):
+    # every entry of every table, over its whole domain, in every format
+    # set; arbitrary tables reach gate codes the format's own never give
+    codes = np.arange(-128, 128)
+    g_o, c_new = codes[:, None], codes[None, :]
+    for fracs in FRAC_TRIPLES:
+        fmts = format_set(*fracs)
+        sf, gf = fmts.state.frac_bits, fmts.gate.frac_bits
+        luts = tail_luts(fmts, table_seed)
+        t = lr.build_tail_tables(luts, fmts)
+        pre = requantize(INT16_VALUES, fmts.acc_frac_bits, fmts.state)
+        want_gates = [luts[kind].lookup(pre) for kind in ("sigmoid", "tanh")]
+        assert np.array_equal(t.gates, np.concatenate(want_gates)), fracs
+        assert np.array_equal(t.c, requantize(INT16_VALUES, gf + sf,
+                                              fmts.state)), fracs
+        # the h entry of (g_o, c_new) sits at their bytes, high then low
+        want_h = requantize(g_o * luts["tanh"].lookup(c_new), 2 * gf,
+                            fmts.state)
+        assert np.array_equal(t.h[((g_o & 0xFF) << 8) | (c_new & 0xFF)],
+                              want_h), fracs
+        for table in (t.gates, t.c, t.h):
+            assert table.dtype == np.int16 and not table.flags.writeable
+
+
+def test_tail_tables_are_memoized_on_the_luts():
+    luts = tail_luts(FMT, 5)
+    t = lr.tail_tables(luts, FMT)
+    assert lr.tail_tables(dict(luts), FMT) is t
+    assert lr.tail_tables(luts, format_set(4, 5, 7)) is not t
+    assert lr.default_luts(FMT)["tanh"] is lr.default_luts(FMT)["tanh"]
+    with pytest.raises(ValueError):
+        luts["sigmoid"].table[0] = 0  # a table that could change
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.integers(-2 ** 17, 2 ** 17), base=st.sampled_from([0, 65536]))
+@example(s=-2 ** 17, base=0)
+@example(s=2 ** 17, base=65536)
+@example(s=-32768, base=0)
+@example(s=32767, base=0)
+def test_gate_bounds_fold_the_saturating_bias_add(s, base):
+    # sat16(sat16(s) + B) == clip(s + B, -32768 + max(B, 0),
+    # 32767 + min(B, 0)), for B = b << sf with every int8 b and every sf
+    acc_bias = (np.arange(-128, 128)[:, None] << np.arange(8)).ravel()
+    offset, lo, hi = lr.gate_bounds(acc_bias, base)
+    got = np.minimum(np.maximum(s + offset, lo), hi) - base - 32768
+    assert got.tolist() == O.np_sat16(O.np_sat16(s) + acc_bias).tolist()
 
 
 def test_gate_format_narrower_than_the_state_format_is_refused():

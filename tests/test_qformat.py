@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +33,33 @@ def test_quantize_saturates_at_extremes():
     assert qf.quantize(10.0, Q25) == 127
     assert qf.quantize(-10.0, Q25) == -128
     assert qf.quantize(0.0, Q25) == 0
+
+
+def test_quantize_saturates_every_value_to_its_own_end():
+    # a scaled value at or past 2**63 once wrapped through the int64 cast
+    values = [1e300, 1e18, 2.0 ** 63, np.inf, -1e300, -1e18, -np.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid cast
+        got = qf.quantize(values, Q25)
+    assert got.tolist() == [127, 127, 127, 127, -128, -128, -128]
+
+
+def test_quantize_refuses_nan():
+    for values in ([1e300, 1e18, np.inf, np.nan], np.nan):
+        with pytest.raises(ValueError, match="NaN"):
+            qf.quantize(values, qf.QFormat(5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(0, 7))
+@example(1e300, 5)
+@example(-2.0 ** 70, 0)
+@example(127.5 / 32, 5)
+@example(-128.5 / 32, 5)
+def test_quantize_matches_the_exact_oracle(x, frac):
+    # Fraction(x) is the float's exact value: no rounding, no overflow
+    assert qf.quantize(x, qf.QFormat(frac)) == O.quant(Fraction(x), frac)
 
 
 def test_dequantize_min_code():

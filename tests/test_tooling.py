@@ -8,7 +8,9 @@ calls them: one gate MAC call per (layer, step) on each side, whose
 saturation flags are whole chains' (the saturating workload's self-check
 floor counts them), and one `cell_step_fixed` call per (layer, step),
 whose first argument names the layer.  Otherwise only the minute-long
-harness smoke test would notice any of this.
+harness smoke test would notice any of this.  Nor would it notice the
+cell tail's tables being rebuilt per op: they are built once per LUT
+pair and format set.
 """
 
 import collections
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import oracles as O
-from lstmgrid import lstm_ref, systolic_sim
+from lstmgrid import actlut, lstm_ref, systolic_sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -126,3 +128,24 @@ def test_every_mac_call_flags_the_chains_the_scalar_mac_clips(monkeypatch):
             assert saturated.ravel().tolist() == want, (side, t)
             flags += want
     assert sum(flags) >= 0.30 * len(flags)
+
+
+def test_tail_tables_are_built_once_per_lut_pair_and_formats(monkeypatch):
+    instances = _instances(monkeypatch, "sweep_tiny")
+    bench = importlib.import_module("bench")
+    fmts = instances[0].spec.formats
+    # fresh tables: nothing is memoized on them yet
+    luts = {kind: actlut.build_lut(kind, fmts.state, fmts.gate)
+            for kind in ("sigmoid", "tanh")}
+    builds = collections.Counter()
+    build = lstm_ref.build_tail_tables
+
+    def spy(luts, fmts):
+        builds[id(luts["sigmoid"]), id(luts["tanh"]), fmts] += 1
+        return build(luts, fmts)
+
+    monkeypatch.setattr(lstm_ref, "build_tail_tables", spy)
+    for inst in instances:
+        assert bench.run_pipeline(inst, luts, bench._direct).exact
+    assert builds[id(luts["sigmoid"]), id(luts["tanh"]), fmts] == 1
+    assert max(builds.values()) == 1
