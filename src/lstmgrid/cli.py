@@ -123,7 +123,8 @@ def load_config_doc(path):
     except yaml.YAMLError as exc:
         raise ConfigError("config is not valid YAML: %s" % exc)
     _require(isinstance(doc, dict), "config must be a mapping")
-    _require(doc.get("schema_version") == SCHEMA_VERSION,
+    version = doc.get("schema_version")
+    _require(version == SCHEMA_VERSION and not isinstance(version, bool),
              "config schema_version must be %d" % SCHEMA_VERSION)
     return doc
 

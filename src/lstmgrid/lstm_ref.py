@@ -4,7 +4,9 @@ The grid simulator must reproduce it bit for bit.  Saturating
 accumulation is order-sensitive, so the evaluation order is pinned:
 input-loop ascending, recurrent-loop ascending, peephole, bias —
 optionally split into column blocks (`BlockStack`) whose partial sums are
-folded left to right exactly like a reduction chain of dies.
+folded left to right exactly like a reduction chain of dies.  A layer's
+layout is written once (`prepare_layer`), for this model and the grid's
+dies alike, zero-padded to the grid's tiles when asked.
 
 Cells are peephole LSTMs (three extra diagonal weights); all-zero peephole
 vectors reduce the cell to one without peepholes.  Gate order throughout the
@@ -266,19 +268,15 @@ class BlockStack:
                                                               axis=-1)
 
 
-def cell_stack(params, col_blocks=None):
-    """The four gates' (W_x, W_h) column blocks of one layer."""
-    if col_blocks is None:
-        col_blocks = [(slice(0, params.n_inputs), slice(0, params.n_hidden))]
-    return BlockStack(list(zip(params.input_weights(),
-                               params.recurrent_weights())), col_blocks)
-
-
-def fc_stack(params, col_blocks=None):
-    """The projection's W_y column blocks (`col_blocks` slices h)."""
-    if col_blocks is None:
-        col_blocks = [slice(0, params.n_hidden)]
-    return BlockStack([(params.W_y,)], [(sl,) for sl in col_blocks])
+def fc_stack(params, col_blocks=None, width=None):
+    """The projection's W_y column blocks (`col_blocks` slices h), its
+    columns zero-padded to `width` (default: n_hidden)."""
+    if not params.quantized:
+        raise ValueError("a fixed projection needs quantized parameters")
+    width = width or params.n_hidden
+    blocks = col_blocks or [slice(0, width)]
+    return BlockStack([(params.W_y,)], [(sl,) for sl in blocks],
+                      widths=(width,))
 
 
 def _blocked_dot(w, sq_norms, operand):
@@ -446,10 +444,11 @@ def cell_tail(dots, c, consts):
     pre += k.ifu_offset
     g_i, g_f, g_u = t.gates.take(np.minimum(np.maximum(pre, k.ifu_lo),
                                             k.ifu_hi))
-    # align i*u to the scale of f*c (`FormatSet` keeps gf >= sf) and add;
-    # the sum's clamp binds, as both terms reach 2**14 when gf == sf
+    # round the int16 i*u to f*c's scale (`FormatSet` keeps gf >= sf) and
+    # add in int32: both reach 2**14 when gf == sf, so the sum's clamp binds
     p_iu = shift_round(g_i * g_u, k.iu_shift)
-    c_new = t.c.take(g_f * c + p_iu + _ZERO, mode="clip")
+    c_new = t.c.take(np.multiply(g_f, c, dtype=np.int32) + p_iu + _ZERO,
+                     mode="clip")
     pre = dots[3] + k.o_peep * c_new
     pre += k.o_offset
     g_o = t.gates.take(np.minimum(np.maximum(pre, k.o_lo), k.o_hi))
@@ -467,30 +466,41 @@ def fc_tail(acc, b_y, fmts, luts):
         np.minimum(np.maximum(acc + offset, lo), hi))
 
 
-def layer_constants(params, luts):
-    """`cell_constants` of a layer's own peephole and bias codes."""
-    return cell_constants((params.w_ci, params.w_cf, params.w_co),
-                          params.biases(), params.formats, luts)
+def prepare_layer(params, luts, col_blocks=None, units=None,
+                  n_inputs=None):
+    """The one resident layout of a layer, run by the grid and the
+    oracle alike: (the four gates' (W_x, W_h) `BlockStack` over
+    `col_blocks`, the `cell_constants` of its peephole and bias codes),
+    zero-padded to `units` rows and `n_inputs` input columns (default:
+    the layer's own sizes, in one flat block).  ValueError unless the
+    parameters are quantized and the LUTs fit their formats."""
+    if not params.quantized:
+        raise ValueError("a fixed layer needs quantized parameters")
+    units, n_inputs = units or params.n_hidden, n_inputs or params.n_inputs
+    stack = BlockStack(list(zip(params.input_weights(),
+                                params.recurrent_weights())),
+                       col_blocks or [(slice(0, n_inputs), slice(0, units))],
+                       rows=units, widths=(n_inputs, units))
+    codes = np.zeros((7, units), np.int64)
+    codes[:, :params.n_hidden] = ((params.w_ci, params.w_cf, params.w_co)
+                                  + params.biases())
+    return stack, cell_constants(codes[:3], codes[3:], params.formats, luts)
 
 
-def cell_step_fixed(params, state, x, luts, stack=None, consts=None):
+def cell_step_fixed(params, state, x, luts, layer=None):
     """One bit-exact step on int8 codes.
 
-    `stack` (the layer's `cell_stack(params, col_blocks)`; default one
-    flat block) and `consts` (`layer_constants(params, luts)`) are
-    prepared once for many steps.  Splitting changes results only when
-    an intermediate sum saturates, which is exactly why the grid
-    simulator must run with the block structure of its plan.
+    `layer` is the layer's `prepare_layer(params, luts, col_blocks)`,
+    prepared once for many steps (default: one flat block, prepared for
+    this step).  Splitting changes results only when an intermediate sum
+    saturates, which is exactly why the grid simulator must run with the
+    block structure of its plan.
     """
-    if not params.quantized:
-        raise ValueError("fixed step needs quantized parameters")
-    check_luts(luts, params.formats)
     if x.shape != (params.n_inputs,) or state.h.shape != (params.n_hidden,):
         raise ValueError("dimension mismatch")
-    stack = stack or cell_stack(params)
+    stack, consts = layer or prepare_layer(params, luts)
     dots = _blocked_dot(stack.w, stack.w_sq, stack.operand(x, state.h))
-    return LstmState(*cell_tail(dots, state.c,
-                                consts or layer_constants(params, luts)))
+    return LstmState(*cell_tail(dots, state.c, consts))
 
 
 def fc_step_fixed(params, h, luts, stack=None):
@@ -501,8 +511,6 @@ def fc_step_fixed(params, h, luts, stack=None):
     passes `fc_stack(params, col_blocks)` prepared once; the default is
     one flat block.
     """
-    if not params.quantized:
-        raise ValueError("fixed step needs quantized parameters")
     if h.ndim not in (1, 2) or h.shape[-1] != params.n_hidden:
         raise ValueError("dimension mismatch")
     stack = stack or fc_stack(params)
@@ -518,8 +526,9 @@ def network_infer(spec, params, features, *, luts=None,
     zero and persist across steps.  Returns a T x output_width matrix of
     codes.  Every parameter and feature code must be int8 (ValueError
     otherwise); each layer's weight stacks and cell constants are prepared
-    once per call.  `luts` defaults to `default_luts(spec.formats)`, and
-    the column blocks to one flat block per layer.
+    once per call (`prepare_layer`).  `luts` defaults to the tables of
+    the parameters' formats, and the column blocks to one flat block per
+    layer.
 
     The layers run one after another: every step of layer 0, one
     `cell_step_fixed` call each, then layer 1 over layer 0's hidden codes
@@ -533,21 +542,17 @@ def network_infer(spec, params, features, *, luts=None,
     if (spec.n_out is None) != (params.fc is None):
         raise ValueError("projection presence mismatch")
     check_codes(params, features)
-    if luts is None:
-        luts = default_luts(spec.formats)
-    stacks = [cell_stack(p, col_blocks_per_layer[li]
-                         if col_blocks_per_layer else None)
-              for li, p in enumerate(params.layers)]
-    consts = [layer_constants(p, luts) for p in params.layers]
+    luts = luts or default_luts(derive_spec(params).formats)
     fc_weights = (fc_stack(params.fc, fc_col_blocks)
                   if params.fc is not None else None)
     feed = features
-    for li, layer in enumerate(params.layers):
-        state = LstmState.zeros(layer.n_hidden)
-        hidden = np.zeros((len(feed), layer.n_hidden), np.int64)
+    for li, p in enumerate(params.layers):
+        layer = prepare_layer(p, luts, col_blocks_per_layer[li]
+                              if col_blocks_per_layer else None)
+        state = LstmState.zeros(p.n_hidden)
+        hidden = np.zeros((len(feed), p.n_hidden), np.int64)
         for t, x in enumerate(feed):
-            state = cell_step_fixed(layer, state, x, luts, stack=stacks[li],
-                                    consts=consts[li])
+            state = cell_step_fixed(p, state, x, luts, layer=layer)
             hidden[t] = state.h
         feed = hidden
     if params.fc is not None:

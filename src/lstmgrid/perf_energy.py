@@ -19,6 +19,7 @@ host receives is charged only at the driving die.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 
@@ -59,8 +60,11 @@ class EnergyConstants:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError("%s must be non-negative" % f.name)
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 <= value <= sys.float_info.max):
+                raise ValueError("%s must be a finite non-negative number, "
+                                 "not %r" % (f.name, value))
 
 
 @dataclasses.dataclass

@@ -94,11 +94,12 @@ def sat16(values):
 def shift_round(values, shift):
     """Arithmetic right shift by `shift` with round-half-away-from-zero.
 
-    No clamping; returns int64.  shift == 0 is identity.
+    No clamping.  `values` are signed integers, and an array keeps its
+    dtype, so v + 2**(shift - 1) must fit it.  shift == 0 is identity.
     """
     if shift < 0:
         raise ValueError("negative shift")
-    v = np.asarray(values, dtype=np.int64)
+    v = np.asarray(values)
     if shift == 0:
         return v
     # floor((v + half) / 2**shift) rounds ties up; one less below zero
@@ -112,7 +113,8 @@ def requantize(value, value_frac_bits, target):
     Shift right by the scale difference with round-half-away (ValueError
     if the target has more fractional bits), then clamp to [-128, 127].
     """
-    rounded = shift_round(value, value_frac_bits - target.frac_bits)
+    rounded = shift_round(np.asarray(value, np.int64),
+                          value_frac_bits - target.frac_bits)
     return np.minimum(np.maximum(rounded, INT8_MIN), INT8_MAX)
 
 

@@ -7,8 +7,8 @@ a run repeat one step shape (two in multi-layer reload runs); `run_templates`
 builds each shape once as a `StepTemplate`, records with cycle offsets and
 events on the plan's `LinkPlan` objects, before any value is computed.
 
-The value side (`GridSim`) keeps what is resident on the dies: weight
-stacks, peepholes, biases, the projection and every die's parameter burst.
+The value side (`GridSim`) keeps what is resident on the dies: each
+layer's `prepare_layer` layout, the projection and every die's burst.
 Each `run` first checks every template event against the dropped links,
 then performs the actual distributed arithmetic from zero state,
 layer-major.  Only the recurrence runs step by step: per layer step, the
@@ -517,59 +517,37 @@ class _History:
     hc: np.ndarray
 
 
-class _Layer:
-    """One layer grid's resident parameters.
-
-    Each gate's weights stay as column-block stacks, block j holding die
-    column j's input slice then recurrent slice (`lstm_ref.BlockStack`: w
-    is (gate, j, nh_padded, ni_tile + nh_tile)); the peephole and bias rows
-    are zero-padded to nh_padded units and prepared for the cell tail
-    (`lstm_ref.cell_constants`).
-    """
-
-    def __init__(self, grid, params, luts):
-        nhp = grid.nh_padded
-        self.grid = grid
-        self.stack = lstm_ref.BlockStack(
-            list(zip(params.input_weights(), params.recurrent_weights())),
-            grid.col_blocks(), rows=nhp, widths=(grid.ni_padded, nhp))
-        peep = np.zeros((3, nhp), np.int64)
-        bias = np.zeros((4, nhp), np.int64)
-        peep[:, :grid.n_hidden] = params.w_ci, params.w_cf, params.w_co
-        bias[:, :grid.n_hidden] = params.biases()
-        self.consts = lstm_ref.cell_constants(peep, bias, params.formats,
-                                              luts)
-
-    def history(self, x):
-        """The layer's `_History` over the step inputs `x` (T x ni_padded
-        codes), from zero state.  Each step runs only the recurrence: the
-        partial MACs, the column fold and the cell update."""
-        n, nhp = self.grid.n, self.grid.nh_padded
-        incoming = np.empty((len(x), 4, n - 1, nhp), np.int16)
-        hc = np.zeros((len(x) + 1, 2, nhp), np.int8)
-        for t in range(len(x)):
-            h, c = hc[t]
-            # the four gates read the same x and h: every die's partial
-            # MACs of the step in one kernel call
-            partials, _ = mac_run(self.stack.w, self.stack.operand(x[t], h),
-                                  sq_norms=self.stack.w_sq)
-            # the fold of all four gates at once, on the (die column,
-            # gate, row) view, keeping what each hop receives
-            cols = partials.swapaxes(0, 1)
-            for hop in range(1, n):
-                incoming[t, :, hop - 1] = reduce_hop(cols, hop)
-            # every master's peepholes, biases, activations and state
-            # update over the reduced partials in the last die column
-            hc[t + 1, 0], hc[t + 1, 1] = lstm_ref.cell_tail(
-                cols[n - 1], c, self.consts)
-        return _History(x, incoming, hc)
+def _history(grid, stack, consts, x):
+    """A layer grid's `_History` over the step inputs `x` (T x ni_padded
+    codes), from zero state, on its resident layout (`stack`, `consts`).
+    Each step runs only the recurrence: the partial MACs, the column fold
+    and the cell update."""
+    n, nhp = grid.n, grid.nh_padded
+    incoming = np.empty((len(x), 4, n - 1, nhp), np.int16)
+    hc = np.zeros((len(x) + 1, 2, nhp), np.int8)
+    for t in range(len(x)):
+        h, c = hc[t]
+        # the four gates read the same x and h: every die's partial MACs
+        # of the step in one kernel call
+        partials, _ = mac_run(stack.w, stack.operand(x[t], h),
+                              sq_norms=stack.w_sq)
+        # the fold of all four gates at once, on the (die column, gate,
+        # row) view, keeping what each hop receives
+        cols = partials.swapaxes(0, 1)
+        for hop in range(1, n):
+            incoming[t, :, hop - 1] = reduce_hop(cols, hop)
+        # every master's peepholes, biases, activations and state update
+        # over the reduced partials in the last die column
+        hc[t + 1, 0], hc[t + 1, 1] = lstm_ref.cell_tail(cols[n - 1], c,
+                                                        consts)
+    return _History(x, incoming, hc)
 
 
 class GridSim:
     """A plan's die array configured with a network's parameters.
 
     Construction keeps only what stays resident on the dies: each layer's
-    weight stacks, peepholes and biases, the projection (master i of the
+    `prepare_layer` layout at its tiles, the projection (master i of the
     last grid holds W_y's columns of hidden tile i as block i of a stack)
     and every die's parameter burst with its toggles.  `run` computes over
     real feature codes from zero state, so every run of one GridSim is
@@ -589,16 +567,16 @@ class GridSim:
                              % (got, want))
         lstm_ref.check_codes(params)
         self.plan = plan
-        self.luts = luts or lstm_ref.default_luts(params.layers[0].formats)
-        self.layers = [_Layer(g, p, self.luts)
+        self.luts = luts or lstm_ref.default_luts(
+            lstm_ref.derive_spec(params).formats)
+        self.layers = [lstm_ref.prepare_layer(p, self.luts, g.col_blocks(),
+                                              g.nh_padded, g.ni_padded)
                        for g, p in zip(plan.layer_grids, params.layers)]
         self.fc = params.fc
         if self.fc is not None:
             last = plan.layer_grids[-1]
-            self.fc_stack = lstm_ref.BlockStack(
-                [(self.fc.W_y,)], [(h,) for _, h in last.col_blocks()],
-                widths=(last.nh_padded,))
-            self.b_y = self.fc.b_y.astype(np.int64)
+            self.fc_stack = lstm_ref.fc_stack(
+                self.fc, [h for _, h in last.col_blocks()], last.nh_padded)
         self.dropped = links_labelled(plan, dropped_links)
         # load link -> (word count, toggles) of its die's parameter burst:
         # the same words from idle on every load
@@ -655,17 +633,18 @@ class GridSim:
         """A die's parameter burst, cut from the resident stacks: its four
         gates' input-slice codes, then their recurrent-slice codes, then a
         master's peephole, bias and projection rows."""
-        lay = self.layers[die.layer]
-        nh, ni = lay.grid.nh_tile, lay.grid.ni_tile
+        grid, (stack, consts) = (self.plan.layer_grids[die.layer],
+                                 self.layers[die.layer])
+        nh, ni = grid.nh_tile, grid.ni_tile
         rows = slice(die.row * nh, (die.row + 1) * nh)
-        block = lay.stack.w[:, die.col, rows]
+        block = stack.w[:, die.col, rows]
         chunks = [block[..., :ni], block[..., ni:]]
         if die.role == "master":
-            chunks += [lay.consts.peep[:, rows], lay.consts.bias[:, rows]]
+            chunks += [consts.peep[:, rows], consts.bias[:, rows]]
             if die.fc_cols is not None:
                 chunks.append(self.fc_stack.w[0, die.row])
                 if die.fc_root:
-                    chunks.append(self.b_y)
+                    chunks.append(self.fc.b_y)
         # every chunk holds int8 codes: cast straight to the burst's bytes
         return np.concatenate([c.ravel() for c in chunks], dtype=np.int8,
                               casting="unsafe")
@@ -674,11 +653,11 @@ class GridSim:
         """Every layer's `_History`, layer by layer: layer k + 1 reads
         layer k's hidden codes of the same step as its inputs."""
         hist, feed = [], features
-        for lay in self.layers:
-            x = np.zeros((len(features), lay.grid.ni_padded), np.int8)
+        for grid, layer in zip(self.plan.layer_grids, self.layers):
+            x = np.zeros((len(features), grid.ni_padded), np.int8)
             x[:, :feed.shape[1]] = feed
-            hist.append(lay.history(x))
-            feed = hist[-1].hc[1:, 0, :lay.grid.n_hidden]
+            hist.append(_history(grid, *layer, x))
+            feed = hist[-1].hc[1:, 0, :grid.n_hidden]
         return hist
 
     def _project(self, h):
@@ -693,13 +672,13 @@ class GridSim:
         incoming = np.empty((len(h), n - 1, self.fc.n_out), np.int16)
         for hop in range(1, n):
             incoming[:, hop - 1] = reduce_hop(rows, hop)
-        return incoming, lstm_ref.fc_tail(rows[n - 1], self.b_y,
+        return incoming, lstm_ref.fc_tail(rows[n - 1], self.fc.b_y,
                                           self.fc.formats, self.luts)
 
     def _words(self, rec, ts, hist, proj):
         """The words a record's events carry in the steps `ts` (a slice),
         cut from the run's histories: (steps, events, word count)."""
-        lay, grid = hist[rec.layer], self.layers[rec.layer].grid
+        lay, grid = hist[rec.layer], self.plan.layer_grids[rec.layer]
         n, nh, kind = grid.n, grid.nh_tile, rec.kind
         steps = ts.stop - ts.start
         after = slice(ts.start + 1, ts.stop + 1)  # the states steps leave

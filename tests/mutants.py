@@ -70,8 +70,8 @@ MUTANTS = [
         "ones the step before left"),
     Mutant(
         "feature_history_one_step_off", "systolic_sim.py",
-        "feed = hist[-1].hc[1:, 0, :lay.grid.n_hidden]",
-        "feed = hist[-1].hc[:-1, 0, :lay.grid.n_hidden]",
+        "feed = hist[-1].hc[1:, 0, :grid.n_hidden]",
+        "feed = hist[-1].hc[:-1, 0, :grid.n_hidden]",
         (SIM + "test_every_mode_matches_the_scalar_oracle",),
         "layer k + 1 reads layer k's hidden codes of the step before"),
     Mutant(
@@ -121,10 +121,10 @@ MUTANTS = [
         "the reduction fold adds without saturating"),
     Mutant(
         "state_carried_across_runs", "systolic_sim.py",
-        "        hc = np.zeros((len(x) + 1, 2, nhp), np.int8)\n",
-        "        hc = np.zeros((len(x) + 1, 2, nhp), np.int8)\n"
-        "        hc[0] = self.__dict__.get(\"_hc\", hc)[-1]\n"
-        "        self._hc = hc\n",
+        "    hc = np.zeros((len(x) + 1, 2, nhp), np.int8)\n",
+        "    hc = np.zeros((len(x) + 1, 2, nhp), np.int8)\n"
+        "    hc[0] = stack.__dict__.get(\"_hc\", hc)[-1]\n"
+        "    stack._hc = hc\n",
         (SIM + "test_a_second_run_starts_from_zero_state",),
         "a run starts from the h and c the last run left"),
     Mutant(
@@ -136,6 +136,15 @@ MUTANTS = [
         "a block range past its matrix's real width is packed short, so "
         "the next matrix's columns of the block sit under the wrong "
         "operand codes"),
+    Mutant(
+        "padding_before_the_real_units", "lstm_ref.py",
+        "codes[:, :params.n_hidden] = ",
+        "codes[:, units - params.n_hidden:] = ",
+        (SIM + "test_each_resident_layout_is_the_oracles_padded_to_the_grid",
+         SIM + "test_param_words_match_the_network_tensors",
+         SIM + "test_every_mode_matches_the_scalar_oracle"),
+        "a layer's peephole and bias codes sit at the end of the padded "
+        "rows, so the grid's real units read another unit's codes"),
     Mutant(
         "iu_alignment_off_by_one", "lstm_ref.py",
         "shift_round(g_i * g_u, k.iu_shift)",
@@ -165,8 +174,9 @@ MUTANTS = [
         "saturated pre-activation indexes past its table half"),
     Mutant(
         "c_table_without_clip", "lstm_ref.py",
-        't.c.take(g_f * c + p_iu + _ZERO, mode="clip")',
-        't.c.take(g_f * c + p_iu + _ZERO)',
+        't.c.take(np.multiply(g_f, c, dtype=np.int32) + p_iu + _ZERO,\n'
+        '                     mode="clip")',
+        't.c.take(np.multiply(g_f, c, dtype=np.int32) + p_iu + _ZERO)',
         (REF + "test_cell_state_update_clips_at_the_int16_top",),
         "the cell-state lookup does not clip its index, so a c-update sum "
         "outside int16 raises instead of saturating"),

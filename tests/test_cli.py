@@ -615,6 +615,17 @@ def test_frequency_with_unsigned_exponent_is_a_number(tmp_path, capsys):
     # energy is priced from constants calibrated at 1.2 V core, 2.5 V pads
     ({"operating_point": {"v_core": 0.9}}, "bad operating point settings"),
     ({"operating_point": {"frequency_hz": True}}, "frequency"),
+    # energy constants are finite non-negative numbers, and no bool is one
+    ({"energy": {"e_drive_pj_per_bit": True}},
+     "bad energy settings: e_drive_pj_per_bit"),
+    ({"energy": {"alpha_toggle": float("nan")}},
+     "bad energy settings: alpha_toggle"),
+    ({"energy": {"e_drive_pj_per_bit": float("inf")}},
+     "bad energy settings: e_drive_pj_per_bit"),
+    # PyYAML reads 1e400 (no dot) as the string "1e400"
+    ({"energy": {"p_core_active_mw_per_die": "1e400"}},
+     "bad energy settings: p_core_active_mw_per_die"),
+    ({"schema_version": True}, "schema_version"),
 ])
 def test_bad_run_settings_fail_at_config_load(tmp_path, capsys, doc, needle):
     cfg = write_config(tmp_path / "c.yaml",

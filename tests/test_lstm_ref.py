@@ -280,7 +280,7 @@ def test_fixed_blocked_matches_blocked_oracle(splits, seed=11):
     blocks = [(slice(cuts[k], cuts[k + 1]), slice(cuts[k], cuts[k + 1]))
               for k in range(splits)]
     got = lr.cell_step_fixed(p, lr.LstmState(h, c), x, LUTS,
-                             stack=lr.cell_stack(p, blocks))
+                             layer=lr.prepare_layer(p, LUTS, blocks))
     want_h, want_c, _ = O.cell_step(to_oracle(p), x.tolist(), h.tolist(),
                                     c.tolist(), blocks)
     assert got.h.tolist() == want_h
@@ -339,14 +339,27 @@ def test_blocked_partials_are_not_associative():
     s0 = lr.LstmState.zeros(1)
     flat = lr.cell_step_fixed(p, s0, x, LUTS)
     split = lr.cell_step_fixed(
-        p, s0, x, LUTS, stack=lr.cell_stack(p, [(slice(0, 3), slice(0, 1)),
-                                                (slice(3, 6), slice(1, 1))]))
+        p, s0, x, LUTS, layer=lr.prepare_layer(
+            p, LUTS, [(slice(0, 3), slice(0, 1)), (slice(3, 6), slice(1, 1))]))
     assert flat.h.tolist() != split.h.tolist()
     acc_flat, _ = O.mac_chain([(127, 127)] * 3 + [(-127, 127)] * 3)
     assert acc_flat == -15620  # rails at +32767 on the way
     hi, _ = O.mac_chain([(127, 127)] * 3)
     lo, _ = O.mac_chain([(-127, 127)] * 3)
     assert O.sat_add(hi, lo) == -1  # split version barely recovers
+
+
+def test_preparation_refuses_float_parameters_and_steps_other_sizes():
+    with pytest.raises(ValueError, match="needs quantized parameters"):
+        lr.prepare_layer(zeros_params(3, 2, fixed=False), LUTS)
+    with pytest.raises(ValueError, match="needs quantized parameters"):
+        lr.fc_stack(lr.FcParams(np.zeros((2, 3)), np.zeros(2)))
+    p = zeros_params(3, 2)
+    for layer in (None, lr.prepare_layer(p, LUTS)):
+        for x, h in ((np.zeros(4), np.zeros(2)), (np.zeros(3), np.zeros(3))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                lr.cell_step_fixed(p, lr.LstmState(h, h.copy()), x, LUTS,
+                                   layer=layer)
 
 
 def test_vanilla_degeneration():

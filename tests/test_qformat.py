@@ -119,6 +119,19 @@ def test_shift_round_matches_oracle(v, shift):
     assert qf.shift_round(v, shift) == O.shift_round(v, shift)
 
 
+def test_shift_round_of_every_int8_product_at_its_own_width():
+    # the cell tail rounds g_i * g_u, the int16 product of two int8 codes
+    # (at most 2**14 in magnitude), without widening it first
+    codes = np.arange(-128, 128, dtype=np.int16)
+    products = np.unique(codes[:, None] * codes)
+    assert products.dtype == np.int16 and products.max() == 1 << 14
+    for shift in range(8):
+        got = qf.shift_round(products, shift)
+        assert got.dtype == np.int16
+        assert got.tolist() == [O.shift_round(v, shift)
+                                for v in products.tolist()], shift
+
+
 @given(v=accs, frac=st.integers(min_value=5, max_value=14))
 @settings(max_examples=300)
 def test_requantize_matches_oracle(v, frac):

@@ -329,6 +329,57 @@ def test_param_words_match_the_network_tensors(reload):
     assert {g.ni_padded - g.n_inputs for g in plan.layer_grids} == {2, 0}
 
 
+@pytest.mark.parametrize("mode", ["stacked", "chip_select", "reload"])
+def test_each_resident_layout_is_the_oracles_padded_to_the_grid(mode):
+    # ragged input and hidden widths: on the real rows and columns of
+    # every column block, each layer's resident stack and cell constants
+    # and the projection's stack are the oracle's own under the grid's
+    # column blocks; everything else is zero padding
+    params = LR.random_network_params(82, [(7, 10), (10, 7)], n_out=3)
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=mode == "reload",
+                     chip_select=mode == "chip_select")
+    sim = GridSim(plan, params)
+    last = plan.layer_grids[-1]
+    resident = [(p, grid.col_blocks(), (p.n_inputs, p.n_hidden),
+                 (grid.ni_tile, grid.nh_tile), stack, consts)
+                for p, grid, (stack, consts)
+                in zip(params.layers, plan.layer_grids, sim.layers)]
+    resident.append((params.fc, [(h,) for _, h in last.col_blocks()],
+                     (last.n_hidden,), (last.nh_tile,), sim.fc_stack, None))
+    for p, blocks, sizes, tiles, stack, consts in resident:
+        if consts is None:
+            want = LR.fc_stack(p, [h for (h,) in blocks])
+        else:
+            want, want_consts = LR.prepare_layer(p, sim.luts, blocks)
+        units = want.w.shape[2]
+        w, w_sq = stack.w.copy(), stack.w_sq.copy()
+        assert np.array_equal(w_sq[:, :, :units], want.w_sq)
+        w_sq[:, :, :units] = 0
+        assert not w_sq.any()
+        for j, block in enumerate(blocks):
+            ref_pos = 0
+            for k, (sl, size) in enumerate(zip(block, sizes)):
+                real = len(range(*sl.indices(size)))
+                cols = slice(sum(tiles[:k]), sum(tiles[:k]) + real)
+                assert np.array_equal(
+                    w[:, j, :units, cols],
+                    want.w[:, j, :, ref_pos:ref_pos + real]), (mode, j, k)
+                w[:, j, :units, cols] = 0
+                ref_pos += real
+            assert not want.w[:, j, :, ref_pos:].any()
+        assert not w.any()
+        if consts is not None:
+            assert consts.tables is want_consts.tables
+            for field in dataclasses.fields(consts):
+                got = getattr(consts, field.name)
+                if isinstance(got, np.ndarray):
+                    assert np.array_equal(
+                        got[..., :units], getattr(want_consts, field.name))
+            for codes in (consts.peep, consts.bias):
+                assert codes.shape[1] == stack.w.shape[2]
+                assert not codes[:, units:].any()
+
+
 @pytest.mark.parametrize("layers,n_out,reload", [
     ([(7, 10), (10, 7)], 3, False),
     ([(6, 8), (8, 4), (4, 8)], None, True),

@@ -9,13 +9,15 @@ saturation flags are whole chains' (the saturating workload's self-check
 floor counts them), and one `cell_step_fixed` call per (layer, step),
 whose first argument names the layer.  Otherwise only the minute-long
 harness smoke test would notice any of this.  Nor would it notice the
-cell tail's tables being rebuilt per op: they are built once per LUT
-pair and format set.
+cell tail's tables being rebuilt per op (they are built once per LUT
+pair and format set), a layer laid out more than once per op on either
+side, or a step loop re-checking the LUTs.
 """
 
 import collections
 import importlib
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +104,39 @@ def test_each_side_calls_the_gate_mac_per_layer_step_and_projects_once(
         cells = collections.Counter(layer_of.get(id(args[0]))
                                     for args, _ in calls["cell"])
         assert cells == {k: steps for k in range(n_layers)}, inst.index
+
+
+@pytest.mark.parametrize("workload", ["stacked_3x480", "reload_3x384",
+                                      "sweep_tiny"])
+def test_each_side_prepares_each_layer_once_and_steps_only_compute(
+        monkeypatch, workload):
+    # the grid and the oracle each lay a layer out once per op, through
+    # the one `prepare_layer`; the LUTs are checked only where the tail
+    # tables are built, never per step
+    instances = _instances(monkeypatch, workload)
+    bench = importlib.import_module("bench")
+    prepare, check = lstm_ref.prepare_layer, lstm_ref.check_luts
+    for inst in instances:
+        prepared, checked = collections.Counter(), collections.Counter()
+
+        def spy_prepare(*args, **kwargs):
+            prepared[sys._getframe(1).f_globals["__name__"]] += 1
+            return prepare(*args, **kwargs)
+
+        def spy_check(*args, **kwargs):
+            checked[sys._getframe(1).f_code.co_name] += 1
+            return check(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(lstm_ref, "prepare_layer", spy_prepare)
+            m.setattr(lstm_ref, "check_luts", spy_check)
+            r = bench.run_pipeline(inst, lstm_ref.default_luts(),
+                                   bench._direct)
+        assert r.exact
+        n_layers = inst.spec.n_layers
+        assert prepared == {"lstmgrid.systolic_sim": n_layers,
+                            "lstmgrid.lstm_ref": n_layers}, inst.index
+        assert set(checked) <= {"build_tail_tables"}, inst.index
 
 
 def test_every_mac_call_flags_the_chains_the_scalar_mac_clips(monkeypatch):
