@@ -124,7 +124,7 @@ def load_config_doc(path):
         raise ConfigError("config is not valid YAML: %s" % exc)
     _require(isinstance(doc, dict), "config must be a mapping")
     version = doc.get("schema_version")
-    _require(version == SCHEMA_VERSION and not isinstance(version, bool),
+    _require(type(version) is int and version == SCHEMA_VERSION,
              "config schema_version must be %d" % SCHEMA_VERSION)
     return doc
 

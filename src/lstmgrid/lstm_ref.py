@@ -690,12 +690,15 @@ def write_container(manifest_path, tensors, meta=None):
 
 def read_container(manifest_path):
     """Returns (meta, {name: (role, array, fmt)}) with the codes decoded
-    as int8 arrays, the container's own dtype.  An entry of any other dtype
-    raises ValueError."""
+    as int8 arrays, the container's own dtype.  A version other than the
+    integer 1, or an entry of any other dtype, raises ValueError."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("container") != "tensor-blob":
         raise ValueError("not a tensor container: %s" % manifest_path)
+    version = manifest.get("version")
+    if type(version) is not int or version != 1:
+        raise ValueError("container version must be 1, not %r" % (version,))
     blob_path = os.path.join(os.path.dirname(manifest_path) or ".",
                              manifest["blob"])
     with open(blob_path, "rb") as fh:

@@ -35,8 +35,11 @@ class OperatingPoint:
     frequency: float = 10e6
 
     def __post_init__(self):
-        if self.frequency < 0:
-            raise ValueError("frequency must be non-negative")
+        f = self.frequency
+        if (isinstance(f, bool) or not isinstance(f, (int, float))
+                or not 0 <= f <= sys.float_info.max):
+            raise ValueError("frequency must be a finite non-negative "
+                             "number, not %r" % (f,))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,8 +125,9 @@ def _record_io_energy_j(tpl, consts):
     """Link energy of every record of a template's steps (steps x records).
 
     Each event's energy is the per-event formula evaluated elementwise in
-    its own order, and each record's events are added one at a time, so
-    every entry equals pricing the record event by event."""
+    its own order, and `np.add.at` adds each record's events to 0.0 one
+    at a time, in event order, so every entry equals pricing the record
+    event by event."""
     links, toggles = tpl.links, tpl.toggles
     if toggles is None:  # unmeasured: the planned bits at alpha_toggle
         toggles = np.broadcast_to(consts.alpha_toggle * np.array(
@@ -134,10 +138,9 @@ def _record_io_energy_j(tpl, consts):
                           else len(link.receivers) for link in links])
     energy = (toggles * consts.e_drive_pj_per_bit * drive
               + toggles * consts.e_receive_pj_per_bit * listeners) * _PJ
+    owner = np.repeat(np.arange(len(tpl.records)), list(map(len, tpl.spans)))
     per_record = np.zeros((len(tpl.starts), len(tpl.records)))
-    for j in range(max(map(len, tpl.spans), default=0)):
-        recs = [r for r, span in enumerate(tpl.spans) if len(span) > j]
-        per_record[:, recs] += energy[:, [tpl.spans[r][j] for r in recs]]
+    np.add.at(per_record, (slice(None), owner), energy)
     return per_record
 
 

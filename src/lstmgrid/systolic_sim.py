@@ -21,11 +21,12 @@ next layer reads its hidden codes as features, and the optional output
 projection runs once over every step.  Records without transfers (the
 compute, activation and element-wise phases) carry timing only; every
 other record's words, over all of its template's steps at once, are
-slices of those histories, written into one buffer per word group,
-whose beat-level toggles are counted into an int64 (steps x template
-events) array.  The analytic energy model prices the very same
-templates, so simulated and extrapolated cycle counts agree by
-construction.
+slices of those histories.  One pass over a template concatenates them
+per (word width, word count) group and counts each group's beat-level
+toggles in one call, into an int64 (steps x template events) array that
+also holds each parameter burst's toggles.  The analytic energy model
+prices the very same templates, so simulated and extrapolated cycle
+counts agree by construction.
 
 One engine serves every load mode.  In multi-layer reload runs, the
 per-pass parameter re-load, state restore (`state_load`) and state spill
@@ -70,7 +71,6 @@ class LinkEvent:
     kind = property(lambda self: self.link.kind)
     src = property(lambda self: self.link.src)
     receivers = property(lambda self: self.link.receivers)
-    word_bits = property(lambda self: self.link.word_bits)
     bits = property(lambda self: self.words * self.link.word_bits)
     host_drive = property(lambda self: self.link.src == HOST)
     host_receive = property(lambda self: self.link.receivers == (HOST,))
@@ -595,38 +595,6 @@ class GridSim:
                 "transfer on %s (%s -> %s) found no ready sink: link dropped"
                 % (link.label, link.src, link.receivers))
 
-    def _burst(self, link, words):
-        """Toggles of a die's parameter burst on `link`."""
-        self._check_transfer(link)
-        size, toggles = self.bursts[link]
-        if size != words:
-            raise AssertionError("planned %d words on %s, moved %d"
-                                 % (words, link.label, size))
-        return toggles
-
-    def _check(self, tpl):
-        """Check a template's events against the dropped links, once each
-        and in order, and fill in its parameter bursts' toggles.  Returns
-        the word groups of its other transfers, (word width, word count) ->
-        event indices, and per transfer record (record, group, its events'
-        positions in the group)."""
-        links = tpl.links
-        tpl.toggles = np.zeros((len(tpl.starts), len(links)), np.int64)
-        groups, slots = {}, []
-        for rec, span in zip(tpl.records, tpl.spans):
-            if rec.kind == "param_load" or not span:
-                for e in span:  # `_burst` checks the link and words
-                    tpl.toggles[:, e] = self._burst(links[e], tpl.words[e])
-                continue
-            for e in span:
-                self._check_transfer(links[e])
-            (key,) = {(links[e].word_bits, tpl.words[e]) for e in span}
-            members = groups.setdefault(key, [])
-            slots.append((rec, key, slice(len(members),
-                                          len(members) + len(span))))
-            members += span
-        return groups, slots
-
     # -- values --
 
     def _param_words(self, die):
@@ -705,28 +673,45 @@ class GridSim:
             return tiles
         raise AssertionError("unhandled phase kind %r" % (kind,))
 
-    def _fill(self, tpl, groups, slots, hist, proj):
-        """Write each transfer's words over the template's steps into one
-        buffer per word group, then count their toggles with one 2-D
-        `count_toggles` call per group."""
-        n = len(tpl.starts)
-        ts = slice(tpl.first, tpl.first + n)
-        # partial sums are clamped to int16, every other word is an int8
-        # code: each fits its link's word width
-        words = {key: np.empty((n, len(events), key[1]),
-                               "i%d" % (key[0] // 8))
-                 for key, events in groups.items()}
-        for rec, key, pos in slots:
-            dest = words[key][:, pos]
-            tiles = self._words(rec, ts, hist, proj)
-            if tiles.shape != dest.shape:
+    def _fill(self, tpl, hist, proj):
+        """Count a template's toggles over its steps: each parameter
+        burst's from `bursts`, every other transfer's words cut from the
+        histories, concatenated per (word width, word count) group and
+        counted with one 2-D `count_toggles` call per group."""
+        n, links = len(tpl.starts), tpl.links
+        tpl.toggles = np.zeros((n, len(links)), np.int64)
+        groups = {}  # (word width, word count) -> (event indices, words)
+        for rec, span in zip(tpl.records, tpl.spans):
+            if not span:  # no transfer: timing only
+                continue
+            if rec.kind == "param_load":
+                for e in span:
+                    size, toggles = self.bursts[links[e]]
+                    if size != tpl.words[e]:
+                        raise AssertionError(
+                            "planned %d words on %s, moved %d"
+                            % (tpl.words[e], links[e].label, size))
+                    tpl.toggles[:, e] = toggles
+                continue
+            keys = {(links[e].word_bits, tpl.words[e]) for e in span}
+            if len(keys) != 1:
+                raise AssertionError("a %s record mixes word shapes %s"
+                                     % (rec.kind, sorted(keys)))
+            (key,) = keys
+            ts = slice(tpl.first, tpl.first + n)
+            words = self._words(rec, ts, hist, proj)
+            if words.shape != (n, len(span), key[1]):
                 raise AssertionError(
                     "planned %s words on a %s record, moved %s"
-                    % (dest.shape, rec.kind, tiles.shape))
-            dest[...] = tiles
-        for (word_bits, width), events in groups.items():
+                    % ((n, len(span), key[1]), rec.kind, words.shape))
+            events, parts = groups.setdefault(key, ([], []))
+            events += span
+            parts.append(words)
+        # partial sums are clamped to int16, every other word is an int8
+        # code: each fits its link's word width
+        for (word_bits, width), (events, parts) in groups.items():
             tpl.toggles[:, events] = count_toggles(
-                words[word_bits, width].reshape(-1, width),
+                np.concatenate(parts, axis=1).reshape(-1, width),
                 word_bits).reshape(n, -1)
 
     def run(self, features):
@@ -745,13 +730,14 @@ class GridSim:
                              % (n_features, features.shape))
         check_int8(features, "feature")
         templates, end = run_templates(self.plan, len(features))
-        checked = [self._check(tpl) for tpl in templates]
+        for tpl in templates:
+            for link in tpl.links:
+                self._check_transfer(link)
         hist = self._histories(features)
         h_last = hist[-1].hc[1:, 0]
         proj = self._project(h_last) if self.fc is not None else None
-        for tpl, (groups, slots) in zip(templates, checked):
-            if tpl.first is not None:  # not the configuration timeline
-                self._fill(tpl, groups, slots, hist, proj)
+        for tpl in templates:
+            self._fill(tpl, hist, proj)
         width = self.plan.spec.output_width
         outputs = proj[1] if proj is not None else h_last[:, :width]
         return outputs.astype(np.int64), PhaseTrace(

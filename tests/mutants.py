@@ -62,6 +62,14 @@ MUTANTS = [
         "the later reload template's words are cut from the histories of "
         "steps 0 to T - 2, not 1 to T - 1"),
     Mutant(
+        "word_groups_ignore_the_width", "systolic_sim.py",
+        "events, parts = groups.setdefault(key, ([], []))",
+        "events, parts = groups.setdefault(next(\n"
+        "                (k for k in groups if k[1] == key[1]), key), ([], []))",
+        (SIM + "test_outputs_and_link_toggles_match_the_recorded_digests",),
+        "8- and 16-bit words of equal count share one word group, so one "
+        "of them is counted at the other's width"),
+    Mutant(
         "state_load_reads_this_step", "systolic_sim.py",
         "return lay.hc[ts].reshape(steps, 2 * n, nh)",
         "return lay.hc[after].reshape(steps, 2 * n, nh)",
@@ -108,9 +116,11 @@ MUTANTS = [
         "level is still checked"),
     Mutant(
         "param_load_skips_link_check", "systolic_sim.py",
-        "        self._check_transfer(link)\n"
-        "        size, toggles = self.bursts[link]\n",
-        "        size, toggles = self.bursts[link]\n",
+        "            for link in tpl.links:\n"
+        "                self._check_transfer(link)\n",
+        "            for rec, span in zip(tpl.records, tpl.spans):\n"
+        "                for e in span if rec.kind != \"param_load\" else ():\n"
+        "                    self._check_transfer(tpl.links[e])\n",
         (SIM + "test_every_reload_transfer_consults_the_plan",),
         "a parameter load skips the dropped-link check"),
     Mutant(
@@ -258,6 +268,13 @@ MUTANTS = [
         "listeners = np.array([1 if link.receivers == (HOST,)",
         (PE + "test_report_equals_the_record_loop_to_the_last_bit",),
         "a word the host receives is charged one receiver pad"),
+    Mutant(
+        "record_energy_keeps_one_event", "perf_energy.py",
+        "np.add.at(per_record, (slice(None), owner), energy)",
+        "per_record[:, owner] += energy",
+        (PE + "test_report_equals_the_record_loop_to_the_last_bit",),
+        "a buffered add keeps only one event per record, so a record's "
+        "other events go unpriced"),
     Mutant(
         "host_drive_charged", "perf_energy.py",
         "drive = np.array([link.src != HOST for link in links])",

@@ -405,6 +405,25 @@ def test_network_with_a_gate_format_narrower_than_its_state_is_refused(
     assert not (tmp_path / "o").exists()  # nothing ran
 
 
+@pytest.mark.parametrize("version", [7, 1.0, True, None])
+def test_container_of_another_version_is_refused(tmp_path, capsys, version):
+    net_path = str(tmp_path / "net.json")
+    lstm_ref.save_network(net_path,
+                          lstm_ref.random_network_params(51, [(8, 8)]))
+    with open(net_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["version"] = version
+    with open(net_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match="container version must be 1"):
+        lstm_ref.load_network(net_path)
+    cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
+                       features={"n_steps": 2})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load network container")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
 def test_feature_container_in_another_format_is_refused(tmp_path, capsys):
     feat_path = str(tmp_path / "f.json")
     q43 = lstm_ref.FormatSet(state=QFormat(3))
@@ -626,6 +645,7 @@ def test_frequency_with_unsigned_exponent_is_a_number(tmp_path, capsys):
     ({"energy": {"p_core_active_mw_per_die": "1e400"}},
      "bad energy settings: p_core_active_mw_per_die"),
     ({"schema_version": True}, "schema_version"),
+    ({"schema_version": 1.0}, "schema_version"),
 ])
 def test_bad_run_settings_fail_at_config_load(tmp_path, capsys, doc, needle):
     cfg = write_config(tmp_path / "c.yaml",

@@ -43,8 +43,9 @@ def test_link_bandwidth_figures():
 
 
 def test_operating_point_validation():
-    with pytest.raises(ValueError):
-        PE.OperatingPoint(frequency=-1.0)
+    for frequency in (-1.0, float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="frequency"):
+            PE.OperatingPoint(frequency=frequency)
 
 
 def test_energy_constants_validation():

@@ -727,6 +727,50 @@ def test_unplanned_transfer_deadlocks():
         sim.run(feats)
 
 
+def _bridge_case():
+    params = LR.random_network_params(141, [(6, 8), (8, 8)], n_out=3)
+    plan = plan_grid(LR.derive_spec(params), TINY)
+    return plan, params, LR.random_features(142, 3, 6)
+
+
+def test_a_burst_of_other_than_the_planned_size_fails(monkeypatch):
+    plan, params, feats = _bridge_case()
+    param_words = GridSim._param_words
+    monkeypatch.setattr(GridSim, "_param_words", lambda sim, die: np.append(
+        param_words(sim, die), np.int8(1)))
+    planned = plan.die((0, 0, 0)).footprint_bytes
+    message = "planned %d words on L0.load.0.0, moved %d" % (planned,
+                                                             planned + 1)
+    with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+        simulate(plan, params, feats)
+
+
+def test_a_record_cut_to_another_shape_fails(monkeypatch):
+    plan, params, feats = _bridge_case()
+    words = GridSim._words
+    monkeypatch.setattr(GridSim, "_words", lambda *a: words(*a)[..., 1:])
+    message = ("planned (3, 2, 3) words on a feature_stream record, "
+               "moved (3, 2, 2)")
+    with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+        simulate(plan, params, feats)
+
+
+def test_a_record_whose_events_mix_word_counts_fails(monkeypatch):
+    plan, params, feats = _bridge_case()
+    templates, end = run_templates(plan, len(feats))
+    config, step = templates
+    rec = next(r for r in step.records if r.kind == "feature_stream")
+    rec.events[1] = dataclasses.replace(rec.events[1],
+                                        words=rec.events[1].words + 1)
+    mixed = [config, systolic_sim.StepTemplate(step.records, step.first,
+                                               step.starts)]
+    monkeypatch.setattr(systolic_sim, "run_templates",
+                        lambda *a: (mixed, end))
+    message = "a feature_stream record mixes word shapes [(8, 3), (8, 4)]"
+    with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+        simulate(plan, params, feats)
+
+
 @pytest.mark.parametrize("label,reload", [
     ("L9.bogus", False), ("L0.reduce.0.1", False),
     # labels of links the mode never moves a word on
