@@ -29,7 +29,9 @@ The tables are built from the helpers they replace, about 3 ms once per
 LUT pair and format set, and memoized on the LUTs (`tail_tables`).
 """
 
+import copy
 import dataclasses
+import functools
 import json
 import os
 
@@ -219,8 +221,8 @@ def default_luts(formats=DEFAULT_FORMATS):
 # --- fixed-point golden model -------------------------------------------------
 
 class BlockStack:
-    """Gate matrices laid out as float32 column-block stacks: the resident
-    operand of the factored `mac_run`.
+    """Gate matrices laid out as int8 column-block stacks, one byte per
+    code as a die's SRAM holds them.
 
     `mats` lists per gate the int8 code matrices whose columns one operand
     concatenates: (W_x, W_h) for a cell, (W_y,) for the projection.
@@ -231,6 +233,8 @@ class BlockStack:
     zero terms, which leave a saturating chain unchanged.  `w` is shaped
     (gates, blocks, rows, K) and `w_sq` (gates, blocks, rows) holds each
     chain's exact sum of squared codes, the certificate's weight norm.
+    A caller that runs many MAC calls on one stack steps on its float32
+    twin (`stepping`) and drops the twin when they are done.
     """
 
     def __init__(self, mats, col_blocks, rows=None, widths=None):
@@ -249,7 +253,7 @@ class BlockStack:
         for b, c in enumerate(cols):
             self.index[b, :len(c)] = c
         self.w = np.zeros((len(mats), len(cols), rows, self.index.shape[1]),
-                          np.float32)
+                          np.int8)
         for g, gate_mats in enumerate(mats):
             for b, block in enumerate(ranges):
                 pos = 0
@@ -258,7 +262,21 @@ class BlockStack:
                     part = m[:, r.start:min(r.stop, m.shape[1]):r.step]
                     self.w[g, b, :m.shape[0], pos:pos + part.shape[1]] = part
                     pos += len(r)
-        self.w_sq = row_sq_norms(self.w)
+
+    @functools.cached_property
+    def w_sq(self):
+        """Computed on first use: a stack that steps takes it from its
+        twin's float32 codes, with no conversion of its own."""
+        return row_sq_norms(self.w)
+
+    def stepping(self):
+        """A twin of this stack whose `w` is the float32 weights of the
+        factored `mac_run`, four bytes per code: made once for the steps
+        of a layer and dropped after them, so no MAC call converts the
+        int8 layout.  The twin shares `index` (and `w_sq`, once known)."""
+        twin = copy.copy(self)
+        twin.w = self.w.astype(np.float32)
+        return twin
 
     def operand(self, *vectors):
         """Per block, the codes its terms multiply: (..., blocks, K) for
@@ -492,7 +510,9 @@ def cell_step_fixed(params, state, x, luts, layer=None):
 
     `layer` is the layer's `prepare_layer(params, luts, col_blocks)`,
     prepared once for many steps (default: one flat block, prepared for
-    this step).  Splitting changes results only when an intermediate sum
+    this step); a caller of many steps passes its stack's `stepping`
+    twin, so the MAC kernel reads float32 weights it need not convert.
+    Splitting changes results only when an intermediate sum
     saturates, which is exactly why the grid simulator must run with the
     block structure of its plan.
     """
@@ -533,6 +553,9 @@ def network_infer(spec, params, features, *, luts=None,
     The layers run one after another: every step of layer 0, one
     `cell_step_fixed` call each, then layer 1 over layer 0's hidden codes
     of every step, and so on; the projection runs once, over every step.
+    One layer's layout is held at a time: its float32 `stepping` twin
+    lives while the layer steps, and both go before the next layer is
+    prepared.
     """
     features = np.asarray(features)
     if features.ndim != 2 or features.shape[1] != spec.n_features:
@@ -547,14 +570,16 @@ def network_infer(spec, params, features, *, luts=None,
                   if params.fc is not None else None)
     feed = features
     for li, p in enumerate(params.layers):
-        layer = prepare_layer(p, luts, col_blocks_per_layer[li]
-                              if col_blocks_per_layer else None)
+        stack, consts = prepare_layer(p, luts, col_blocks_per_layer[li]
+                                      if col_blocks_per_layer else None)
+        layer = stack.stepping(), consts
         state = LstmState.zeros(p.n_hidden)
         hidden = np.zeros((len(feed), p.n_hidden), np.int64)
         for t, x in enumerate(feed):
             state = cell_step_fixed(p, state, x, luts, layer=layer)
             hidden[t] = state.h
         feed = hidden
+        del stack, layer  # before the next layer is laid out
     if params.fc is not None:
         feed = fc_step_fixed(params.fc, feed, luts, stack=fc_weights)
     return feed
@@ -597,21 +622,29 @@ def quantize_features(values, formats=DEFAULT_FORMATS):
 
 def random_network_params(seed, layer_sizes, n_out=None, scale=0.5,
                           formats=DEFAULT_FORMATS):
-    """Seeded random float network quantized onto the 8-bit grid.  Shapes
-    that no `NetworkSpec` admits raise ValueError before any draw."""
+    """Seeded random float network quantized onto the 8-bit grid: the
+    codes of `quantize_params_uniform` over the floats drawn, per layer,
+    matrices (W_x, W_h per gate) then the seven vectors, then W_y and
+    b_y.  Each tensor is quantized as soon as it is drawn, so no float
+    network is ever held.  Shapes that no `NetworkSpec` admits raise
+    ValueError before any draw."""
     NetworkSpec(list(layer_sizes), n_out)
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
-        return rng.uniform(-scale, scale, size=shape)
+        return _quantize_param_tensor(rng.uniform(-scale, scale, size=shape),
+                                      formats.weight)
 
-    layers = [LstmLayerParams(*(draw(n_h, n) for n in (n_i, n_h) * 4),
-                              *(draw(n_h) for _ in range(7)))
-              for n_i, n_h in layer_sizes]
+    layers = []
+    for n_i, n_h in layer_sizes:
+        mats = [draw(n_h, n) for n in (n_i, n_h) * 4]
+        vecs = [draw(n_h) for _ in range(7)]
+        layers.append(LstmLayerParams(*mats, *vecs, formats=formats))
     fc = None
     if n_out is not None:
-        fc = FcParams(draw(n_out, layer_sizes[-1][1]), draw(n_out))
-    return quantize_params_uniform(NetworkParams(layers, fc), formats)
+        fc = FcParams(draw(n_out, layer_sizes[-1][1]), draw(n_out),
+                      formats=formats)
+    return NetworkParams(layers, fc)
 
 
 def random_features(seed, n_steps, n_features, formats=DEFAULT_FORMATS,
@@ -688,31 +721,68 @@ def write_container(manifest_path, tensors, meta=None):
     return manifest
 
 
+# each manifest entry's fields: (type, as named in an error)
+_ENTRY_FIELDS = {"name": (str, "a string"), "role": (str, "a string"),
+                 "shape": (list, "a list of integers"),
+                 "offset": (int, "an integer"),
+                 "byte_length": (int, "an integer"),
+                 "frac_bits": (int, "an integer")}
+
+
+def _check_entries(entries):
+    """ValueError unless `entries` is a list of objects of dtype int8
+    whose fields have their `_ENTRY_FIELDS` types (a JSON boolean is no
+    integer), with an offset and a byte length that are not negative."""
+    if not isinstance(entries, list):
+        raise ValueError("container tensors must be a list, not %r"
+                         % (entries,))
+    for e in entries:
+        if not isinstance(e, dict):
+            raise ValueError("container entry %r is not an object" % (e,))
+        if e.get("dtype") != "int8":
+            raise ValueError("tensor %s is %s, not int8 codes"
+                             % (e.get("name"), e.get("dtype")))
+        for key, (kind, named) in _ENTRY_FIELDS.items():
+            value = e.get(key)
+            if type(value) is not kind or (
+                    kind is list and any(type(n) is not int for n in value)):
+                raise ValueError("container entry %r: %s must be %s, not %r"
+                                 % (e.get("name"), key, named, value))
+        if e["offset"] < 0 or e["byte_length"] < 0:
+            raise ValueError("container entry %r: negative offset or length"
+                             % (e["name"],))
+
+
 def read_container(manifest_path):
     """Returns (meta, {name: (role, array, fmt)}) with the codes decoded
     as int8 arrays, the container's own dtype.  A version other than the
-    integer 1, or an entry of any other dtype, raises ValueError."""
+    integer 1, a blob name, `meta` or `tensors` of the wrong type, or
+    an entry of the wrong structure or dtype (`_check_entries`) raises
+    ValueError."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("container") != "tensor-blob":
+    if not isinstance(manifest, dict) \
+            or manifest.get("container") != "tensor-blob":
         raise ValueError("not a tensor container: %s" % manifest_path)
     version = manifest.get("version")
     if type(version) is not int or version != 1:
         raise ValueError("container version must be 1, not %r" % (version,))
+    meta = manifest.get("meta", {})
+    if type(manifest.get("blob")) is not str or not isinstance(meta, dict):
+        raise ValueError("container blob must be a file name and meta an "
+                         "object")
+    _check_entries(manifest.get("tensors"))
     blob_path = os.path.join(os.path.dirname(manifest_path) or ".",
                              manifest["blob"])
     with open(blob_path, "rb") as fh:
         blob = fh.read()
     out = {}
     for e in manifest["tensors"]:
-        if e["dtype"] != "int8":
-            raise ValueError("tensor %s is %s, not int8 codes"
-                             % (e["name"], e["dtype"]))
         raw = blob[e["offset"]:e["offset"] + e["byte_length"]]
         arr = np.frombuffer(raw, dtype="<i1").astype(np.int8)
         out[e["name"]] = (e["role"], arr.reshape(e["shape"]),
                           QFormat(e["frac_bits"]))
-    return manifest.get("meta", {}), out
+    return meta, out
 
 
 def save_network(manifest_path, params):

@@ -29,17 +29,29 @@ from .systolic_sim import PhaseTrace, StepTemplate, build_step_schedule
 _PJ = 1e-12
 
 
+def _check_numbers(obj):
+    """Every field of the frozen dataclass `obj` is a finite non-negative
+    number: a Python int or float, kept as it is, or a NumPy integer or
+    floating scalar, stored as a Python float.  ValueError otherwise,
+    for a bool or a NumPy bool too."""
+    for f in dataclasses.fields(obj):
+        given = value = getattr(obj, f.name)
+        if isinstance(value, (np.integer, np.floating)):
+            value = float(value)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 <= value <= sys.float_info.max):
+            raise ValueError("%s must be a finite non-negative number, "
+                             "not %r" % (f.name, given))
+        object.__setattr__(obj, f.name, value)
+
+
 @dataclasses.dataclass(frozen=True)
 class OperatingPoint:
     """Clock and supply corner.  The demonstrator point is the default."""
     frequency: float = 10e6
 
     def __post_init__(self):
-        f = self.frequency
-        if (isinstance(f, bool) or not isinstance(f, (int, float))
-                or not 0 <= f <= sys.float_info.max):
-            raise ValueError("frequency must be a finite non-negative "
-                             "number, not %r" % (f,))
+        _check_numbers(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,12 +74,7 @@ class EnergyConstants:
     alpha_toggle: float = 0.5
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 <= value <= sys.float_info.max):
-                raise ValueError("%s must be a finite non-negative number, "
-                                 "not %r" % (f.name, value))
+        _check_numbers(self)
 
 
 @dataclasses.dataclass

@@ -130,7 +130,9 @@ def mac_run(weights, vector=None, init=0, sq_norms=None):
     Factored form (`vector` given): `weights` holds int8 codes shaped
     (..., R, K) and `vector` int8 codes shaped (..., K), broadcast over the
     leading axes; chain (..., r) adds weights[..., r, k] * vector[..., k]
-    for k ascending.  Resident weights should be passed as float32 with
+    for k ascending.  Weights of another dtype (int8 codes, say) are
+    converted to float32 on every call, so a caller that runs many calls
+    on one weight stack passes its float32 copy, made once, with
     `sq_norms` = the int64 sums of their squared codes per row, shaped
     (..., R), beside them.  Product form (`vector` None): `weights`
     already holds the int64 terms, shaped (..., K).
@@ -149,13 +151,14 @@ def mac_run(weights, vector=None, init=0, sq_norms=None):
     v = np.asarray(vector, dtype=np.float32)
     if sq_norms is None:
         sq_norms = row_sq_norms(w)
+    room = INT16_MAX - abs(init)
+    # certified before the sums exist: the two never share the peak
+    passed = certified(sq_norms, (v * v).sum(axis=-1, dtype=np.float64),
+                       room)
     acc = np.matmul(w, v[..., None])[..., 0].astype(np.int64)
     if init:
         acc += init
     saturated = np.zeros(acc.shape, dtype=bool)
-    room = INT16_MAX - abs(init)
-    passed = certified(sq_norms, (v * v).sum(axis=-1, dtype=np.float64),
-                       room)
     if not passed.all():
         slow = np.nonzero(~passed)
         k = w.shape[-1:]

@@ -521,10 +521,12 @@ def _history(grid, stack, consts, x):
     """A layer grid's `_History` over the step inputs `x` (T x ni_padded
     codes), from zero state, on its resident layout (`stack`, `consts`).
     Each step runs only the recurrence: the partial MACs, the column fold
-    and the cell update."""
+    and the cell update.  The steps read the stack's float32 `stepping`
+    twin, made here and dropped on return."""
     n, nhp = grid.n, grid.nh_padded
     incoming = np.empty((len(x), 4, n - 1, nhp), np.int16)
     hc = np.zeros((len(x) + 1, 2, nhp), np.int8)
+    stack = stack.stepping()
     for t in range(len(x)):
         h, c = hc[t]
         # the four gates read the same x and h: every die's partial MACs
@@ -540,21 +542,25 @@ def _history(grid, stack, consts, x):
         # over the reduced partials in the last die column
         hc[t + 1, 0], hc[t + 1, 1] = lstm_ref.cell_tail(cols[n - 1], c,
                                                         consts)
+        del partials, cols  # not held through the next step's MAC call
     return _History(x, incoming, hc)
 
 
 class GridSim:
     """A plan's die array configured with a network's parameters.
 
-    Construction keeps only what stays resident on the dies: each layer's
-    `prepare_layer` layout at its tiles, the projection (master i of the
-    last grid holds W_y's columns of hidden tile i as block i of a stack)
-    and every die's parameter burst with its toggles.  `run` computes over
-    real feature codes from zero state, so every run of one GridSim is
-    alike.  It runs layer-major: layer by layer, the step loop runs only
-    the recurrence and keeps the layer's histories; the projection runs
-    once over every step; then each template record's words, over all of
-    the template's steps at once, are slices of those histories.
+    Construction keeps only what stays resident on the dies, one byte
+    per parameter code as their SRAM holds it: each layer's
+    `prepare_layer` layout at its tiles (int8 stacks), the projection
+    (master i of the last grid holds W_y's columns of hidden tile i as
+    block i of a stack) and every die's parameter burst with its toggles.
+    `run` computes over real feature codes from zero state, so every run
+    of one GridSim is alike.  It runs layer-major: layer by layer, the
+    step loop runs only the recurrence on the layer's float32 `stepping`
+    twin, held only while that layer steps, and keeps the layer's
+    histories; the projection runs once over every step; then each
+    template record's words, over all of the template's steps at once,
+    are slices of those histories.
     """
 
     def __init__(self, plan, params, luts=None, dropped_links=()):
@@ -613,9 +619,10 @@ class GridSim:
                 chunks.append(self.fc_stack.w[0, die.row])
                 if die.fc_root:
                     chunks.append(self.fc.b_y)
-        # every chunk holds int8 codes: cast straight to the burst's bytes
+        # the stacks hold int8 codes and the constants int64 ones: an
+        # integer cast to the burst's bytes, which refuses a float chunk
         return np.concatenate([c.ravel() for c in chunks], dtype=np.int8,
-                              casting="unsafe")
+                              casting="same_kind")
 
     def _histories(self, features):
         """Every layer's `_History`, layer by layer: layer k + 1 reads

@@ -254,6 +254,53 @@ MUTANTS = [
         "the int8 check passes every integer array unread, so an int64 "
         "300 enters the MAC kernel as a code"),
     Mutant(
+        "oracle_keeps_a_stepped_layer", "lstm_ref.py",
+        "        del stack, layer  # before the next layer is laid out\n",
+        "        del stack\n",
+        ("tests/test_memory.py::test_the_oracle_holds_one_layer_at_a_time",),
+        "the oracle keeps layer k's float32 operand while it lays out "
+        "layer k + 1, so two float32 stacks are held at once"),
+    Mutant(
+        "generator_draws_vectors_first", "lstm_ref.py",
+        "        mats = [draw(n_h, n) for n in (n_i, n_h) * 4]\n"
+        "        vecs = [draw(n_h) for _ in range(7)]\n",
+        "        vecs = [draw(n_h) for _ in range(7)]\n"
+        "        mats = [draw(n_h, n) for n in (n_i, n_h) * 4]\n",
+        (REF + "test_random_network_is_the_uniform_import_of_its_draws",),
+        "the generator draws a layer's seven vectors before its matrices, "
+        "so every code after the first layer's first tensor changes"),
+    Mutant(
+        "grid_keeps_every_stepped_layer", "systolic_sim.py",
+        "    stack = stack.stepping()\n",
+        "    stack = stack.__dict__.setdefault(\"_twin\", stack.stepping())\n",
+        ("tests/test_memory.py::"
+         "test_simulate_holds_one_float32_layer_at_a_time",),
+        "the grid keeps each layer's float32 operand resident after the "
+        "layer has stepped, four bytes per code of every layer"),
+    Mutant(
+        "container_trusts_its_entries", "lstm_ref.py",
+        "    _check_entries(manifest.get(\"tensors\"))\n",
+        "",
+        ("tests/test_cli.py::test_container_of_another_structure_is_refused",),
+        "a manifest's tensor list is read unchecked, so a damaged one "
+        "ends `lstmgrid run` in a TypeError traceback"),
+    Mutant(
+        "grid_steps_on_the_int8_layout", "systolic_sim.py",
+        "    stack = stack.stepping()\n",
+        "",
+        ("tests/test_memory.py::"
+         "test_no_step_hands_the_mac_kernel_int8_weights",),
+        "the grid's gate MAC calls read the int8 layout, which the kernel "
+        "converts to float32 on every step"),
+    Mutant(
+        "oracle_steps_on_the_int8_layout", "lstm_ref.py",
+        "        layer = stack.stepping(), consts\n",
+        "        layer = stack, consts\n",
+        ("tests/test_memory.py::"
+         "test_no_step_hands_the_mac_kernel_int8_weights",),
+        "the oracle's gate MAC calls read the int8 layout, which the "
+        "kernel converts to float32 on every step"),
+    Mutant(
         "save_network_writes_default_formats", "lstm_ref.py",
         "        \"state_frac_bits\": formats.state.frac_bits,\n"
         "        \"gate_frac_bits\": formats.gate.frac_bits,\n",

@@ -424,6 +424,55 @@ def test_container_of_another_version_is_refused(tmp_path, capsys, version):
     assert not (tmp_path / "o").exists()  # nothing ran
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("manifest", [], "not a tensor container"),
+    ("blob", 5, "blob must be a file name"),
+    ("meta", ["network"], "meta an object"),
+    ("tensors", 5, "tensors must be a list"),
+    ("tensors", "layer0.W_xi", "tensors must be a list"),
+    ("tensors", {"name": "layer0.W_xi"}, "tensors must be a list"),
+    ("entry", "layer0.W_xi", "is not an object"),
+    ("entry", 3, "is not an object"),
+    ("name", 5, "name must be a string"),
+    ("role", None, "role must be a string"),
+    ("shape", "8x8", "shape must be a list of integers"),
+    ("shape", [8, "8"], "shape must be a list of integers"),
+    ("shape", [8, True], "shape must be a list of integers"),
+    ("offset", "0", "offset must be an integer"),
+    ("offset", "missing", "offset must be an integer"),
+    ("offset", -64, "negative offset"),
+    ("byte_length", 64.0, "byte_length must be an integer"),
+    ("frac_bits", "5", "frac_bits must be an integer"),
+    ("frac_bits", True, "frac_bits must be an integer"),
+])
+def test_container_of_another_structure_is_refused(tmp_path, capsys, key,
+                                                   value, message):
+    net_path = str(tmp_path / "net.json")
+    lstm_ref.save_network(net_path,
+                          lstm_ref.random_network_params(52, [(8, 8)]))
+    with open(net_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if key == "manifest":
+        manifest = value
+    elif key in ("blob", "meta", "tensors"):
+        manifest[key] = value
+    elif key == "entry":
+        manifest["tensors"][0] = value
+    elif value == "missing":
+        del manifest["tensors"][0][key]
+    else:
+        manifest["tensors"][0][key] = value
+    with open(net_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match=message):
+        lstm_ref.load_network(net_path)
+    cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
+                       features={"n_steps": 2})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load network container")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
 def test_feature_container_in_another_format_is_refused(tmp_path, capsys):
     feat_path = str(tmp_path / "f.json")
     q43 = lstm_ref.FormatSet(state=QFormat(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -324,7 +325,7 @@ def test_block_stack_layout_and_row_norms(n_i, n_h, rows, widths,
     stack = lr.BlockStack(mats, col_blocks, rows=rows, widths=widths)
     want = gathered_layout(mats, col_blocks, rows or n_h,
                            widths or (n_i, n_h))
-    assert stack.w.dtype == np.float32 and np.array_equal(stack.w, want)
+    assert stack.w.dtype == np.int8 and np.array_equal(stack.w, want)
     assert stack.w_sq.dtype == np.int64
     assert np.array_equal(stack.w_sq, (want.astype(np.int64) ** 2).sum(-1))
 
@@ -575,6 +576,52 @@ def test_random_network_codes_are_int8_with_the_recorded_values():
     assert digest.hexdigest()[:16] == "e70ac7f637a8daac"
     codes = np.concatenate([c.ravel() for c in _code_tensors(params)])
     assert codes.min() == -127 and codes.max() == 127
+
+
+def drawn_float_network(seed, layer_sizes, n_out, scale):
+    """The floats `random_network_params` quantizes, drawn in its order:
+    per layer the four gates' (W_x, W_h) pairs, then the seven vectors;
+    then W_y and b_y."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.uniform(-scale, scale, size=shape)
+
+    layers = []
+    for n_i, n_h in layer_sizes:
+        tensors = {}
+        for gate in "ifco":
+            tensors["W_x" + gate] = draw(n_h, n_i)
+            tensors["W_h" + gate] = draw(n_h, n_h)
+        for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o"):
+            tensors[name] = draw(n_h)
+        layers.append(lr.LstmLayerParams(**tensors))
+    fc = (lr.FcParams(draw(n_out, layer_sizes[-1][1]), draw(n_out))
+          if n_out is not None else None)
+    return lr.NetworkParams(layers, fc)
+
+
+@pytest.mark.parametrize("seed,layer_sizes,n_out,scale,fmts", [
+    (3, [(8, 6)], 3, 0.5, FMT),  # with a projection
+    (4, [(5, 9), (9, 4), (4, 7)], None, 0.5, FMT),  # ragged, three layers
+    (6, [(6, 6), (6, 5)], 2, 3.0, lr.FormatSet(QFormat(3), QFormat(4),
+                                                QFormat(6))),
+], ids=["projection", "ragged-3-layer", "Q4.3-weights"])
+def test_random_network_is_the_uniform_import_of_its_draws(
+        seed, layer_sizes, n_out, scale, fmts):
+    got = lr.random_network_params(seed, layer_sizes, n_out, scale, fmts)
+    want = lr.quantize_params_uniform(
+        drawn_float_network(seed, layer_sizes, n_out, scale), fmts)
+    assert (got.fc is None) == (n_out is None)
+    for g, w in zip(got.layers + [got.fc] * (n_out is not None),
+                    want.layers + [want.fc] * (n_out is not None)):
+        assert g.formats == w.formats == fmts
+        for field in dataclasses.fields(w):
+            if field.name != "formats":
+                codes = getattr(g, field.name)
+                assert codes.dtype == np.int8, field.name
+                assert np.array_equal(codes, getattr(w, field.name)), \
+                    field.name
 
 
 # --- container round trips --------------------------------------------------------

@@ -1,0 +1,105 @@
+"""Peak memory of the instance generator, the grid and the oracle.
+
+tracemalloc counts every NumPy buffer exactly, whatever the host, so
+these peaks are deterministic.  On a 3 x 480 network, the largest of
+Table 4, parameter codes rest as int8, one byte each: the generator
+never holds a float network, and each value engine holds a layer's
+float32 MAC operand (four bytes per code) only while that layer steps.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lstmgrid import cli, lstm_ref, mapper, systolic_sim
+
+MB = 1 << 20
+LAYERS = [(480, 480)] * 3
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the most bytes it held at once beyond what was
+    allocated before the call)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def network():
+    """(params, stacked plan, two steps of features, each layer's code
+    count in the grid's layout)."""
+    params = lstm_ref.random_network_params(7, LAYERS)
+    plan = mapper.plan_grid(lstm_ref.derive_spec(params), mapper.TileSpec())
+    features = lstm_ref.random_features(8, 2, LAYERS[0][0])
+    sim = systolic_sim.GridSim(plan, params)
+    return params, plan, features, [stack.w.size for stack, _ in sim.layers]
+
+
+def test_the_generator_quantizes_each_tensor_as_it_draws_it():
+    params, peak = traced_peak(lstm_ref.random_network_params, 7, LAYERS)
+    codes = sum(getattr(p, name).nbytes for p in params.layers
+                for name in lstm_ref._LAYER_TENSORS)
+    largest = max(n_h * max(n_i, n_h) for n_i, n_h in LAYERS)
+    # the codes it returns, and the float64 temporaries of one tensor
+    assert peak < codes + 8 * largest * 8
+
+
+def test_simulate_holds_one_float32_layer_at_a_time(network):
+    params, plan, features, sizes = network
+    # what the plan builds on its first use is the plan's, not the run's
+    want = systolic_sim.simulate(plan, params, features)[0]
+    (outputs, _), peak = traced_peak(systolic_sim.simulate, plan, params,
+                                     features)
+    assert np.array_equal(outputs, want)
+    # every layer's int8 layout, one layer's float32 operand
+    assert peak < sum(sizes) + 4 * max(sizes) + MB
+
+
+def test_the_oracle_holds_one_layer_at_a_time(network):
+    params, plan, features, sizes = network
+    blocks, _ = cli._plan_blocks(plan)
+    outputs, peak = traced_peak(lstm_ref.network_infer,
+                                lstm_ref.derive_spec(params), params,
+                                features, col_blocks_per_layer=blocks)
+    assert np.array_equal(outputs,
+                          systolic_sim.simulate(plan, params, features)[0])
+    # one layer's int8 layout and its float32 operand
+    assert peak < max(sizes) + 4 * max(sizes) + MB
+
+
+def test_no_step_hands_the_mac_kernel_int8_weights(monkeypatch):
+    # the kernel converts other dtypes on every call: each gate call of
+    # either engine gets its layer's float32 operand, made once per layer,
+    # and only the projection's one call per run may pass the int8 layout
+    params = lstm_ref.random_network_params(9, [(6, 10), (10, 7)], n_out=3)
+    plan = mapper.plan_grid(lstm_ref.derive_spec(params),
+                            mapper.TileSpec(nh_capacity=4))
+    features = lstm_ref.random_features(10, 3, 6)
+    weights = {"sim": [], "ref": []}
+    for module, side in ((systolic_sim, "sim"), (lstm_ref, "ref")):
+        def spy(w, *args, mac_run=module.mac_run, seen=weights[side],
+                **kwargs):
+            seen.append(np.asarray(w))
+            return mac_run(w, *args, **kwargs)
+        monkeypatch.setattr(module, "mac_run", spy)
+    blocks, fc_blocks = cli._plan_blocks(plan)
+    want = lstm_ref.network_infer(lstm_ref.derive_spec(params), params,
+                                  features, col_blocks_per_layer=blocks,
+                                  fc_col_blocks=fc_blocks)
+    assert np.array_equal(systolic_sim.simulate(plan, params, features)[0],
+                          want)
+    for side, seen in weights.items():
+        gates = [w for w in seen if w.ndim == 4 and w.shape[0] == 4]
+        assert len(gates) == 2 * 3, side  # one per (layer, step)
+        assert all(w.dtype == np.float32 for w in gates), side
+        assert len(seen) - len(gates) == 1, side  # the projection

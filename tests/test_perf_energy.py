@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import oracles as O
@@ -43,14 +45,35 @@ def test_link_bandwidth_figures():
 
 
 def test_operating_point_validation():
-    for frequency in (-1.0, float("nan"), float("inf"), True):
+    for frequency in (-1.0, float("nan"), float("inf"), True, np.True_,
+                      np.float32("nan"), np.float64("inf"), np.int64(-1),
+                      "1e7", None):
         with pytest.raises(ValueError, match="frequency"):
             PE.OperatingPoint(frequency=frequency)
+    # NumPy scalars are stored as Python floats: the same report
+    trace = demo_trace(n_steps=2)
+    want = PE.report(trace, PE.OperatingPoint(1e7))
+    for frequency in (np.int64(10 ** 7), np.float32(1e7), np.float64(1e7),
+                      np.uint32(10 ** 7)):
+        point = PE.OperatingPoint(frequency)
+        assert type(point.frequency) is float and point.frequency == 1e7
+        assert PE.report(trace, point) == want
+    assert type(PE.OperatingPoint(10 ** 7).frequency) is int
 
 
 def test_energy_constants_validation():
-    with pytest.raises(ValueError):
-        PE.EnergyConstants(e_drive_pj_per_bit=-0.1)
+    for bad in (-0.1, float("nan"), True, np.True_, np.float32("inf"),
+                np.int8(-1), "27.8"):
+        with pytest.raises(ValueError, match="e_drive_pj_per_bit"):
+            PE.EnergyConstants(e_drive_pj_per_bit=bad)
+    consts = PE.EnergyConstants(e_drive_pj_per_bit=np.float64(27.8),
+                                p_pad_static_mw_per_die=np.float32(0.25),
+                                alpha_toggle=np.int16(1))
+    assert consts == PE.EnergyConstants(e_drive_pj_per_bit=27.8,
+                                        p_pad_static_mw_per_die=0.25,
+                                        alpha_toggle=1.0)
+    assert all(type(getattr(consts, f.name)) is float
+               for f in dataclasses.fields(consts))
 
 
 # --- report on traces -------------------------------------------------------------
