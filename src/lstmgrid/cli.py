@@ -258,8 +258,8 @@ def _csv(rows):
 
 
 def _plan_blocks(plan):
-    per_layer = [grid.col_blocks() for grid in plan.layer_grids]
-    return per_layer, [h for _, h in per_layer[-1]]
+    counts = [grid.n for grid in plan.layer_grids]  # die columns per layer
+    return counts, counts[-1]
 
 
 # --- subcommands -----------------------------------------------------------------

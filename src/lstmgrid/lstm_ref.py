@@ -3,10 +3,10 @@
 The grid simulator must reproduce it bit for bit.  Saturating
 accumulation is order-sensitive, so the evaluation order is pinned:
 input-loop ascending, recurrent-loop ascending, peephole, bias —
-optionally split into column blocks (`BlockStack`) whose partial sums are
-folded left to right exactly like a reduction chain of dies.  A layer's
-layout is written once (`prepare_layer`), for this model and the grid's
-dies alike, zero-padded to the grid's tiles when asked.
+optionally split into equal column blocks, a grid's die columns
+(`BlockStack`), whose partial sums are folded left to right exactly like a
+reduction chain of dies.  A layer's layout is written once
+(`prepare_layer`), for this model and the grid's dies alike.
 
 Cells are peephole LSTMs (three extra diagonal weights); all-zero peephole
 vectors reduce the cell to one without peepholes.  Gate order throughout the
@@ -220,48 +220,46 @@ def default_luts(formats=DEFAULT_FORMATS):
 
 # --- fixed-point golden model -------------------------------------------------
 
+def tile_width(width, n_blocks):
+    """ceil(width / n_blocks): a die column's share of `width`, for the
+    plan's tiles and the oracle's blocks alike.  ValueError unless
+    `n_blocks` is a positive int (a bool is none)."""
+    if type(n_blocks) is not int or n_blocks < 1:
+        raise ValueError("a block count must be a positive integer, not %r"
+                         % (n_blocks,))
+    return -(-width // n_blocks)
+
+
 class BlockStack:
-    """Gate matrices laid out as int8 column-block stacks, one byte per
-    code as a die's SRAM holds them.
+    """Gate matrices laid out in die columns: int8 column-block stacks,
+    one byte per code as a die's SRAM holds them.
 
     `mats` lists per gate the int8 code matrices whose columns one operand
-    concatenates: (W_x, W_h) for a cell, (W_y,) for the projection.
-    `rows` and `widths` zero-pad them to a padded layout (default: their
-    own size).  `col_blocks` lists per block one slice per matrix.  The
-    chains of block b read the selected columns matrix after matrix,
-    ascending; blocks narrower than the widest are padded at the end with
-    zero terms, which leave a saturating chain unchanged.  `w` is shaped
-    (gates, blocks, rows, K) and `w_sq` (gates, blocks, rows) holds each
-    chain's exact sum of squared codes, the certificate's weight norm.
-    A caller that runs many MAC calls on one stack steps on its float32
-    twin (`stepping`) and drops the twin when they are done.
+    concatenates: (W_x, W_h) for a cell, (W_y,) for the projection.  Each
+    matrix's columns are zero-padded to `n_blocks` equal tiles of
+    ceil(width / n_blocks) (`widths`: the padded widths), its rows to
+    `rows` (default: its own).  Block b's chains read tile b of every
+    matrix in turn; zero padding terms leave a saturating chain
+    unchanged.  `w` is shaped (gates, blocks, rows, K) and `w_sq` (gates,
+    blocks, rows) holds each chain's exact sum of squared codes, the
+    certificate's weight norm.  A caller that runs many MAC calls on one
+    stack steps on its float32 twin (`stepping`) and then drops it.
     """
 
-    def __init__(self, mats, col_blocks, rows=None, widths=None):
+    def __init__(self, mats, n_blocks=1, rows=None):
+        tiles = [tile_width(m.shape[1], n_blocks) for m in mats[0]]
+        self.widths = tuple(n_blocks * t for t in tiles)
+        self._tiles = [(n_blocks, t) for t in tiles]  # operand shapes
         rows = mats[0][0].shape[0] if rows is None else rows
-        widths = widths or [m.shape[1] for m in mats[0]]
-        offsets = np.cumsum([0] + list(widths))
-        # per block, per matrix: the selected columns as a range
-        ranges = [[range(*sl.indices(width)) for sl, width in zip(block,
-                                                                 widths)]
-                  for block in col_blocks]
-        cols = [np.concatenate([off + np.arange(r.start, r.stop, r.step)
-                                for r, off in zip(block, offsets)])
-                for block in ranges]
-        # padding terms read the zero entry appended to the operand
-        self.index = np.full((len(cols), max(map(len, cols))), offsets[-1])
-        for b, c in enumerate(cols):
-            self.index[b, :len(c)] = c
-        self.w = np.zeros((len(mats), len(cols), rows, self.index.shape[1]),
-                          np.int8)
+        self.w = np.zeros((len(mats), n_blocks, rows, sum(tiles)), np.int8)
         for g, gate_mats in enumerate(mats):
-            for b, block in enumerate(ranges):
-                pos = 0
-                for m, r in zip(gate_mats, block):
-                    # columns past the matrix's own width are zero padding
-                    part = m[:, r.start:min(r.stop, m.shape[1]):r.step]
-                    self.w[g, b, :m.shape[0], pos:pos + part.shape[1]] = part
-                    pos += len(r)
+            pos = 0
+            for m, tile in zip(gate_mats, tiles):
+                # block by block: no padded copy of a whole matrix
+                for b in range(n_blocks):
+                    part = m[:, b * tile:(b + 1) * tile]
+                    self.w[g, b, :len(m), pos:pos + part.shape[1]] = part
+                pos += tile
 
     @functools.cached_property
     def w_sq(self):
@@ -273,28 +271,26 @@ class BlockStack:
         """A twin of this stack whose `w` is the float32 weights of the
         factored `mac_run`, four bytes per code: made once for the steps
         of a layer and dropped after them, so no MAC call converts the
-        int8 layout.  The twin shares `index` (and `w_sq`, once known)."""
+        int8 layout.  The twin shares `w_sq`, once known."""
         twin = copy.copy(self)
         twin.w = self.w.astype(np.float32)
         return twin
 
     def operand(self, *vectors):
         """Per block, the codes its terms multiply: (..., blocks, K) for
-        vectors shaped (..., n), one operand per leading index."""
-        pad = np.zeros(np.shape(vectors[0])[:-1] + (1,), np.int64)
-        return np.concatenate(vectors + (pad,), axis=-1).take(self.index,
-                                                              axis=-1)
+        one vector per matrix, shaped (..., width) with the padded widths
+        `widths`, one operand per leading index."""
+        return np.concatenate([v.reshape(v.shape[:-1] + tiles)
+                               for v, tiles in zip(vectors, self._tiles)],
+                              axis=-1)
 
 
-def fc_stack(params, col_blocks=None, width=None):
-    """The projection's W_y column blocks (`col_blocks` slices h), its
-    columns zero-padded to `width` (default: n_hidden)."""
+def fc_stack(params, n_blocks=1):
+    """The projection's W_y in `n_blocks` column blocks of h, its columns
+    zero-padded to n_blocks * ceil(n_hidden / n_blocks)."""
     if not params.quantized:
         raise ValueError("a fixed projection needs quantized parameters")
-    width = width or params.n_hidden
-    blocks = col_blocks or [slice(0, width)]
-    return BlockStack([(params.W_y,)], [(sl,) for sl in blocks],
-                      widths=(width,))
+    return BlockStack([(params.W_y,)], n_blocks)
 
 
 def _blocked_dot(w, sq_norms, operand):
@@ -484,21 +480,19 @@ def fc_tail(acc, b_y, fmts, luts):
         np.minimum(np.maximum(acc + offset, lo), hi))
 
 
-def prepare_layer(params, luts, col_blocks=None, units=None,
-                  n_inputs=None):
+def prepare_layer(params, luts, n_blocks=1):
     """The one resident layout of a layer, run by the grid and the
-    oracle alike: (the four gates' (W_x, W_h) `BlockStack` over
-    `col_blocks`, the `cell_constants` of its peephole and bias codes),
-    zero-padded to `units` rows and `n_inputs` input columns (default:
-    the layer's own sizes, in one flat block).  ValueError unless the
-    parameters are quantized and the LUTs fit their formats."""
+    oracle alike: (the four gates' (W_x, W_h) `BlockStack` in `n_blocks`
+    die columns, the `cell_constants` of its peephole and bias codes),
+    its units zero-padded to the stack's padded recurrent width.
+    ValueError unless the parameters are quantized and the LUTs fit
+    their formats."""
     if not params.quantized:
         raise ValueError("a fixed layer needs quantized parameters")
-    units, n_inputs = units or params.n_hidden, n_inputs or params.n_inputs
+    units = n_blocks * tile_width(params.n_hidden, n_blocks)
     stack = BlockStack(list(zip(params.input_weights(),
                                 params.recurrent_weights())),
-                       col_blocks or [(slice(0, n_inputs), slice(0, units))],
-                       rows=units, widths=(n_inputs, units))
+                       n_blocks, rows=units)
     codes = np.zeros((7, units), np.int64)
     codes[:, :params.n_hidden] = ((params.w_ci, params.w_cf, params.w_co)
                                   + params.biases())
@@ -508,17 +502,18 @@ def prepare_layer(params, luts, col_blocks=None, units=None,
 def cell_step_fixed(params, state, x, luts, layer=None):
     """One bit-exact step on int8 codes.
 
-    `layer` is the layer's `prepare_layer(params, luts, col_blocks)`,
+    `layer` is the layer's `prepare_layer(params, luts, n_blocks)`,
     prepared once for many steps (default: one flat block, prepared for
     this step); a caller of many steps passes its stack's `stepping`
     twin, so the MAC kernel reads float32 weights it need not convert.
+    `x` and the state are zero-padded to the stack's `widths`.
     Splitting changes results only when an intermediate sum
     saturates, which is exactly why the grid simulator must run with the
     block structure of its plan.
     """
-    if x.shape != (params.n_inputs,) or state.h.shape != (params.n_hidden,):
-        raise ValueError("dimension mismatch")
     stack, consts = layer or prepare_layer(params, luts)
+    if (x.shape, state.h.shape) != ((stack.widths[0],), (stack.widths[1],)):
+        raise ValueError("dimension mismatch")
     dots = _blocked_dot(stack.w, stack.w_sq, stack.operand(x, state.h))
     return LstmState(*cell_tail(dots, state.c, consts))
 
@@ -526,20 +521,20 @@ def cell_step_fixed(params, state, x, luts, layer=None):
 def fc_step_fixed(params, h, luts, stack=None):
     """Fixed-point projection: blocked MAC, bias, requantize, sigmoid.
 
-    `h` is one hidden vector, or a T x n_hidden matrix whose rows are
-    projected at once (T x n_out), one MAC call for all of them.  `stack`
-    passes `fc_stack(params, col_blocks)` prepared once; the default is
-    one flat block.
+    `h` is one hidden vector, or a T x width matrix whose rows are
+    projected at once (T x n_out), one MAC call for all of them, its
+    codes zero-padded to the width of `stack`: `fc_stack(params,
+    n_blocks)` prepared once (default: one flat block).
     """
-    if h.ndim not in (1, 2) or h.shape[-1] != params.n_hidden:
-        raise ValueError("dimension mismatch")
     stack = stack or fc_stack(params)
+    if h.ndim not in (1, 2) or h.shape[-1] != stack.widths[0]:
+        raise ValueError("dimension mismatch")
     return fc_tail(_blocked_dot(stack.w[0], stack.w_sq[0], stack.operand(h)),
                    params.b_y, params.formats, luts)
 
 
 def network_infer(spec, params, features, *, luts=None,
-                  col_blocks_per_layer=None, fc_col_blocks=None):
+                  col_blocks_per_layer=None, fc_col_blocks=1):
     """Run T steps through the layer stack and optional projection.
 
     `features` is a T x n_features matrix of int8 codes; states start at
@@ -547,12 +542,14 @@ def network_infer(spec, params, features, *, luts=None,
     codes.  Every parameter and feature code must be int8 (ValueError
     otherwise); each layer's weight stacks and cell constants are prepared
     once per call (`prepare_layer`).  `luts` defaults to the tables of
-    the parameters' formats, and the column blocks to one flat block per
-    layer.
+    the parameters' formats.  The block arguments are counts, one flat
+    block by default: a list of one per layer, and the projection's; a
+    plan's are its grids' die columns (`cli._plan_blocks`).
 
     The layers run one after another: every step of layer 0, one
-    `cell_step_fixed` call each, then layer 1 over layer 0's hidden codes
-    of every step, and so on; the projection runs once, over every step.
+    `cell_step_fixed` call each, on its inputs and state zero-padded to
+    the stack's `widths`, then layer 1 over layer 0's hidden codes of
+    every step, and so on; the projection runs once, over every step.
     One layer's layout is held at a time: its float32 `stepping` twin
     lives while the layer steps, and both go before the next layer is
     prepared.
@@ -564,24 +561,31 @@ def network_infer(spec, params, features, *, luts=None,
         raise ValueError("layer count mismatch")
     if (spec.n_out is None) != (params.fc is None):
         raise ValueError("projection presence mismatch")
+    counts = col_blocks_per_layer
+    counts = [1] * spec.n_layers if counts is None else list(counts)
+    if len(counts) != spec.n_layers:
+        raise ValueError("need one block count per layer, not %r" % counts)
     check_codes(params, features)
     luts = luts or default_luts(derive_spec(params).formats)
     fc_weights = (fc_stack(params.fc, fc_col_blocks)
                   if params.fc is not None else None)
     feed = features
-    for li, p in enumerate(params.layers):
-        stack, consts = prepare_layer(p, luts, col_blocks_per_layer[li]
-                                      if col_blocks_per_layer else None)
+    for p, n_blocks in zip(params.layers, counts):
+        stack, consts = prepare_layer(p, luts, n_blocks)
         layer = stack.stepping(), consts
-        state = LstmState.zeros(p.n_hidden)
-        hidden = np.zeros((len(feed), p.n_hidden), np.int64)
-        for t, x in enumerate(feed):
-            state = cell_step_fixed(p, state, x, luts, layer=layer)
+        x = np.zeros((len(feed), stack.widths[0]), np.int64)
+        x[:, :p.n_inputs] = feed
+        state = LstmState.zeros(stack.widths[1])
+        hidden = np.zeros((len(feed), stack.widths[1]), np.int64)
+        for t in range(len(feed)):
+            state = cell_step_fixed(p, state, x[t], luts, layer=layer)
             hidden[t] = state.h
-        feed = hidden
+        feed = hidden[:, :p.n_hidden]
         del stack, layer  # before the next layer is laid out
     if params.fc is not None:
-        feed = fc_step_fixed(params.fc, feed, luts, stack=fc_weights)
+        h = np.zeros((len(feed), fc_weights.widths[0]), np.int64)
+        h[:, :params.fc.n_hidden] = feed
+        feed = fc_step_fixed(params.fc, h, luts, stack=fc_weights)
     return feed
 
 

@@ -16,7 +16,8 @@ step), spilling states to the host in between.
 
 import dataclasses
 import functools
-import math
+
+from .lstm_ref import tile_width
 
 HOST = ("host",)
 
@@ -104,13 +105,6 @@ class LayerGrid:
     def ni_padded(self):
         return self.n * self.ni_tile
 
-    def col_blocks(self):
-        """Per die column j, its (input slice, recurrent slice) of the
-        padded operands: the column blocking of every MAC chain."""
-        return [(slice(j * self.ni_tile, (j + 1) * self.ni_tile),
-                 slice(j * self.nh_tile, (j + 1) * self.nh_tile))
-                for j in range(self.n)]
-
 
 @dataclasses.dataclass
 class GridPlan:
@@ -168,15 +162,10 @@ def memory_footprint(n_i_tile, n_h_tile, fc_out=None, fc_bias=False,
     return total
 
 
-def _split(width, n):
-    return int(math.ceil(width / n)) if width else 0
-
-
 def plan_layer_grid(layer, n_inputs, n_hidden, tile, n_out=None):
-    n = int(math.ceil(n_hidden / tile.nh_capacity))
-    return LayerGrid(layer, n, n_hidden, n_inputs,
-                     nh_tile=_split(n_hidden, n), ni_tile=_split(n_inputs, n),
-                     n_out=n_out)
+    n = tile_width(n_hidden, tile.nh_capacity)  # dies per grid side
+    return LayerGrid(layer, n, n_hidden, n_inputs, tile_width(n_hidden, n),
+                     tile_width(n_inputs, n), n_out)
 
 
 def layer_io(reload, n_layers, grid):

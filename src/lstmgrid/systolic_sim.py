@@ -152,17 +152,26 @@ class PhaseTrace:
     def die_activity(self):
         """Per-die active/stall cycle split over the inference span.
 
-        The configuration timeline (step None) lies apart and is excluded
-        so active + stall == total_cycles holds.
+        A die is active in the cycles any of its records spans, so records
+        that overlap on it (a deeper grid's feature stream and recurrent
+        MAC loop) count once.  The configuration timeline (step None) lies
+        apart and is excluded so active + stall == total_cycles holds.
         """
         active = {}
         for tpl in self.templates:
             if tpl.first is None:  # the configuration timeline
                 continue
-            uses = len(tpl.starts)
+            spans = {}
             for rec in tpl.records:
+                span = (rec.start, rec.end)
                 for die in rec.dies:
-                    active[die] = active.get(die, 0) + uses * rec.duration
+                    spans.setdefault(die, []).append(span)
+            for die, die_spans in spans.items():
+                busy = reach = 0  # the union of the spans, in start order
+                for start, end in sorted(die_spans):
+                    if end > reach:
+                        busy, reach = busy + end - max(start, reach), end
+                active[die] = active.get(die, 0) + len(tpl.starts) * busy
         return {die: {"active": act, "stall": self.total_cycles - act}
                 for die, act in active.items()}
 
@@ -575,14 +584,11 @@ class GridSim:
         self.plan = plan
         self.luts = luts or lstm_ref.default_luts(
             lstm_ref.derive_spec(params).formats)
-        self.layers = [lstm_ref.prepare_layer(p, self.luts, g.col_blocks(),
-                                              g.nh_padded, g.ni_padded)
+        self.layers = [lstm_ref.prepare_layer(p, self.luts, g.n)
                        for g, p in zip(plan.layer_grids, params.layers)]
         self.fc = params.fc
         if self.fc is not None:
-            last = plan.layer_grids[-1]
-            self.fc_stack = lstm_ref.fc_stack(
-                self.fc, [h for _, h in last.col_blocks()], last.nh_padded)
+            self.fc_stack = lstm_ref.fc_stack(self.fc, plan.layer_grids[-1].n)
         self.dropped = links_labelled(plan, dropped_links)
         # load link -> (word count, toggles) of its die's parameter burst:
         # the same words from idle on every load

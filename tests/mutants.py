@@ -100,6 +100,16 @@ MUTANTS = [
          "test_report_equals_the_record_loop_to_the_last_bit"),
         "die_activity counts the configuration timeline's parameter loads"),
     Mutant(
+        "die_activity_sums_durations", "systolic_sim.py",
+        "                    if end > reach:\n"
+        "                        busy, reach = busy + end - max(start, reach),"
+        " end\n",
+        "                    busy += end - start\n",
+        (SIM + "test_overlapping_records_count_once_per_die",
+         PE + "test_report_equals_the_record_loop_to_the_last_bit"),
+        "records that overlap on a die count twice, so a deeper grid's "
+        "feature stream adds to its recurrent MAC loop's active cycles"),
+    Mutant(
         "full_unit_loop_truncated", "systolic_sim.py",
         "h_loop = max(grid.nh_tile, plan.tile.nh_capacity)",
         "h_loop = grid.nh_tile",
@@ -138,14 +148,29 @@ MUTANTS = [
         (SIM + "test_a_second_run_starts_from_zero_state",),
         "a run starts from the h and c the last run left"),
     Mutant(
-        "block_stack_packs_short_ranges", "lstm_ref.py",
-        "                    pos += len(r)\n",
-        "                    pos += part.shape[1]\n",
+        "block_stack_packs_short_tiles", "lstm_ref.py",
+        "                pos += tile\n",
+        "                pos += part.shape[1]\n",
         (SIM + "test_param_words_match_the_network_tensors",
          SIM + "test_every_mode_matches_the_scalar_oracle"),
-        "a block range past its matrix's real width is packed short, so "
-        "the next matrix's columns of the block sit under the wrong "
-        "operand codes"),
+        "a tile past its matrix's real width is packed short, so the next "
+        "matrix's columns of the block sit under the wrong operand codes"),
+    Mutant(
+        "block_tile_floors_the_width", "lstm_ref.py",
+        "    return -(-width // n_blocks)\n",
+        "    return width // n_blocks\n",
+        (REF + "test_block_stack_layout_and_row_norms",
+         SIM + "test_every_mode_matches_the_scalar_oracle"),
+        "a tile is width // n columns, so a ragged matrix loses its last "
+        "columns and its padded operand no longer fits the layout"),
+    Mutant(
+        "operand_reads_codes_strided", "lstm_ref.py",
+        "v.reshape(v.shape[:-1] + tiles)\n",
+        "v.reshape(v.shape[:-1] + tiles[::-1]).swapaxes(-1, -2)\n",
+        (REF + "test_block_stack_layout_and_row_norms",
+         SIM + "test_every_mode_matches_the_scalar_oracle"),
+        "block b's operand reads every n-th code from b on, not tile b of "
+        "each vector"),
     Mutant(
         "padding_before_the_real_units", "lstm_ref.py",
         "codes[:, :params.n_hidden] = ",

@@ -293,9 +293,10 @@ def count_toggles_int64(words, word_bits, idle=0):
 
 
 # --- energy report over the trace's records, one event at a time --------------
-# The record-loop `PhaseTrace.die_activity` and `perf_energy.report` as they
-# were before the trace became templates and a toggle array; the columnar
-# versions must equal them to the last bit and in dict key order.
+# `perf_energy.report` over the trace's records as it was before the trace
+# became templates and a toggle array, and `PhaseTrace.die_activity` as a
+# set of busy cycles per die; the library must equal them to the last bit
+# and in dict key order.
 # `link_totals` is now the only link-total reduction: the tests measure
 # per-link bits, words and toggles with it.
 
@@ -318,14 +319,17 @@ def link_totals(trace):
 
 
 def die_activity(trace):
-    active = {}
+    """Per die, the cycles of the inference span in which any of its
+    records runs, collected one cycle at a time."""
+    busy = {}
     for rec in trace.records:
         if rec.step is None:
             continue
         for die in rec.dies:
-            active[die] = active.get(die, 0) + rec.duration
-    return {die: {"active": act, "stall": trace.total_cycles - act}
-            for die, act in active.items()}
+            busy.setdefault(die, set()).update(range(rec.start, rec.end))
+    return {die: {"active": len(cycles),
+                  "stall": trace.total_cycles - len(cycles)}
+            for die, cycles in busy.items()}
 
 
 def _event_io_energy_j(ev, consts):

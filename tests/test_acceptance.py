@@ -33,18 +33,12 @@ def verdict(num, name, ok, detail=""):
     assert ok, "%s%s" % (name, tail)
 
 
-def blocks_for(grid):
-    return [(slice(j * grid.ni_tile, (j + 1) * grid.ni_tile),
-             slice(j * grid.nh_tile, (j + 1) * grid.nh_tile))
-            for j in range(grid.n)]
-
-
 def reference(plan, params, feats):
     spec = plan.spec
     return LR.network_infer(
         spec, params, feats,
-        col_blocks_per_layer=[blocks_for(g) for g in plan.layer_grids],
-        fc_col_blocks=[s for _, s in blocks_for(plan.layer_grids[-1])]
+        col_blocks_per_layer=[g.n for g in plan.layer_grids],
+        fc_col_blocks=plan.layer_grids[-1].n
         if params.fc is not None else None)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -281,53 +282,55 @@ def test_fixed_blocked_matches_blocked_oracle(splits, seed=11):
     blocks = [(slice(cuts[k], cuts[k + 1]), slice(cuts[k], cuts[k + 1]))
               for k in range(splits)]
     got = lr.cell_step_fixed(p, lr.LstmState(h, c), x, LUTS,
-                             layer=lr.prepare_layer(p, LUTS, blocks))
+                             layer=lr.prepare_layer(p, LUTS, splits))
     want_h, want_c, _ = O.cell_step(to_oracle(p), x.tolist(), h.tolist(),
                                     c.tolist(), blocks)
     assert got.h.tolist() == want_h
     assert got.c.tolist() == want_c
 
 
-def gathered_layout(mats, col_blocks, rows, widths):
+def gathered_layout(mats, n_blocks, rows):
     """The stack layout by concatenation and index gather: per gate, the
-    matrices side by side (zero-padded to `rows` x `widths`), then per
-    block its selected columns, zero-filled to the widest block."""
-    offsets = np.cumsum([0] + list(widths))
-    cols = [np.concatenate([off + np.arange(*sl.indices(width))
-                            for sl, off, width in zip(block, offsets, widths)])
-            for block in col_blocks]
-    k = max(map(len, cols))
-    w = np.zeros((len(mats), len(cols), rows, k))
+    matrices side by side, each zero-padded to `rows` and to `n_blocks`
+    tiles of ceil(width / n_blocks) columns, then per block tile b of
+    each.  Returns (layout, per block the indices of its columns in the
+    padded concatenation)."""
+    tiles = [math.ceil(m.shape[1] / n_blocks) for m in mats[0]]
+    offsets = np.cumsum([0] + [n_blocks * t for t in tiles])
+    cols = np.array([np.concatenate([off + np.arange(b * t, (b + 1) * t)
+                                     for off, t in zip(offsets, tiles)])
+                     for b in range(n_blocks)])
+    w = np.zeros((len(mats), n_blocks, rows, sum(tiles)))
     for g, gate_mats in enumerate(mats):
         cat = np.zeros((rows, offsets[-1]))
         for m, off in zip(gate_mats, offsets):
             cat[:m.shape[0], off:off + m.shape[1]] = m
-        for b, c in enumerate(cols):
-            w[g, b, :, :len(c)] = cat[:, c]
-    return w
+        w[g] = cat[:, cols].swapaxes(0, 1)
+    return w, cols
 
 
-@pytest.mark.parametrize("n_i,n_h,rows,widths,col_blocks", [
-    # the oracle's own sizes, ragged blocks
-    (7, 5, None, None, [(slice(0, 3), slice(0, 2)), (slice(3, 7),
-                                                      slice(2, 5))]),
-    # a grid's padded tiles: 3 columns of 3 inputs and 2 units
-    (7, 5, 6, (9, 6), [(slice(3 * j, 3 * j + 3), slice(2 * j, 2 * j + 2))
-                       for j in range(3)]),
-    # strided and empty selections
-    (8, 4, None, None, [(slice(0, 8, 3), slice(3, 4)), (slice(5, 5),
-                                                         slice(0, 4, 2))]),
+@pytest.mark.parametrize("n_i,n_h,n_blocks,rows", [
+    (7, 5, 1, None),  # the oracle's own sizes, one flat block
+    (7, 5, 3, 6),  # a grid's padded tiles: 3 columns of 3 inputs, 2 units
+    (8, 4, 3, None),  # ragged: h's last tile holds no real column
 ])
-def test_block_stack_layout_and_row_norms(n_i, n_h, rows, widths,
-                                          col_blocks):
+def test_block_stack_layout_and_row_norms(n_i, n_h, n_blocks, rows):
     p = random_fixed(5, n_i, n_h, scale=3.0)
     mats = list(zip(p.input_weights(), p.recurrent_weights()))
-    stack = lr.BlockStack(mats, col_blocks, rows=rows, widths=widths)
-    want = gathered_layout(mats, col_blocks, rows or n_h,
-                           widths or (n_i, n_h))
+    stack = lr.BlockStack(mats, n_blocks, rows=rows)
+    want, cols = gathered_layout(mats, n_blocks, rows or n_h)
     assert stack.w.dtype == np.int8 and np.array_equal(stack.w, want)
     assert stack.w_sq.dtype == np.int64
     assert np.array_equal(stack.w_sq, (want.astype(np.int64) ** 2).sum(-1))
+    assert stack.widths == tuple(n_blocks * math.ceil(n / n_blocks)
+                                 for n in (n_i, n_h))
+    # one operand per leading index, none for an empty run
+    rng = np.random.default_rng(6)
+    for lead in ((), (2,), (0,)):
+        vecs = [rng.integers(-128, 128, lead + (n,)) for n in stack.widths]
+        got = stack.operand(*vecs)
+        assert got.shape == lead + cols.shape
+        assert np.array_equal(got, np.concatenate(vecs, axis=-1)[..., cols])
 
 
 def test_blocked_partials_are_not_associative():
@@ -337,12 +340,11 @@ def test_blocked_partials_are_not_associative():
     p.W_xi[0] = [127, 127, 127, -127, -127, -127]
     p.W_xc[0, 5] = 16  # nonzero update gate so the cell state sees the split
     x = np.full(6, 127, np.int64)
-    s0 = lr.LstmState.zeros(1)
-    flat = lr.cell_step_fixed(p, s0, x, LUTS)
-    split = lr.cell_step_fixed(
-        p, s0, x, LUTS, layer=lr.prepare_layer(
-            p, LUTS, [(slice(0, 3), slice(0, 1)), (slice(3, 6), slice(1, 1))]))
-    assert flat.h.tolist() != split.h.tolist()
+    flat = lr.cell_step_fixed(p, lr.LstmState.zeros(1), x, LUTS)
+    # two die columns: inputs 0-2 and unit 0, inputs 3-5 and a padded unit
+    split = lr.cell_step_fixed(p, lr.LstmState.zeros(2), x, LUTS,
+                               layer=lr.prepare_layer(p, LUTS, 2))
+    assert flat.h.tolist() != split.h[:1].tolist()
     acc_flat, _ = O.mac_chain([(127, 127)] * 3 + [(-127, 127)] * 3)
     assert acc_flat == -15620  # rails at +32767 on the way
     hi, _ = O.mac_chain([(127, 127)] * 3)
@@ -361,6 +363,28 @@ def test_preparation_refuses_float_parameters_and_steps_other_sizes():
             with pytest.raises(ValueError, match="dimension mismatch"):
                 lr.cell_step_fixed(p, lr.LstmState(h, h.copy()), x, LUTS,
                                    layer=layer)
+
+
+@pytest.mark.parametrize("call,bad", [
+    ("prepare_layer", 0), ("prepare_layer", -1), ("prepare_layer", True),
+    ("prepare_layer", 2.0), ("prepare_layer", "2"), ("fc_stack", 0),
+    ("fc_stack", False), ("fc_stack", None), ("per_layer", [1, 0]),
+    ("per_layer", [True, 1]), ("per_layer", []), ("per_layer", [2]),
+    ("per_layer", [1, 1, 1]), ("fc", 0), ("fc", 1.0),
+])
+def test_bad_block_counts_are_refused(call, bad):
+    # a count is a positive int, and the per-layer list names every layer
+    params = lr.random_network_params(3, [(5, 6), (6, 4)], n_out=2)
+    spec, feats = lr.derive_spec(params), lr.random_features(4, 2, 5)
+    run = {"prepare_layer": lambda: lr.prepare_layer(params.layers[0],
+                                                     LUTS, bad),
+           "fc_stack": lambda: lr.fc_stack(params.fc, bad),
+           "per_layer": lambda: lr.network_infer(
+               spec, params, feats, col_blocks_per_layer=bad),
+           "fc": lambda: lr.network_infer(spec, params, feats,
+                                          fc_col_blocks=bad)}[call]
+    with pytest.raises(ValueError, match="block count"):
+        run()
 
 
 def test_vanilla_degeneration():
@@ -431,27 +455,30 @@ def test_fc_scalar_and_random_vs_oracle():
     got = lr.fc_step_fixed(fc, h, LUTS)
     want = O.fc_step(w.tolist(), b.tolist(), h.tolist(), OTAB["sigmoid_lut"])
     assert got.tolist() == want
-    blocks = [slice(0, 3), slice(3, 7)]
-    got_b = lr.fc_step_fixed(fc, h, LUTS, stack=lr.fc_stack(fc, blocks))
+    blocks = [slice(0, 4), slice(4, 7)]  # two die columns of 4 codes
+    got_b = lr.fc_step_fixed(fc, np.append(h, 0), LUTS,
+                             stack=lr.fc_stack(fc, 2))
     want_b = O.fc_step(w.tolist(), b.tolist(), h.tolist(),
                        OTAB["sigmoid_lut"], blocks)
     assert got_b.tolist() == want_b
 
 
-@pytest.mark.parametrize("blocks", [None, [slice(0, 3), slice(3, 7)]],
-                         ids=["flat", "blocked"])
-def test_fc_step_on_a_matrix_equals_one_call_per_row(blocks):
+@pytest.mark.parametrize("n_blocks", [1, 2], ids=["flat", "blocked"])
+def test_fc_step_on_a_matrix_equals_one_call_per_row(n_blocks):
     # full-range codes, so that chains and the block fold clip
     rng = np.random.default_rng(11)
     fc = lr.FcParams(rng.integers(-127, 128, (5, 7)).astype(np.int8),
                      rng.integers(-127, 128, 5).astype(np.int8), formats=FMT)
-    stack = lr.fc_stack(fc, blocks)
+    stack = lr.fc_stack(fc, n_blocks)
     h = rng.integers(-128, 128, (6, 7))
-    got = lr.fc_step_fixed(fc, h, LUTS, stack=stack)
+    padded = np.zeros((6, stack.widths[0]), np.int64)
+    padded[:, :7] = h
+    got = lr.fc_step_fixed(fc, padded, LUTS, stack=stack)
     assert got.tolist() == [lr.fc_step_fixed(fc, row, LUTS,
                                              stack=stack).tolist()
-                            for row in h]
-    assert lr.fc_step_fixed(fc, h[:0], LUTS, stack=stack).shape == (0, 5)
+                            for row in padded]
+    assert lr.fc_step_fixed(fc, padded[:0], LUTS,
+                            stack=stack).shape == (0, 5)
     for bad in (h[:, :6], h[None]):
         with pytest.raises(ValueError, match="dimension"):
             lr.fc_step_fixed(fc, bad, LUTS)

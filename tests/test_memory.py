@@ -77,6 +77,19 @@ def test_the_oracle_holds_one_layer_at_a_time(network):
     assert peak < max(sizes) + 4 * max(sizes) + MB
 
 
+def test_a_layout_build_copies_no_whole_matrix(network):
+    params, plan, _, sizes = network
+    grid, luts = plan.layer_grids[0], lstm_ref.default_luts()
+    # the tail tables are built once per process, before the measurement
+    lstm_ref.prepare_layer(params.layers[0], luts, grid.n)
+    (stack, _), peak = traced_peak(lstm_ref.prepare_layer, params.layers[0],
+                                   luts, grid.n)
+    assert grid.n == 5 and stack.w.nbytes == sizes[0]
+    # the int8 layout, filled block by block: no padded or transposed
+    # copy of a gate matrix on the way
+    assert peak < stack.w.nbytes + 512 * 1024
+
+
 def test_no_step_hands_the_mac_kernel_int8_weights(monkeypatch):
     # the kernel converts other dtypes on every call: each gate call of
     # either engine gets its layer's float32 operand, made once per layer,

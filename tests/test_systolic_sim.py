@@ -24,19 +24,20 @@ TILE = TileSpec()
 
 
 def blocks_for(grid):
-    """The column blocking a grid imposes on the reference computation."""
+    """Per die column j, its (input slice, recurrent slice) of the padded
+    operands: the column blocking a grid imposes, spelled out for the
+    scalar oracle."""
     return [(slice(j * grid.ni_tile, (j + 1) * grid.ni_tile),
              slice(j * grid.nh_tile, (j + 1) * grid.nh_tile))
             for j in range(grid.n)]
 
 
 def reference(plan, params, feats):
-    spec = plan.spec
+    """The oracle in the plan's die columns."""
+    counts = [g.n for g in plan.layer_grids]
     return LR.network_infer(
-        spec, params, feats,
-        col_blocks_per_layer=[blocks_for(g) for g in plan.layer_grids],
-        fc_col_blocks=[s for _, s in blocks_for(plan.layer_grids[-1])]
-        if params.fc is not None else None)
+        plan.spec, params, feats, col_blocks_per_layer=counts,
+        fc_col_blocks=counts[-1] if params.fc is not None else None)
 
 
 def make_case(seed, layer_sizes, n_out=None, scale=1.0, n_steps=3,
@@ -329,55 +330,59 @@ def test_param_words_match_the_network_tensors(reload):
     assert {g.ni_padded - g.n_inputs for g in plan.layer_grids} == {2, 0}
 
 
+def assert_tiles(w, mats, blocks):
+    """Block j of the layout `w` holds the real columns of tile j of every
+    gate's matrices (`blocks`: per block, one slice per matrix), matrix
+    after matrix at the tiles' padded widths; everything else is zero."""
+    w = w.copy()
+    for g, gate_mats in enumerate(mats):
+        for j, block in enumerate(blocks):
+            pos = 0
+            for m, sl in zip(gate_mats, block):
+                part = m[:, sl]
+                cols = slice(pos, pos + part.shape[1])
+                assert np.array_equal(w[g, j, :len(m), cols], part), (g, j)
+                w[g, j, :len(m), cols] = 0
+                pos += sl.stop - sl.start
+    assert not w.any()
+
+
 @pytest.mark.parametrize("mode", ["stacked", "chip_select", "reload"])
 def test_each_resident_layout_is_the_oracles_padded_to_the_grid(mode):
-    # ragged input and hidden widths: on the real rows and columns of
-    # every column block, each layer's resident stack and cell constants
-    # and the projection's stack are the oracle's own under the grid's
-    # column blocks; everything else is zero padding
+    # ragged input and hidden widths: each layer's resident stack and cell
+    # constants, and the projection's stack, are the oracle's own in the
+    # plan's die columns, at the grid's padded widths, and die column j
+    # holds tile j of the raw tensors
     params = LR.random_network_params(82, [(7, 10), (10, 7)], n_out=3)
     plan = plan_grid(LR.derive_spec(params), TINY, reload=mode == "reload",
                      chip_select=mode == "chip_select")
     sim = GridSim(plan, params)
+    for p, grid, (stack, consts) in zip(params.layers, plan.layer_grids,
+                                        sim.layers):
+        want, want_consts = LR.prepare_layer(p, sim.luts, grid.n)
+        assert stack.widths == want.widths == (grid.ni_padded,
+                                               grid.nh_padded)
+        assert np.array_equal(stack.w, want.w)
+        assert np.array_equal(stack.w_sq, want.w_sq)
+        assert_tiles(stack.w, list(zip(p.input_weights(),
+                                       p.recurrent_weights())),
+                     blocks_for(grid))
+        assert consts.tables is want_consts.tables
+        for field in dataclasses.fields(consts):
+            got = getattr(consts, field.name)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, getattr(want_consts, field.name))
+        for codes, raw in ((consts.peep, (p.w_ci, p.w_cf, p.w_co)),
+                           (consts.bias, p.biases())):
+            assert codes.shape == (len(raw), grid.nh_padded)
+            assert np.array_equal(codes[:, :p.n_hidden], raw)
+            assert not codes[:, p.n_hidden:].any()
     last = plan.layer_grids[-1]
-    resident = [(p, grid.col_blocks(), (p.n_inputs, p.n_hidden),
-                 (grid.ni_tile, grid.nh_tile), stack, consts)
-                for p, grid, (stack, consts)
-                in zip(params.layers, plan.layer_grids, sim.layers)]
-    resident.append((params.fc, [(h,) for _, h in last.col_blocks()],
-                     (last.n_hidden,), (last.nh_tile,), sim.fc_stack, None))
-    for p, blocks, sizes, tiles, stack, consts in resident:
-        if consts is None:
-            want = LR.fc_stack(p, [h for (h,) in blocks])
-        else:
-            want, want_consts = LR.prepare_layer(p, sim.luts, blocks)
-        units = want.w.shape[2]
-        w, w_sq = stack.w.copy(), stack.w_sq.copy()
-        assert np.array_equal(w_sq[:, :, :units], want.w_sq)
-        w_sq[:, :, :units] = 0
-        assert not w_sq.any()
-        for j, block in enumerate(blocks):
-            ref_pos = 0
-            for k, (sl, size) in enumerate(zip(block, sizes)):
-                real = len(range(*sl.indices(size)))
-                cols = slice(sum(tiles[:k]), sum(tiles[:k]) + real)
-                assert np.array_equal(
-                    w[:, j, :units, cols],
-                    want.w[:, j, :, ref_pos:ref_pos + real]), (mode, j, k)
-                w[:, j, :units, cols] = 0
-                ref_pos += real
-            assert not want.w[:, j, :, ref_pos:].any()
-        assert not w.any()
-        if consts is not None:
-            assert consts.tables is want_consts.tables
-            for field in dataclasses.fields(consts):
-                got = getattr(consts, field.name)
-                if isinstance(got, np.ndarray):
-                    assert np.array_equal(
-                        got[..., :units], getattr(want_consts, field.name))
-            for codes in (consts.peep, consts.bias):
-                assert codes.shape[1] == stack.w.shape[2]
-                assert not codes[:, units:].any()
+    want = LR.fc_stack(params.fc, last.n)
+    assert sim.fc_stack.widths == want.widths == (last.nh_padded,)
+    assert np.array_equal(sim.fc_stack.w, want.w)
+    assert_tiles(sim.fc_stack.w, [(params.fc.W_y,)],
+                 [(h,) for _, h in blocks_for(last)])
 
 
 @pytest.mark.parametrize("layers,n_out,reload", [
@@ -694,6 +699,18 @@ def test_active_plus_stall_covers_the_span():
     assert master["active"] > slave["active"]
 
 
+def test_overlapping_records_count_once_per_die():
+    # one die per layer: the deeper die's feature stream (192 cycles) runs
+    # inside its recurrent MAC loop (384 cycles), so the two spans count
+    # once; summed, the die would read 1,204 active cycles
+    plan, params, feats = make_case(72, [(96, 96), (96, 96)], n_steps=1)
+    _, trace = simulate(plan, params, feats)
+    assert trace.total_cycles == 2024
+    want = {"active": 1012, "stall": 1012}
+    assert trace.die_activity() == {(0, 0, 0): want, (1, 0, 0): want}
+    assert repr(trace.die_activity()) == repr(O.die_activity(trace))
+
+
 def test_single_die_never_stalls():
     plan, params, feats = make_case(71, [(96, 96)], n_steps=1)
     _, trace = simulate(plan, params, feats)
@@ -942,10 +959,10 @@ OTABLES = {"sigmoid_lut": O.lut_table("sigmoid", 5, 7),
 
 
 def scalar_reference(plan, params, feats):
-    """`oracles.run_network` over the column blocks `grid.col_blocks()`
+    """`oracles.run_network` over the column blocks `blocks_for(grid)`
     names: scalar Python chains that share no arithmetic with the
     package."""
-    blocks = [g.col_blocks() for g in plan.layer_grids]
+    blocks = [blocks_for(g) for g in plan.layer_grids]
     layers = [dict(OTABLES, w_x=[m.tolist() for m in p.input_weights()],
                    w_h=[m.tolist() for m in p.recurrent_weights()],
                    peep=[p.w_ci.tolist(), p.w_cf.tolist(), p.w_co.tolist()],
