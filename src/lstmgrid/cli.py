@@ -14,9 +14,9 @@ output diverged from the oracle, or a dropped link deadlocked the run).
 """
 
 import argparse
+import collections
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -35,8 +35,37 @@ EXIT_CONSTRAINT = 2
 EXIT_CORRECTNESS = 3
 
 SCHEMA_VERSION = 1
-_SECTIONS = ("schema_version", "network", "features", "tile", "mode",
-             "operating_point", "energy", "faults", "sweep")
+
+# Every key of a run config: section -> key -> (type, least, most,
+# default), the document's own keys under None.  Types: int (no bool),
+# float (finite, or a string spelling one, as PyYAML leaves 1.0e7), str
+# (non-empty), list, a tuple of the strings allowed, or a one-item list
+# of its items' type.  A null key takes its default.  A library type's
+# section takes its fields, defaults and checks.  5e-324 is the least
+# float above 0 Hz; 128 = 2**7 is the most an 8-bit code stands for.
+_CLOCK = (float, 5e-324, None, OperatingPoint.frequency)
+_CONFIG = {
+    None: {"schema_version": (int, SCHEMA_VERSION, SCHEMA_VERSION, None),
+           "mode": (("stacked", "reload", "chip-select", "chip_select"),
+                    None, None, "stacked")},
+    "network": {"container": (str, None, None, None),
+                "layers": ([[int]], None, None, None),
+                "n_out": (int, None, None, None),
+                "seed": (int, None, None, 0),
+                "scale": (float, 0.0, 128.0, 0.5)},
+    "features": {"container": (str, None, None, None),
+                 "n_steps": (int, 0, None, 1),
+                 "seed": (int, None, None, 1),
+                 "scale": (float, 0.0, 128.0, 1.0)},
+    "tile": TileSpec,
+    "operating_point": {"frequency_hz": _CLOCK},
+    "energy": EnergyConstants,
+    "faults": {"drop_links": ([str], None, None, ())},
+    "sweep": {"axis": (("frequency", "grid", "frac_bits"), None, None, None),
+              "values": (list, None, None, ())},  # by `_SWEEP_VALUES`
+}
+_SWEEP_VALUES = {"frequency": _CLOCK, "grid": (int, 1, None, None),
+                 "frac_bits": (int, None, None, None)}
 
 
 class ConfigError(Exception):
@@ -48,70 +77,87 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Everything a run needs, merged from the YAML document and flags."""
-    params: object  # NetworkParams
-    features: object  # T x n_features int codes
-    spec: object  # NetworkSpec
-    tile: TileSpec
-    mode: str  # 'stacked' | 'reload' | 'chip-select'
-    op: OperatingPoint
-    consts: EnergyConstants
-    dropped_links: tuple
-    sweep: dict
-
-    @property
-    def reload(self):
-        return self.mode == "reload"
-
-    @property
-    def chip_select(self):
-        return self.mode == "chip-select"
+# everything a run needs, merged from the YAML document and flags; mode
+# is 'stacked', 'reload' or 'chip-select'
+RunConfig = collections.namedtuple("RunConfig", "params features spec tile "
+                                   "mode op consts dropped_links sweep")
 
 
-def _require(cond, message):
-    if not cond:
-        raise ConfigError(message)
+def _typed(value, kind):
+    """`value` as a `kind` of `_CONFIG`, or None if it is not one."""
+    if isinstance(kind, list):
+        items = ([_typed(v, kind[0]) for v in value]
+                 if type(value) is list else [None])
+        return None if None in items else items
+    if isinstance(kind, tuple):
+        return value if value in kind else None
+    if kind is float and type(value) in (int, float, str):
+        try:
+            value = float(value)
+        except (ValueError, OverflowError):  # not a number, or past floats
+            return None
+        return value if abs(value) <= sys.float_info.max else None
+    return value if type(value) is kind and value != "" else None
 
 
-def _frequency(value, what="the clock frequency"):
-    """`value` in Hz if it is positive and finite, else a config error."""
-    _require(math.isfinite(value) and value > 0,
-             "%s must be positive and finite, not %r" % (what, value))
-    return value
+def _spell(kind, many=False):
+    """A `kind` of `_CONFIG` as an error names it: one, or `many`."""
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(kind)
+    if isinstance(kind, list):
+        return ("lists of " if many else "a list of ") + _spell(kind[0], True)
+    word = {int: "an integer", float: "a finite number",
+            str: "a non-empty string", list: "a list"}[kind]
+    return word.split(" ", 1)[1] + "s" if many else word
 
 
-def _number(value, what):
-    """`value` as a float if it is a number (a bool is not; YAML floats
-    like 1.0e7, with no exponent sign, arrive as strings), else a config
-    error."""
-    try:
-        if not isinstance(value, bool):
-            return float(value)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError("%s must be a number, not %r" % (what, value))
+def _value(name, value, rule):
+    """`value` read by `rule`, a `_CONFIG` entry; a config error naming
+    the key `name` if it breaks the rule."""
+    kind, least, most, _ = rule
+    got = _typed(value, kind)
+    if got is None or (least is not None and got < least) \
+            or (most is not None and got > most):
+        raise ConfigError("%s must be %s%s%s, not %r" % (
+            name, _spell(kind), "" if least is None else " from %r" % least,
+            "" if most is None else " to %r" % most, value))
+    return got
 
 
-MAX_SCALE = 128.0  # 2**7: no 8-bit Q-format code stands for more
-
-
-def _scale(value, what):
-    """`value` as a float if it is a number from 0 to `MAX_SCALE`, else a
-    config error: a wider uniform draw only adds saturated codes, and a
-    non-finite one cannot be drawn."""
-    scale = _number(value, what)
-    _require(0.0 <= scale <= MAX_SCALE, "%s must be from 0 to %g, not %r"
-             % (what, MAX_SCALE, value))
-    return scale
-
-
-def _whole(value, what):
-    """`value` if it is an integer (a bool is not), else a config error."""
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             "%s must be an integer, not %r" % (what, value))
-    return value
+def _read(doc, section):
+    """Section `section` of the config `doc` (None: its own keys) read by
+    `_CONFIG` with defaults: a dict, or the section's library type.  Null
+    is {}; other non-mappings, keys beside a container and keys nothing
+    reads are config errors."""
+    rules = _CONFIG[section]
+    values = doc if section is None else doc.get(section)
+    values = {} if values is None else values
+    what = "bad %s settings: " % (section or "config").replace("_", " ")
+    if not isinstance(values, dict):
+        raise ConfigError(what + "not a mapping, but %r" % (values,))
+    kinds = ({f.name: f.type for f in dataclasses.fields(rules)}
+             if isinstance(rules, type) else
+             {key: rule[0] for key, rule in rules.items()})
+    keys = set(kinds) | (set(_CONFIG) - {None} if section is None else set())
+    if "container" in values and "container" in kinds:
+        keys = {"container"}
+    unread = sorted(set(map(str, values)) - keys)
+    if unread:
+        raise ConfigError(what + "%s is never read" % ", ".join(
+            k if section is None else "%s.%s" % (section, k) for k in unread))
+    given = {key: v for key, v in values.items() if v is not None}
+    if isinstance(rules, type):  # the type checks its own fields
+        for key, v in given.items():
+            number = _typed(v, float) if type(v) is str else None
+            if number is not None and kinds[key] is float:
+                given[key] = number
+        try:
+            return rules(**given)
+        except ValueError as exc:
+            raise ConfigError(what + str(exc))
+    return {key: rule[3] if key not in given else _value(
+        key if section is None else "%s.%s" % (section, key), given[key], rule)
+            for key, rule in rules.items()}
 
 
 def load_config_doc(path):
@@ -122,85 +168,42 @@ def load_config_doc(path):
         raise ConfigError("cannot read config: %s" % exc)
     except yaml.YAMLError as exc:
         raise ConfigError("config is not valid YAML: %s" % exc)
-    _require(isinstance(doc, dict), "config must be a mapping")
-    version = doc.get("schema_version")
-    _require(type(version) is int and version == SCHEMA_VERSION,
-             "config schema_version must be %d" % SCHEMA_VERSION)
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a mapping")
+    _value("schema_version", doc.get("schema_version"),
+           _CONFIG[None]["schema_version"])
     return doc
-
-
-def _section(doc, name, keys):
-    """Section `name` of the config ({} when absent; None: the config
-    itself), a mapping of only `keys`, where a `container` stands alone.
-    A key that nothing reads is a config error."""
-    section = (doc if name is None else doc.get(name)) or {}
-    what = "%s settings" % (name or "config").replace("_", " ")
-    _require(isinstance(section, dict), "bad %s: not a mapping" % what)
-    if "container" in section and "container" in keys:
-        keys = ("container",)
-    unread = sorted(set(map(str, section)) - set(keys))
-    _require(not unread, "bad %s: %s is never read" % (what, ", ".join(
-        k if name is None else "%s.%s" % (name, k) for k in unread)))
-    return section
-
-
-def _build_dataclass(cls, doc, what):
-    try:
-        return cls(**(doc or {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad %s settings: %s" % (what, exc))
 
 
 def build_run_config(args):
     doc = load_config_doc(args.config)
-    _section(doc, None, _SECTIONS)
-    tile = _build_dataclass(TileSpec, doc.get("tile"), "tile")
-    consts = _build_dataclass(EnergyConstants, doc.get("energy"), "energy")
-
-    frequency = _number(_section(doc, "operating_point", (
-        "frequency_hz",)).get("frequency_hz", OperatingPoint.frequency),
-        "operating_point.frequency_hz")
+    mode = _read(doc, None)["mode"].replace("_", "-")
+    mode = ("reload" if getattr(args, "reload", False) else "chip-select"
+            if getattr(args, "chip_select", False) else mode)
+    frequency = _read(doc, "operating_point")["frequency_hz"]
     if getattr(args, "freq", None) is not None:
-        frequency = args.freq
-    op = OperatingPoint(_frequency(frequency))
+        frequency = _value("the --freq clock frequency", args.freq, _CLOCK)
 
-    mode = doc.get("mode", "stacked")
-    _require(mode in ("stacked", "reload", "chip-select", "chip_select"),
-             "mode must be stacked, reload, or chip_select")
-    mode = mode.replace("_", "-")
-    if getattr(args, "reload", False):
-        mode = "reload"
-    if getattr(args, "chip_select", False):
-        mode = "chip-select"
-
-    net = _section(doc, "network",
-                   ("container", "layers", "n_out", "seed", "scale"))
-    seed = getattr(args, "seed", None)
-    if "container" in net:
+    net, seed = _read(doc, "network"), getattr(args, "seed", None)
+    if net["container"] is not None:
         try:
             spec, params = lstm_ref.load_network(net["container"])
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError("cannot load network container: %s" % exc)
+    elif not net["layers"]:
+        raise ConfigError("config needs network.layers or network.container")
     else:
-        layers = net.get("layers")
-        _require(layers, "config needs network.layers or network.container")
         try:
-            sizes = [tuple(_whole(v, "a network.layers width") for v in pair)
-                     for pair in layers]
-            n_out = net.get("n_out")
-            if n_out is not None:
-                _whole(n_out, "network.n_out")
             params = lstm_ref.random_network_params(
-                seed if seed is not None
-                else _whole(net.get("seed", 0), "network.seed"), sizes,
-                n_out=n_out, scale=_scale(net.get("scale", 0.5),
-                                          "network.scale"))
-        except (TypeError, ValueError) as exc:
+                net["seed"] if seed is None else seed,
+                [tuple(pair) for pair in net["layers"]], n_out=net["n_out"],
+                scale=net["scale"])
+        except ValueError as exc:
             raise ConfigError("bad network settings: %s" % exc)
         spec = lstm_ref.derive_spec(params)
 
-    feat = _section(doc, "features", ("container", "n_steps", "seed", "scale"))
-    if "container" in feat:
+    feat = _read(doc, "features")
+    if feat["container"] is not None:
         try:
             features = lstm_ref.load_features(feat["container"],
                                               spec.formats)
@@ -208,33 +211,30 @@ def build_run_config(args):
             raise ConfigError("cannot load feature container: %s" % exc)
     else:
         try:
-            n_steps = _whole(feat.get("n_steps", 1), "features.n_steps")
-            _require(n_steps >= 0, "features.n_steps must not be negative")
             features = lstm_ref.random_features(
-                seed + 1 if seed is not None
-                else _whole(feat.get("seed", 1), "features.seed"),
-                n_steps=n_steps, n_features=spec.n_features,
-                formats=spec.formats,
-                scale=_scale(feat.get("scale", 1.0), "features.scale"))
-        except (TypeError, ValueError) as exc:
+                feat["seed"] if seed is None else seed + 1, feat["n_steps"],
+                spec.n_features, spec.formats, feat["scale"])
+        except ValueError as exc:
             raise ConfigError("bad features settings: %s" % exc)
-    _require(features.shape[1] == spec.n_features,
-             "features are %d wide, network expects %d"
-             % (features.shape[1], spec.n_features))
+    if features.shape[1] != spec.n_features:
+        raise ConfigError("features are %d wide, network expects %d"
+                          % (features.shape[1], spec.n_features))
 
-    drops = _section(doc, "faults", ("drop_links",)).get("drop_links") or []
-    _require(isinstance(drops, list)
-             and all(isinstance(label, str) for label in drops),
-             "faults.drop_links must be a list of link labels")
-    return RunConfig(params, features, spec, tile, mode, op, consts,
-                     tuple(drops), _section(doc, "sweep", ("axis", "values")))
+    sweep = _read(doc, "sweep")
+    if sweep["axis"] is not None:
+        sweep["values"] = sorted(
+            _value("a %s sweep value" % sweep["axis"], v,
+                   _SWEEP_VALUES[sweep["axis"]]) for v in sweep["values"])
+    return RunConfig(params, features, spec, _read(doc, "tile"), mode,
+                     OperatingPoint(frequency), _read(doc, "energy"),
+                     tuple(_read(doc, "faults")["drop_links"]), sweep)
 
 
 def plan_run(cfg):
     """The grid plan of a run; a `faults.drop_links` label of a link the
     plan lacks is a config error."""
-    plan = mapper.plan_grid(cfg.spec, cfg.tile, reload=cfg.reload,
-                            chip_select=cfg.chip_select)
+    plan = mapper.plan_grid(cfg.spec, cfg.tile, reload=cfg.mode == "reload",
+                            chip_select=cfg.mode == "chip-select")
     try:
         mapper.links_labelled(plan, cfg.dropped_links)
     except ValueError as exc:
@@ -344,8 +344,8 @@ def cmd_run(args):
 
 
 def cmd_table4(args):
-    op = OperatingPoint(frequency=10e6 if args.freq is None
-                        else _frequency(args.freq))
+    op = OperatingPoint(_CLOCK[3] if args.freq is None else _value(
+        "the --freq clock frequency", args.freq, _CLOCK))
     rows = perf_energy.table_rows(op=op)
     header = ["layers", "n_hidden", "grid", "dies",
               "time_us", "ref_time_us", "time_delta_pct",
@@ -377,19 +377,13 @@ def cmd_table4(args):
 
 
 def _sweep_rows(cfg):
-    axis = cfg.sweep.get("axis")
-    _require(axis in ("frequency", "grid", "frac_bits"),
-             "sweep.axis must be frequency, grid, or frac_bits")
-    values = cfg.sweep.get("values") or []
-    _require(isinstance(values, list), "sweep.values must be a list")
-    values = sorted(_number(v, "a sweep frequency") if axis == "frequency"
-                    else _whole(v, "a sweep %s value" % axis)
-                    for v in values)
+    axis, values = cfg.sweep["axis"], cfg.sweep["values"]
+    _value("sweep.axis", axis, _CONFIG["sweep"]["axis"])
     if axis == "frequency":
         rows = [["frequency_hz", "gops", "link_bw_mb_s",
                  "time_per_inference_us"]]
         for f in values:
-            op = OperatingPoint(frequency=_frequency(f, "a sweep frequency"))
+            op = OperatingPoint(frequency=f)
             rep = perf_energy.extrapolate(cfg.spec, cfg.tile, op, cfg.consts)
             rows.append(["%g" % f,
                          "%.2f" % perf_energy.peak_performance(
@@ -401,7 +395,6 @@ def _sweep_rows(cfg):
         rows = [["n", "n_hidden", "dies", "time_per_inference_us",
                  "e_total_uj", "io_pct"]]
         for n in values:
-            _require(n >= 1, "sweep grid sizes must be positive, not %d" % n)
             width = n * cfg.tile.nh_capacity
             spec = lstm_ref.NetworkSpec([(width, width)], None)
             rep = perf_energy.extrapolate(spec, cfg.tile, cfg.op, cfg.consts)

@@ -122,7 +122,7 @@ class FcParams:
     formats: FormatSet = None
 
     def __post_init__(self):
-        if self.b_y.shape != (self.W_y.shape[0],):
+        if self.W_y.ndim != 2 or self.b_y.shape != self.W_y.shape[:1]:
             raise ValueError("b_y shape mismatch")
 
     @property
@@ -200,6 +200,9 @@ def derive_spec(params):
         raise ValueError("a network spec needs quantized parameters")
     layers = [(p.n_inputs, p.n_hidden) for p in params.layers]
     n_out = params.fc.n_out if params.fc is not None else None
+    if n_out is not None and params.fc.n_hidden != layers[-1][1]:
+        raise ValueError("the projection reads %d hidden units, not %d"
+                         % (params.fc.n_hidden, layers[-1][1]))
     return NetworkSpec(layers, n_out, params.layers[0].formats)
 
 
@@ -677,14 +680,6 @@ def check_codes(params, features=None):
         check_int8(features, "feature")
 
 
-def _role_of(name):
-    if name.startswith("w_c"):
-        return "peephole"
-    if name.startswith("b_"):
-        return "bias"
-    return "weight"
-
-
 def write_container(manifest_path, tensors, meta=None):
     """Write named int8 code tensors as a UTF-8 JSON manifest plus a
     binary blob.
@@ -725,57 +720,62 @@ def write_container(manifest_path, tensors, meta=None):
     return manifest
 
 
-# each manifest entry's fields: (type, as named in an error)
+# each field of a manifest, its entries and its meta by kind: (rule, as an
+# error names it).  A rule is a type (a JSON boolean is no integer), a
+# one-item list of a list's item rule, a tuple of rules, or a value.
+_MANIFEST_FIELDS = {"container": ("tensor-blob", "'tensor-blob'"),
+                    "version": (1, "1"), "blob": (str, "a file name"),
+                    "meta": (dict, "an object"), "tensors": (list, "a list")}
 _ENTRY_FIELDS = {"name": (str, "a string"), "role": (str, "a string"),
-                 "shape": (list, "a list of integers"),
-                 "offset": (int, "an integer"),
+                 "shape": ([int], "a list of integers"),
+                 "dtype": ("int8", "'int8'"), "offset": (int, "an integer"),
                  "byte_length": (int, "an integer"),
                  "frac_bits": (int, "an integer")}
+_META_FIELDS = {
+    "network": {"kind": ("network", "'network'"),
+                "layers": ([[int]], "a list of [inputs, hidden] pairs"),
+                "n_out": ((int, type(None)), "an integer or null"),
+                "state_frac_bits": (int, "an integer"),
+                "gate_frac_bits": (int, "an integer")},
+    "features": {"kind": ("features", "'features'"),
+                 "n_steps": (int, "an integer")}}
 
 
-def _check_entries(entries):
-    """ValueError unless `entries` is a list of objects of dtype int8
-    whose fields have their `_ENTRY_FIELDS` types (a JSON boolean is no
-    integer), with an offset and a byte length that are not negative."""
-    if not isinstance(entries, list):
-        raise ValueError("container tensors must be a list, not %r"
-                         % (entries,))
-    for e in entries:
-        if not isinstance(e, dict):
-            raise ValueError("container entry %r is not an object" % (e,))
-        if e.get("dtype") != "int8":
-            raise ValueError("tensor %s is %s, not int8 codes"
-                             % (e.get("name"), e.get("dtype")))
-        for key, (kind, named) in _ENTRY_FIELDS.items():
-            value = e.get(key)
-            if type(value) is not kind or (
-                    kind is list and any(type(n) is not int for n in value)):
-                raise ValueError("container entry %r: %s must be %s, not %r"
-                                 % (e.get("name"), key, named, value))
-        if e["offset"] < 0 or e["byte_length"] < 0:
-            raise ValueError("container entry %r: negative offset or length"
-                             % (e["name"],))
+def _fits(value, rule):
+    if isinstance(rule, list):
+        return type(value) is list and all(_fits(v, rule[0]) for v in value)
+    if isinstance(rule, tuple):
+        return any(_fits(value, r) for r in rule)
+    return type(value) is rule or (type(value) is type(rule) and value == rule)
+
+
+def _check_fields(obj, fields, what):
+    """ValueError, naming every rule of `fields`, unless each field of
+    the object `obj` keeps its rule."""
+    for key, (rule, named) in fields.items():
+        if not _fits(obj.get(key), rule):
+            raise ValueError("%s%s must be %s, not %r (want %s)" % (
+                what, key, named, obj.get(key), ", ".join(
+                    "%s %s" % (k, n) for k, (_, n) in fields.items())))
 
 
 def read_container(manifest_path):
-    """Returns (meta, {name: (role, array, fmt)}) with the codes decoded
-    as int8 arrays, the container's own dtype.  A version other than the
-    integer 1, a blob name, `meta` or `tensors` of the wrong type, or
-    an entry of the wrong structure or dtype (`_check_entries`) raises
-    ValueError."""
+    """(meta, {name: (role, array, fmt)}), the codes as int8 arrays, the
+    container's own dtype.  ValueError unless the manifest keeps
+    `_MANIFEST_FIELDS`, and each entry `_ENTRY_FIELDS` and is not negative."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict) \
-            or manifest.get("container") != "tensor-blob":
+    if not isinstance(manifest, dict):
         raise ValueError("not a tensor container: %s" % manifest_path)
-    version = manifest.get("version")
-    if type(version) is not int or version != 1:
-        raise ValueError("container version must be 1, not %r" % (version,))
-    meta = manifest.get("meta", {})
-    if type(manifest.get("blob")) is not str or not isinstance(meta, dict):
-        raise ValueError("container blob must be a file name and meta an "
-                         "object")
-    _check_entries(manifest.get("tensors"))
+    _check_fields(manifest, _MANIFEST_FIELDS, "container ")
+    for e in manifest["tensors"]:
+        if not isinstance(e, dict):
+            raise ValueError("container entry %r is not an object" % (e,))
+        _check_fields(e, _ENTRY_FIELDS,
+                      "container entry %r: " % (e.get("name"),))
+        if e["offset"] < 0 or e["byte_length"] < 0:
+            raise ValueError("container entry %r: negative offset or length"
+                             % (e["name"],))
     blob_path = os.path.join(os.path.dirname(manifest_path) or ".",
                              manifest["blob"])
     with open(blob_path, "rb") as fh:
@@ -786,7 +786,7 @@ def read_container(manifest_path):
         arr = np.frombuffer(raw, dtype="<i1").astype(np.int8)
         out[e["name"]] = (e["role"], arr.reshape(e["shape"]),
                           QFormat(e["frac_bits"]))
-    return meta, out
+    return manifest["meta"], out
 
 
 def save_network(manifest_path, params):
@@ -801,7 +801,9 @@ def save_network(manifest_path, params):
     tensors = []
     for li, layer in enumerate(params.layers):
         for name in _LAYER_TENSORS:
-            tensors.append(("layer%d.%s" % (li, name), _role_of(name),
+            role = ("peephole" if name.startswith("w_c") else "bias"
+                    if name.startswith("b_") else "weight")
+            tensors.append(("layer%d.%s" % (li, name), role,
                             getattr(layer, name), formats.weight))
     if params.fc is not None:
         tensors.append(("fc.W_y", "weight", params.fc.W_y, formats.weight))
@@ -817,11 +819,10 @@ def save_network(manifest_path, params):
 
 
 def load_network(manifest_path):
-    """Inverse of save_network: returns (spec, NetworkParams) holding int8
-    code arrays."""
+    """Inverse of save_network: (spec, NetworkParams) of int8 code arrays;
+    ValueError unless the meta keeps `_META_FIELDS` and the tensors fit."""
     meta, tensors = read_container(manifest_path)
-    if meta.get("kind") != "network":
-        raise ValueError("container does not hold a network")
+    _check_fields(meta, _META_FIELDS["network"], "network meta ")
     weight = tensors["layer0.W_xi"][2]
     odd = sorted(k for k, (_, _, fmt) in tensors.items() if fmt != weight)
     if odd:
@@ -829,17 +830,17 @@ def load_network(manifest_path):
                          % (", ".join(odd), weight))
     formats = FormatSet(weight=weight, state=QFormat(meta["state_frac_bits"]),
                         gate=QFormat(meta["gate_frac_bits"]))
-    layers = []
-    for li in range(len(meta["layers"])):
-        fields = {name: tensors["layer%d.%s" % (li, name)][1]
-                  for name in _LAYER_TENSORS}
-        layers.append(LstmLayerParams(formats=formats, **fields))
-    fc = None
-    if meta.get("n_out") is not None:
-        fc = FcParams(tensors["fc.W_y"][1], tensors["fc.b_y"][1],
-                      formats=formats)
-    params = NetworkParams(layers, fc)
-    return derive_spec(params), params
+    spec = NetworkSpec([tuple(pair) for pair in meta["layers"]],
+                       meta.get("n_out"), formats)
+    layers = [LstmLayerParams(formats=formats, **{
+        n: tensors["layer%d.%s" % (li, n)][1] for n in _LAYER_TENSORS})
+        for li in range(spec.n_layers)]
+    params = NetworkParams(layers, None if spec.n_out is None else FcParams(
+        tensors["fc.W_y"][1], tensors["fc.b_y"][1], formats=formats))
+    if derive_spec(params) != spec:
+        raise ValueError("the tensors are not of the shapes network meta "
+                         "gives: %r" % (spec,))
+    return spec, params
 
 
 def save_features(manifest_path, codes, formats=DEFAULT_FORMATS):
@@ -855,8 +856,9 @@ def load_features(manifest_path, formats=DEFAULT_FORMATS):
     """Feature codes as int8; ValueError unless in the state format of
     `formats`."""
     meta, tensors = read_container(manifest_path)
-    if meta.get("kind") != "features" or "features" not in tensors:
-        raise ValueError("container does not hold features")
+    _check_fields(meta, _META_FIELDS["features"], "features meta ")
+    if "features" not in tensors or tensors["features"][1].ndim != 2:
+        raise ValueError("container does not hold a feature matrix")
     _, codes, fmt = tensors["features"]
     if fmt != formats.state:
         raise ValueError("features are in %r, not the network's state "

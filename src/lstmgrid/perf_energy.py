@@ -73,8 +73,11 @@ class EnergyConstants:
     p_pad_static_mw_per_die: float = 0.14
     alpha_toggle: float = 0.5
 
-    def __post_init__(self):
+    def __post_init__(self):  # a wire flips at most once per beat
         _check_numbers(self)
+        if self.alpha_toggle > 1:
+            raise ValueError("alpha_toggle must be at most 1, not %r"
+                             % (self.alpha_toggle,))
 
 
 @dataclasses.dataclass

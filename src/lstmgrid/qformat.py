@@ -39,9 +39,11 @@ class QFormat:
 
     __slots__ = ("frac_bits",)
 
-    def __init__(self, frac_bits):
-        if not 0 <= int(frac_bits) <= 7:
-            raise ValueError("frac_bits must be in [0, 7], got %r" % (frac_bits,))
+    def __init__(self, frac_bits):  # an int or a NumPy integer, no bool
+        if not isinstance(frac_bits, (int, np.integer)) \
+                or isinstance(frac_bits, bool) or not 0 <= frac_bits <= 7:
+            raise ValueError("frac_bits must be an integer in [0, 7], got %r"
+                             % (frac_bits,))
         self.frac_bits = int(frac_bits)
 
     @property

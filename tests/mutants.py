@@ -32,6 +32,7 @@ SIM = "tests/test_systolic_sim.py::"
 REF = "tests/test_lstm_ref.py::"
 QF = "tests/test_qformat.py::"
 PE = "tests/test_perf_energy.py::"
+CLI = "tests/test_cli.py::"
 TAILS = (REF + "test_batched_tails_equal_the_unbatched_ones_in_every_format",
          REF + "test_batched_tails_equal_the_unbatched_ones")
 
@@ -118,12 +119,36 @@ MUTANTS = [
         "not every physical unit of the die"),
     Mutant(
         "section_passes_unread_key", "cli.py",
-        "    unread = sorted(set(map(str, section)) - set(keys))\n",
-        "    unread = sorted(set(map(str, section)) - set(keys)) \\\n"
-        "        if name is None else []\n",
+        "    unread = sorted(set(map(str, values)) - keys)\n",
+        "    unread = sorted(set(map(str, values)) - keys) \\\n"
+        "        if section is None else []\n",
         ("tests/test_cli.py::test_keys_nothing_reads_fail_at_config_load",),
         "a config section ignores a key it never reads; only the top "
         "level is still checked"),
+    Mutant(
+        "int_rule_admits_a_bool", "cli.py",
+        "return value if type(value) is kind and value",
+        "return value if isinstance(value, kind) and value",
+        (CLI + "test_bad_network_shapes_fail_at_config_load",),
+        "an integer key takes true for 1 and false for 0"),
+    Mutant(
+        "container_path_unchecked", "cli.py",
+        "    return {key: rule[3] if key not in given else _value(\n",
+        "    return {key: given.get(key) if key == \"container\" else\n"
+        "            rule[3] if key not in given else _value(\n",
+        (CLI + "test_a_container_path_is_a_non_empty_string",
+         CLI + "test_no_config_document_ends_in_a_traceback"),
+        "a container path is opened as the document gives it, so a list "
+        "ends in a TypeError traceback and a number names a file "
+        "descriptor"),
+    Mutant(
+        "network_meta_unchecked", "lstm_ref.py",
+        "    _check_fields(meta, _META_FIELDS[\"network\"], \"network meta \")"
+        "\n", "",
+        (CLI + "test_network_meta_of_another_structure_is_refused",
+         CLI + "test_no_container_manifest_ends_in_a_traceback"),
+        "a network manifest's meta is read unchecked, so a layer count of 5 "
+        "ends in a TypeError traceback and a frac_bits of true runs"),
     Mutant(
         "param_load_skips_link_check", "systolic_sim.py",
         "            for link in tpl.links:\n"
@@ -304,7 +329,8 @@ MUTANTS = [
         "layer has stepped, four bytes per code of every layer"),
     Mutant(
         "container_trusts_its_entries", "lstm_ref.py",
-        "    _check_entries(manifest.get(\"tensors\"))\n",
+        "        _check_fields(e, _ENTRY_FIELDS,\n                      "
+        "\"container entry %r: \" % (e.get(\"name\"),))\n",
         "",
         ("tests/test_cli.py::test_container_of_another_structure_is_refused",),
         "a manifest's tensor list is read unchecked, so a damaged one "

@@ -1,9 +1,14 @@
+import copy
+import dataclasses
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lstmgrid import cli, lstm_ref, systolic_sim
 from lstmgrid.qformat import QFormat
@@ -855,3 +860,347 @@ def test_table4_frequency_flag_scales_times(capsys):
     t_fast = float(fast[1].split(",")[4])
     t_slow = float(slow[1].split(",")[4])
     assert t_fast == pytest.approx(t_slow / 2, rel=1e-3)
+
+
+# --- the config schema ---------------------------------------------------------------
+
+def tiny_doc(**sections):
+    """A run config of one 6 -> 8 layer and a 3-wide projection at a
+    4-unit die capacity, run for 2 steps, with `sections` in place."""
+    doc = {"network": {"layers": [[6, 8]], "n_out": 3, "seed": 5},
+           "features": {"n_steps": 2, "seed": 6}, "tile": {"nh_capacity": 4}}
+    doc.update(sections)
+    return doc
+
+
+@pytest.mark.parametrize("section,value", [
+    ("tile", 0), ("energy", False), ("operating_point", []), ("faults", 0),
+    ("sweep", 0), ("network", "layers"), ("features", 3)])
+def test_a_section_that_is_no_mapping_is_refused(tmp_path, capsys, section,
+                                                 value):
+    cfg = write_config(tmp_path / "c.yaml", **tiny_doc(**{section: value}))
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "bad %s settings: not a mapping"
+                        % section.replace("_", " "))
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("section", ["network", "features"])
+@pytest.mark.parametrize("path", [[1], 5, 0, True, ""])
+def test_a_container_path_is_a_non_empty_string(tmp_path, capsys, section,
+                                                path):
+    # 5 would name a file descriptor, 0 standard input
+    cfg = write_config(tmp_path / "c.yaml",
+                       **tiny_doc(**{section: {"container": path}}))
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "%s.container must be a non-empty string"
+                        % section)
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+def save_mutated(tmp_path, kind, mutate):
+    """The manifest path of a tiny saved network or feature container
+    whose manifest JSON `mutate` has changed in place."""
+    path = str(tmp_path / ("%s.json" % kind))
+    if kind == "network":
+        lstm_ref.save_network(path, lstm_ref.random_network_params(
+            53, [(6, 8)], n_out=3))
+    else:
+        lstm_ref.save_features(path, lstm_ref.random_features(54, 2, 6))
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    mutate(manifest)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    return path
+
+
+@pytest.mark.parametrize("key,value", [
+    ("layers", 5), ("layers", [[6]]), ("layers", [[6, 8, 8]]),
+    ("layers", []), ("layers", [[6, 9]]), ("layers", [[6, True]]),
+    ("n_out", 4), ("n_out", "3"), ("kind", "features"),
+    ("gate_frac_bits", None), ("gate_frac_bits", 8),
+    ("state_frac_bits", True), ("state_frac_bits", "5"),
+    ("state_frac_bits", 5.0)])
+def test_network_meta_of_another_structure_is_refused(tmp_path, capsys, key,
+                                                      value):
+    path = save_mutated(tmp_path, "network",
+                        lambda manifest: manifest["meta"].update({key: value}))
+    with pytest.raises(ValueError):
+        lstm_ref.load_network(path)
+    cfg = write_config(tmp_path / "c.yaml",
+                       **tiny_doc(network={"container": path}))
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load network container")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_steps", None), ("n_steps", "2"), ("kind", "network"),
+    ("shape", [12]), ("shape", [2, 3, 2])])
+def test_feature_container_of_another_structure_is_refused(tmp_path, capsys,
+                                                           key, value):
+    def mutate(manifest):
+        (manifest["tensors"][0] if key == "shape" else manifest["meta"])[
+            key] = value
+
+    path = save_mutated(tmp_path, "features", mutate)
+    with pytest.raises(ValueError):
+        lstm_ref.load_features(path)
+    cfg = write_config(tmp_path / "c.yaml",
+                       **tiny_doc(features={"container": path}))
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load feature container")
+
+
+def test_a_float_with_an_unsigned_exponent_is_a_number_in_every_section(
+        tmp_path, capsys):
+    # PyYAML reads 2.5e1 (no exponent sign) as the string "2.5e1"
+    reports = []
+    for spelling in ("2.5e1", "25.0"):
+        cfg = tmp_path / ("%s.yaml" % spelling)
+        cfg.write_text("schema_version: 1\n"
+                       "network: {layers: [[6, 8]], seed: 5, scale: 5e-1}\n"
+                       "features: {n_steps: 2, seed: 6, scale: 1.0e0}\n"
+                       "tile: {nh_capacity: 4}\n"
+                       "energy: {e_drive_pj_per_bit: %s}\n" % spelling,
+                       encoding="utf-8")
+        out = tmp_path / spelling
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "BIT-EXACT: yes" in capsys.readouterr().out
+        reports.append((out / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["run", "plan"])
+@pytest.mark.parametrize("doc,needle", [
+    ({"sweep": {"axis": "bogus"}}, "sweep.axis"),
+    ({"sweep": {"axis": "grid", "values": [0]}}, "grid sweep value"),
+    ({"sweep": {"axis": "frequency", "values": 5}}, "sweep.values"),
+    ({"energy": {"alpha_toggle": 2}}, "bad energy settings: alpha_toggle"),
+    ({"mode": "chip select"}, "mode"),
+    ({"features": {"n_steps": None, "seed": False}}, "features.seed")])
+def test_every_section_is_read_whatever_the_command(tmp_path, capsys,
+                                                    command, doc, needle):
+    cfg = write_config(tmp_path / "c.yaml", **tiny_doc(**doc))
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, needle)
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
+def test_a_null_key_takes_its_default(tmp_path, capsys):
+    runs = {}
+    for name, doc in (("null", tiny_doc(mode=None, faults={"drop_links": None},
+                                        features={"n_steps": 2, "seed": None},
+                                        energy={"alpha_toggle": None})),
+                      ("default", tiny_doc(features={"n_steps": 2}))):
+        cfg = write_config(tmp_path / ("%s.yaml" % name), **doc)
+        out = tmp_path / name
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        runs[name] = [(out / f).read_bytes()
+                      for f in ("outputs.csv", "trace.csv", "report.txt")]
+    assert runs["null"] == runs["default"]
+
+
+# --- generated inputs ----------------------------------------------------------------
+
+def schema_rules():
+    """{(section, key): (type, least, most, default)} of every config key:
+    `cli._CONFIG`'s, a library section's from its type's fields."""
+    rules = {}
+    for section, keys in cli._CONFIG.items():
+        if isinstance(keys, type):  # the type owns the range
+            keys = {f.name: (f.type, None, None, f.default)
+                    for f in dataclasses.fields(keys)}
+        rules.update(((section, key), rule) for key, rule in keys.items())
+    return rules
+
+
+SCHEMA = schema_rules()
+# a wrong type, a non-finite number, a negative and a zero; no value asks
+# for more than a few codes
+WRONG = [True, False, 2.5, "x", "", [1], {"k": 1}, None, float("nan"),
+         float("inf"), float("-inf"), -1, 0, 0.0]
+
+
+def wrong(values):
+    """A strategy of fresh copies of `values`, so no change edits another's
+    value in place."""
+    return st.sampled_from(values).map(copy.deepcopy)
+
+
+def wrong_values(rule):
+    _, least, most, _ = rule
+    return wrong(WRONG + [bound + step for bound, step in ((least, -1),
+                                                            (most, 1))
+                          if bound is not None])
+
+
+@st.composite
+def config_docs(draw):
+    """A valid tiny run config (widths <= 12, n_steps <= 4), then up to
+    three changes: a key set to a value its rule refuses, a key nothing
+    reads, a container beside generator keys, or a section that is no
+    mapping."""
+    widths = draw(st.lists(st.integers(1, 12), min_size=2, max_size=3))
+    doc = {"schema_version": 1,
+           "network": {"layers": [list(p) for p in zip(widths, widths[1:])],
+                       "seed": draw(st.integers(0, 9)),
+                       "n_out": draw(st.sampled_from([None, 1, 5]))},
+           "features": {"n_steps": draw(st.integers(0, 4)),
+                        "scale": draw(st.sampled_from([0.0, 1.0, "1.5e0"]))},
+           "tile": {"nh_capacity": draw(st.integers(2, 12))},
+           "mode": draw(st.sampled_from(["stacked", "reload", "chip_select"])),
+           "operating_point": {"frequency_hz": draw(st.sampled_from(
+               [5e-324, "1.0e7", 3e9]))},
+           "sweep": {"axis": "grid", "values": [2, 1]}}
+    for _ in range(draw(st.integers(0, 3))):
+        change = draw(st.sampled_from(["value", "width", "unread",
+                                       "container", "section"]))
+        if change == "value":
+            (section, key), rule = draw(st.sampled_from(list(SCHEMA.items())))
+            place = doc if section is None else doc.setdefault(section, {})
+            if isinstance(place, dict):
+                place[key] = draw(wrong_values(rule))
+        elif change == "width" and isinstance(doc.get("network"), dict) \
+                and isinstance(doc["network"].get("layers"), list) \
+                and doc["network"]["layers"]:
+            pair = draw(st.sampled_from(doc["network"]["layers"]))
+            if isinstance(pair, list) and pair:
+                pair[draw(st.integers(0, len(pair) - 1))] = draw(wrong(WRONG))
+        elif change == "unread":
+            section = draw(st.sampled_from(list(cli._CONFIG)))
+            place = doc if section is None else doc.setdefault(section, {})
+            if isinstance(place, dict):
+                place["bogus"] = 1
+        elif change == "container":  # alone or beside generator keys
+            section = draw(st.sampled_from(["network", "features"]))
+            place = doc.get(section)
+            path = draw(wrong(WRONG + ["net.json"]))
+            if draw(st.booleans()) and isinstance(place, dict):
+                place["container"] = path
+            else:
+                doc[section] = {"container": path}
+        else:
+            section = draw(st.sampled_from(list(cli._CONFIG)[1:]))
+            doc[section] = draw(wrong([0, False, [], "x", [1]]))
+    return doc
+
+
+def assert_clean_outcome(rc, capsys):
+    """Exit 0 with a bit-exact run, or exit 1 or 2 with one message line;
+    an escaping exception has already failed the caller."""
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert "BIT-EXACT: yes" in out and err == ""
+    else:
+        assert rc in (1, 2), (rc, err)
+        assert err.count("\n") == 1 and err.startswith(
+            "error: " if rc == 1 else "constraint violated: "), err
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=config_docs())
+def test_no_config_document_ends_in_a_traceback(capsys, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "c.yaml")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh)
+        rc = cli.main(["run", "--config", cfg, "--out",
+                       os.path.join(tmp, "o")])
+    assert_clean_outcome(rc, capsys)
+
+
+MISSING = Ellipsis  # a field deleted, not set (deepcopy keeps it)
+MANIFEST_FIELDS = (
+    [("manifest", f) for f in ("container", "version", "blob", "meta",
+                               "tensors")]
+    + [("meta", f) for f in ("kind", "layers", "n_out", "state_frac_bits",
+                             "gate_frac_bits", "n_steps")]
+    + [("entry", f) for f in ("name", "role", "shape", "dtype", "offset",
+                              "byte_length", "frac_bits", None)])
+
+
+@st.composite
+def manifest_changes(draw):
+    """(kind, changes): one or two fields of a tiny saved network or
+    feature container's manifest, its meta or one entry (None: the whole
+    entry), each set to a wrong value or deleted."""
+    changes = [draw(st.sampled_from(MANIFEST_FIELDS))
+               + (draw(st.integers(0, 15)),
+                  draw(wrong(WRONG + [MISSING, 1, 7, 8, [[6]],
+                                      [[6, 8], [8, 2]], [2, 3]])))
+               for _ in range(draw(st.integers(1, 2)))]
+    return draw(st.sampled_from(["network", "features"])), changes
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=manifest_changes())
+def test_no_container_manifest_ends_in_a_traceback(capsys, mutation):
+    kind, changes = mutation
+
+    def mutate(manifest):
+        for where, field, index, value in changes:
+            place = manifest
+            if where != "manifest":
+                place = manifest.get("meta" if where == "meta" else "tensors")
+                if where == "entry" and isinstance(place, list) and place:
+                    if field is None:  # the whole entry
+                        place[index % len(place)] = value
+                        if value is MISSING:
+                            del place[index % len(place)]
+                        continue
+                    place = place[index % len(place)]
+            if not isinstance(place, dict):
+                continue
+            if value is MISSING:
+                place.pop(field, None)
+            else:
+                place[field] = value
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_mutated(pathlib.Path(tmp), kind, mutate)
+        cfg = write_config(pathlib.Path(tmp) / "c.yaml",
+                           **tiny_doc(**{kind: {"container": path}}))
+        rc = cli.main(["run", "--config", cfg, "--out",
+                       os.path.join(tmp, "o")])
+    assert_clean_outcome(rc, capsys)
+
+
+def readme_key_table():
+    """{key: (type, least, most, default)}: the cells of README.md's
+    config key table, code spans unwrapped."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | type | least | most | default |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, *cells = [cell.strip().replace("`", "")
+                       for cell in line.strip("|").split("|")]
+        rows[key] = tuple(cells)
+    return rows
+
+
+def spelled(kind):
+    """A schema type as README.md's key table writes it."""
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(kind)
+    if isinstance(kind, list):
+        return "[%s]" % spelled(kind[0])
+    return kind.__name__
+
+
+def test_readme_key_table_is_the_schema():
+    # a library type's section leaves its range to the type
+    want = {}
+    for (section, key), (kind, least, most, default) in SCHEMA.items():
+        owner = cli._CONFIG[section]
+        bounds = (["by " + owner.__name__] * 2 if isinstance(owner, type) else
+                  ["" if b is None else json.dumps(b) for b in (least, most)])
+        want[key if section is None else "%s.%s" % (section, key)] = (
+            spelled(kind), *bounds, json.dumps(default))
+    assert readme_key_table() == want

@@ -74,6 +74,11 @@ def test_energy_constants_validation():
                                         alpha_toggle=1.0)
     assert all(type(getattr(consts, f.name)) is float
                for f in dataclasses.fields(consts))
+    # a wire flips at most once per beat: toggles / bits is at most 1
+    assert PE.EnergyConstants(alpha_toggle=1).alpha_toggle == 1.0
+    for bad in (1.0000001, 2, np.float64(1.5)):
+        with pytest.raises(ValueError, match="alpha_toggle must be at most 1"):
+            PE.EnergyConstants(alpha_toggle=bad)
 
 
 # --- report on traces -------------------------------------------------------------

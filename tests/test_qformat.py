@@ -29,6 +29,21 @@ def test_format_basics():
         qf.QFormat(9)
 
 
+@pytest.mark.parametrize("frac_bits", [5.7, 5.0, True, False, np.True_, "5",
+                                       None, -1, np.int64(8)])
+def test_frac_bits_is_an_integer_in_range(frac_bits):
+    # never truncated: 5.7 is not Q2.5, nor True Q6.1
+    with pytest.raises(ValueError, match="frac_bits"):
+        qf.QFormat(frac_bits)
+
+
+@pytest.mark.parametrize("frac_bits", [np.int8(5), np.int64(5), np.uint8(5)])
+def test_a_numpy_integer_frac_bits_is_stored_as_an_int(frac_bits):
+    fmt = qf.QFormat(frac_bits)
+    assert type(fmt.frac_bits) is int and fmt == Q25
+    assert hash(fmt) == hash(Q25) and repr(fmt) == "Q2.5"
+
+
 def test_quantize_saturates_at_extremes():
     assert qf.quantize(10.0, Q25) == 127
     assert qf.quantize(-10.0, Q25) == -128
