@@ -6,7 +6,8 @@ input-loop ascending, recurrent-loop ascending, peephole, bias —
 optionally split into equal column blocks, a grid's die columns
 (`BlockStack`), whose partial sums are folded left to right exactly like a
 reduction chain of dies.  A layer's layout is written once
-(`prepare_layer`), for this model and the grid's dies alike.
+(`prepare_layer`), for this model and the grid's dies alike; a step
+multiplies only recurrent halves, after the input halves' `heads`.
 
 Cells are peephole LSTMs (three extra diagonal weights); all-zero peephole
 vectors reduce the cell to one without peepholes.  Gate order throughout the
@@ -207,6 +208,7 @@ def derive_spec(params):
 
 
 _DEFAULT_LUTS = {}  # FormatSet -> its (read-only) sigmoid and tanh tables
+HEAD_CHUNK = 64  # steps per head GEMM (`BlockStack.heads`)
 
 
 def default_luts(formats=DEFAULT_FORMATS):
@@ -243,10 +245,11 @@ class BlockStack:
     ceil(width / n_blocks) (`widths`: the padded widths), its rows to
     `rows` (default: its own).  Block b's chains read tile b of every
     matrix in turn; zero padding terms leave a saturating chain
-    unchanged.  `w` is shaped (gates, blocks, rows, K) and `w_sq` (gates,
-    blocks, rows) holds each chain's exact sum of squared codes, the
-    certificate's weight norm.  A caller that runs many MAC calls on one
-    stack steps on its float32 twin (`stepping`) and then drops it.
+    unchanged.  `w` is shaped (gates, blocks, rows, K), `halves` views
+    its chains as head (the first matrix's terms) and tail, and `w_sq`
+    (gates, blocks, rows) holds each chain's exact sum of squared codes,
+    the certificate's weight norm.  A caller that runs many MAC calls on
+    one stack steps on its float32 twin (`stepping`) and then drops it.
     """
 
     def __init__(self, mats, n_blocks=1, rows=None):
@@ -263,29 +266,46 @@ class BlockStack:
                     part = m[:, b * tile:(b + 1) * tile]
                     self.w[g, b, :len(m), pos:pos + part.shape[1]] = part
                 pos += tile
+        self.halves = self.w[..., :tiles[0]], self.w[..., tiles[0]:]
 
     @functools.cached_property
     def w_sq(self):
         """Computed on first use: a stack that steps takes it from its
-        twin's float32 codes, with no conversion of its own."""
-        return row_sq_norms(self.w)
+        twin's float32 `halves`, with no conversion of its own."""
+        return row_sq_norms(self.halves[0]) + row_sq_norms(self.halves[1])
 
     def stepping(self):
-        """A twin of this stack whose `w` is the float32 weights of the
-        factored `mac_run`, four bytes per code: made once for the steps
-        of a layer and dropped after them, so no MAC call converts the
-        int8 layout.  The twin shares `w_sq`, once known."""
-        twin = copy.copy(self)
-        twin.w = self.w.astype(np.float32)
+        """A twin whose `halves` are the float32 weights of the factored
+        `mac_run`, four bytes per code, contiguous, in one buffer: made
+        once for the steps of a layer and dropped after them, so no MAC
+        call converts the int8 layout.  The twin shares `w_sq`, once known."""
+        twin, (head, tail) = copy.copy(self), self.halves
+        buf = np.empty(self.w.size, np.float32)
+        twin.halves = (buf[:head.size].reshape(head.shape),
+                       buf[head.size:].reshape(tail.shape))
+        twin.halves[0][...], twin.halves[1][...] = head, tail
         return twin
 
-    def operand(self, *vectors):
+    def operand(self, *vectors, first=0):
         """Per block, the codes its terms multiply: (..., blocks, K) for
-        one vector per matrix, shaped (..., width) with the padded widths
-        `widths`, one operand per leading index."""
-        return np.concatenate([v.reshape(v.shape[:-1] + tiles)
-                               for v, tiles in zip(vectors, self._tiles)],
-                              axis=-1)
+        one vector per matrix from `first` on, shaped (..., width) with
+        the padded widths `widths`, one operand per leading index."""
+        parts = [v.reshape(v.shape[:-1] + tiles)
+                 for v, tiles in zip(vectors, self._tiles[first:])]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, -1)
+
+    def heads(self, x):
+        """Per step of the inputs `x` (steps, widths[0]), the `mac_run`
+        `head` of its chains: (input-half weights, the step's operand, the
+        float32 head sums, the operand's squared norm), one GEMM and one
+        norm reduction per `HEAD_CHUNK` steps."""
+        w_head = self.halves[0]
+        for start in range(0, len(x), HEAD_CHUNK):
+            v = self.operand(x[start:start + HEAD_CHUNK]).astype(np.float32)
+            # (gates, blocks, rows, steps): one product per gate and block
+            sums = w_head @ np.ascontiguousarray(v.transpose(1, 2, 0))
+            yield from zip([w_head] * len(v), v, sums.transpose(3, 0, 1, 2),
+                           (v * v).sum(axis=-1, dtype=np.float64))
 
 
 def fc_stack(params, n_blocks=1):
@@ -296,16 +316,16 @@ def fc_stack(params, n_blocks=1):
     return BlockStack([(params.W_y,)], n_blocks)
 
 
-def _blocked_dot(w, sq_norms, operand):
+def _blocked_dot(w, sq_norms, operand, head=None):
     """Saturating dot products split into column blocks: (..., rows).
 
     `w` and `sq_norms` are a `BlockStack`'s layout, (..., blocks, rows, K)
-    and (..., blocks, rows), and `operand` is its `operand`.  Per block:
-    per-MAC 16-bit saturation over the block's terms in order.  Block
-    partials are then folded left to right with saturating adds (the
-    reduction-chain order).
+    and (..., blocks, rows), and `operand` is its `operand` (after a
+    `head`).  Per block: per-MAC 16-bit saturation over the block's terms
+    in order.  Block partials are then folded left to right with
+    saturating adds (the reduction-chain order).
     """
-    partials, _ = mac_run(w, operand, sq_norms=sq_norms)
+    partials, _ = mac_run(w, operand, sq_norms=sq_norms, head=head)
     acc = partials[..., 0, :]
     for b in range(1, partials.shape[-2]):
         acc = sat_add16(acc, partials[..., b, :])
@@ -502,13 +522,14 @@ def prepare_layer(params, luts, n_blocks=1):
     return stack, cell_constants(codes[:3], codes[3:], params.formats, luts)
 
 
-def cell_step_fixed(params, state, x, luts, layer=None):
+def cell_step_fixed(params, state, x, luts, layer=None, head=None):
     """One bit-exact step on int8 codes.
 
     `layer` is the layer's `prepare_layer(params, luts, n_blocks)`,
     prepared once for many steps (default: one flat block, prepared for
     this step); a caller of many steps passes its stack's `stepping`
-    twin, so the MAC kernel reads float32 weights it need not convert.
+    twin, so the MAC kernel reads float32 weights it need not convert,
+    and the step's `head` from its `heads` (default: computed here).
     `x` and the state are zero-padded to the stack's `widths`.
     Splitting changes results only when an intermediate sum
     saturates, which is exactly why the grid simulator must run with the
@@ -517,7 +538,9 @@ def cell_step_fixed(params, state, x, luts, layer=None):
     stack, consts = layer or prepare_layer(params, luts)
     if (x.shape, state.h.shape) != ((stack.widths[0],), (stack.widths[1],)):
         raise ValueError("dimension mismatch")
-    dots = _blocked_dot(stack.w, stack.w_sq, stack.operand(x, state.h))
+    head = head or next(stack.heads(x[None]))
+    dots = _blocked_dot(stack.halves[1], stack.w_sq,
+                        stack.operand(state.h, first=1), head)
     return LstmState(*cell_tail(dots, state.c, consts))
 
 
@@ -580,11 +603,13 @@ def network_infer(spec, params, features, *, luts=None,
         x[:, :p.n_inputs] = feed
         state = LstmState.zeros(stack.widths[1])
         hidden = np.zeros((len(feed), stack.widths[1]), np.int64)
+        heads = layer[0].heads(x)
         for t in range(len(feed)):
-            state = cell_step_fixed(p, state, x[t], luts, layer=layer)
+            state = cell_step_fixed(p, state, x[t], luts, layer=layer,
+                                    head=next(heads))
             hidden[t] = state.h
         feed = hidden[:, :p.n_hidden]
-        del stack, layer  # before the next layer is laid out
+        del stack, layer, heads  # before the next layer is laid out
     if params.fc is not None:
         h = np.zeros((len(feed), fc_weights.widths[0]), np.int64)
         h[:, :params.fc.n_hidden] = feed
@@ -823,6 +848,13 @@ def load_network(manifest_path):
     ValueError unless the meta keeps `_META_FIELDS` and the tensors fit."""
     meta, tensors = read_container(manifest_path)
     _check_fields(meta, _META_FIELDS["network"], "network meta ")
+    wanted = ["fc.W_y", "fc.b_y"] * (meta.get("n_out") is not None) + [
+        "layer%d.%s" % (li, t) for li in range(max(len(meta["layers"]), 1))
+        for t in _LAYER_TENSORS]  # layer0.W_xi gives the weight format
+    missing = [n for n in wanted if n not in tensors]
+    if missing:
+        raise ValueError("the container lacks the tensors %s that its meta "
+                         "names" % ", ".join(missing))
     weight = tensors["layer0.W_xi"][2]
     odd = sorted(k for k, (_, _, fmt) in tensors.items() if fmt != weight)
     if odd:

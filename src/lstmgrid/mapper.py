@@ -276,6 +276,8 @@ def plan_grid(spec, tile=TileSpec(), reload=False, chip_select=False):
 
 def links_labelled(plan, labels):
     """The plan's links of `labels`; ValueError naming any it lacks."""
+    if not labels:  # no label table to build
+        return set()
     by_label = {link.label: link for link in plan.links}
     unknown = sorted(map(str, set(labels) - set(by_label)))
     if unknown:

@@ -14,7 +14,8 @@ subset of a chain's terms exceeds ||w|| * ||v|| in magnitude, so a chain
 with ||w||**2 * ||v||**2 <= (32767 - |init|)**2, decided exactly from the
 resident squared row norms, cannot leave int16 at any prefix, in any
 summation order.  It equals the plain sum, every partial sum is an
-integer below 2**24, and one float32 matmul W.v gives it exactly.  Prefix
+integer below 2**24, and one float32 matmul W.v gives it exactly (so does
+W.v over its tail plus a float32 head sum made beforehand).  Prefix
 check: the chains that fail the certificate take the exact wide-integer
 prefix sums, and those whose every prefix stays in int16 keep the last
 one.  Scan: chains that really clip run a saturating scan one term at a
@@ -120,7 +121,7 @@ def requantize(value, value_frac_bits, target):
     return np.minimum(np.maximum(rounded, INT8_MIN), INT8_MAX)
 
 
-def mac_run(weights, vector=None, init=0, sq_norms=None):
+def mac_run(weights, vector=None, init=0, sq_norms=None, head=None):
     """Sequential saturating accumulation, one chain per row.
 
     Each chain is equivalent to a scalar saturating MAC (`tests/oracles.mac`)
@@ -139,10 +140,15 @@ def mac_run(weights, vector=None, init=0, sq_norms=None):
     (..., R), beside them.  Product form (`vector` None): `weights`
     already holds the int64 terms, shaped (..., K).
 
+    `head` = (w_head, v_head, sums, v_head_sq) puts the terms
+    w_head[..., r, :] * v_head[..., :] before each factored chain's own,
+    given as their float32 sums `sums` (..., R) beside v_head's squared
+    norm (`lstm_ref.BlockStack.heads`); `sq_norms` are then whole rows'.
+
     Tiers (see the module docstring): one float32 matmul gives W.v for
     every chain, and the chains that pass the certificate keep it.  Only
     the chains that fail it, and every chain of the product form, take
-    the prefix-check and scan tiers (`_chain`).
+    the prefix-check and scan tiers (`_chain`), head terms first.
     """
     init = int(init)
     if vector is None:
@@ -151,22 +157,34 @@ def mac_run(weights, vector=None, init=0, sq_norms=None):
                       else products, init)
     w = np.asarray(weights, dtype=np.float32)
     v = np.asarray(vector, dtype=np.float32)
+    terms = ([] if head is None else [head[:2]]) + [(w, v)]
     if sq_norms is None:
-        sq_norms = row_sq_norms(w)
+        sq_norms = sum(row_sq_norms(tw) for tw, _ in terms)
+    v_sq = (v * v).sum(axis=-1, dtype=np.float64)
+    if head is not None:
+        v_sq += head[3]
     room = INT16_MAX - abs(init)
     # certified before the sums exist: the two never share the peak
-    passed = certified(sq_norms, (v * v).sum(axis=-1, dtype=np.float64),
-                       room)
-    acc = np.matmul(w, v[..., None])[..., 0].astype(np.int64)
+    passed = certified(sq_norms, v_sq, room)
+    acc = np.matmul(w, v[..., None])[..., 0]
+    if head is not None:
+        acc += head[2]
+    acc = acc.astype(np.int64)
     if init:
         acc += init
     saturated = np.zeros(acc.shape, dtype=bool)
     if not passed.all():
         slow = np.nonzero(~passed)
-        k = w.shape[-1:]
-        w_rows = np.broadcast_to(w, acc.shape + k)[slow]
-        v_rows = np.broadcast_to(v, acc.shape[:-1] + k)[slow[:-1]]
-        products = w_rows.astype(np.int64) * v_rows.astype(np.int64)
+        widths = [tw.shape[-1] for tw, _ in terms]
+        products = np.empty((len(slow[0]), sum(widths)), np.int64)
+        k = 0
+        # head terms first, into one buffer; int8 codes as float32, so
+        # each product is exact
+        for (tw, tv), n in zip(terms, widths):
+            np.multiply(np.broadcast_to(tw, acc.shape + (n,))[slow],
+                        np.broadcast_to(tv, acc.shape[:-1] + (n,))[slow[:-1]],
+                        out=products[:, k:k + n], casting="unsafe")
+            k += n
         acc[slow], saturated[slow] = _chain(products, init)
     return acc, saturated
 
@@ -178,8 +196,10 @@ def row_sq_norms(codes):
     summed in chunks of 1024 terms (1024 * 128**2 == 2**24).
     """
     codes = np.asarray(codes, dtype=np.float32)
+    if codes.shape[-1] <= 1024:  # one chunk
+        return np.vecdot(codes, codes).astype(np.int64)
     chunks = [codes[..., k:k + 1024]
-              for k in range(0, max(codes.shape[-1], 1), 1024)]
+              for k in range(0, codes.shape[-1], 1024)]
     return sum(np.vecdot(c, c).astype(np.int64) for c in chunks)
 
 

@@ -11,9 +11,10 @@ The value side (`GridSim`) keeps what is resident on the dies: each
 layer's `prepare_layer` layout, the projection and every die's burst.
 Each `run` first checks every template event against the dropped links,
 then performs the actual distributed arithmetic from zero state,
-layer-major.  Only the recurrence runs step by step: per layer step, the
-per-die partial MACs of all four gates in one kernel call, the column fold
-of all four gates (one saturating add per hop) and the master-side
+layer-major.  Only the recurrence runs step by step (the input halves
+run as one GEMM per chunk of steps): per layer step, the per-die partial
+MACs of all four gates in one kernel call, the column fold of all four
+gates (one saturating add per hop) and the master-side
 activation and element-wise update, one call to `lstm_ref.cell_tail`, the
 oracle's own cell arithmetic after reduction.  A layer keeps its
 histories (step inputs, the partials each hop receives, h and c), the
@@ -529,19 +530,20 @@ class _History:
 def _history(grid, stack, consts, x):
     """A layer grid's `_History` over the step inputs `x` (T x ni_padded
     codes), from zero state, on its resident layout (`stack`, `consts`).
-    Each step runs only the recurrence: the partial MACs, the column fold
-    and the cell update.  The steps read the stack's float32 `stepping`
+    Each step runs only the recurrence: the recurrent halves' partial
+    MACs (after the head sums of `BlockStack.heads`), the column fold and
+    the cell update.  The steps read the stack's float32 `stepping`
     twin, made here and dropped on return."""
     n, nhp = grid.n, grid.nh_padded
     incoming = np.empty((len(x), 4, n - 1, nhp), np.int16)
     hc = np.zeros((len(x) + 1, 2, nhp), np.int8)
     stack = stack.stepping()
-    for t in range(len(x)):
+    for t, head in enumerate(stack.heads(x)):
         h, c = hc[t]
-        # the four gates read the same x and h: every die's partial MACs
-        # of the step in one kernel call
-        partials, _ = mac_run(stack.w, stack.operand(x[t], h),
-                              sq_norms=stack.w_sq)
+        # the four gates read the same h: every die's partial MACs of the
+        # step in one kernel call, after their input halves' head sums
+        partials, _ = mac_run(stack.halves[1], stack.operand(h, first=1),
+                              sq_norms=stack.w_sq, head=head)
         # the fold of all four gates at once, on the (die column, gate,
         # row) view, keeping what each hop receives
         cols = partials.swapaxes(0, 1)

@@ -283,6 +283,39 @@ MUTANTS = [
         (QF + "test_certificate_tier_is_exact_at_its_edge",),
         "the certificate leaves no room for the chain's initial value"),
     Mutant(
+        "certificate_ignores_the_head", "qformat.py",
+        "        v_sq += head[3]\n",
+        "        v_sq += 0\n",
+        (QF + "test_a_chain_with_a_head_is_the_whole_chain",),
+        "the certificate's vector norm reads only the tail, so a chain "
+        "whose head clips keeps its float32 sum"),
+    Mutant(
+        "fallback_drops_the_head", "qformat.py",
+        "        acc[slow], saturated[slow] = _chain(products, init)\n",
+        "        acc[slow], saturated[slow] = _chain(products[:, -n:], init)\n",
+        (QF + "test_a_chain_with_a_head_is_the_whole_chain",
+         SIM + "test_every_mode_matches_the_scalar_oracle",
+         "tests/test_tooling.py::"
+         "test_every_mac_call_flags_the_chains_the_scalar_mac_clips"),
+        "the chains that fail the certificate run their tail terms "
+        "alone, without the head's"),
+    Mutant(
+        "head_norm_is_zero", "lstm_ref.py",
+        "(v * v).sum(axis=-1, dtype=np.float64))\n",
+        "np.zeros(len(v)))\n",
+        (SIM + "test_a_run_over_several_head_chunks_matches_the_scalar_oracle",
+         SIM + "test_every_mode_matches_the_scalar_oracle"),
+        "the heads hand the certificate a zero norm for each step's input "
+        "terms, so chains whose input half clips keep their float32 sums"),
+    Mutant(
+        "head_chunk_skips_a_step", "lstm_ref.py",
+        "x[start:start + HEAD_CHUNK]",
+        "x[start:start + HEAD_CHUNK - 1]",
+        (SIM + "test_a_run_over_several_head_chunks_matches_the_scalar_oracle",
+         ),
+        "each head GEMM leaves out its chunk's last step, so every later "
+        "step reads the inputs of a step further on"),
+    Mutant(
         "scan_clamps_at_32766", "qformat.py",
         "lo, hi = np.int64(INT16_MIN), np.int64(INT16_MAX)",
         "lo, hi = np.int64(INT16_MIN), np.int64(INT16_MAX - 1)",
@@ -305,7 +338,8 @@ MUTANTS = [
         "300 enters the MAC kernel as a code"),
     Mutant(
         "oracle_keeps_a_stepped_layer", "lstm_ref.py",
-        "        del stack, layer  # before the next layer is laid out\n",
+        "        del stack, layer, heads  # before the next layer is laid "
+        "out\n",
         "        del stack\n",
         ("tests/test_memory.py::test_the_oracle_holds_one_layer_at_a_time",),
         "the oracle keeps layer k's float32 operand while it lays out "

@@ -546,6 +546,35 @@ def test_container_entry_in_another_format_is_refused(tmp_path, capsys,
     assert not (tmp_path / "o").exists()  # nothing ran
 
 
+@pytest.mark.parametrize("edit,missing", [
+    # a network saved without a projection whose meta names one
+    (lambda m: m["meta"].update(n_out=3), "fc.W_y, fc.b_y"),
+    # a layer tensor dropped from the manifest
+    (lambda m: m.update(tensors=[e for e in m["tensors"]
+                                 if e["name"] != "layer0.b_i"]),
+     "layer0.b_i"),
+    (lambda m: m.update(tensors=[e for e in m["tensors"]
+                                 if e["name"] != "layer0.W_xi"]),
+     "layer0.W_xi")], ids=["projection", "layer0.b_i", "layer0.W_xi"])
+def test_a_tensor_the_manifest_lacks_is_a_value_error(tmp_path, capsys, edit,
+                                                      missing):
+    net_path = str(tmp_path / "net.json")
+    lstm_ref.save_network(net_path,
+                          lstm_ref.random_network_params(47, [(8, 8)]))
+    with open(net_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(net_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match="lacks the tensors %s " % missing):
+        lstm_ref.load_network(net_path)
+    cfg = write_config(tmp_path / "c.yaml", network={"container": net_path},
+                       features={"n_steps": 2})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert_config_error(rc, capsys, "cannot load network container")
+    assert not (tmp_path / "o").exists()  # nothing ran
+
+
 # --- usage and config errors --------------------------------------------------------
 
 def test_unknown_command_is_usage_error(capsys):

@@ -102,7 +102,9 @@ def test_no_step_hands_the_mac_kernel_int8_weights(monkeypatch):
     for module, side in ((systolic_sim, "sim"), (lstm_ref, "ref")):
         def spy(w, *args, mac_run=module.mac_run, seen=weights[side],
                 **kwargs):
-            seen.append(np.asarray(w))
+            head = kwargs.get("head")
+            seen.append((np.asarray(w), None if head is None
+                         else np.asarray(head[0])))
             return mac_run(w, *args, **kwargs)
         monkeypatch.setattr(module, "mac_run", spy)
     blocks, fc_blocks = cli._plan_blocks(plan)
@@ -112,7 +114,34 @@ def test_no_step_hands_the_mac_kernel_int8_weights(monkeypatch):
     assert np.array_equal(systolic_sim.simulate(plan, params, features)[0],
                           want)
     for side, seen in weights.items():
-        gates = [w for w in seen if w.ndim == 4 and w.shape[0] == 4]
+        gates = [(w, head) for w, head in seen
+                 if w.ndim == 4 and w.shape[0] == 4]
         assert len(gates) == 2 * 3, side  # one per (layer, step)
-        assert all(w.dtype == np.float32 for w in gates), side
+        # the recurrent half, and the input half of the head
+        assert all(w.dtype == np.float32 for w, _ in gates), side
+        assert all(head is not None and head.dtype == np.float32
+                   for _, head in gates), side
         assert len(seen) - len(gates) == 1, side  # the projection
+
+
+def test_a_long_run_holds_one_head_chunk_on_each_side():
+    # 200 steps, four head chunks: each engine's peak stays within its
+    # layer's float32 layout, one chunk's head sums and 1 MiB
+    params = lstm_ref.random_network_params(11, [(96, 96)])
+    spec = lstm_ref.derive_spec(params)
+    plan = mapper.plan_grid(spec, mapper.TileSpec())
+    features = lstm_ref.random_features(12, 200, 96)
+    (stack, _), = systolic_sim.GridSim(plan, params).layers
+    # float32 head sums per step: one per (gate, block, row)
+    chunk = lstm_ref.HEAD_CHUNK * 4 * stack.w_sq.size
+    bound = 4 * stack.w.size + chunk + MB
+    want = systolic_sim.simulate(plan, params, features)[0]
+    (outputs, _), peak = traced_peak(systolic_sim.simulate, plan, params,
+                                     features)
+    assert np.array_equal(outputs, want)
+    assert peak < bound
+    blocks, _ = cli._plan_blocks(plan)
+    outputs, peak = traced_peak(lstm_ref.network_infer, spec, params,
+                                features, col_blocks_per_layer=blocks)
+    assert np.array_equal(outputs, want)
+    assert peak < bound

@@ -311,6 +311,50 @@ def test_certificate_tier_is_exact_at_its_edge(case):
     assert_factored_exact(w, v, init)
 
 
+@st.composite
+def split_chains(draw):
+    """(w, v, cut, init): chains w (..., R, K) against v (..., K), broadcast
+    over a leading gate axis half the time, and a cut 0 < cut < K, so a
+    head or a tail may hold one term.  Extreme codes are common, so whole
+    chains clip where their halves need not."""
+    lead = draw(st.sampled_from([(), (2,), (3, 2)]))
+    gates = draw(st.sampled_from([(), (2,)]))
+    r, k = draw(st.integers(1, 4)), draw(st.integers(2, 24))
+    code = st.one_of(int8s, st.sampled_from([-128, -127, 127]))
+    w = draw(hnp.arrays(np.int64, gates + lead + (r, k), elements=code))
+    v = draw(hnp.arrays(np.int64, lead + (k,), elements=code))
+    cut = draw(st.sampled_from([1, k - 1]) | st.integers(1, k - 1))
+    init = draw(st.sampled_from([0, 0, 1000, -32767, 32767]))
+    return w, v, cut, init
+
+
+# a head that clips beside a one-term tail the certificate alone passes
+@example(case=(np.array([[[127, 127, 127, 1]]]),
+               np.array([[127, 127, 127, 1]]), 3, 0))
+@example(case=(np.array([[[-128, 1]]]), np.array([[127, 1]]), 1, -32767))
+@given(case=split_chains())
+@settings(max_examples=300, deadline=None)
+def test_a_chain_with_a_head_is_the_whole_chain(case):
+    # the head's sums come from one float32 product, as the engines'
+    # per-layer GEMM gives them; acc and flags are the whole chain's
+    w, v, cut, init = case
+    w_head, v_head = w[..., :cut], v[..., :cut]
+    sums = np.matmul(w_head.astype(np.float32),
+                     v_head.astype(np.float32)[..., None])[..., 0]
+    got = qf.mac_run(w[..., cut:].astype(np.float32), v[..., cut:], init,
+                     sq_norms=(w * w).sum(axis=-1),
+                     head=(w_head.astype(np.float32), v_head, sums,
+                           (v_head * v_head).sum(axis=-1)))
+    want = qf.mac_run(w, v, init)
+    assert got[0].dtype == np.int64 and got[0].shape == w.shape[:-1]
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    rows = np.broadcast_to(v[..., None, :], w.shape)
+    for idx in np.ndindex(*w.shape[:-1]):
+        assert (got[0][idx], got[1][idx]) == O.mac_chain(
+            zip(w[idx].tolist(), rows[idx].tolist()), init), idx
+
+
 def _spy(monkeypatch, name):
     """Products handed to qformat's `name` tier by each mac_run call."""
     seen = []

@@ -1039,6 +1039,21 @@ def test_every_mode_matches_the_scalar_oracle(monkeypatch, params, feats,
 # --- edge runs of the layer-major engine -------------------------------------------
 
 @pytest.mark.parametrize("mode", ["stacked", "reload", "chip_select"])
+def test_a_run_over_several_head_chunks_matches_the_scalar_oracle(mode):
+    # the input halves' head sums come one GEMM per HEAD_CHUNK steps:
+    # a run two chunks and three steps long, at scales that clip chains,
+    # meets every chunk boundary and a short last chunk
+    params = LR.random_network_params(133, [(7, 10), (10, 6)], n_out=3,
+                                      scale=2.0)
+    feats = LR.random_features(134, 2 * LR.HEAD_CHUNK + 3, 7, scale=4.0)
+    plan = plan_grid(LR.derive_spec(params), TINY, reload=mode == "reload",
+                     chip_select=mode == "chip_select")
+    want = scalar_reference(plan, params, feats)
+    assert simulate(plan, params, feats)[0].tolist() == want
+    assert reference(plan, params, feats).tolist() == want
+
+
+@pytest.mark.parametrize("mode", ["stacked", "reload", "chip_select"])
 @pytest.mark.parametrize("n_out", [3, None], ids=["fc", "no_fc"])
 @pytest.mark.parametrize("n_steps", [0, 1, 3])
 def test_edge_runs_match_both_oracles_and_the_record_loop_report(

@@ -52,18 +52,18 @@ def test_benchmark_pipeline_runs_every_workload_exactly(monkeypatch):
 
 
 def _recorder(fn, log):
-    """`fn`, appending (args, result) to `log` on every call."""
+    """`fn`, appending (args, kwargs, result) to `log` on every call."""
     def recorded(*args, **kwargs):
         result = fn(*args, **kwargs)
-        log.append((args, result))
+        log.append((args, kwargs, result))
         return result
     return recorded
 
 
 def _traced_pipeline(monkeypatch, inst):
     """`bench.run_pipeline` over `inst` with spies on the calls the tracer
-    wraps: {"sim" | "ref": [(mac_run args, (acc, saturated))], "cell":
-    [(cell_step_fixed args, state)]}."""
+    wraps: {"sim" | "ref": [(mac_run args, kwargs, (acc, saturated))],
+    "cell": [(cell_step_fixed args, kwargs, state)]}."""
     bench = importlib.import_module("bench")
     calls = collections.defaultdict(list)
     with monkeypatch.context() as m:
@@ -96,13 +96,14 @@ def test_each_side_calls_the_gate_mac_per_layer_step_and_projects_once(
         calls = _traced_pipeline(monkeypatch, inst)
         n_layers, steps = inst.spec.n_layers, inst.n_steps
         for side in ("sim", "ref"):
-            gates = [args for args, _ in calls[side] if _is_gate_call(args)]
+            gates = [args for args, _, _ in calls[side]
+                     if _is_gate_call(args)]
             assert len(gates) == n_layers * steps, (side, inst.index)
             assert len(calls[side]) - len(gates) \
                 == (inst.params.fc is not None), (side, inst.index)
         layer_of = {id(p): k for k, p in enumerate(inst.params.layers)}
         cells = collections.Counter(layer_of.get(id(args[0]))
-                                    for args, _ in calls["cell"])
+                                    for args, _, _ in calls["cell"])
         assert cells == {k: steps for k in range(n_layers)}, inst.index
 
 
@@ -142,8 +143,9 @@ def test_each_side_prepares_each_layer_once_and_steps_only_compute(
 def test_every_mac_call_flags_the_chains_the_scalar_mac_clips(monkeypatch):
     # the saturating workload's toy network: 96 -> 96 at weight scale 2.0
     # and feature scale 4.0, on one die, so each gate call's chains are
-    # whole: a gate's 96 input terms, then its 96 recurrent terms.  A
-    # chain split into halves would flag only the halves that clip
+    # whole: a gate's 96 input terms, the call's `head`, then its 96
+    # recurrent terms.  A chain split into halves would flag only the
+    # halves that clip
     (inst, _) = _instances(monkeypatch, "saturating_1x480")
     layer = inst.params.layers[0]
     whole = np.stack([np.hstack(pair) for pair in zip(
@@ -153,11 +155,13 @@ def test_every_mac_call_flags_the_chains_the_scalar_mac_clips(monkeypatch):
     flags = []
     for side in ("sim", "ref"):
         assert len(calls[side]) == inst.n_steps
-        for t, (args, (_, saturated)) in enumerate(calls[side]):
-            w, v = np.asarray(args[0]), np.asarray(args[1])
+        for t, (args, kwargs, (_, saturated)) in enumerate(calls[side]):
+            w_head, v_head = map(np.asarray, kwargs["head"][:2])
+            w = np.concatenate([w_head, np.asarray(args[0])], axis=-1)
             assert np.array_equal(w.reshape(whole.shape), whole)
-            assert np.array_equal(v[0, :96], inst.features[t])
-            codes = v[0].tolist()
+            assert np.array_equal(v_head[0], inst.features[t])
+            codes = np.concatenate([v_head[0], np.asarray(args[1])[0]]) \
+                .tolist()
             want = [O.mac_chain(zip(row, codes))[1]
                     for row in whole.reshape(-1, 192).tolist()]
             assert saturated.ravel().tolist() == want, (side, t)
