@@ -26,11 +26,12 @@ After the reduction, the cell (`cell_tail`) and the projection
 one lookup per requantize -> clamp -> LUT chain.  The saturating bias
 add folds into per-unit clamp bounds by sat16(sat16(s) + B) ==
 clip(s + B, -32768 + max(B, 0), 32767 + min(B, 0)) (`gate_bounds`).
-The tables are built from the helpers they replace, about 3 ms once per
-LUT pair and format set, and memoized on the LUTs (`tail_tables`).
+The gate lookups hand back codes ready to index the next table, so the
+aligned i*u is one lookup too.  The tables are built from the helpers
+they replace, about 3 ms once per LUT pair and format set, and memoized
+on the LUTs (`tail_tables`).
 """
 
-import copy
 import dataclasses
 import functools
 import json
@@ -246,10 +247,11 @@ class BlockStack:
     `rows` (default: its own).  Block b's chains read tile b of every
     matrix in turn; zero padding terms leave a saturating chain
     unchanged.  `w` is shaped (gates, blocks, rows, K), `halves` views
-    its chains as head (the first matrix's terms) and tail, and `w_sq`
+    its chains as head (the first matrix's terms) and tail, `w_sq`
     (gates, blocks, rows) holds each chain's exact sum of squared codes,
-    the certificate's weight norm.  A caller that runs many MAC calls on
-    one stack steps on its float32 twin (`stepping`) and then drops it.
+    the certificate's weight norm, and `sq_max` the largest of them, the
+    layer bound's.  A caller that runs many MAC calls on one stack steps
+    on its float32 twin (`stepping`) and then drops it.
     """
 
     def __init__(self, mats, n_blocks=1, rows=None):
@@ -258,32 +260,50 @@ class BlockStack:
         self._tiles = [(n_blocks, t) for t in tiles]  # operand shapes
         rows = mats[0][0].shape[0] if rows is None else rows
         self.w = np.zeros((len(mats), n_blocks, rows, sum(tiles)), np.int8)
-        for g, gate_mats in enumerate(mats):
-            pos = 0
-            for m, tile in zip(gate_mats, tiles):
-                # block by block: no padded copy of a whole matrix
-                for b in range(n_blocks):
-                    part = m[:, b * tile:(b + 1) * tile]
-                    self.w[g, b, :len(m), pos:pos + part.shape[1]] = part
-                pos += tile
+        pos = 0
+        for k, tile in enumerate(tiles):
+            # the k-th matrix of every gate, each copied once, never
+            # padded: its full tiles through one strided view, then its
+            # ragged last tile
+            n_rows, width = mats[0][k].shape
+            full, rest = divmod(width, tile)
+            blocks = self.w[:, :, :n_rows, pos:pos + tile]
+            for g, gate_mats in enumerate(mats):
+                m = gate_mats[k]
+                blocks[g, :full] = m[:, :full * tile].reshape(
+                    n_rows, full, tile).swapaxes(0, 1)
+                if rest:
+                    blocks[g, full, :, :rest] = m[:, full * tile:]
+            pos += tile
         self.halves = self.w[..., :tiles[0]], self.w[..., tiles[0]:]
 
     @functools.cached_property
     def w_sq(self):
         """Computed on first use: a stack that steps takes it from its
-        twin's float32 `halves`, with no conversion of its own."""
-        return row_sq_norms(self.halves[0]) + row_sq_norms(self.halves[1])
+        twin's float32 `halves`, with no conversion of its own.  A
+        projection's stack has no tail."""
+        return sum(row_sq_norms(half) for half in self.halves
+                   if half.shape[-1])
+
+    @functools.cached_property
+    def sq_max(self):
+        """The largest of `w_sq`, an int (0 for a stack of no chains):
+        `mac_run`'s layer bound, taken once per stack, never per call."""
+        return int(self.w_sq.max()) if self.w_sq.size else 0
 
     def stepping(self):
         """A twin whose `halves` are the float32 weights of the factored
         `mac_run`, four bytes per code, contiguous, in one buffer: made
         once for the steps of a layer and dropped after them, so no MAC
-        call converts the int8 layout.  The twin shares `w_sq`, once known."""
-        twin, (head, tail) = copy.copy(self), self.halves
+        call converts the int8 layout.  The twin shares `w_sq` and
+        `sq_max`, once known, and otherwise takes them here."""
+        twin, (head, tail) = object.__new__(type(self)), self.halves
+        twin.__dict__.update(self.__dict__)  # a shallow copy, made fast
         buf = np.empty(self.w.size, np.float32)
         twin.halves = (buf[:head.size].reshape(head.shape),
                        buf[head.size:].reshape(tail.shape))
         twin.halves[0][...], twin.halves[1][...] = head, tail
+        twin.sq_max  # and `w_sq` beside it, from the float32 halves
         return twin
 
     def operand(self, *vectors, first=0):
@@ -316,16 +336,18 @@ def fc_stack(params, n_blocks=1):
     return BlockStack([(params.W_y,)], n_blocks)
 
 
-def _blocked_dot(w, sq_norms, operand, head=None):
+def _blocked_dot(w, sq_norms, sq_max, operand, head=None):
     """Saturating dot products split into column blocks: (..., rows).
 
-    `w` and `sq_norms` are a `BlockStack`'s layout, (..., blocks, rows, K)
-    and (..., blocks, rows), and `operand` is its `operand` (after a
-    `head`).  Per block: per-MAC 16-bit saturation over the block's terms
-    in order.  Block partials are then folded left to right with
-    saturating adds (the reduction-chain order).
+    `w`, `sq_norms` and `sq_max` are a `BlockStack`'s layout, (..., blocks,
+    rows, K), its (..., blocks, rows) row norms and their largest, and
+    `operand` is its `operand` (after a `head`).  Per block: per-MAC
+    16-bit saturation over the block's terms in order.  Block partials
+    are then folded left to right with saturating adds (the
+    reduction-chain order).
     """
-    partials, _ = mac_run(w, operand, sq_norms=sq_norms, head=head)
+    partials, _ = mac_run(w, operand, sq_norms=sq_norms, head=head,
+                          sq_max=sq_max)
     acc = partials[..., 0, :]
     for b in range(1, partials.shape[-2]):
         acc = sat_add16(acc, partials[..., b, :])
@@ -344,27 +366,37 @@ def check_luts(luts, formats):
 
 INT16_CODES = 1 << 16  # one table entry per int16 value
 _ZERO = 1 << 15  # index of the value 0 in a table at offset 32768
-_TANH = INT16_CODES  # where the tanh half of `TailTables.gates` starts
+# where each region of `TailTables.gates` starts
+_TANH, _SIGMOID_HI, _TANH_LO = (k * INT16_CODES for k in (1, 2, 3))
 _CHUNK = 1 << 13  # entries written per step of a table build
+_LOW_BYTE = np.int16(0xFF)  # a NumPy scalar: a ufunc takes it faster
 
 
 @dataclasses.dataclass(frozen=True)
 class TailTables:
-    """Exact int16 tables of the cell and projection tails, one entry per
+    """Exact tables of the cell and projection tails, one entry per
     16-bit value, so that requantize -> clamp -> LUT is one lookup.
 
-    `gates` holds, for every int16 pre-activation v, the sigmoid code
+    `gates` holds four regions of 65536 int16 entries.  For every int16
+    pre-activation v, the first holds the sigmoid code
     `sigmoid.lookup(requantize(v, acc_frac_bits, state))` at v + 32768,
-    then the tanh code at 65536 + v + 32768.  `c` holds the cell-state
+    the second the tanh code at 65536 + v + 32768; the third holds the
+    sigmoid code << 8 (i and o, ready as an index's high byte) and the
+    fourth the tanh code & 0xFF (u, ready as its low byte), at the same
+    offsets from 131072 and 196608.  `c` holds the cell-state
     requantizer `requantize(v, gf + sf, state)` at v + 32768, so a lookup
     with mode="clip" is exactly its sat16.  `h` holds, at the index whose
     high byte is g_o's and low byte c_new's, `requantize(g_o *
     tanh.lookup(c_new), 2 * gf, state)`: the int16 value
-    (g_o << 8) | (c_new & 0xFF), looked up with mode="wrap".
+    (g_o << 8) | (c_new & 0xFF), looked up with mode="wrap".  `iu` holds,
+    indexed alike by (g_i << 8) | (g_u & 0xFF), `shift_round(g_i * g_u,
+    gf - sf)`, i*u at the scale of f*c, plus 32768, the offset of `c`'s
+    index: uint16, as that sum is at most 2**14 + 2**15.
     """
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
+    iu: np.ndarray
 
 
 def _fill(table, entry, first):
@@ -380,22 +412,32 @@ def build_tail_tables(luts, fmts):
     helpers they replace.  About 3 ms; `tail_tables` builds them once."""
     check_luts(luts, fmts)
     sf, gf = fmts.state.frac_bits, fmts.gate.frac_bits
-    t = TailTables(*(np.empty(n, np.int16)
-                     for n in (2 * INT16_CODES, INT16_CODES, INT16_CODES)))
+    t = TailTables(np.empty(4 * INT16_CODES, np.int16),
+                   *(np.empty(INT16_CODES, dtype)
+                     for dtype in (np.int16, np.int16, np.uint16)))
     for lut, half in ((luts["sigmoid"], t.gates[:_TANH]),
-                      (luts["tanh"], t.gates[_TANH:])):
+                      (luts["tanh"], t.gates[_TANH:_SIGMOID_HI])):
         _fill(half, lambda v, lut=lut: lut.lookup(
             requantize(v, fmts.acc_frac_bits, fmts.state)), -_ZERO)
+    # the codes as an index's high and low byte, in place in int16
+    np.left_shift(t.gates[:_TANH], 8, out=t.gates[_SIGMOID_HI:_TANH_LO])
+    np.bitwise_and(t.gates[_TANH:_SIGMOID_HI], 0xFF, out=t.gates[_TANH_LO:])
     _fill(t.c, lambda v: requantize(v, gf + sf, fmts.state), -_ZERO)
 
-    # the int16 value v sits at v mod 65536; its high byte is g_o, its
-    # low byte c_new's, which `lookup` reads
+    # the int16 value v sits at v mod 65536; its high byte is g_o or g_i,
+    # its low byte c_new's or g_u's, which `lookup` reads
     def h_entry(v):
         return requantize((v >> 8) * luts["tanh"].lookup(v), 2 * gf,
                           fmts.state)
-    _fill(t.h[:_ZERO], h_entry, 0)
-    _fill(t.h[_ZERO:], h_entry, -_ZERO)
-    for table in (t.gates, t.c, t.h):
+
+    def iu_entry(v):
+        g_i, g_u = v >> 8, ((v & 0xFF) ^ 0x80) - 0x80
+        return shift_round(g_i * g_u, gf - sf) + _ZERO
+
+    for entry, table in ((h_entry, t.h), (iu_entry, t.iu)):
+        _fill(table[:_ZERO], entry, 0)
+        _fill(table[_ZERO:], entry, -_ZERO)
+    for table in (t.gates, t.c, t.h, t.iu):
         table.flags.writeable = False
     return t
 
@@ -422,37 +464,37 @@ def gate_bounds(acc_bias, base=0):
 @dataclasses.dataclass(frozen=True)
 class CellConstants:
     """One layer's `cell_tail` preparation.  `peep` (w_ci, w_cf, w_co) and
-    `bias` keep the codes; `tables` are the tail tables; `ifu_*` are
-    gates i, f, u's (3, units) peephole codes (u has none: zero) and
-    index bounds (`gate_bounds`, u's in the tanh half), and `o_*` the
-    output gate's.  `iu_shift` aligns i*u to the scale of f*c."""
+    `bias` keep the codes; `tables` are the tail tables; `offset` holds
+    the four gates' (4, units) table offsets (`gate_bounds`: i and o's in
+    the sigmoid << 8 region, f's in the sigmoid one, u's in the tanh &
+    0xFF one); `ifu_*` are gates i, f, u's (3, units) peephole codes (u
+    has none: zero) and clamp bounds, and `o_*` the output gate's."""
     peep: np.ndarray
     bias: np.ndarray
     tables: TailTables
-    iu_shift: int
+    offset: np.ndarray
     ifu_peep: np.ndarray
-    ifu_offset: np.ndarray
     ifu_lo: np.ndarray
     ifu_hi: np.ndarray
     o_peep: np.ndarray
-    o_offset: np.ndarray
     o_lo: np.ndarray
     o_hi: np.ndarray
+
+
+_GATE_BASES = np.array([[_SIGMOID_HI], [0], [_TANH_LO], [_SIGMOID_HI]])
 
 
 def cell_constants(peep, bias, fmts, luts):
     """`cell_tail`'s per-layer preparation from the (w_ci, w_cf, w_co)
     peephole codes `peep` (3, units) and the four gate bias codes `bias`
-    (4, units): each bias at the accumulator scale, with the table offset
-    and clamp bounds folded in (`gate_bounds`)."""
+    (4, units): each bias at the accumulator scale, with the offset of
+    its gate's table region and the clamp bounds folded in
+    (`gate_bounds`)."""
     peep, bias = np.asarray(peep, np.int64), np.asarray(bias, np.int64)
-    base = np.array([[0], [0], [_TANH], [0]])
-    offset, lo, hi = gate_bounds(bias << fmts.state.frac_bits, base)
+    offset, lo, hi = gate_bounds(bias << fmts.state.frac_bits, _GATE_BASES)
     ifu_peep = np.concatenate([peep[:2], np.zeros_like(peep[:1])])
-    return CellConstants(
-        peep, bias, tail_tables(luts, fmts),
-        fmts.gate.frac_bits - fmts.state.frac_bits, ifu_peep, offset[:3],
-        lo[:3], hi[:3], peep[2], offset[3], lo[3], hi[3])
+    return CellConstants(peep, bias, tail_tables(luts, fmts), offset,
+                         ifu_peep, lo[:3], hi[:3], peep[2], lo[3], hi[3])
 
 
 def cell_tail(dots, c, consts):
@@ -468,28 +510,30 @@ def cell_tail(dots, c, consts):
     `TailTables` table: a gate's pre-activation is one add, one max and
     one min (the saturating peephole and bias adds folded into clamp
     bounds by sat16(sat16(s) + B) == clip(s + B, -32768 + max(B, 0),
-    32767 + min(B, 0)), `gate_bounds`), the cell state one clipped
-    lookup of g_f * c + i*u, and h one lookup by (g_o, c_new).  The
-    tables cost about 3 ms, once per LUT pair and format set
-    (`tail_tables`, called by `cell_constants`).  A product of two
-    int8 codes, shifted right or not, is at most 128 * 128 == 2**14 in
+    32767 + min(B, 0)), `gate_bounds`).  The gate lookups hand i and o
+    back as index high bytes and u as a low byte, so the aligned i*u is
+    one lookup by (g_i, g_u), the cell state one clipped lookup of
+    g_f * c + i*u, and h one lookup by (g_o, c_new): 19 array calls a
+    step.  The tables cost about 3 ms, once per LUT pair and format set
+    (`tail_tables`, called by `cell_constants`).  A product of two int8
+    codes, shifted right or not, is at most 128 * 128 == 2**14 in
     magnitude, so no 16-bit clamp of one product alone can bind.
     """
     k, t = consts, consts.tables
-    pre = k.ifu_peep * c
-    pre += dots[:3]
-    pre += k.ifu_offset
-    g_i, g_f, g_u = t.gates.take(np.minimum(np.maximum(pre, k.ifu_lo),
-                                            k.ifu_hi))
-    # round the int16 i*u to f*c's scale (`FormatSet` keeps gf >= sf) and
-    # add in int32: both reach 2**14 when gf == sf, so the sum's clamp binds
-    p_iu = shift_round(g_i * g_u, k.iu_shift)
-    c_new = t.c.take(np.multiply(g_f, c, dtype=np.int32) + p_iu + _ZERO,
-                     mode="clip")
-    pre = dots[3] + k.o_peep * c_new
-    pre += k.o_offset
-    g_o = t.gates.take(np.minimum(np.maximum(pre, k.o_lo), k.o_hi))
-    h_new = t.h.take((g_o << 8) | (c_new & 0xFF), mode="wrap")
+    pre = dots + k.offset
+    ifu = k.ifu_peep * c
+    ifu += pre[:3]
+    np.maximum(ifu, k.ifu_lo, out=ifu)
+    i_hi, g_f, u_lo = t.gates[np.minimum(ifu, k.ifu_hi, out=ifu)]
+    # f*c + i*u in int64: both reach 2**14 when gf == sf (`FormatSet`
+    # keeps gf >= sf), so the sum's clamp binds; `iu` adds the c offset
+    c_new = t.c.take(np.multiply(g_f, c, dtype=np.int64)
+                     + t.iu.take(i_hi | u_lo, mode="wrap"), mode="clip")
+    o = k.o_peep * c_new
+    o += pre[3]
+    np.maximum(o, k.o_lo, out=o)
+    o_hi = t.gates[np.minimum(o, k.o_hi, out=o)]
+    h_new = t.h.take(o_hi | (c_new & _LOW_BYTE), mode="wrap")
     return h_new, c_new
 
 
@@ -536,10 +580,10 @@ def cell_step_fixed(params, state, x, luts, layer=None, head=None):
     block structure of its plan.
     """
     stack, consts = layer or prepare_layer(params, luts)
-    if (x.shape, state.h.shape) != ((stack.widths[0],), (stack.widths[1],)):
+    if x.shape + state.h.shape != stack.widths:  # the state is 1-D
         raise ValueError("dimension mismatch")
     head = head or next(stack.heads(x[None]))
-    dots = _blocked_dot(stack.halves[1], stack.w_sq,
+    dots = _blocked_dot(stack.halves[1], stack.w_sq, stack.sq_max,
                         stack.operand(state.h, first=1), head)
     return LstmState(*cell_tail(dots, state.c, consts))
 
@@ -555,7 +599,8 @@ def fc_step_fixed(params, h, luts, stack=None):
     stack = stack or fc_stack(params)
     if h.ndim not in (1, 2) or h.shape[-1] != stack.widths[0]:
         raise ValueError("dimension mismatch")
-    return fc_tail(_blocked_dot(stack.w[0], stack.w_sq[0], stack.operand(h)),
+    return fc_tail(_blocked_dot(stack.w[0], stack.w_sq[0], stack.sq_max,
+                                stack.operand(h)),
                    params.b_y, params.formats, luts)
 
 
@@ -697,7 +742,7 @@ def check_codes(params, features=None):
     code is an int8 code (the domain the exact MAC kernel is proven on)."""
     for li, layer in enumerate(params.layers):
         for name in _LAYER_TENSORS:
-            check_int8(getattr(layer, name), "layer %d %s" % (li, name))
+            check_int8(getattr(layer, name), "layer %d %s", li, name)
     if params.fc is not None:
         check_int8(params.fc.W_y, "fc W_y")
         check_int8(params.fc.b_y, "fc b_y")

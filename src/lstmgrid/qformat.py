@@ -9,17 +9,20 @@ are written to be reproducible to the bit on any platform.
 Rounding convention at every width reduction: round half away from zero.
 
 Every MAC chain of the package runs through `mac_run`, which is exact in
-three tiers.  Certificate: by Cauchy-Schwarz, no partial sum over any
-subset of a chain's terms exceeds ||w|| * ||v|| in magnitude, so a chain
-with ||w||**2 * ||v||**2 <= (32767 - |init|)**2, decided exactly from the
-resident squared row norms, cannot leave int16 at any prefix, in any
-summation order.  It equals the plain sum, every partial sum is an
-integer below 2**24, and one float32 matmul W.v gives it exactly (so does
-W.v over its tail plus a float32 head sum made beforehand).  Prefix
-check: the chains that fail the certificate take the exact wide-integer
-prefix sums, and those whose every prefix stays in int16 keep the last
-one.  Scan: chains that really clip run a saturating scan one term at a
-time, vectorized across all of those chains.
+four tiers.  Layer bound: by Cauchy-Schwarz, no partial sum over any
+subset of a chain's terms exceeds ||w|| * ||v|| in magnitude, so when the
+layer's largest squared row norm times the call's largest squared operand
+norm is at most (32767 - |init|)**2, no chain of the call can leave int16
+at any prefix, in any summation order.  Each chain then equals its plain
+sum, every partial sum is an integer below 2**24, and one float32 matmul
+W.v gives it exactly (so does W.v over its tail plus a float32 head sum
+made beforehand).  Certificate: when the bound fails, the same test runs
+per chain, from the resident squared row norms.  Prefix check: the chains
+that fail the certificate take the exact wide-integer prefix sums, and
+those whose every prefix stays in int16 keep the last one.  Scan: chains
+that really clip run a saturating scan one term at a time, vectorized
+across all of those chains.  Every norm is an exact integer below 2**53,
+so each tier's decision is exact.
 """
 
 import numpy as np
@@ -28,6 +31,8 @@ INT8_MIN = -128
 INT8_MAX = 127
 INT16_MIN = -32768
 INT16_MAX = 32767
+# the int16 ends as NumPy scalars: a ufunc takes them faster than ints
+_LO, _HI = np.int64(INT16_MIN), np.int64(INT16_MAX)
 
 
 class QFormat:
@@ -91,7 +96,7 @@ def sat16(values):
     # minimum/maximum: np.clip's per-call bound checks cost more than the
     # clamp itself on the short vectors of a die tile
     return np.minimum(np.maximum(np.asarray(values, dtype=np.int64),
-                                 INT16_MIN), INT16_MAX)
+                                 _LO), _HI)
 
 
 def shift_round(values, shift):
@@ -121,7 +126,8 @@ def requantize(value, value_frac_bits, target):
     return np.minimum(np.maximum(rounded, INT8_MIN), INT8_MAX)
 
 
-def mac_run(weights, vector=None, init=0, sq_norms=None, head=None):
+def mac_run(weights, vector=None, init=0, sq_norms=None, head=None,
+            sq_max=None):
     """Sequential saturating accumulation, one chain per row.
 
     Each chain is equivalent to a scalar saturating MAC (`tests/oracles.mac`)
@@ -137,8 +143,9 @@ def mac_run(weights, vector=None, init=0, sq_norms=None, head=None):
     converted to float32 on every call, so a caller that runs many calls
     on one weight stack passes its float32 copy, made once, with
     `sq_norms` = the int64 sums of their squared codes per row, shaped
-    (..., R), beside them.  Product form (`vector` None): `weights`
-    already holds the int64 terms, shaped (..., K).
+    (..., R), and `sq_max` = their largest, an int, beside them.  Product
+    form (`vector` None): `weights` already holds the int64 terms, shaped
+    (..., K); they are copied, never written.
 
     `head` = (w_head, v_head, sums, v_head_sq) puts the terms
     w_head[..., r, :] * v_head[..., :] before each factored chain's own,
@@ -146,26 +153,34 @@ def mac_run(weights, vector=None, init=0, sq_norms=None, head=None):
     norm (`lstm_ref.BlockStack.heads`); `sq_norms` are then whole rows'.
 
     Tiers (see the module docstring): one float32 matmul gives W.v for
-    every chain, and the chains that pass the certificate keep it.  Only
-    the chains that fail it, and every chain of the product form, take
-    the prefix-check and scan tiers (`_chain`), head terms first.
+    every chain.  When `sq_max` times the largest squared operand norm
+    passes the layer bound, every chain keeps it; otherwise the chains
+    that pass the per-chain certificate keep it.  Only the chains that
+    fail both, and every chain of the product form, take the prefix-check
+    and scan tiers (`_chain`), head terms first.
     """
     init = int(init)
     if vector is None:
-        products = np.asarray(weights, dtype=np.int64)
+        products = np.array(weights, dtype=np.int64)  # `_chain` writes it
         return _chain(products.reshape(1, 1) if products.ndim == 0
                       else products, init)
     w = np.asarray(weights, dtype=np.float32)
     v = np.asarray(vector, dtype=np.float32)
-    terms = ([] if head is None else [head[:2]]) + [(w, v)]
-    if sq_norms is None:
-        sq_norms = sum(row_sq_norms(tw) for tw, _ in terms)
-    v_sq = (v * v).sum(axis=-1, dtype=np.float64)
+    # float32 sums of at most 1024 squared codes are exact (`row_sq_norms`)
+    v_sq = np.vecdot(v, v) if v.shape[-1] <= 1024 else row_sq_norms(v)
     if head is not None:
-        v_sq += head[3]
+        v_sq = v_sq + head[3]
     room = INT16_MAX - abs(init)
-    # certified before the sums exist: the two never share the peak
-    passed = certified(sq_norms, v_sq, room)
+    # the layer bound, exact as `certified` is, and decided before the
+    # sums exist: the two never share the peak.  No empty operand reaches
+    # max(), a Python one: over a few blocks a NumPy reduction costs more
+    passed = None
+    if sq_max is None or not v_sq.size \
+            or sq_max * max(v_sq.ravel().tolist()) > _limit(room):
+        terms = ([] if head is None else [head[:2]]) + [(w, v)]
+        if sq_norms is None:
+            sq_norms = sum(row_sq_norms(tw) for tw, _ in terms)
+        passed = certified(sq_norms, v_sq, room)
     acc = np.matmul(w, v[..., None])[..., 0]
     if head is not None:
         acc += head[2]
@@ -173,19 +188,20 @@ def mac_run(weights, vector=None, init=0, sq_norms=None, head=None):
     if init:
         acc += init
     saturated = np.zeros(acc.shape, dtype=bool)
-    if not passed.all():
-        slow = np.nonzero(~passed)
-        widths = [tw.shape[-1] for tw, _ in terms]
-        products = np.empty((len(slow[0]), sum(widths)), np.int64)
-        k = 0
-        # head terms first, into one buffer; int8 codes as float32, so
-        # each product is exact
-        for (tw, tv), n in zip(terms, widths):
-            np.multiply(np.broadcast_to(tw, acc.shape + (n,))[slow],
-                        np.broadcast_to(tv, acc.shape[:-1] + (n,))[slow[:-1]],
-                        out=products[:, k:k + n], casting="unsafe")
-            k += n
-        acc[slow], saturated[slow] = _chain(products, init)
+    if passed is None or passed.all():
+        return acc, saturated
+    slow = np.nonzero(~passed)
+    widths = [tw.shape[-1] for tw, _ in terms]
+    products = np.empty((len(slow[0]), sum(widths)), np.int64)
+    k = 0
+    # head terms first, into one buffer; int8 codes as float32, so each
+    # product is exact
+    for (tw, tv), n in zip(terms, widths):
+        np.multiply(np.broadcast_to(tw, acc.shape + (n,))[slow],
+                    np.broadcast_to(tv, acc.shape[:-1] + (n,))[slow[:-1]],
+                    out=products[:, k:k + n], casting="unsafe")
+        k += n
+    acc[slow], saturated[slow] = _chain(products, init)
     return acc, saturated
 
 
@@ -203,6 +219,12 @@ def row_sq_norms(codes):
     return sum(np.vecdot(c, c).astype(np.int64) for c in chunks)
 
 
+def _limit(room):
+    """room**2, the bound of a chain's squared norms; -1 for a negative
+    room, which nothing passes."""
+    return room * room if room >= 0 else -1
+
+
 def certified(sq_norms, vector_sq_norms, room):
     """Chains whose every partial sum provably stays within +-`room`:
     sq_norms * vector_sq_norms <= room**2 (Cauchy-Schwarz).
@@ -214,30 +236,32 @@ def certified(sq_norms, vector_sq_norms, room):
     vector, the leading shape of `sq_norms` without its row axis.
     Nothing passes for a negative room.
     """
-    limit = room * room if room >= 0 else -1
     vector_sq_norms = np.asarray(vector_sq_norms, dtype=np.float64)
-    return sq_norms * vector_sq_norms[..., None] <= limit
+    return sq_norms * vector_sq_norms[..., None] <= _limit(room)
 
 
 def _chain(products, init):
-    """Prefix-check and scan tiers over int64 terms shaped (..., K).
+    """Prefix-check and scan tiers over int64 terms shaped (..., K), which
+    it overwrites with their prefix sums.
 
     A chain saturates exactly when some plain prefix sum leaves int16: up
     to the first such prefix the chain equals the prefix sums, and there
-    it clips.
+    it clips.  The scan takes the clipping chains' terms back from their
+    prefix sums.
     """
     lead = products.shape[:-1]
     if products.shape[-1] == 0:
         return np.full(lead, init, dtype=np.int64), np.zeros(lead, bool)
-    prefixes = np.cumsum(products, axis=-1)
+    prefixes = np.cumsum(products, axis=-1, out=products)
     prefixes += init
     out = (prefixes < INT16_MIN) | (prefixes > INT16_MAX)
     saturated = np.asarray(out.any(axis=-1))
     acc = prefixes[..., -1].copy()
     if saturated.any():
-        acc[saturated] = _saturating_scan(products[saturated],
-                                          prefixes[saturated],
-                                          out[saturated], init)
+        clipping = prefixes[saturated]
+        acc[saturated] = _saturating_scan(
+            np.diff(clipping, axis=-1, prepend=init), clipping,
+            out[saturated], init)
     return acc, saturated
 
 
@@ -257,14 +281,16 @@ def _saturating_scan(products, prefixes, out, init):
     return acc
 
 
-def check_int8(codes, what):
+def check_int8(codes, what, *args):
     """Raise ValueError unless every entry of `codes` is an int8 code: a
     whole number in [-128, 127].  An int8 array passes at once, as its
     dtype proves the range; any other dtype is checked by value, and a
-    fraction (or NaN) is refused, never truncated."""
+    fraction (or NaN) is refused, never truncated.  The error names the
+    codes `what` % `args`, formatted only then."""
     codes = np.asarray(codes)
     if codes.dtype == np.int8:
         return
+    what = what % args if args else what
     if codes.dtype.kind not in "biu" and not np.array_equal(
             codes, np.trunc(codes)):
         raise ValueError("%s codes must be whole int8 codes, not fractions"
@@ -275,5 +301,7 @@ def check_int8(codes, what):
 
 
 def sat_add16(a, b):
-    """Saturating 16-bit add of two accumulator arrays."""
-    return sat16(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64))
+    """Saturating 16-bit add of two accumulator arrays, as int64."""
+    total = np.asarray(np.add(a, b, dtype=np.int64))  # 0-d for scalars
+    np.maximum(total, _LO, out=total)
+    return np.minimum(total, _HI, out=total)

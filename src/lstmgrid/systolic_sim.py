@@ -543,7 +543,8 @@ def _history(grid, stack, consts, x):
         # the four gates read the same h: every die's partial MACs of the
         # step in one kernel call, after their input halves' head sums
         partials, _ = mac_run(stack.halves[1], stack.operand(h, first=1),
-                              sq_norms=stack.w_sq, head=head)
+                              sq_norms=stack.w_sq, head=head,
+                              sq_max=stack.sq_max)
         # the fold of all four gates at once, on the (die column, gate,
         # row) view, keeping what each hop receives
         cols = partials.swapaxes(0, 1)
@@ -649,7 +650,8 @@ class GridSim:
         fold up the master column.  Returns (the partials each hop
         receives, T x (n - 1) x n_out; y, T x n_out)."""
         partials, _ = mac_run(self.fc_stack.w[0], self.fc_stack.operand(h),
-                              sq_norms=self.fc_stack.w_sq[0])
+                              sq_norms=self.fc_stack.w_sq[0],
+                              sq_max=self.fc_stack.sq_max)
         rows = partials.swapaxes(0, 1)  # (master row, step, output)
         n = len(rows)
         incoming = np.empty((len(h), n - 1, self.fc.n_out), np.int16)

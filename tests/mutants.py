@@ -174,8 +174,8 @@ MUTANTS = [
         "a run starts from the h and c the last run left"),
     Mutant(
         "block_stack_packs_short_tiles", "lstm_ref.py",
-        "                pos += tile\n",
-        "                pos += part.shape[1]\n",
+        "            pos += tile\n",
+        "            pos += rest or tile\n",
         (SIM + "test_param_words_match_the_network_tensors",
          SIM + "test_every_mode_matches_the_scalar_oracle"),
         "a tile past its matrix's real width is packed short, so the next "
@@ -207,14 +207,15 @@ MUTANTS = [
         "rows, so the grid's real units read another unit's codes"),
     Mutant(
         "iu_alignment_off_by_one", "lstm_ref.py",
-        "shift_round(g_i * g_u, k.iu_shift)",
-        "shift_round(g_i * g_u, k.iu_shift + 1)",
-        TAILS + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
-        "the cell tail aligns the i*u product one bit too far down"),
+        "shift_round(g_i * g_u, gf - sf)",
+        "shift_round(g_i * g_u, gf - sf + 1)",
+        (REF + "test_tail_tables_equal_the_helpers_they_replace",) + TAILS
+        + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
+        "the i*u table aligns the product one bit too far down"),
     Mutant(
         "output_peephole_reads_old_c", "lstm_ref.py",
-        "dots[3] + k.o_peep * c_new",
-        "dots[3] + k.o_peep * c",
+        "o = k.o_peep * c_new\n",
+        "o = k.o_peep * c\n",
         TAILS + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
         "the output gate's peephole reads the old cell state"),
     Mutant(
@@ -234,16 +235,15 @@ MUTANTS = [
         "saturated pre-activation indexes past its table half"),
     Mutant(
         "c_table_without_clip", "lstm_ref.py",
-        't.c.take(np.multiply(g_f, c, dtype=np.int32) + p_iu + _ZERO,\n'
-        '                     mode="clip")',
-        't.c.take(np.multiply(g_f, c, dtype=np.int32) + p_iu + _ZERO)',
+        '+ t.iu.take(i_hi | u_lo, mode="wrap"), mode="clip")',
+        '+ t.iu.take(i_hi | u_lo, mode="wrap"))',
         (REF + "test_cell_state_update_clips_at_the_int16_top",),
         "the cell-state lookup does not clip its index, so a c-update sum "
         "outside int16 raises instead of saturating"),
     Mutant(
         "h_table_index_off_by_one", "lstm_ref.py",
-        't.h.take((g_o << 8) | (c_new & 0xFF), mode="wrap")',
-        't.h.take(((g_o << 8) | (c_new & 0xFF)) + 1, mode="wrap")',
+        't.h.take(o_hi | (c_new & _LOW_BYTE), mode="wrap")',
+        't.h.take((o_hi | (c_new & _LOW_BYTE)) + 1, mode="wrap")',
         TAILS + (REF + "test_cell_tail_matches_scalar_oracle_tail",),
         "the h lookup reads the entry of the next (g_o, c_new) pair"),
     Mutant(
@@ -271,8 +271,8 @@ MUTANTS = [
         "the rounding shift rounds negative ties up, not away from zero"),
     Mutant(
         "certificate_admits_room_plus_one", "qformat.py",
-        "limit = room * room if room >= 0 else -1",
-        "limit = (room + 1) ** 2 if room >= 0 else -1",
+        "return room * room if room >= 0 else -1",
+        "return (room + 1) ** 2 if room >= 0 else -1",
         (QF + "test_certificate_tier_is_exact_at_its_edge",
          SIM + "test_every_mode_matches_the_scalar_oracle"),
         "the certificate admits a chain one past its edge"),
@@ -284,21 +284,36 @@ MUTANTS = [
         "the certificate leaves no room for the chain's initial value"),
     Mutant(
         "certificate_ignores_the_head", "qformat.py",
-        "        v_sq += head[3]\n",
-        "        v_sq += 0\n",
+        "        v_sq = v_sq + head[3]\n",
+        "        v_sq = v_sq + 0\n",
         (QF + "test_a_chain_with_a_head_is_the_whole_chain",),
         "the certificate's vector norm reads only the tail, so a chain "
         "whose head clips keeps its float32 sum"),
     Mutant(
         "fallback_drops_the_head", "qformat.py",
-        "        acc[slow], saturated[slow] = _chain(products, init)\n",
-        "        acc[slow], saturated[slow] = _chain(products[:, -n:], init)\n",
+        "    acc[slow], saturated[slow] = _chain(products, init)\n",
+        "    acc[slow], saturated[slow] = _chain(products[:, -n:], init)\n",
         (QF + "test_a_chain_with_a_head_is_the_whole_chain",
          SIM + "test_every_mode_matches_the_scalar_oracle",
          "tests/test_tooling.py::"
          "test_every_mac_call_flags_the_chains_the_scalar_mac_clips"),
         "the chains that fail the certificate run their tail terms "
         "alone, without the head's"),
+    Mutant(
+        "layer_bound_reads_the_least_row_norm", "lstm_ref.py",
+        "return int(self.w_sq.max()) if self.w_sq.size else 0",
+        "return int(self.w_sq.min()) if self.w_sq.size else 0",
+        (QF + "test_the_layer_bound_keeps_every_chain_exact",
+         SIM + "test_every_mode_matches_the_scalar_oracle"),
+        "the layer bound takes the stack's smallest row norm for its "
+        "largest, so a call whose other chains clip keeps their float32 "
+        "sums"),
+    Mutant(
+        "layer_bound_ignores_init", "qformat.py",
+        "or sq_max * max(v_sq.ravel().tolist()) > _limit(room):",
+        "or sq_max * max(v_sq.ravel().tolist()) > _limit(INT16_MAX):",
+        (QF + "test_the_layer_bound_keeps_every_chain_exact",),
+        "the layer bound leaves no room for the chains' initial value"),
     Mutant(
         "head_norm_is_zero", "lstm_ref.py",
         "(v * v).sum(axis=-1, dtype=np.float64))\n",

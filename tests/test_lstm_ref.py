@@ -227,6 +227,8 @@ def test_tail_tables_equal_the_helpers_they_replace(table_seed):
         t = lr.build_tail_tables(luts, fmts)
         pre = requantize(INT16_VALUES, fmts.acc_frac_bits, fmts.state)
         want_gates = [luts[kind].lookup(pre) for kind in ("sigmoid", "tanh")]
+        # then the same codes as an index's high byte (i, o) and low (u)
+        want_gates += [want_gates[0] << 8, want_gates[1] & 0xFF]
         assert np.array_equal(t.gates, np.concatenate(want_gates)), fracs
         assert np.array_equal(t.c, requantize(INT16_VALUES, gf + sf,
                                               fmts.state)), fracs
@@ -235,8 +237,15 @@ def test_tail_tables_equal_the_helpers_they_replace(table_seed):
                             fmts.state)
         assert np.array_equal(t.h[((g_o & 0xFF) << 8) | (c_new & 0xFF)],
                               want_h), fracs
+        # the i*u entry of (g_i, g_u) sits alike, at f*c's scale, with the
+        # c table's offset 32768 added
+        g_i, g_u = g_o, c_new
+        want_iu = O.np_shift_round(g_i * g_u, gf - sf) + 32768
+        assert np.array_equal(t.iu[((g_i & 0xFF) << 8) | (g_u & 0xFF)],
+                              want_iu), fracs
         for table in (t.gates, t.c, t.h):
             assert table.dtype == np.int16 and not table.flags.writeable
+        assert t.iu.dtype == np.uint16 and not t.iu.flags.writeable
 
 
 def test_tail_tables_are_memoized_on_the_luts():

@@ -7,12 +7,14 @@ never holds a float network, and each value engine holds a layer's
 float32 MAC operand (four bytes per code) only while that layer steps.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lstmgrid import cli, lstm_ref, mapper, systolic_sim
+from lstmgrid.qformat import QFormat
 
 MB = 1 << 20
 LAYERS = [(480, 480)] * 3
@@ -145,3 +147,14 @@ def test_a_long_run_holds_one_head_chunk_on_each_side():
                                 features, col_blocks_per_layer=blocks)
     assert np.array_equal(outputs, want)
     assert peak < bound
+
+
+@pytest.mark.parametrize("fracs", [(5, 5, 7), (4, 5, 5)])
+def test_the_tail_tables_take_at_most_1_mib_per_lut_pair_and_formats(fracs):
+    # every table the tails read, each in its own buffer, so a region
+    # added to them cannot grow unseen
+    fmts = lstm_ref.FormatSet(*map(QFormat, fracs))
+    tables = lstm_ref.build_tail_tables(lstm_ref.default_luts(fmts), fmts)
+    arrays = [getattr(tables, f.name) for f in dataclasses.fields(tables)]
+    assert all(a.base is None for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= MB

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lstmgrid import qformat as qf
+from lstmgrid import lstm_ref, qformat as qf
 
 import oracles as O
 
@@ -353,6 +353,71 @@ def test_a_chain_with_a_head_is_the_whole_chain(case):
     for idx in np.ndindex(*w.shape[:-1]):
         assert (got[0][idx], got[1][idx]) == O.mac_chain(
             zip(w[idx].tolist(), rows[idx].tolist()), init), idx
+
+
+@st.composite
+def bound_stacks(draw, case):
+    """(stack, x, h, init): a two-gate `BlockStack` of (W_x, W_h) in 1-3
+    die columns, inputs x and a state h at its padded widths, and an
+    init, drawn so that `case` holds for `mac_run`'s layer bound: it
+    "passes"; it fails and so does every chain's certificate
+    ("fails_every_row": no zero chain, every tile full); or it fails and
+    the certificate passes some chains but not all ("fails_some_rows":
+    row 0 is zero, and rows 1 and 4 are small)."""
+    blocks = draw(st.integers(1, 3))
+    if case == "fails_every_row":
+        n_i, n_h = (blocks * draw(st.integers(1, 3)) for _ in range(2))
+        code = st.sampled_from([-128, -127, 127])
+    else:
+        n_i, n_h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        code = (st.integers(-4, 4) if case == "passes" else
+                st.one_of(int8s, st.sampled_from([-128, -127, 127])))
+    inits = [0, 1000, -1000] if case == "passes" else [0, 1000, -32767, 32767]
+    rows = draw(st.integers(2, 5))
+    mats = [tuple(draw(hnp.arrays(np.int64, (rows, n), elements=code))
+                  for n in (n_i, n_h)) for _ in range(2)]
+    if case == "fails_some_rows":
+        for m in mats[0]:
+            m[0] = 0
+            m[1::3] //= 16
+    stack = lstm_ref.BlockStack(mats, blocks)
+    x, h = (draw(hnp.arrays(np.int64, width, elements=code))
+            for width in stack.widths)
+    x[n_i:], h[n_h:] = 0, 0
+    return stack, x, h, draw(st.sampled_from(inits))
+
+
+@pytest.mark.parametrize("case", ["passes", "fails_every_row",
+                                  "fails_some_rows"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_layer_bound_keeps_every_chain_exact(case, data):
+    # the bound, then the certificate, then the exact tiers, with and
+    # without a head: each chain's (acc, saturated) is the scalar MAC's
+    # over its whole row, head terms first
+    stack, x, h, init = data.draw(bound_stacks(case))
+    w, v = stack.w.astype(np.int64), stack.operand(x, h)
+    room = qf.INT16_MAX - abs(init)
+    v_sq = [int(n) for n in (v * v).sum(-1)]
+    bound = stack.sq_max * max(v_sq) <= room * room
+    certified = stack.w_sq * np.array(v_sq)[:, None] <= room * room
+    if case == "passes":
+        assert bound
+    elif case == "fails_every_row":
+        assume(not certified.any())
+    else:
+        assume(not bound and certified.any() and not certified.all())
+    twin = stack.stepping()
+    assert twin.sq_max == int((w * w).sum(-1).max())
+    calls = [qf.mac_run(twin.halves[1], twin.operand(h, first=1), init,
+                        sq_norms=twin.w_sq, head=next(twin.heads(x[None])),
+                        sq_max=twin.sq_max),
+             qf.mac_run(stack.w, v, init, sq_norms=stack.w_sq,
+                        sq_max=stack.sq_max)]
+    for idx in np.ndindex(*w.shape[:-1]):
+        want = O.mac_chain(zip(w[idx].tolist(), v[idx[1]].tolist()), init)
+        for acc, saturated in calls:
+            assert (acc[idx], saturated[idx]) == want, (idx, case)
 
 
 def _spy(monkeypatch, name):
